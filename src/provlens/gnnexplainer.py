@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .model import TgnModel, RELATION_INDEX
+from .masks import descend_mask, require_finite, top_edges
+from .model import MaskEvaluator, TgnModel
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,9 @@ class GnnExplainerConfig:
     def __post_init__(self):
         if min(self.epochs, self.top_k) < 1 or self.learning_rate <= 0:
             raise ValueError("GNNExplainer config values must be positive")
+        require_finite(learning_rate=self.learning_rate,
+                       sparsity_weight=self.sparsity_weight,
+                       entropy_weight=self.entropy_weight)
 
 
 @dataclass
@@ -45,33 +49,41 @@ class EventExplanation:
     fidelity: FidelityMetrics
 
 
-def _true_prob(model: TgnModel, ctx: EventContext, mask: np.ndarray) -> float:
-    probs, _ = model.masked_forward(ctx, mask)
-    return float(probs[RELATION_INDEX[ctx.target.relation]])
+def _true_prob(evaluator: MaskEvaluator, mask: np.ndarray) -> float:
+    probs, _ = evaluator.forward(mask)
+    return float(probs[evaluator.y])
 
 
-def fidelity(model: TgnModel, ctx: EventContext, edge_subset) -> FidelityMetrics:
+def fidelity(
+    model: TgnModel,
+    ctx: EventContext,
+    edge_subset,
+    evaluator: MaskEvaluator | None = None,
+) -> FidelityMetrics:
     """Hard-mask fidelity of an edge subset of the neighborhood.
 
     removed = all ones with the subset zeroed; kept = all zeros with the
     subset set to one. Identities: the full subset gives sufficiency 0
-    exactly, the empty subset gives comprehensiveness 0 exactly.
+    exactly, the empty subset gives comprehensiveness 0 exactly. Pass
+    the context's evaluator to reuse it.
     """
     n = len(ctx.neighborhood_events)
     subset = sorted(set(edge_subset))
     if subset and (subset[0] < 0 or subset[-1] >= n):
         raise IndexError(f"edge subset {subset} out of range for {n} edges")
+    if evaluator is None:
+        evaluator = MaskEvaluator(model, ctx)
 
     ones = np.ones(n)
-    p_original = _true_prob(model, ctx, ones)
+    p_original = _true_prob(evaluator, ones)
 
     removed = ones.copy()
     removed[subset] = 0.0
     kept = np.zeros(n)
     kept[subset] = 1.0
 
-    p_removed = p_original if not subset else _true_prob(model, ctx, removed)
-    p_kept = p_original if len(subset) == n else _true_prob(model, ctx, kept)
+    p_removed = p_original if not subset else _true_prob(evaluator, removed)
+    p_kept = p_original if len(subset) == n else _true_prob(evaluator, kept)
     return FidelityMetrics(
         comprehensiveness=p_original - p_removed,
         sufficiency=p_original - p_kept,
@@ -83,51 +95,21 @@ def gnn_explain_event(
     ctx: EventContext,
     config: GnnExplainerConfig = GnnExplainerConfig(),
 ) -> EventExplanation | None:
-    """Optimize a soft edge mask for one event; None on empty neighborhood."""
-    n = len(ctx.neighborhood_events)
-    if n == 0:
+    """Optimize a soft edge mask for one event; None on empty neighborhood.
+
+    Objective: loss(masked) + sparsity_weight*sum(m)
+    + entropy_weight*sum(H(m)), minimized by gradient descent on the
+    mask logits from m = 0.5; the best iterate is kept.
+    """
+    if not ctx.neighborhood_events:
         return None
 
-    theta = np.zeros(n)
-    m = _sigmoid(theta)
-    best = (_objective(model, ctx, m, config), m.copy())
-
-    for _ in range(config.epochs):
-        dl_dm = model.mask_gradient(ctx, m)
-        dj_dm = (
-            dl_dm
-            + config.sparsity_weight
-            + config.entropy_weight * np.log((1.0 - m) / m)
-        )
-        theta -= config.learning_rate * dj_dm * m * (1.0 - m)
-        m = _sigmoid(theta)
-        j = _objective(model, ctx, m, config)
-        if j < best[0]:
-            best = (j, m.copy())
-
-    mask = best[1]
-    order = sorted(range(n), key=lambda i: (-mask[i], i))
-    top = order[: config.top_k]
-    top_edges = [
-        (ctx.neighborhood_events[i].src,
-         ctx.neighborhood_events[i].dst,
-         ctx.neighborhood_events[i].relation,
-         float(mask[i]))
-        for i in top
-    ]
+    evaluator = MaskEvaluator(model, ctx)
+    mask, _, _ = descend_mask(evaluator, config, lambda loss: (loss, 1.0))
+    top, rows = top_edges(ctx, mask, config.top_k)
     return EventExplanation(
         event_index=ctx.target_index,
         mask=mask,
-        top_edges=top_edges,
-        fidelity=fidelity(model, ctx, top),
+        top_edges=rows,
+        fidelity=fidelity(model, ctx, top, evaluator),
     )
-
-
-def _objective(model, ctx, m, config) -> float:
-    _, loss = model.masked_forward(ctx, m)
-    h = -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
-    return loss + config.sparsity_weight * m.sum() + config.entropy_weight * h.sum()
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))

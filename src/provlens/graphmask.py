@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .model import TgnModel
+from .masks import descend_mask, require_finite
+from .model import MaskEvaluator, TgnModel
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,9 @@ class GraphMaskConfig:
         if min(self.epochs, self.learning_rate,
                self.sparsity_weight, self.entropy_weight) <= 0:
             raise ValueError("all GraphMask hyperparameters must be positive")
+        require_finite(learning_rate=self.learning_rate,
+                       sparsity_weight=self.sparsity_weight,
+                       entropy_weight=self.entropy_weight)
 
 
 @dataclass
@@ -50,10 +54,6 @@ class AggregateRow:
     count: int
 
 
-def _binary_entropy(m: np.ndarray) -> np.ndarray:
-    return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
-
-
 def graphmask_explain_event(
     model: TgnModel, ctx: EventContext, config: GraphMaskConfig = GraphMaskConfig()
 ) -> EdgeMask | None:
@@ -68,39 +68,14 @@ def graphmask_explain_event(
     if n == 0:
         return None
 
-    loss_orig = model.score_event(ctx)
-    theta = np.zeros(n)
+    evaluator = MaskEvaluator(model, ctx)
+    _, loss_orig = evaluator.forward(np.ones(n))
 
-    def objective(m: np.ndarray) -> tuple[float, float]:
-        _, loss = model.masked_forward(ctx, m)
-        j = (
-            abs(loss - loss_orig)
-            + config.sparsity_weight * m.sum()
-            + config.entropy_weight * _binary_entropy(m).sum()
-        )
-        return j, loss
+    def data_term(loss: float) -> tuple[float, float]:
+        return abs(loss - loss_orig), np.sign(loss - loss_orig)
 
-    m = _sigmoid(theta)
-    best_j, loss = objective(m)
-    initial_j = best_j
-    best_m = m.copy()
-
-    for _ in range(config.epochs):
-        dl_dm = model.mask_gradient(ctx, m)
-        sign = np.sign(loss - loss_orig)
-        dj_dm = (
-            sign * dl_dm
-            + config.sparsity_weight
-            + config.entropy_weight * np.log((1.0 - m) / m)
-        )
-        theta -= config.learning_rate * dj_dm * m * (1.0 - m)
-        m = _sigmoid(theta)
-        j, loss = objective(m)
-        if j < best_j:
-            best_j = j
-            best_m = m.copy()
-
-    return EdgeMask(values=best_m, objective=best_j, initial_objective=initial_j)
+    values, best_j, initial_j = descend_mask(evaluator, config, data_term)
+    return EdgeMask(values=values, objective=best_j, initial_objective=initial_j)
 
 
 def graphmask_aggregate(
@@ -123,7 +98,3 @@ def graphmask_aggregate(
     ]
     rows.sort(key=lambda r: (-r.weight, r.edge.src, r.edge.dst, r.edge.relation.value))
     return rows
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))

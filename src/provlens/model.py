@@ -8,9 +8,22 @@ memories, a time-delta encoding, and an aggregate of neighborhood edge
 messages. The cross-entropy of that prediction against the observed
 relation is the anomaly score.
 
-The neighborhood aggregate is a mask-weighted sum, which makes the
-forward pass differentiable in every mask entry with a closed-form
-gradient; all three explainers are built on that.
+The neighborhood aggregate is a mask-weighted sum with a fixed scale,
+so the head's pre-activation is affine in the mask m:
+
+    z = tanh(a0 + B m),  a0 = We x0 + be,  B = scale * We_agg msgs^T
+
+where x0 is the input vector with a zero aggregate, msgs the context's
+(n_edges, embed_dim) edge messages and We_agg the columns of We that
+read the aggregate. Only a0 and B depend on the context, so a
+:class:`MaskEvaluator` builds them once and every masked pass after that
+is two small matrix-vector products, with the closed-form gradient
+
+    d loss / d m = B^T ((1 - z^2) * Wo^T (p - e_y)).
+
+All three explainers run their optimization loops on one evaluator per
+event; :meth:`TgnModel.masked_forward`, :meth:`TgnModel.mask_gradient`
+and :meth:`TgnModel.score_event` are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from .graph import (
     TruthLabel,
     extract_context,
 )
+from .masks import sigmoid
 
 CHECKPOINT_VERSION = 1
 
@@ -44,7 +58,7 @@ _AGG_SCALE = 0.5
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training or an explainer produced a non-finite loss."""
 
 
 class CheckpointError(ValueError):
@@ -142,7 +156,7 @@ class TgnModel:
             dt = e.timestamp - self._last_update.get(nid, e.timestamp)
             msg = np.concatenate([h_self, h_other, rel, self._time_enc(dt)])
             cand = np.tanh(self.Wc @ msg + self.bc)
-            gate = _sigmoid(self.Wg @ msg + self.bg)
+            gate = sigmoid(self.Wg @ msg + self.bg)
             new[nid] = (1.0 - gate) * h_self + gate * cand
         for nid, h in new.items():
             self._memory[nid] = h
@@ -200,30 +214,12 @@ class TgnModel:
         message scaled by its mask entry. An all-ones mask reproduces
         :meth:`score_event` exactly.
         """
-        mask = np.asarray(mask, dtype=float)
-        n = len(ctx.neighborhood_events)
-        if mask.shape != (n,):
-            raise ValueError(f"mask length {mask.shape} != neighborhood size {n}")
-        if n and (mask.min() < 0.0 or mask.max() > 1.0):
-            raise ValueError("mask entries must lie in [0, 1]")
-        probs, loss, _ = self._forward_parts(ctx, mask)
-        return probs, loss
-
-    def _forward_parts(self, ctx: EventContext, mask: np.ndarray):
-        msgs = self._edge_messages(ctx)
-        scale = _AGG_SCALE
-        agg = (mask @ msgs) * scale if len(msgs) else np.zeros(self.config.embed_dim)
-        x = self._input_vector(ctx, agg)
-        z = np.tanh(self.We @ x + self.be)
-        logits = self.Wo @ z + self.bo
-        probs = _softmax(logits)
-        y = RELATION_INDEX[ctx.target.relation]
-        loss = -np.log(max(probs[y], 1e-300))
-        return probs, float(loss), (msgs, scale, x, z, probs, y)
+        return MaskEvaluator(self, ctx).forward(_checked_mask(ctx, mask))
 
     def score_event(self, ctx: EventContext) -> float:
         """Anomaly loss of the event under its full (unmasked) context."""
-        _, loss = self.masked_forward(ctx, np.ones(len(ctx.neighborhood_events)))
+        ones = np.ones(len(ctx.neighborhood_events))
+        _, loss = MaskEvaluator(self, ctx).forward(ones)
         return loss
 
     def predict(self, ctx: EventContext, mask: np.ndarray | None = None) -> np.ndarray:
@@ -234,17 +230,8 @@ class TgnModel:
 
     def mask_gradient(self, ctx: EventContext, mask: np.ndarray) -> np.ndarray:
         """Closed-form d(loss)/d(mask); matches finite differences."""
-        mask = np.asarray(mask, dtype=float)
-        _, _, (msgs, scale, x, z, probs, y) = self._forward_parts(ctx, mask)
-        if len(msgs) == 0:
-            return np.zeros(0)
-        dlogits = probs.copy()
-        dlogits[y] -= 1.0
-        dz = self.Wo.T @ dlogits
-        da = (1.0 - z * z) * dz
-        dx = self.We.T @ da
-        dagg = dx[-self.config.embed_dim:]
-        return (msgs @ dagg) * scale
+        _, grad = MaskEvaluator(self, ctx).loss_and_gradient(_checked_mask(ctx, mask))
+        return grad
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -289,6 +276,56 @@ class TgnModel:
         model._last_replay_ts = doc["last_replay_ts"]
         model.stats = TrainStats(**doc["stats"])
         return model
+
+
+class MaskEvaluator:
+    """Masked forward pass and mask gradient of one context.
+
+    Builds the mask-independent terms once: the edge messages, the
+    pre-activation a0 of the input with a zero aggregate, and the
+    (embed_dim, n_edges) matrix B that maps the mask into the
+    pre-activation. Each pass is then ``z = tanh(a0 + B m)``. The
+    evaluator reads the head's weights as they were when it was built
+    and does not check the mask; :meth:`TgnModel.masked_forward` does.
+    """
+
+    def __init__(self, model: TgnModel, ctx: EventContext):
+        emb = model.config.embed_dim
+        msgs = model._edge_messages(ctx)
+        self.n = len(msgs)
+        self.a0 = model.We @ model._input_vector(ctx, np.zeros(emb)) + model.be
+        self.B = _AGG_SCALE * (model.We[:, -emb:] @ msgs.T)
+        self.Wo = model.Wo
+        self.bo = model.bo
+        self.y = RELATION_INDEX[ctx.target.relation]
+
+    def _pass(self, mask: np.ndarray):
+        z = np.tanh(self.a0 + self.B @ mask)
+        probs = _softmax(self.Wo @ z + self.bo)
+        return probs, float(-np.log(max(probs[self.y], 1e-300))), z
+
+    def forward(self, mask: np.ndarray) -> tuple[np.ndarray, float]:
+        """Prediction and cross-entropy loss under the mask."""
+        probs, loss, _ = self._pass(mask)
+        return probs, loss
+
+    def loss_and_gradient(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss under the mask and its closed-form gradient in the mask,
+        from one pass."""
+        probs, loss, z = self._pass(mask)
+        dlogits = probs.copy()
+        dlogits[self.y] -= 1.0
+        return loss, self.B.T @ ((1.0 - z * z) * (self.Wo.T @ dlogits))
+
+
+def _checked_mask(ctx: EventContext, mask) -> np.ndarray:
+    mask = np.asarray(mask, dtype=float)
+    n = len(ctx.neighborhood_events)
+    if mask.shape != (n,):
+        raise ValueError(f"mask length {mask.shape} != neighborhood size {n}")
+    if n and (mask.min() < 0.0 or mask.max() > 1.0):
+        raise ValueError("mask entries must lie in [0, 1]")
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +475,6 @@ def score_stream(model: TgnModel, dataset) -> list[EventContext]:
     return _replay_contexts(
         model, dataset.graph, labels=dataset.labels, score=True
     )
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .model import TgnModel
+from .masks import require_finite, sigmoid, top_edges
+from .model import DivergenceError, MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
 
@@ -41,6 +42,8 @@ class VatgConfig:
             raise ValueError("mc_samples, epochs, sparsity_top_k must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        require_finite(lambda_kl=self.lambda_kl, lambda_sp=self.lambda_sp,
+                       learning_rate=self.learning_rate)
 
 
 @dataclass
@@ -68,7 +71,7 @@ def sample_mask(params: VariationalMaskParams, epsilon: np.ndarray) -> np.ndarra
         raise ValueError(
             f"epsilon shape {epsilon.shape} != params shape {params.mu.shape}"
         )
-    return _sigmoid(params.mu + epsilon * np.exp(0.5 * params.log_var))
+    return sigmoid(params.mu + epsilon * np.exp(0.5 * params.log_var))
 
 
 def kl_term(params: VariationalMaskParams) -> float:
@@ -79,12 +82,44 @@ def kl_term(params: VariationalMaskParams) -> float:
 
 def _sparsity_penalty(params: VariationalMaskParams, k: int) -> tuple[float, np.ndarray]:
     """Sum of the k largest mask means, plus its subgradient w.r.t. mu."""
-    means = _sigmoid(params.mu)
+    means = sigmoid(params.mu)
     n = len(means)
     top = np.argsort(-means, kind="stable")[: min(k, n)]
     grad = np.zeros(n)
     grad[top] = means[top] * (1.0 - means[top])
     return float(means[top].sum()), grad
+
+
+def _objective(
+    evaluator: MaskEvaluator,
+    params: VariationalMaskParams,
+    config: VatgConfig,
+    epsilons: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Monte Carlo objective at fixed noise draws and its closed-form
+    gradients w.r.t. (mu, log_var), one evaluator pass per sample."""
+    n = len(params)
+    ce = 0.0
+    d_mu = np.zeros(n)
+    d_lv = np.zeros(n)
+    for eps in epsilons:
+        m = sample_mask(params, eps)
+        loss, dl_dm = evaluator.loss_and_gradient(m)
+        ce += loss
+        jac = m * (1.0 - m)
+        d_mu += dl_dm * jac
+        d_lv += dl_dm * jac * eps * 0.5 * np.exp(0.5 * params.log_var)
+    ce /= len(epsilons)
+    d_mu /= len(epsilons)
+    d_lv /= len(epsilons)
+
+    d_mu += config.lambda_kl * params.mu
+    d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
+
+    omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
+    d_mu += config.lambda_sp * omega_grad
+    loss = ce + config.lambda_kl * kl_term(params) + config.lambda_sp * omega
+    return loss, d_mu, d_lv
 
 
 def vatg_loss(
@@ -97,13 +132,8 @@ def vatg_loss(
     """Monte Carlo objective at fixed noise draws (one row per sample)."""
     if len(ctx.neighborhood_events) == 0:
         raise ValueError("empty neighborhood")
-    ce = 0.0
-    for eps in epsilons:
-        _, loss = model.masked_forward(ctx, sample_mask(params, eps))
-        ce += loss
-    ce /= len(epsilons)
-    omega, _ = _sparsity_penalty(params, config.sparsity_top_k)
-    return ce + config.lambda_kl * kl_term(params) + config.lambda_sp * omega
+    loss, _, _ = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    return loss
 
 
 def vatg_gradients(
@@ -114,23 +144,7 @@ def vatg_gradients(
     epsilons: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradients of the objective w.r.t. (mu, log_var)."""
-    n = len(params)
-    d_mu = np.zeros(n)
-    d_lv = np.zeros(n)
-    for eps in epsilons:
-        m = sample_mask(params, eps)
-        dl_dm = model.mask_gradient(ctx, m)
-        jac = m * (1.0 - m)
-        d_mu += dl_dm * jac
-        d_lv += dl_dm * jac * eps * 0.5 * np.exp(0.5 * params.log_var)
-    d_mu /= len(epsilons)
-    d_lv /= len(epsilons)
-
-    d_mu += config.lambda_kl * params.mu
-    d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
-
-    _, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
-    d_mu += config.lambda_sp * omega_grad
+    _, d_mu, d_lv = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
     return d_mu, d_lv
 
 
@@ -149,6 +163,7 @@ def vatg_explain_event(
     if n == 0:
         return None
 
+    evaluator = MaskEvaluator(model, ctx)
     rng = np.random.default_rng(config.seed)
     params = VariationalMaskParams(
         mu=np.zeros(n), log_var=np.full(n, _INIT_LOG_VAR)
@@ -159,33 +174,25 @@ def vatg_explain_event(
 
     for _ in range(config.epochs):
         eps = rng.standard_normal((config.mc_samples, n))
-        loss = vatg_loss(model, ctx, params, config, eps)
+        loss, d_mu, d_lv = _objective(evaluator, params, config, eps)
         if not np.isfinite(loss):
-            raise RuntimeError("variational explainer diverged to non-finite loss")
+            raise DivergenceError("variational explainer diverged to non-finite loss")
         trace.append(loss)
         if loss < best_loss:
             best_loss = loss
             best = (params.mu.copy(), params.log_var.copy())
-        d_mu, d_lv = vatg_gradients(model, ctx, params, config, eps)
         params.mu -= config.learning_rate * d_mu
         params.log_var -= config.learning_rate * d_lv
 
     final = VariationalMaskParams(mu=best[0], log_var=best[1])
-    importance = _sigmoid(final.mu)
-    order = sorted(range(n), key=lambda i: (-importance[i], i))
-    top_edges = [
-        (ctx.neighborhood_events[i].src,
-         ctx.neighborhood_events[i].dst,
-         ctx.neighborhood_events[i].relation,
-         float(importance[i]))
-        for i in order[:3]
-    ]
+    importance = sigmoid(final.mu)
+    _, rows = top_edges(ctx, importance, 3)
     return VatgExplanation(
         event_index=ctx.target_index,
         params=final,
         importance=importance,
         trace=trace,
-        top_edges=top_edges,
+        top_edges=rows,
     )
 
 
@@ -218,7 +225,3 @@ def vatg_aggregate_node(
                                      mean=mean, var=var))
     rows.sort(key=lambda r: (-r.mean, r.src, r.dst, r.relation.value))
     return rows
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))

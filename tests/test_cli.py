@@ -140,6 +140,22 @@ def test_bad_config_is_argument_error(cli_dir, tmp_path):
     assert rc == EXIT_ARGUMENT
 
 
+@pytest.mark.parametrize("config_text", [
+    '{"vatg": {"learning_rate": NaN}}',
+    '{"gnn": {"learning_rate": Infinity}}',
+])
+def test_non_finite_explainer_config_is_argument_error(cli_dir, tmp_path,
+                                                       config_text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    out = tmp_path / "x"
+    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(cli_dir / "model.json"),
+               "--out-dir", str(out), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert not list(out.glob("explanations_*.json"))
+
+
 def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
     from provlens.pipeline import MEMORY_BUDGET_ENV
 

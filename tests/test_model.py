@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from provlens.graph import Event, OrderingError, Relation, extract_context
+from provlens.graph import Event, NodeKind, OrderingError, Relation, extract_context
 from provlens.model import (
+    _AGG_SCALE,
+    RELATION_INDEX,
     CheckpointError,
+    MaskEvaluator,
     ModelConfig,
     TgnModel,
     score_stream,
     train,
 )
 
-from conftest import NS, random_contexts
+from conftest import NS, build_graph, random_contexts
 
 
 def _tiny_model(tiny_graph, seed=0):
@@ -94,6 +98,87 @@ def test_mask_gradient_matches_finite_differences(tiny_graph):
             assert grad[j] == pytest.approx(fd, abs=1e-6, rel=1e-5)
             checked += 1
     assert checked >= 5
+
+
+def _reference_pass(model, ctx, mask):
+    """Probabilities, loss and mask gradient computed from the full
+    concatenated input vector, without the affine split."""
+    emb = model.config.embed_dim
+    msgs = model._edge_messages(ctx)
+    x = model._input_vector(ctx, (mask @ msgs) * _AGG_SCALE)
+    z = np.tanh(model.We @ x + model.be)
+    logits = model.Wo @ z + model.bo
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    y = RELATION_INDEX[ctx.target.relation]
+    dlogits = probs.copy()
+    dlogits[y] -= 1.0
+    dx = model.We.T @ ((1.0 - z * z) * (model.Wo.T @ dlogits))
+    return probs, -np.log(probs[y]), (msgs @ dx[-emb:]) * _AGG_SCALE
+
+
+def test_evaluator_matches_concatenated_input_reference(model, contexts):
+    rng = np.random.default_rng(5)
+    for ctx in random_contexts(contexts, rng, 40, min_edges=0):
+        n = len(ctx.neighborhood_events)
+        evaluator = MaskEvaluator(model, ctx)
+        for mask in (np.ones(n), np.zeros(n), rng.uniform(0.0, 1.0, n)):
+            probs_ref, loss_ref, grad_ref = _reference_pass(model, ctx, mask)
+            probs, loss = evaluator.forward(mask)
+            loss_g, grad = evaluator.loss_and_gradient(mask)
+            np.testing.assert_allclose(probs, probs_ref, rtol=0, atol=1e-12)
+            assert loss == pytest.approx(loss_ref, rel=0, abs=1e-12)
+            assert loss_g == loss
+            np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _tiny_cases(draw):
+    """An untrained model, one context of a random small graph replayed
+    through it, and a mask inside (0, 1) for that context."""
+    n_nodes = draw(st.integers(2, 5))
+    nodes = [(i, NodeKind.PROCESS if i % 2 == 0 else NodeKind.FILE, f"n{i}")
+             for i in range(n_nodes)]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1),
+                  st.sampled_from(list(Relation)), st.integers(0, 3)),
+        min_size=1, max_size=12,
+    ))
+    events, t = [], 1
+    for src, dst, rel, gap in steps:
+        t += gap
+        events.append((src, dst, rel, t))
+    model, ctxs = _tiny_model(build_graph((nodes, events)),
+                              seed=draw(st.integers(0, 3)))
+    ctx = draw(st.sampled_from(ctxs))
+    n = len(ctx.neighborhood_events)
+    mask = draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n))
+    return model, ctx, np.array(mask, dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_cases())
+def test_all_ones_identity_property(case):
+    model, ctx, _ = case
+    ones = np.ones(len(ctx.neighborhood_events))
+    _, loss = model.masked_forward(ctx, ones)
+    assert loss == model.score_event(ctx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tiny_cases())
+def test_mask_gradient_finite_difference_property(case):
+    model, ctx, mask = case
+    grad = model.mask_gradient(ctx, mask)
+    assert grad.shape == mask.shape
+    h = 1e-6
+    for j in range(len(mask)):
+        up, dn = mask.copy(), mask.copy()
+        up[j] += h
+        dn[j] -= h
+        _, lu = model.masked_forward(ctx, up)
+        _, ld = model.masked_forward(ctx, dn)
+        assert grad[j] == pytest.approx((lu - ld) / (2 * h), abs=1e-6, rel=1e-5)
 
 
 def test_empty_neighborhood_gradient(tiny_graph):

@@ -160,6 +160,18 @@ def test_best_iterate_is_returned(tiny_graph):
     assert replayed == pytest.approx(min(out.trace))
 
 
+def test_divergence_is_reported_as_divergence_error(tiny_graph):
+    """A finite but huge step overflows the loss; the CLI maps the
+    error to its argument exit code."""
+    from provlens.model import DivergenceError
+
+    model, ctxs = _tiny_model(tiny_graph)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            vatg_explain_event(model, ctxs[-1],
+                               VatgConfig(epochs=5, learning_rate=1e300))
+
+
 def test_aggregate_mean_and_variance():
     from provlens.graph import Event, Relation
 
