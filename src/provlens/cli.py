@@ -24,12 +24,12 @@ from .data import (
 )
 from .detect import (
     THRESHOLD_SIGMA_FACTOR,
-    AttackSubgraph,
     DetectorConfig,
     WindowStats,
     link_queues,
     save_alerts,
     score_all_windows,
+    span_subgraph,
 )
 from .gnnexplainer import GnnExplainerConfig
 from .graphmask import CanonicalEdge, GraphMaskConfig
@@ -102,21 +102,6 @@ def _detect(model, dataset, det_cfg):
     return contexts, stats, alerts
 
 
-def _window_subgraph(graph, report, entities) -> AttackSubgraph:
-    t0, t1 = report.window
-    idxs = [
-        i
-        for i in graph.window_slice(t0, t1)
-        if graph.events[i].src in entities or graph.events[i].dst in entities
-    ]
-    nodes = set(entities)
-    for i in idxs:
-        nodes.update((graph.events[i].src, graph.events[i].dst))
-    return AttackSubgraph(
-        nodes=nodes, event_indexes=idxs, events=[graph.events[i] for i in idxs]
-    )
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -179,7 +164,7 @@ def _cmd_explain(args) -> int:
                 json.dumps(doc, indent=2) + "\n"
             )
             md_parts.append(emit_markdown(wr, node_map))
-            sub = _window_subgraph(dataset.graph, wr, alert.entities)
+            sub = span_subgraph(dataset.graph, *wr.window, alert.entities)
             (out_dir / f"window_{n}.gv").write_text(
                 emit_graph_description(wr, sub, node_map)
             )
@@ -241,7 +226,7 @@ def _cmd_report(args) -> int:
         md_parts.append(emit_markdown(wr, node_map))
         if graph is not None:
             entities = {node["node_id"] for node in wr.nodes}
-            sub = _window_subgraph(graph, wr, entities)
+            sub = span_subgraph(graph, *wr.window, entities)
             (out_dir / f"window_{n}.gv").write_text(
                 emit_graph_description(wr, sub, node_map)
             )

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Event, EventContext, TemporalGraph
+from .masks import require_finite
 
 THRESHOLD_SIGMA_FACTOR = 1.5
 
@@ -69,6 +70,14 @@ class DetectorConfig:
     min_suspicious_nodes: int = 1
     window_loss_budget: float | None = None       # OR-predicate; None disables
     alert_threshold_factor: float = 2.0           # alert iff queue >= factor*threshold
+
+    def __post_init__(self):
+        require_finite(window_minutes=self.window_minutes,
+                       alert_threshold_factor=self.alert_threshold_factor)
+        if self.window_loss_budget is not None:
+            require_finite(window_loss_budget=self.window_loss_budget)
+        if self.window_minutes <= 0:
+            raise ValueError("window_minutes must be positive")
 
 
 def compute_threshold(benign_losses) -> WindowStats:
@@ -199,15 +208,21 @@ def link_queues(
 
 
 def reconstruct_subgraph(alert: Alert, graph: TemporalGraph) -> AttackSubgraph:
-    """Events in the alert span with at least one suspicious endpoint;
-    nodes are the entities plus their event partners."""
+    """Attack subgraph of a raised alert over its whole span."""
+    return span_subgraph(graph, alert.t_start, alert.t_end, alert.entities)
+
+
+def span_subgraph(
+    graph: TemporalGraph, t0: int, t1: int, entities: set[int]
+) -> AttackSubgraph:
+    """Events in the half-open span [t0, t1) with at least one endpoint
+    among the entities; nodes are the entities plus their event partners."""
     idxs = [
         i
-        for i in graph.window_slice(alert.t_start, alert.t_end)
-        if graph.events[i].src in alert.entities
-        or graph.events[i].dst in alert.entities
+        for i in graph.window_slice(t0, t1)
+        if graph.events[i].src in entities or graph.events[i].dst in entities
     ]
-    nodes = set(alert.entities)
+    nodes = set(entities)
     for i in idxs:
         nodes.add(graph.events[i].src)
         nodes.add(graph.events[i].dst)

@@ -13,7 +13,6 @@ import io
 import statistics
 import time
 import tracemalloc
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .data import LabeledDataset
@@ -64,15 +63,6 @@ def baseline_row() -> AblationResult:
     return AblationResult("NONE", 0.0, 0.0, True)
 
 
-@contextmanager
-def _preserved_memory(model: TgnModel):
-    saved = (dict(model._memory), dict(model._last_update), model._last_replay_ts)
-    try:
-        yield
-    finally:
-        model._memory, model._last_update, model._last_replay_ts = saved
-
-
 def remove_edge(dataset: LabeledDataset, edge: CanonicalEdge) -> LabeledDataset:
     """Dataset with every occurrence of one canonical edge dropped."""
     keep = [
@@ -112,8 +102,7 @@ def ablate_edge(
     if before <= 0:
         raise ValueError("alert carries no flagged loss; nothing to compare")
     ablated = remove_edge(dataset, edge)
-    with _preserved_memory(model):
-        contexts = score_stream(model, ablated)
+    contexts = score_stream(model, ablated)
     verdicts = score_all_windows(ablated.graph, contexts, stats, config)
     spans = {v.window for v in alert.windows}
     after = sum(v.flagged_loss for v in verdicts if v.window in spans)

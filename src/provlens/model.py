@@ -8,6 +8,12 @@ memories, a time-delta encoding, and an aggregate of neighborhood edge
 messages. The cross-entropy of that prediction against the observed
 relation is the anomaly score.
 
+:class:`TgnModel` holds parameters only. Node memory is an input to
+scoring, not part of the trained model: each replay of the stream starts
+a fresh :class:`ReplayMemory` and stores a snapshot of the states every
+context reads on the context itself. A checkpoint therefore holds the
+config, the trained parameters and the benign loss statistics.
+
 The neighborhood aggregate is a mask-weighted sum with a fixed scale,
 so the head's pre-activation is affine in the mask m:
 
@@ -44,9 +50,9 @@ from .graph import (
     TruthLabel,
     extract_context,
 )
-from .masks import sigmoid
+from .masks import require_finite, sigmoid
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 N_RELATIONS = len(RELATIONS)
 NS_PER_S = 1_000_000_000
@@ -79,6 +85,7 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.memory_dim, self.time_dim, self.embed_dim) <= 0:
             raise ValueError("all dimensions must be positive")
+        require_finite(learning_rate=self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.time_dim % 2:
@@ -92,11 +99,47 @@ class TrainStats:
     final_train_loss: float = 0.0
 
 
-class TgnModel:
-    """Stateful model: fixed recurrent memory machinery plus a trained head.
+class ReplayMemory:
+    """Node memories of one replay of the stream.
 
-    Memory advances only through :meth:`replay_update`; scoring is pure
-    with respect to the node-state snapshots carried by each context.
+    Holds each node's memory vector and last-update time, rejects events
+    that arrive out of timestamp order, and takes the node-state
+    snapshots that contexts carry. A replay owns one and advances it
+    through :meth:`TgnModel.replay_update`.
+    """
+
+    def __init__(self, memory_dim: int):
+        self._zero = np.zeros(memory_dim)
+        self.memory: dict[int, np.ndarray] = {}
+        self.last_update: dict[int, int] = {}
+        self.last_ts: int | None = None
+
+    def memory_of(self, nid: int) -> np.ndarray:
+        return self.memory.get(nid, self._zero)
+
+    def snapshot(self, node_ids) -> dict[int, tuple[np.ndarray, int | None]]:
+        return {
+            nid: (self.memory_of(nid).copy(), self.last_update.get(nid))
+            for nid in node_ids
+        }
+
+    def advance(self, timestamp: int, states: dict[int, np.ndarray]) -> None:
+        """Store the new memories of the nodes one event touched."""
+        if self.last_ts is not None and timestamp < self.last_ts:
+            raise OrderingError(f"replay out of order: {timestamp} < {self.last_ts}")
+        for nid, h in states.items():
+            self.memory[nid] = h
+            self.last_update[nid] = timestamp
+        self.last_ts = timestamp
+
+
+class TgnModel:
+    """Fixed recurrent memory machinery plus a trained head.
+
+    Holds parameters, config and training statistics only; replay memory
+    lives in the :class:`ReplayMemory` a replay passes to
+    :meth:`replay_update`. Scoring is pure with respect to the node-state
+    snapshots carried by each context.
     """
 
     def __init__(self, config: ModelConfig):
@@ -120,54 +163,22 @@ class TgnModel:
         self.bo = np.zeros(N_RELATIONS)
 
         self.stats = TrainStats()
-        self.reset_memory()
 
-    # ------------------------------------------------------------------
-    # memory
-    # ------------------------------------------------------------------
-
-    def reset_memory(self) -> None:
-        self._memory: dict[int, np.ndarray] = {}
-        self._last_update: dict[int, int] = {}
-        self._last_replay_ts: int | None = None
-
-    def memory_of(self, node_id: int) -> np.ndarray:
-        h = self._memory.get(node_id)
-        if h is None:
-            return np.zeros(self.config.memory_dim)
-        return h
-
-    def last_update_of(self, node_id: int) -> int | None:
-        return self._last_update.get(node_id)
-
-    def replay_update(self, e: Event) -> None:
+    def replay_update(self, memory: ReplayMemory, e: Event) -> None:
         """Advance both endpoint memories with the event's message."""
-        if self._last_replay_ts is not None and e.timestamp < self._last_replay_ts:
-            raise OrderingError(
-                f"replay out of order: {e.timestamp} < {self._last_replay_ts}"
-            )
-        h_src = self.memory_of(e.src)
-        h_dst = self.memory_of(e.dst)
+        h_src = memory.memory_of(e.src)
+        h_dst = memory.memory_of(e.dst)
         rel = np.zeros(N_RELATIONS)
         rel[RELATION_INDEX[e.relation]] = 1.0
 
         new = {}
         for nid, h_self, h_other in ((e.src, h_src, h_dst), (e.dst, h_dst, h_src)):
-            dt = e.timestamp - self._last_update.get(nid, e.timestamp)
+            dt = e.timestamp - memory.last_update.get(nid, e.timestamp)
             msg = np.concatenate([h_self, h_other, rel, self._time_enc(dt)])
             cand = np.tanh(self.Wc @ msg + self.bc)
             gate = sigmoid(self.Wg @ msg + self.bg)
             new[nid] = (1.0 - gate) * h_self + gate * cand
-        for nid, h in new.items():
-            self._memory[nid] = h
-            self._last_update[nid] = e.timestamp
-        self._last_replay_ts = e.timestamp
-
-    def snapshot_states(self, node_ids) -> dict[int, tuple[np.ndarray, int | None]]:
-        return {
-            nid: (self.memory_of(nid).copy(), self._last_update.get(nid))
-            for nid in node_ids
-        }
+        memory.advance(e.timestamp, new)
 
     # ------------------------------------------------------------------
     # forward pass
@@ -245,9 +256,6 @@ class TgnModel:
                 "We": self.We.tolist(), "be": self.be.tolist(),
                 "Wo": self.Wo.tolist(), "bo": self.bo.tolist(),
             },
-            "memory": {str(k): v.tolist() for k, v in self._memory.items()},
-            "last_update": {str(k): v for k, v in self._last_update.items()},
-            "last_replay_ts": self._last_replay_ts,
             "stats": asdict(self.stats),
         }
         Path(path).write_text(json.dumps(doc))
@@ -261,9 +269,11 @@ class TgnModel:
             doc = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"corrupt checkpoint {p}: {exc}") from exc
-        if doc.get("version") != CHECKPOINT_VERSION:
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint version {doc.get('version')!r}"
+                f"unsupported checkpoint version {version!r} in {p} "
+                f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
             )
         model = cls(ModelConfig(**doc["config"]))
         params = doc["parameters"]
@@ -271,9 +281,6 @@ class TgnModel:
         model.be = np.asarray(params["be"])
         model.Wo = np.asarray(params["Wo"])
         model.bo = np.asarray(params["bo"])
-        model._memory = {int(k): np.asarray(v) for k, v in doc["memory"].items()}
-        model._last_update = {int(k): v for k, v in doc["last_update"].items()}
-        model._last_replay_ts = doc["last_replay_ts"]
         model.stats = TrainStats(**doc["stats"])
         return model
 
@@ -362,16 +369,7 @@ def train(dataset, config: ModelConfig) -> TgnModel:
         raise ValueError("no benign training prefix before the attack interval")
 
     model = TgnModel(config)
-    contexts = _replay_contexts(model, dataset.graph, n_events=n_prefix)
-
-    X = np.zeros((n_prefix, model.input_dim))
-    y = np.zeros(n_prefix, dtype=int)
-    scale = _AGG_SCALE
-    for i, ctx in enumerate(contexts):
-        msgs = model._edge_messages(ctx)
-        agg = msgs.sum(axis=0) * scale if len(msgs) else np.zeros(config.embed_dim)
-        X[i] = model._input_vector(ctx, agg)
-        y[i] = RELATION_INDEX[ctx.target.relation]
+    X, y = _featurize(model, _replay_contexts(model, dataset.graph, n_events=n_prefix))
 
     n_fit = max(1, int(round(n_prefix * 0.8)))
     X_fit, y_fit = X[:n_fit], y[:n_fit]
@@ -444,11 +442,10 @@ def _replay_contexts(
     graph: TemporalGraph,
     n_events: int | None = None,
     labels=None,
-    score: bool = False,
 ) -> list[EventContext]:
-    """Replay the stream from reset memory, extracting each event's context
+    """Replay the stream from empty memory, extracting each event's context
     (with node-state snapshots taken before the event's own update)."""
-    model.reset_memory()
+    memory = ReplayMemory(model.config.memory_dim)
     n = len(graph) if n_events is None else n_events
     out = []
     for i in range(n):
@@ -458,23 +455,38 @@ def _replay_contexts(
         for ev in ctx.neighborhood_events:
             involved.add(ev.src)
             involved.add(ev.dst)
-        ctx.node_states = model.snapshot_states(involved)
+        ctx.node_states = memory.snapshot(involved)
         if labels is not None:
             ctx.truth_label = labels[i]
-        if score:
-            ctx.loss = model.score_event(ctx)
         out.append(ctx)
-        model.replay_update(graph.events[i])
+        model.replay_update(memory, graph.events[i])
     return out
+
+
+def _featurize(
+    model: TgnModel, contexts: list[EventContext]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unmasked head inputs and relation labels of the contexts, one row
+    each: the input vector every context scores with under an all-ones
+    mask."""
+    X = np.zeros((len(contexts), model.input_dim))
+    y = np.zeros(len(contexts), dtype=int)
+    for i, ctx in enumerate(contexts):
+        agg = model._edge_messages(ctx).sum(axis=0) * _AGG_SCALE
+        X[i] = model._input_vector(ctx, agg)
+        y[i] = RELATION_INDEX[ctx.target.relation]
+    return X, y
 
 
 def score_stream(model: TgnModel, dataset) -> list[EventContext]:
     """Test-phase pass: replay the full stream, returning one scored
-    EventContext per event. Replays from reset memory so results are a
-    pure function of (model parameters, stream)."""
-    return _replay_contexts(
-        model, dataset.graph, labels=dataset.labels, score=True
-    )
+    EventContext per event. Each replay starts from empty memory, so
+    results are a pure function of (model parameters, stream)."""
+    contexts = _replay_contexts(model, dataset.graph, labels=dataset.labels)
+    losses = _batch_losses(model, *_featurize(model, contexts))
+    for ctx, loss in zip(contexts, losses):
+        ctx.loss = float(loss)
+    return contexts
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

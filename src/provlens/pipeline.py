@@ -1,10 +1,11 @@
 """Explanation pipeline orchestration.
 
-For every window of a raised alert: recompute per-event losses, select
-the top-K flagged events, run the window-level mask explainer and
-aggregate it, pick the top-M suspicious nodes, and run both per-event
-explainers over each node's flagged events. Strictly post-hoc: detector
-state and model memory are left untouched.
+For every window of a raised alert: read the per-event losses the
+detector scored, select the top-K flagged events, run the window-level
+mask explainer and aggregate it, pick the top-M suspicious nodes, and run
+both per-event explainers over each node's flagged events. Strictly
+post-hoc: the model holds parameters only, and the flagged set is the
+detector's by construction.
 
 Window-level work can run in parallel; per-event explainer randomness is
 derived from (seed, window, event) so scheduling cannot change results.
@@ -36,13 +37,11 @@ class ResourceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    window_minutes: float = 15.0
     top_k_events: int = 25
     top_m_nodes: int = 20
     memory_budget: int | None = None     # bytes; None -> env var or default
     parallel_windows: int = 1
     seed: int = 0
-    context_batch: int = 256
     graphmask: GraphMaskConfig = GraphMaskConfig()
     gnn: GnnExplainerConfig = GnnExplainerConfig()
     vatg: VatgConfig = VatgConfig()
@@ -50,8 +49,6 @@ class PipelineConfig:
     def __post_init__(self):
         if self.top_k_events < 1 or self.top_m_nodes < 1:
             raise ValueError("top_k_events and top_m_nodes must be >= 1")
-        if self.window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
@@ -67,14 +64,14 @@ def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
 
 
 def ensure_memory(budget: int, estimated_need: int) -> tuple[str, list[str]]:
-    """Proceed/degrade decision. Degradation halves the context batch and
-    disables window parallelism; it never changes numeric results."""
+    """Proceed/degrade decision. Degradation disables window parallelism;
+    it never changes numeric results."""
     if estimated_need <= budget:
         return "proceed", []
     if estimated_need // 2 <= budget:
         return "degrade", [
             f"memory budget {budget} below estimated need {estimated_need}; "
-            "halving context batch and disabling parallel windows"
+            "disabling parallel windows"
         ]
     raise ResourceError(
         f"estimated need {estimated_need} exceeds budget {budget} even after "
@@ -139,8 +136,8 @@ def run_pipeline(
     """Explain every window of a raised alert.
 
     ``contexts`` may carry the detector's scored full-stream contexts;
-    otherwise they are recomputed here (leaving model memory exactly as
-    found). Explainer skip signals are recorded per event, never fatal.
+    otherwise they are scored here. Explainer skip signals are recorded
+    per event, never fatal.
     """
     if not alert.windows:
         raise ValueError("alert has zero windows; nothing to explain")
@@ -153,12 +150,7 @@ def run_pipeline(
     parallel = config.parallel_windows if decision == "proceed" else 1
 
     if contexts is None:
-        saved = (dict(model._memory), dict(model._last_update),
-                 model._last_replay_ts)
-        try:
-            contexts = score_stream(model, dataset)
-        finally:
-            model._memory, model._last_update, model._last_replay_ts = saved
+        contexts = score_stream(model, dataset)
 
     def window_contexts(verdict):
         if cache is None:
@@ -192,8 +184,7 @@ def _explain_window(
     config: PipelineConfig,
 ) -> WindowReport:
     events = [c.target for c in window_ctxs]
-    # recompute losses at explanation time; must agree with detector losses
-    losses = [model.score_event(c) for c in window_ctxs]
+    losses = [c.loss for c in window_ctxs]
 
     flagged_pos = [i for i, l in enumerate(losses) if l > stats.threshold]
     flagged_events = [events[i] for i in flagged_pos]

@@ -131,6 +131,18 @@ def test_corrupt_checkpoint_is_argument_error(cli_dir, tmp_path):
     assert rc == EXIT_ARGUMENT
 
 
+def test_v1_checkpoint_is_argument_error(cli_dir, tmp_path):
+    doc = json.loads((cli_dir / "model.json").read_text())
+    doc.update(version=1, memory={}, last_update={}, last_replay_ts=None)
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    rc = main(["detect", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(old),
+               "--out", str(tmp_path / "a.json")])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_bad_config_is_argument_error(cli_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"model": {"time_dim": 7}}')
@@ -143,6 +155,7 @@ def test_bad_config_is_argument_error(cli_dir, tmp_path):
 @pytest.mark.parametrize("config_text", [
     '{"vatg": {"learning_rate": NaN}}',
     '{"gnn": {"learning_rate": Infinity}}',
+    '{"detector": {"alert_threshold_factor": NaN}}',
 ])
 def test_non_finite_explainer_config_is_argument_error(cli_dir, tmp_path,
                                                        config_text):

@@ -86,6 +86,23 @@ def test_anomalous_needs_flag_and_suspicious_node(tiny_graph):
     assert v2.anomalous
 
 
+@pytest.mark.parametrize("field", [
+    "window_minutes", "window_loss_budget", "alert_threshold_factor",
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_detector_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        DetectorConfig(**{field: value})
+
+
+def test_detector_config_validation():
+    with pytest.raises(ValueError):
+        DetectorConfig(window_minutes=0.0)
+    with pytest.raises(ValueError):
+        DetectorConfig(window_minutes=-15.0)
+    assert DetectorConfig(window_loss_budget=None).window_loss_budget is None
+
+
 def test_link_queues_merges_runs_sharing_nodes():
     stats = WindowStats(mu=0.0, sigma=0.0, threshold=1.0)
     w = 15 * 60 * NS

@@ -54,12 +54,15 @@ def test_remove_edge_rejects_absent_edge(dataset):
 
 def test_ablate_edge_preserves_model_memory(model, dataset, stats, attack_alert,
                                             attack_indexes):
-    before = {k: v.copy() for k, v in model._memory.items()}
+    """Ablation replays through the model without changing it."""
+    keys = set(vars(model))
+    arrays = {k: v.copy() for k, v in vars(model).items()
+              if isinstance(v, np.ndarray)}
     ablate_edge(model, dataset, stats, attack_alert,
                 _attack_edge(dataset, attack_indexes, 0))
-    assert model._memory.keys() == before.keys()
-    for k in before:
-        np.testing.assert_array_equal(model._memory[k], before[k])
+    assert set(vars(model)) == keys
+    for k, v in arrays.items():
+        np.testing.assert_array_equal(getattr(model, k), v)
 
 
 def test_ablate_attack_execute_collapses_alert(model, dataset, stats,

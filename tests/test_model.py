@@ -1,5 +1,7 @@
 """Model behavior: masked forward pass, gradients, training, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,9 @@ from provlens.model import (
     CheckpointError,
     MaskEvaluator,
     ModelConfig,
+    ReplayMemory,
     TgnModel,
+    _replay_contexts,
     score_stream,
     train,
 )
@@ -21,16 +25,7 @@ from conftest import NS, build_graph, random_contexts
 
 def _tiny_model(tiny_graph, seed=0):
     model = TgnModel(ModelConfig(seed=seed))
-    ctxs = []
-    for i in range(len(tiny_graph)):
-        ctx = extract_context(tiny_graph, i)
-        involved = {ctx.target.src, ctx.target.dst}
-        for ev in ctx.neighborhood_events:
-            involved.update((ev.src, ev.dst))
-        ctx.node_states = model.snapshot_states(involved)
-        ctxs.append(ctx)
-        model.replay_update(tiny_graph.events[i])
-    return model, ctxs
+    return model, _replay_contexts(model, tiny_graph)
 
 
 def test_config_validation():
@@ -40,6 +35,9 @@ def test_config_validation():
         ModelConfig(embed_dim=0)
     with pytest.raises(ValueError):
         ModelConfig(learning_rate=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ModelConfig(learning_rate=bad)
 
 
 def test_all_ones_mask_matches_unmasked(tiny_graph):
@@ -188,17 +186,34 @@ def test_empty_neighborhood_gradient(tiny_graph):
     assert model.mask_gradient(ctx, np.zeros(0)).shape == (0,)
 
 
+def _replayed_memory(model, graph):
+    memory = ReplayMemory(model.config.memory_dim)
+    for e in graph.events:
+        model.replay_update(memory, e)
+    return memory
+
+
 def test_replay_rejects_out_of_order(tiny_graph):
-    model, _ = _tiny_model(tiny_graph)
+    model = TgnModel(ModelConfig())
+    memory = _replayed_memory(model, tiny_graph)
+    before = {k: v.copy() for k, v in memory.memory.items()}
     with pytest.raises(OrderingError):
-        model.replay_update(Event(0, 3, Relation.READ, 0))
+        model.replay_update(memory, Event(0, 3, Relation.READ, 0))
+    # the rejected event changed nothing
+    assert memory.memory.keys() == before.keys()
+    for k in before:
+        np.testing.assert_array_equal(memory.memory[k], before[k])
 
 
 def test_snapshot_states_are_copies(tiny_graph):
-    model, _ = _tiny_model(tiny_graph)
-    snap = model.snapshot_states([0])
+    model = TgnModel(ModelConfig())
+    memory = _replayed_memory(model, tiny_graph)
+    snap = memory.snapshot([0, 99])
     snap[0][0][:] = 99.0
-    assert not np.allclose(model.memory_of(0), 99.0)
+    snap[99][0][:] = 99.0
+    assert not np.allclose(memory.memory_of(0), 99.0)
+    assert not np.any(memory.memory_of(99))
+    assert snap[99][1] is None
 
 
 def test_training_is_deterministic(dataset):
@@ -229,9 +244,18 @@ def test_score_stream_carries_labels(contexts, dataset):
     assert all(c.loss >= 0 for c in contexts)
 
 
+def test_stream_losses_match_score_event(model, contexts):
+    """The batched stream losses are the single-context score."""
+    for ctx in contexts:
+        assert abs(ctx.loss - model.score_event(ctx)) <= 1e-12
+
+
 def test_checkpoint_round_trip(model, contexts, tmp_path):
     p = tmp_path / "ckpt.json"
     model.save(p)
+    assert set(json.loads(p.read_text())) == {
+        "version", "config", "parameters", "stats"}
+    assert p.stat().st_size < 100 * 1024
     loaded = TgnModel.load(p)
     sample = random_contexts(contexts, np.random.default_rng(0), 10)
     for ctx in sample:
@@ -250,6 +274,21 @@ def test_checkpoint_errors(tmp_path):
     wrong.write_text('{"version": 999}')
     with pytest.raises(CheckpointError):
         TgnModel.load(wrong)
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[2]")
+    with pytest.raises(CheckpointError):
+        TgnModel.load(not_object)
+
+
+def test_v1_checkpoint_is_rejected(model, tmp_path):
+    """Version 1 files carried replay memory; they no longer load."""
+    p = tmp_path / "v1.json"
+    model.save(p)
+    doc = json.loads(p.read_text())
+    doc.update(version=1, memory={}, last_update={}, last_replay_ts=None)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="version 1"):
+        TgnModel.load(p)
 
 
 def test_train_rejects_empty_dataset():

@@ -1,7 +1,9 @@
 """Pipeline orchestration: selection, caching, memory budget, determinism."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from provlens.gnnexplainer import GnnExplainerConfig
@@ -59,7 +61,7 @@ def test_ensure_memory_decisions():
     assert ensure_memory(100, 80) == ("proceed", [])
     decision, warnings = ensure_memory(100, 150)
     assert decision == "degrade"
-    assert warnings and "halving" in warnings[0]
+    assert warnings and "disabling parallel windows" in warnings[0]
     with pytest.raises(ResourceError):
         ensure_memory(100, 500)
 
@@ -121,15 +123,50 @@ def test_run_pipeline_report_shape(model, dataset, stats, attack_alert,
     report_bytes(report, dataset)
 
 
+def model_state(model):
+    """The model's attribute names and a copy of every array it holds."""
+    return {k: v.copy() for k, v in vars(model).items()
+            if isinstance(v, np.ndarray)}, set(vars(model))
+
+
+def assert_model_unchanged(model, before):
+    arrays, keys = before
+    assert set(vars(model)) == keys
+    for k, v in arrays.items():
+        np.testing.assert_array_equal(getattr(model, k), v)
+
+
 def test_run_pipeline_leaves_model_memory_untouched(model, dataset, stats,
                                                     attack_alert):
-    import numpy as np
-
-    before = {k: v.copy() for k, v in model._memory.items()}
+    before = model_state(model)
+    stats_before = model.stats
     run_pipeline(model, dataset, attack_alert, stats, quick_config())
-    assert model._memory.keys() == before.keys()
-    for k in before:
-        np.testing.assert_array_equal(model._memory[k], before[k])
+    assert_model_unchanged(model, before)
+    assert model.stats == stats_before
+
+
+def test_node_scores_follow_context_losses(model, dataset, stats, attack_alert,
+                                           contexts):
+    """The pipeline flags and scores with the losses the contexts carry,
+    so an edited loss moves the report's node scores with it."""
+    verdict = attack_alert.windows[0]
+    pos = next(i for i in verdict.event_indexes
+               if contexts[i].loss <= stats.threshold)
+    edited = list(contexts)
+    edited[pos] = dataclasses.replace(contexts[pos],
+                                      loss=stats.threshold + 100.0)
+    report = run_pipeline(model, dataset, attack_alert, stats, quick_config(),
+                          contexts=edited)
+    expected: dict[int, float] = {}
+    for i in verdict.event_indexes:
+        if edited[i].loss > stats.threshold:
+            e = edited[i].target
+            for nid in {e.src, e.dst}:
+                expected[nid] = expected.get(nid, 0.0) + edited[i].loss
+    nodes = report.windows[0].nodes
+    assert nodes[0]["node_id"] in (edited[pos].target.src, edited[pos].target.dst)
+    for block in nodes:
+        assert block["score"] == expected[block["node_id"]]
 
 
 def test_run_pipeline_contexts_optional(model, dataset, stats, attack_alert,
@@ -179,4 +216,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(top_k_events=0)
     with pytest.raises(ValueError):
-        PipelineConfig(window_minutes=0.0)
+        PipelineConfig(top_m_nodes=0)
