@@ -136,19 +136,24 @@ def measure_runtime(
 ) -> RuntimeRow:
     """Median wall seconds per explained event, after one warm-up call.
 
-    Requires at least 5 contexts so the median means something. Peak
-    memory is tracemalloc's high-water mark over the timed calls.
+    Requires at least 5 contexts so the median means something. Time and
+    memory come from separate passes over the contexts, because
+    tracemalloc slows the code it traces: the calls are timed with
+    tracing off, and peak memory is tracemalloc's high-water mark over a
+    second, untimed pass.
     """
     if len(contexts) < 5:
         raise ValueError("need at least 5 contexts to measure runtime")
     explain_fn(contexts[0])  # warm-up, untimed
     durations = []
+    for ctx in contexts:
+        t0 = time.perf_counter()
+        explain_fn(ctx)
+        durations.append(time.perf_counter() - t0)
     tracemalloc.start()
     try:
         for ctx in contexts:
-            t0 = time.perf_counter()
             explain_fn(ctx)
-            durations.append(time.perf_counter() - t0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

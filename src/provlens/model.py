@@ -10,9 +10,22 @@ relation is the anomaly score.
 
 :class:`TgnModel` holds parameters only. Node memory is an input to
 scoring, not part of the trained model: each replay of the stream starts
-a fresh :class:`ReplayMemory` and stores a snapshot of the states every
-context reads on the context itself. A checkpoint therefore holds the
-config, the trained parameters and the benign loss statistics.
+a fresh :class:`ReplayMemory`, and every context keeps references to the
+states it reads. Each update allocates new read-only arrays, so those
+references are a snapshot nothing can write through. A checkpoint
+therefore holds the config, the trained parameters and the benign loss
+statistics.
+
+Replay and featurization work on blocks of ``_BLOCK`` events. For a
+block, one pass computes every update's memory-independent drive (the
+relation column, the time encoding of each endpoint's delta and the
+bias, against the stacked candidate and gate weights); each event then
+advances both endpoints with one ``(2, 2 mem) @ (2 mem, 2 mem)`` product
+over ``[h_self, h_other]``. Featurization gathers every neighborhood
+edge of a block of contexts into one matrix, computes all edge messages
+with one product and sums them per context with ``np.add.reduceat``.
+One vectorized :func:`_time_enc` serves replay, featurization and
+:class:`MaskEvaluator`.
 
 The neighborhood aggregate is a mask-weighted sum with a fixed scale,
 so the head's pre-activation is affine in the mask m:
@@ -62,6 +75,10 @@ NS_PER_S = 1_000_000_000
 #: mask, so the all-ones identity and the closed-form gradient hold exactly
 _AGG_SCALE = 0.5
 
+#: events per replay block and contexts per featurization block; bounds
+#: the size of the per-block temporaries
+_BLOCK = 512
+
 
 class DivergenceError(RuntimeError):
     """Training or an explainer produced a non-finite loss."""
@@ -105,11 +122,14 @@ class ReplayMemory:
     Holds each node's memory vector and last-update time, rejects events
     that arrive out of timestamp order, and takes the node-state
     snapshots that contexts carry. A replay owns one and advances it
-    through :meth:`TgnModel.replay_update`.
+    through :meth:`TgnModel.replay_update`. Every stored vector is
+    read-only and is replaced, never written, by an update, so a
+    snapshot references the vectors instead of copying them.
     """
 
     def __init__(self, memory_dim: int):
         self._zero = np.zeros(memory_dim)
+        self._zero.flags.writeable = False
         self.memory: dict[int, np.ndarray] = {}
         self.last_update: dict[int, int] = {}
         self.last_ts: int | None = None
@@ -118,8 +138,10 @@ class ReplayMemory:
         return self.memory.get(nid, self._zero)
 
     def snapshot(self, node_ids) -> dict[int, tuple[np.ndarray, int | None]]:
+        """The current (read-only memory, last-update time) of each node;
+        a node never updated has the zero vector and no update time."""
         return {
-            nid: (self.memory_of(nid).copy(), self.last_update.get(nid))
+            nid: (self.memory_of(nid), self.last_update.get(nid))
             for nid in node_ids
         }
 
@@ -150,11 +172,15 @@ class TgnModel:
         self.input_dim = 2 * mem + tdim + emb
 
         rng = np.random.default_rng(config.seed)
-        # fixed (untrained) recurrent and message weights
-        self.Wc = rng.normal(0.0, 1.0 / np.sqrt(msg_dim), (mem, msg_dim))
-        self.bc = np.zeros(mem)
-        self.Wg = rng.normal(0.0, 1.0 / np.sqrt(msg_dim), (mem, msg_dim))
-        self.bg = np.full(mem, -1.0)  # mild updates; memory moves slowly
+        # fixed (untrained) recurrent and message weights; the update's
+        # candidate rows are stacked over its gate rows, and its columns
+        # read [h_self, h_other, one-hot relation, time encoding]
+        self.Wu = np.vstack([
+            rng.normal(0.0, 1.0 / np.sqrt(msg_dim), (mem, msg_dim)),
+            rng.normal(0.0, 1.0 / np.sqrt(msg_dim), (mem, msg_dim)),
+        ])
+        # candidate bias 0; gate bias -1 for mild updates, so memory moves slowly
+        self.bu = np.concatenate([np.zeros(mem), np.full(mem, -1.0)])
         self.Wn = rng.normal(0.0, 1.5 / np.sqrt(feat_dim), (emb, feat_dim))
         # trained head
         self.We = rng.normal(0.0, 0.1, (emb, self.input_dim))
@@ -164,59 +190,32 @@ class TgnModel:
 
         self.stats = TrainStats()
 
-    def replay_update(self, memory: ReplayMemory, e: Event) -> None:
-        """Advance both endpoint memories with the event's message."""
-        h_src = memory.memory_of(e.src)
-        h_dst = memory.memory_of(e.dst)
-        rel = np.zeros(N_RELATIONS)
-        rel[RELATION_INDEX[e.relation]] = 1.0
+    def replay_update(
+        self, memory: ReplayMemory, e: Event, drive: np.ndarray | None = None
+    ) -> None:
+        """Advance both endpoint memories with the event's message.
 
-        new = {}
-        for nid, h_self, h_other in ((e.src, h_src, h_dst), (e.dst, h_dst, h_src)):
-            dt = e.timestamp - memory.last_update.get(nid, e.timestamp)
-            msg = np.concatenate([h_self, h_other, rel, self._time_enc(dt)])
-            cand = np.tanh(self.Wc @ msg + self.bc)
-            gate = sigmoid(self.Wg @ msg + self.bg)
-            new[nid] = (1.0 - gate) * h_self + gate * cand
-        memory.advance(e.timestamp, new)
+        ``drive`` is the event's row of :func:`_replay_drive` computed
+        for the block it belongs to; without it the event is its own
+        one-event block.
+        """
+        if drive is None:
+            drive = _replay_drive(self, [e], memory)[0]
+        mem = self.config.memory_dim
+        h_src, h_dst = memory.memory_of(e.src), memory.memory_of(e.dst)
+        # rows [h_self, h_other] of the src-side and the dst-side update
+        H = np.concatenate([h_src, h_dst, h_dst, h_src]).reshape(2, 2 * mem)
+        h = H[:, :mem]
+        pre = H @ self.Wu[:, : 2 * mem].T + drive
+        cand = np.tanh(pre[:, :mem])
+        gate = sigmoid(pre[:, mem:])
+        new = (1.0 - gate) * h + gate * cand
+        new.flags.writeable = False
+        memory.advance(e.timestamp, {e.src: new[0], e.dst: new[1]})
 
     # ------------------------------------------------------------------
     # forward pass
     # ------------------------------------------------------------------
-
-    def _time_enc(self, dt_ns: int) -> np.ndarray:
-        u = np.log1p(max(dt_ns, 0) / NS_PER_S)
-        k = self.config.time_dim // 2
-        freqs = 2.0 ** (-np.arange(k))
-        return np.concatenate([np.sin(u * freqs), np.cos(u * freqs)])
-
-    def _state_of(self, ctx: EventContext, nid: int) -> tuple[np.ndarray, int | None]:
-        entry = ctx.node_states.get(nid)
-        if entry is None:
-            return np.zeros(self.config.memory_dim), None
-        return entry
-
-    def _edge_messages(self, ctx: EventContext) -> np.ndarray:
-        """(n_edges, embed_dim) fixed messages for the neighborhood."""
-        if not ctx.neighborhood_events:
-            return np.zeros((0, self.config.embed_dim))
-        feats = []
-        t = ctx.target.timestamp
-        for ev in ctx.neighborhood_events:
-            rel = np.zeros(N_RELATIONS)
-            rel[RELATION_INDEX[ev.relation]] = 1.0
-            h_u, _ = self._state_of(ctx, ev.src)
-            h_v, _ = self._state_of(ctx, ev.dst)
-            feats.append(
-                np.concatenate([h_u, h_v, rel, self._time_enc(t - ev.timestamp)])
-            )
-        return np.tanh(np.asarray(feats) @ self.Wn.T)
-
-    def _input_vector(self, ctx: EventContext, agg: np.ndarray) -> np.ndarray:
-        h_s, lu_s = self._state_of(ctx, ctx.target.src)
-        h_d, _ = self._state_of(ctx, ctx.target.dst)
-        dt = ctx.target.timestamp - lu_s if lu_s is not None else 0
-        return np.concatenate([h_s, h_d, self._time_enc(dt), agg])
 
     def masked_forward(
         self, ctx: EventContext, mask: np.ndarray
@@ -298,9 +297,9 @@ class MaskEvaluator:
 
     def __init__(self, model: TgnModel, ctx: EventContext):
         emb = model.config.embed_dim
-        msgs = model._edge_messages(ctx)
+        x0, msgs, _ = _context_block(model, [ctx])
         self.n = len(msgs)
-        self.a0 = model.We @ model._input_vector(ctx, np.zeros(emb)) + model.be
+        self.a0 = model.We @ x0[0] + model.be
         self.B = _AGG_SCALE * (model.We[:, -emb:] @ msgs.T)
         self.Wo = model.Wo
         self.bo = model.bo
@@ -444,23 +443,104 @@ def _replay_contexts(
     labels=None,
 ) -> list[EventContext]:
     """Replay the stream from empty memory, extracting each event's context
-    (with node-state snapshots taken before the event's own update)."""
+    (with node-state snapshots taken before the event's own update).
+
+    Walks the stream in blocks of ``_BLOCK`` events; each block's
+    memory-independent drive is computed in one pass before its events
+    are applied one by one."""
     memory = ReplayMemory(model.config.memory_dim)
     n = len(graph) if n_events is None else n_events
     out = []
-    for i in range(n):
-        ctx = extract_context(graph, i, hops=model.config.hops,
-                              horizon=model.config.horizon)
-        involved = {ctx.target.src, ctx.target.dst}
-        for ev in ctx.neighborhood_events:
-            involved.add(ev.src)
-            involved.add(ev.dst)
-        ctx.node_states = memory.snapshot(involved)
-        if labels is not None:
-            ctx.truth_label = labels[i]
-        out.append(ctx)
-        model.replay_update(memory, graph.events[i])
+    for start in range(0, n, _BLOCK):
+        block = graph.events[start : min(start + _BLOCK, n)]
+        drive = _replay_drive(model, block, memory)
+        for i, e in enumerate(block, start):
+            ctx = extract_context(graph, i, hops=model.config.hops,
+                                  horizon=model.config.horizon)
+            involved = {e.src, e.dst}
+            for ev in ctx.neighborhood_events:
+                involved.add(ev.src)
+                involved.add(ev.dst)
+            ctx.node_states = memory.snapshot(involved)
+            if labels is not None:
+                ctx.truth_label = labels[i]
+            out.append(ctx)
+            model.replay_update(memory, e, drive[i - start])
     return out
+
+
+def _time_enc(dt_ns, time_dim: int) -> np.ndarray:
+    """(..., time_dim) sin/cos encoding of time deltas in nanoseconds at
+    halving frequencies of log(1 + seconds); negative deltas count as 0."""
+    u = np.log1p(np.maximum(np.asarray(dt_ns, dtype=float), 0.0) / NS_PER_S)
+    angles = u[..., None] * 2.0 ** (-np.arange(time_dim // 2))
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+def _replay_drive(
+    model: TgnModel, events: list[Event], memory: ReplayMemory
+) -> np.ndarray:
+    """(n_events, 2, 2 * memory_dim) memory-independent part of the
+    candidate and gate pre-activations of each event's src-side (row 0)
+    and dst-side (row 1) update: the relation column, the time encoding
+    and the bias. An endpoint's delta counts from its last update, in
+    ``memory`` or earlier in ``events``; a first update has delta 0."""
+    mem, tdim = model.config.memory_dim, model.config.time_dim
+    last: dict[int, int] = {}
+    dts = []
+    for e in events:
+        for nid in (e.src, e.dst):
+            prev = last.get(nid)
+            if prev is None:
+                prev = memory.last_update.get(nid, e.timestamp)
+            dts.append(e.timestamp - prev)
+        last[e.src] = last[e.dst] = e.timestamp
+    rel = [RELATION_INDEX[e.relation] for e in events]
+    W_rel = model.Wu[:, 2 * mem : 2 * mem + N_RELATIONS]
+    W_time = model.Wu[:, 2 * mem + N_RELATIONS :]
+    timed = (_time_enc(dts, tdim) @ W_time.T).reshape(len(events), 2, 2 * mem)
+    return timed + W_rel.T[rel][:, None, :] + model.bu
+
+
+def _context_block(
+    model: TgnModel, contexts: list[EventContext]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask-independent terms of a block of contexts, built in one pass.
+
+    Returns the head-input rows with a zero aggregate
+    ``(n_contexts, input_dim)``, the message of every neighborhood edge in
+    context order ``(n_edges, embed_dim)``, and each context's number of
+    edges. A node missing from a context's states has zero memory and no
+    last update.
+    """
+    mem, tdim, emb = (model.config.memory_dim, model.config.time_dim,
+                      model.config.embed_dim)
+    absent = (np.zeros(mem), None)
+    target_h, target_dt = [], []
+    edge_h, edge_rel, edge_dt, sizes = [], [], [], []
+    for ctx in contexts:
+        states = ctx.node_states
+        t = ctx.target.timestamp
+        h_s, lu_s = states.get(ctx.target.src, absent)
+        target_h += (h_s, states.get(ctx.target.dst, absent)[0])
+        target_dt.append(t - lu_s if lu_s is not None else 0)
+        for ev in ctx.neighborhood_events:
+            edge_h += (states.get(ev.src, absent)[0], states.get(ev.dst, absent)[0])
+            edge_rel.append(RELATION_INDEX[ev.relation])
+            edge_dt.append(t - ev.timestamp)
+        sizes.append(len(ctx.neighborhood_events))
+    n, n_edges = len(contexts), len(edge_rel)
+    x0 = np.concatenate([
+        np.reshape(target_h, (n, 2 * mem)),
+        _time_enc(target_dt, tdim),
+        np.zeros((n, emb)),
+    ], axis=1)
+    feats = np.concatenate([
+        np.reshape(edge_h, (n_edges, 2 * mem)),
+        np.eye(N_RELATIONS)[edge_rel],
+        _time_enc(edge_dt, tdim),
+    ], axis=1)
+    return x0, np.tanh(feats @ model.Wn.T), np.array(sizes, dtype=int)
 
 
 def _featurize(
@@ -468,13 +548,17 @@ def _featurize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unmasked head inputs and relation labels of the contexts, one row
     each: the input vector every context scores with under an all-ones
-    mask."""
-    X = np.zeros((len(contexts), model.input_dim))
-    y = np.zeros(len(contexts), dtype=int)
-    for i, ctx in enumerate(contexts):
-        agg = model._edge_messages(ctx).sum(axis=0) * _AGG_SCALE
-        X[i] = model._input_vector(ctx, agg)
-        y[i] = RELATION_INDEX[ctx.target.relation]
+    mask. Works on blocks of ``_BLOCK`` contexts; a context without
+    neighborhood edges has a zero aggregate."""
+    emb = model.config.embed_dim
+    X = np.empty((len(contexts), model.input_dim))
+    for start in range(0, len(contexts), _BLOCK):
+        x0, msgs, sizes = _context_block(model, contexts[start : start + _BLOCK])
+        nonempty = sizes > 0
+        firsts = (np.cumsum(sizes) - sizes)[nonempty]
+        x0[nonempty, -emb:] = np.add.reduceat(msgs, firsts, axis=0) * _AGG_SCALE
+        X[start : start + len(x0)] = x0
+    y = np.array([RELATION_INDEX[c.target.relation] for c in contexts], dtype=int)
     return X, y
 
 

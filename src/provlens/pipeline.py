@@ -3,9 +3,10 @@
 For every window of a raised alert: read the per-event losses the
 detector scored, select the top-K flagged events, run the window-level
 mask explainer and aggregate it, pick the top-M suspicious nodes, and run
-both per-event explainers over each node's flagged events. Strictly
-post-hoc: the model holds parameters only, and the flagged set is the
-detector's by construction.
+both per-event explainers over each node's flagged events, once per event
+even when an event touches two of those nodes. Strictly post-hoc: the
+model holds parameters only, and the flagged set is the detector's by
+construction.
 
 Window-level work can run in parallel; per-event explainer randomness is
 derived from (seed, window, event) so scheduling cannot change results.
@@ -228,6 +229,22 @@ def _explain_window(
     top_nodes = sorted(node_scores, key=lambda n: (-node_scores[n], n))
     top_nodes = top_nodes[: config.top_m_nodes]
 
+    # an event can touch two top nodes; both read one explanation of it
+    explained: dict[int, tuple] = {}
+
+    def explain_event(ctx: EventContext):
+        if ctx.target_index not in explained:
+            expl = gnn_explain_event(model, ctx, config.gnn)
+            vexpl = None
+            if expl is not None:
+                vcfg = replace(
+                    config.vatg,
+                    seed=derived_seed(config.seed, window_index, ctx.target_index),
+                )
+                vexpl = vatg_explain_event(model, ctx, vcfg)
+            explained[ctx.target_index] = (expl, vexpl)
+        return explained[ctx.target_index]
+
     node_blocks = []
     for nid in top_nodes:
         gnn_entries = []
@@ -237,7 +254,7 @@ def _explain_window(
             ctx = window_ctxs[pos]
             if nid not in (ctx.target.src, ctx.target.dst):
                 continue
-            expl = gnn_explain_event(model, ctx, config.gnn)
+            expl, vexpl = explain_event(ctx)
             if expl is None:
                 skipped.append(
                     {"event_index": ctx.target_index, "reason": "no-neighborhood"}
@@ -254,11 +271,6 @@ def _explain_window(
                     ],
                 }
             )
-            vcfg = replace(
-                config.vatg,
-                seed=derived_seed(config.seed, window_index, ctx.target_index),
-            )
-            vexpl = vatg_explain_event(model, ctx, vcfg)
             if vexpl is not None:
                 vatg_pairs.append((ctx, vexpl))
                 vatg_events.append(

@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import provlens
 from provlens.cli import EXIT_ARGUMENT, EXIT_OK, EXIT_RESOURCE, main
 from provlens.data import load_dataset, parse_log, save_dataset
 from provlens.report import validate_document
@@ -180,8 +183,11 @@ def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
 
 
 def test_console_entry_point_usage_error():
+    # the child imports the same provlens as this process, installed or not
+    src = str(Path(provlens.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "provlens.cli", "frobnicate"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == EXIT_ARGUMENT

@@ -1,6 +1,7 @@
 """Evaluation harness: ablation replays, fidelity summaries, runtime."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,12 +143,15 @@ def test_measure_runtime(contexts):
     calls = []
 
     def fake_explain(ctx):
-        calls.append(ctx)
+        calls.append((ctx.target_index, tracemalloc.is_tracing()))
         time.sleep(0.001)
 
     row = measure_runtime("fake", fake_explain, sample)
     assert row.method == "fake"
-    assert len(calls) == len(sample) + 1  # one warm-up plus timed calls
+    # one warm-up, a timed pass with tracing off, then a traced pass
+    order = [c.target_index for c in sample]
+    assert [i for i, _ in calls] == order[:1] + order + order
+    assert [t for _, t in calls] == [False] * (len(sample) + 1) + [True] * len(sample)
     assert row.median_seconds_per_event >= 0.001
     assert row.peak_bytes >= 0
 

@@ -1,20 +1,24 @@
 """Model behavior: masked forward pass, gradients, training, checkpoints."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import provlens.model
 from provlens.graph import Event, NodeKind, OrderingError, Relation, extract_context
 from provlens.model import (
     _AGG_SCALE,
+    NS_PER_S,
     RELATION_INDEX,
     CheckpointError,
     MaskEvaluator,
     ModelConfig,
     ReplayMemory,
     TgnModel,
+    _featurize,
     _replay_contexts,
     score_stream,
     train,
@@ -98,12 +102,78 @@ def test_mask_gradient_matches_finite_differences(tiny_graph):
     assert checked >= 5
 
 
+# ---------------------------------------------------------------------------
+# references: the per-event, per-endpoint and per-edge formulas, one
+# numpy call chain per delta, endpoint and edge
+# ---------------------------------------------------------------------------
+
+def _reference_time_enc(model, dt_ns):
+    u = np.log1p(max(dt_ns, 0) / NS_PER_S)
+    freqs = 2.0 ** (-np.arange(model.config.time_dim // 2))
+    return np.concatenate([np.sin(u * freqs), np.cos(u * freqs)])
+
+
+def _reference_state(model, ctx, nid):
+    return ctx.node_states.get(nid, (np.zeros(model.config.memory_dim), None))
+
+
+def _reference_messages(model, ctx):
+    """(n_edges, embed_dim) edge messages, one edge at a time."""
+    if not ctx.neighborhood_events:
+        return np.zeros((0, model.config.embed_dim))
+    feats = []
+    for ev in ctx.neighborhood_events:
+        rel = np.zeros(len(Relation))
+        rel[RELATION_INDEX[ev.relation]] = 1.0
+        feats.append(np.concatenate([
+            _reference_state(model, ctx, ev.src)[0],
+            _reference_state(model, ctx, ev.dst)[0],
+            rel,
+            _reference_time_enc(model, ctx.target.timestamp - ev.timestamp),
+        ]))
+    return np.tanh(np.asarray(feats) @ model.Wn.T)
+
+
+def _reference_input(model, ctx, agg):
+    h_s, lu_s = _reference_state(model, ctx, ctx.target.src)
+    h_d, _ = _reference_state(model, ctx, ctx.target.dst)
+    dt = ctx.target.timestamp - lu_s if lu_s is not None else 0
+    return np.concatenate([h_s, h_d, _reference_time_enc(model, dt), agg])
+
+
+def _reference_replay(model, events):
+    """Each event's pre-update (memory, last update) of every node, from
+    the per-endpoint gated update with separate candidate and gate
+    products."""
+    mem = model.config.memory_dim
+    Wc, Wg = model.Wu[:mem], model.Wu[mem:]
+    bc, bg = model.bu[:mem], model.bu[mem:]
+    memory, last, before = {}, {}, []
+    for e in events:
+        before.append((dict(memory), dict(last)))
+        zero = np.zeros(mem)
+        h_src, h_dst = memory.get(e.src, zero), memory.get(e.dst, zero)
+        rel = np.zeros(len(Relation))
+        rel[RELATION_INDEX[e.relation]] = 1.0
+        new = {}
+        for nid, h_self, h_other in ((e.src, h_src, h_dst), (e.dst, h_dst, h_src)):
+            dt = e.timestamp - last.get(nid, e.timestamp)
+            msg = np.concatenate([h_self, h_other, rel, _reference_time_enc(model, dt)])
+            cand = np.tanh(Wc @ msg + bc)
+            gate = 1.0 / (1.0 + np.exp(-(Wg @ msg + bg)))
+            new[nid] = (1.0 - gate) * h_self + gate * cand
+        for nid, h in new.items():
+            memory[nid] = h
+            last[nid] = e.timestamp
+    return before, (memory, last)
+
+
 def _reference_pass(model, ctx, mask):
     """Probabilities, loss and mask gradient computed from the full
     concatenated input vector, without the affine split."""
     emb = model.config.embed_dim
-    msgs = model._edge_messages(ctx)
-    x = model._input_vector(ctx, (mask @ msgs) * _AGG_SCALE)
+    msgs = _reference_messages(model, ctx)
+    x = _reference_input(model, ctx, (mask @ msgs) * _AGG_SCALE)
     z = np.tanh(model.We @ x + model.be)
     logits = model.Wo @ z + model.bo
     probs = np.exp(logits - logits.max())
@@ -205,15 +275,79 @@ def test_replay_rejects_out_of_order(tiny_graph):
         np.testing.assert_array_equal(memory.memory[k], before[k])
 
 
-def test_snapshot_states_are_copies(tiny_graph):
+def test_snapshot_states_are_read_only(tiny_graph):
     model = TgnModel(ModelConfig())
     memory = _replayed_memory(model, tiny_graph)
     snap = memory.snapshot([0, 99])
-    snap[0][0][:] = 99.0
-    snap[99][0][:] = 99.0
-    assert not np.allclose(memory.memory_of(0), 99.0)
+    before = memory.memory_of(0).copy()
+    for h, _ in snap.values():
+        with pytest.raises(ValueError):
+            h[:] = 99.0
+    np.testing.assert_array_equal(memory.memory_of(0), before)
     assert not np.any(memory.memory_of(99))
     assert snap[99][1] is None
+
+
+def test_stream_snapshots_are_read_only(contexts):
+    """Contexts share memory vectors, so none of them can be written."""
+    for ctx in contexts:
+        for h, _ in ctx.node_states.values():
+            with pytest.raises(ValueError):
+                h[0] = 1.0
+
+
+@st.composite
+def _replay_cases(draw):
+    """An untrained model, a random small graph that holds a self-loop,
+    a timestamp tie and a first event with an empty neighborhood, and a
+    replay block size."""
+    n_nodes = draw(st.integers(2, 5))
+    nodes = [(i, NodeKind.PROCESS, f"n{i}") for i in range(n_nodes)]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1),
+                  st.sampled_from(list(Relation)), st.sampled_from([0, 1, 3, 3600])),
+        min_size=2, max_size=16,
+    ))
+    loop_at = draw(st.integers(0, len(steps) - 1))
+    tie_at = draw(st.integers(1, len(steps) - 1))
+    events, t = [], 1
+    for i, (src, dst, rel, gap) in enumerate(steps):
+        t += 0 if i == tie_at else gap
+        events.append((src, src if i == loop_at else dst, rel, t))
+    model = TgnModel(ModelConfig(seed=draw(st.integers(0, 3))))
+    block = draw(st.sampled_from([1, 2, 3, provlens.model._BLOCK]))
+    return model, build_graph((nodes, events)), block
+
+
+@settings(max_examples=60, deadline=None)
+@given(_replay_cases())
+def test_block_replay_and_featurize_match_reference(case):
+    """Block replay, the standalone update and block featurization agree
+    with the per-endpoint and per-edge formulas to 1e-12."""
+    model, graph, block = case
+    with mock.patch.object(provlens.model, "_BLOCK", block):
+        ctxs = _replay_contexts(model, graph)
+        X, y = _featurize(model, ctxs)
+    before, (final, final_last) = _reference_replay(model, graph.events)
+
+    assert not ctxs[0].neighborhood_events
+    for ctx, (ref_memory, ref_last) in zip(ctxs, before):
+        for nid, (h, lu) in ctx.node_states.items():
+            assert lu == ref_last.get(nid)
+            ref = ref_memory.get(nid, np.zeros(model.config.memory_dim))
+            np.testing.assert_allclose(h, ref, rtol=0, atol=1e-12)
+
+    memory = _replayed_memory(model, graph)
+    assert memory.memory.keys() == final.keys()
+    assert memory.last_update == final_last
+    for nid, h in final.items():
+        np.testing.assert_allclose(memory.memory[nid], h, rtol=0, atol=1e-12)
+
+    for row, label, ctx in zip(X, y, ctxs):
+        agg = _reference_messages(model, ctx).sum(axis=0) * _AGG_SCALE
+        np.testing.assert_allclose(row, _reference_input(model, ctx, agg),
+                                   rtol=0, atol=1e-12)
+        assert label == RELATION_INDEX[ctx.target.relation]
 
 
 def test_training_is_deterministic(dataset):
