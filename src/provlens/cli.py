@@ -244,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="synthesize a labeled scenario")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=7)
+    g.add_argument(
+        "--seed", type=int, default=7,
+        help="scenario seed; the default scenario has no seeded templates, "
+             "so every seed gives the same stream",
+    )
     g.add_argument("--log", help="also write the raw text log here")
     g.set_defaults(fn=_cmd_generate)
 

@@ -261,9 +261,13 @@ _WEB_SPAWN_PHASE_S = 30.0  # EXECUTE position within the cycle
 
 
 def default_scenario(seed: int = 7) -> ScenarioSpec:
-    """The desk-scale default: 60 minutes, 3 benign templates (~4400
-    events total), and the 4-step attack chain (webserver spawns a shell
+    """The desk-scale default: 60 minutes, 3 benign templates (5,760
+    events in all), and the 4-step attack chain (webserver spawns a shell
     that reads a sensitive file, writes a payload, and phones out).
+
+    The seed varies nothing here: every template is a duty-cycle or a
+    session template, and only flat-mix templates draw from the seeded
+    generator, so every seed gives the same stream.
 
     The background mixes deterministic scripted behavior (whose losses
     shrink with training) with alternating-coin relation choices (whose

@@ -353,7 +353,11 @@ def train(dataset, config: ModelConfig) -> TgnModel:
     The prefix (everything before the attack interval, or the whole
     stream when there is none) is split 80/20 by position: the first part
     fits the head, the held-out tail provides the benign loss statistics
-    (mu, sigma) the detector thresholds on. Deterministic given the seed.
+    (mu, sigma) the detector thresholds on. The fit runs on the distinct
+    (input, label) rows of the first part, each weighted by how often it
+    occurs (see :func:`_fit_head`); the statistics and
+    ``final_train_loss`` are taken over every row. Deterministic given
+    the seed.
     """
     if len(dataset.graph) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -389,10 +393,21 @@ def train(dataset, config: ModelConfig) -> TgnModel:
 
 
 def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig):
-    """Full-batch Adam on the two-layer head."""
+    """Full-batch Adam on the two-layer head, over the distinct rows.
+
+    The mean cross-entropy over the n rows of ``X`` is, row for row, a
+    sum over the k distinct (input, label) rows weighted by count / n.
+    Each epoch computes that loss and its gradient on the k rows (the
+    per-row ``P - Y`` scaled by count / n), so the result equals the
+    fit over every row up to float rounding of the reordered sums.
+    """
     n = len(X)
-    Y = np.zeros((n, N_RELATIONS))
-    Y[np.arange(n), y] = 1.0
+    first, counts = _distinct_rows(X, y)
+    X, y = X[first], y[first]
+    k = len(first)
+    weight = counts / n
+    Y = np.zeros((k, N_RELATIONS))
+    Y[np.arange(k), y] = 1.0
 
     params = [model.We, model.be, model.Wo, model.bo]
     m = [np.zeros_like(p) for p in params]
@@ -406,11 +421,11 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
         logits -= logits.max(axis=1, keepdims=True)
         expl = np.exp(logits)
         P = expl / expl.sum(axis=1, keepdims=True)
-        loss = -np.mean(np.log(np.maximum(P[np.arange(n), y], 1e-300)))
+        loss = -weight @ np.log(np.maximum(P[np.arange(k), y], 1e-300))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
 
-        dlogits = (P - Y) / n
+        dlogits = (P - Y) * weight[:, None]
         dWo = dlogits.T @ Z
         dbo = dlogits.sum(axis=0)
         dZ = dlogits @ model.Wo
@@ -425,6 +440,20 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
             mhat = m[i] / (1 - b1**epoch)
             vhat = v[i] / (1 - b2**epoch)
             p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+
+
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first occurrence of each distinct (row, label) pair,
+    in order of first occurrence, and how many rows each pair has.
+
+    Rows are equal when their bytes are, so rows equal in ``X`` with
+    different labels stay apart."""
+    groups: dict[tuple[bytes, int], list[int]] = {}
+    for i, key in enumerate(zip(map(np.ndarray.tobytes, X), y.tolist())):
+        groups.setdefault(key, []).append(i)
+    first = np.array([g[0] for g in groups.values()], dtype=int)
+    counts = np.array([len(g) for g in groups.values()], dtype=float)
+    return first, counts
 
 
 def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -96,7 +96,7 @@ class ContextCache:
             self._order.append(key)
             return self._store[key]
         contexts = supplier()
-        size = sum(_context_bytes(c) for c in contexts)
+        size = _contexts_bytes(contexts)
         self._store[key] = contexts
         self._sizes[key] = size
         self._order.append(key)
@@ -109,9 +109,11 @@ class ContextCache:
         return contexts
 
 
-def _context_bytes(ctx: EventContext) -> int:
-    n = sum(h.nbytes for h, _ in ctx.node_states.values())
-    return n + 64 * len(ctx.neighborhood) + 256
+def _contexts_bytes(contexts: list[EventContext]) -> int:
+    """Approximate bytes a list of contexts holds. Contexts share their
+    read-only state vectors, so each distinct vector counts once."""
+    vectors = {id(h): h.nbytes for c in contexts for h, _ in c.node_states.values()}
+    return sum(vectors.values()) + sum(64 * len(c.neighborhood) + 256 for c in contexts)
 
 
 def estimate_need(alert: Alert, horizon: int, memory_dim: int) -> int:

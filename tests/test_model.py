@@ -11,6 +11,7 @@ import provlens.model
 from provlens.graph import Event, NodeKind, OrderingError, Relation, extract_context
 from provlens.model import (
     _AGG_SCALE,
+    N_RELATIONS,
     NS_PER_S,
     RELATION_INDEX,
     CheckpointError,
@@ -18,7 +19,9 @@ from provlens.model import (
     ModelConfig,
     ReplayMemory,
     TgnModel,
+    _distinct_rows,
     _featurize,
+    _fit_head,
     _replay_contexts,
     score_stream,
     train,
@@ -357,6 +360,92 @@ def test_training_is_deterministic(dataset):
     np.testing.assert_array_equal(a.We, b.We)
     np.testing.assert_array_equal(a.Wo, b.Wo)
     assert a.stats == b.stats
+
+
+_FIT_CONFIG = ModelConfig(memory_dim=2, time_dim=2, embed_dim=4, epochs=60)
+
+
+def _fitted(X, y, config=_FIT_CONFIG):
+    model = TgnModel(config)
+    _fit_head(model, X, y, config)
+    return model
+
+
+def _reference_fit(X, y, config=_FIT_CONFIG):
+    """The full-batch Adam loop over every row, one row per occurrence."""
+    model = TgnModel(config)
+    n = len(X)
+    Y = np.zeros((n, N_RELATIONS))
+    Y[np.arange(n), y] = 1.0
+    params = [model.We, model.be, model.Wo, model.bo]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for epoch in range(1, config.epochs + 1):
+        Z = np.tanh(X @ model.We.T + model.be)
+        logits = Z @ model.Wo.T + model.bo
+        logits -= logits.max(axis=1, keepdims=True)
+        P = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        dlogits = (P - Y) / n
+        dA = (1.0 - Z * Z) * (dlogits @ model.Wo)
+        grads = [dA.T @ X, dA.sum(axis=0), dlogits.T @ Z, dlogits.sum(axis=0)]
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            p -= config.learning_rate * (m[i] / (1 - b1**epoch)) / (
+                np.sqrt(v[i] / (1 - b2**epoch)) + eps)
+    return model
+
+
+def _assert_same_head(a, b, atol=1e-12):
+    for name in ("We", "be", "Wo", "bo"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name),
+                                   rtol=0, atol=atol)
+
+
+def _random_rows(seed, n_distinct, n_rows):
+    """n_rows rows drawn from n_distinct random (input, label) pairs, so
+    most of them repeat."""
+    rng = np.random.default_rng(seed)
+    input_dim = TgnModel(_FIT_CONFIG).input_dim
+    base = rng.normal(size=(n_distinct, input_dim))
+    labels = rng.integers(0, N_RELATIONS, n_distinct)
+    pick = rng.integers(0, n_distinct, n_rows)
+    return base[pick], labels[pick]
+
+
+def test_weighted_fit_matches_row_by_row_reference():
+    X, y = _random_rows(3, n_distinct=7, n_rows=40)
+    first, counts = _distinct_rows(X, y)
+    assert len(first) < len(X) and counts.sum() == len(X)
+    _assert_same_head(_fitted(X, y), _reference_fit(X, y))
+
+
+def test_equal_inputs_with_different_labels_stay_apart():
+    X, y = _random_rows(5, n_distinct=4, n_rows=12)
+    X = np.vstack([X, X[:1], X[:1]])
+    y = np.concatenate([y, [(y[0] + 1) % N_RELATIONS] * 2])
+    first, counts = _distinct_rows(X, y)
+    assert len(first) == len(np.unique(np.column_stack([X, y]), axis=0))
+    assert 12 in first and counts[list(first).index(12)] == 2
+    _assert_same_head(_fitted(X, y), _reference_fit(X, y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_distinct=st.integers(1, 6),
+    n_rows=st.integers(1, 20),
+    repeat=st.integers(2, 4),
+    data=st.data(),
+)
+def test_fit_ignores_row_order_and_repetition(seed, n_distinct, n_rows, repeat, data):
+    X, y = _random_rows(seed, n_distinct, n_rows)
+    fitted = _fitted(X, y)
+    perm = np.array(data.draw(st.permutations(range(n_rows))))
+    _assert_same_head(_fitted(X[perm], y[perm]), fitted)
+    _assert_same_head(_fitted(np.repeat(X, repeat, axis=0), np.repeat(y, repeat)),
+                      fitted)
 
 
 def test_training_uses_only_pre_attack_events(dataset, model):

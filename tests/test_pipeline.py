@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from provlens.gnnexplainer import GnnExplainerConfig
-from provlens.graph import Event, Relation
+from provlens.graph import Event, Relation, extract_context
 from provlens.graphmask import GraphMaskConfig
 from provlens.pipeline import (
     ContextCache,
@@ -88,6 +88,22 @@ def test_context_cache_hits_and_eviction(contexts):
     tiny.get("w2", supplier("e2"))
     tiny.get("w1", supplier("e3"))  # w1 was evicted; recomputed
     assert calls == ["w1", "e1", "e2", "e3"]
+
+
+def test_context_cache_counts_shared_state_once(tiny_graph):
+    """Contexts share read-only state vectors; the cache counts each
+    distinct vector once, not once per context that holds it."""
+    shared = np.zeros(32)
+    own = np.zeros(32)
+    a = extract_context(tiny_graph, 0)
+    b = extract_context(tiny_graph, 1)
+    a.node_states = {1: (shared, None)}
+    b.node_states = {1: (shared, None), 2: (own, None)}
+    overhead = sum(64 * len(c.neighborhood) + 256 for c in (a, b))
+
+    cache = ContextCache()
+    cache.get("w", lambda: [a, b])
+    assert cache.total_bytes == shared.nbytes + own.nbytes + overhead
 
 
 def test_derived_seed_is_pure_and_distinct():
