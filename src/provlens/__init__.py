@@ -56,7 +56,6 @@ from .harness import (
 )
 from .model import ModelConfig, TgnModel, score_stream, train
 from .pipeline import (
-    ContextCache,
     PipelineConfig,
     ResourceError,
     run_pipeline,

@@ -47,10 +47,6 @@ class LabeledDataset:
     labels: list[TruthLabel]
     attack_interval: tuple[int, int]  # (t_start, t_end) ns; (0, 0) if none
 
-    @property
-    def node_map(self) -> dict[int, NodeDescriptor]:
-        return self.graph.nodes
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
@@ -781,19 +777,34 @@ def load_dataset(path) -> LabeledDataset:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"corrupt dataset file {p}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != DATASET_VERSION:
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"dataset file {p} must hold a JSON object")
+    if doc.get("version") != DATASET_VERSION:
         raise DatasetFormatError(
             f"unsupported dataset version {doc.get('version')!r} "
             f"(expected {DATASET_VERSION})"
         )
-    graph = TemporalGraph()
-    for n in doc["nodes"]:
-        graph.add_node(NodeDescriptor(n["id"], NodeKind(n["kind"]), n["label"]))
-    for src, dst, rel, ts in doc["events"]:
-        graph.append_event(Event(src, dst, Relation(rel), ts))
-    labels = [TruthLabel(v) for v in doc["labels"]]
-    return LabeledDataset(
-        graph=graph,
-        labels=labels,
-        attack_interval=tuple(doc["attack_interval"]),
-    )
+    try:
+        graph = TemporalGraph()
+        for n in doc["nodes"]:
+            graph.add_node(NodeDescriptor(_typed(n["id"], int), NodeKind(n["kind"]),
+                                          _typed(n["label"], str)))
+        for src, dst, rel, ts in doc["events"]:
+            graph.append_event(Event(_typed(src, int), _typed(dst, int),
+                                     Relation(rel), _typed(ts, int)))
+        labels = [TruthLabel(v) for v in doc["labels"]]
+        t0, t1 = (_typed(t, int) for t in doc["attack_interval"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"malformed dataset file {p}: {exc!r}") from exc
+    if len(labels) != len(graph):
+        raise DatasetFormatError(
+            f"dataset file {p} has {len(labels)} labels for {len(graph)} events"
+        )
+    return LabeledDataset(graph=graph, labels=labels, attack_interval=(t0, t1))
+
+
+def _typed(value, kind: type):
+    """value, if its JSON type is exactly kind (true is not an integer)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value

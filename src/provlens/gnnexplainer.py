@@ -30,6 +30,8 @@ class GnnExplainerConfig:
     def __post_init__(self):
         if min(self.epochs, self.top_k) < 1 or self.learning_rate <= 0:
             raise ValueError("GNNExplainer config values must be positive")
+        if min(self.sparsity_weight, self.entropy_weight) < 0:
+            raise ValueError("GNNExplainer penalty weights must be non-negative")
         require_finite(learning_rate=self.learning_rate,
                        sparsity_weight=self.sparsity_weight,
                        entropy_weight=self.entropy_weight)

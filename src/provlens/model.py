@@ -232,12 +232,6 @@ class TgnModel:
         _, loss = MaskEvaluator(self, ctx).forward(ones)
         return loss
 
-    def predict(self, ctx: EventContext, mask: np.ndarray | None = None) -> np.ndarray:
-        if mask is None:
-            mask = np.ones(len(ctx.neighborhood_events))
-        probs, _ = self.masked_forward(ctx, mask)
-        return probs
-
     def mask_gradient(self, ctx: EventContext, mask: np.ndarray) -> np.ndarray:
         """Closed-form d(loss)/d(mask); matches finite differences."""
         _, grad = MaskEvaluator(self, ctx).loss_and_gradient(_checked_mask(ctx, mask))

@@ -1,12 +1,13 @@
 """Explanation pipeline orchestration.
 
-For every window of a raised alert: read the per-event losses the
-detector scored, select the top-K flagged events, run the window-level
-mask explainer and aggregate it, pick the top-M suspicious nodes, and run
-both per-event explainers over each node's flagged events, once per event
-even when an event touches two of those nodes. Strictly post-hoc: the
-model holds parameters only, and the flagged set is the detector's by
-construction.
+For every window of a raised alert, one pass over the window's flagged
+contexts (those whose detector-scored loss exceeds the threshold) scores
+each endpoint node and collects its flagged contexts. The top-K flagged
+events get the window-level mask explainer and its aggregate; the top-M
+nodes get both per-event explainers over their flagged contexts, once
+per event even when an event touches two of those nodes. Strictly
+post-hoc: the model holds parameters only, and the flagged set is the
+detector's by construction.
 
 Window-level work can run in parallel; per-event explainer randomness is
 derived from (seed, window, event) so scheduling cannot change results.
@@ -80,42 +81,6 @@ def ensure_memory(budget: int, estimated_need: int) -> tuple[str, list[str]]:
     )
 
 
-class ContextCache:
-    """LRU cache of per-window context lists with byte-size accounting."""
-
-    def __init__(self, budget_bytes: int | None = None):
-        self.budget_bytes = budget_bytes
-        self._store: dict = {}
-        self._sizes: dict = {}
-        self._order: list = []
-        self.total_bytes = 0
-
-    def get(self, key, supplier):
-        if key in self._store:
-            self._order.remove(key)
-            self._order.append(key)
-            return self._store[key]
-        contexts = supplier()
-        size = _contexts_bytes(contexts)
-        self._store[key] = contexts
-        self._sizes[key] = size
-        self._order.append(key)
-        self.total_bytes += size
-        if self.budget_bytes is not None:
-            while self.total_bytes > self.budget_bytes and len(self._order) > 1:
-                victim = self._order.pop(0)
-                self.total_bytes -= self._sizes.pop(victim)
-                del self._store[victim]
-        return contexts
-
-
-def _contexts_bytes(contexts: list[EventContext]) -> int:
-    """Approximate bytes a list of contexts holds. Contexts share their
-    read-only state vectors, so each distinct vector counts once."""
-    vectors = {id(h): h.nbytes for c in contexts for h, _ in c.node_states.values()}
-    return sum(vectors.values()) + sum(64 * len(c.neighborhood) + 256 for c in contexts)
-
-
 def estimate_need(alert: Alert, horizon: int, memory_dim: int) -> int:
     per_edge = 2 * memory_dim * 8 + 64
     total_events = sum(w.event_count for w in alert.windows)
@@ -134,7 +99,6 @@ def run_pipeline(
     stats: WindowStats,
     config: PipelineConfig = PipelineConfig(),
     contexts: list[EventContext] | None = None,
-    cache: ContextCache | None = None,
 ) -> ExplanationReport:
     """Explain every window of a raised alert.
 
@@ -155,18 +119,10 @@ def run_pipeline(
     if contexts is None:
         contexts = score_stream(model, dataset)
 
-    def window_contexts(verdict):
-        if cache is None:
-            return [contexts[i] for i in verdict.event_indexes]
-        return cache.get(
-            verdict.window, lambda: [contexts[i] for i in verdict.event_indexes]
-        )
-
     def process(args) -> WindowReport:
         w_idx, verdict = args
-        return _explain_window(
-            model, w_idx, verdict, window_contexts(verdict), stats, config
-        )
+        window_ctxs = [contexts[i] for i in verdict.event_indexes]
+        return _explain_window(model, w_idx, verdict, window_ctxs, stats, config)
 
     jobs = list(enumerate(alert.windows))
     if parallel > 1 and len(jobs) > 1:
@@ -178,6 +134,15 @@ def run_pipeline(
     return ExplanationReport(windows=windows, warnings=warnings)
 
 
+def _edge_rows(top_edges) -> list[dict]:
+    return [{"src": s, "dst": d, "rel": r.value, "imp": imp}
+            for s, d, r, imp in top_edges]
+
+
+def _skip(ctx: EventContext) -> dict:
+    return {"event_index": ctx.target_index, "reason": "no-neighborhood"}
+
+
 def _explain_window(
     model: TgnModel,
     window_index: int,
@@ -186,124 +151,72 @@ def _explain_window(
     stats: WindowStats,
     config: PipelineConfig,
 ) -> WindowReport:
-    events = [c.target for c in window_ctxs]
-    losses = [c.loss for c in window_ctxs]
+    flagged = [c for c in window_ctxs if c.loss > stats.threshold]
 
-    flagged_pos = [i for i, l in enumerate(losses) if l > stats.threshold]
-    flagged_events = [events[i] for i in flagged_pos]
-    flagged_losses = [losses[i] for i in flagged_pos]
-    top_pos = [
-        flagged_pos[i]
-        for i in select_high_loss(flagged_events, flagged_losses, config.top_k_events)
-    ]
-
-    skipped: list[dict] = []
-    masks = []
-    for pos in top_pos:
-        ctx = window_ctxs[pos]
-        m = graphmask_explain_event(model, ctx, config.graphmask)
-        if m is None:
-            skipped.append(
-                {"event_index": ctx.target_index, "reason": "no-neighborhood"}
-            )
-        else:
-            masks.append((ctx, m))
-    aggregate_rows = []
-    if masks:
-        for row in graphmask_aggregate(masks):
-            aggregate_rows.append(
-                {
-                    "src": row.edge.src,
-                    "dst": row.edge.dst,
-                    "relation": row.edge.relation.value,
-                    "weight": row.weight,
-                    "count": row.count,
-                }
-            )
-
-    # node scores over flagged events only
+    # node scores and each node's flagged contexts, in window order
     node_scores: dict[int, float] = {}
-    for pos in flagged_pos:
-        e = events[pos]
-        node_scores[e.src] = node_scores.get(e.src, 0.0) + losses[pos]
-        if e.dst != e.src:
-            node_scores[e.dst] = node_scores.get(e.dst, 0.0) + losses[pos]
+    node_ctxs: dict[int, list[EventContext]] = {}
+    for ctx in flagged:
+        for nid in {ctx.target.src, ctx.target.dst}:
+            node_scores[nid] = node_scores.get(nid, 0.0) + ctx.loss
+            node_ctxs.setdefault(nid, []).append(ctx)
     top_nodes = sorted(node_scores, key=lambda n: (-node_scores[n], n))
     top_nodes = top_nodes[: config.top_m_nodes]
 
+    skipped: list[dict] = []
+    masks = []
+    top = select_high_loss([c.target for c in flagged], [c.loss for c in flagged],
+                           config.top_k_events)
+    for ctx in (flagged[i] for i in top):
+        m = graphmask_explain_event(model, ctx, config.graphmask)
+        if m is None:
+            skipped.append(_skip(ctx))
+        else:
+            masks.append((ctx, m))
+    aggregate_rows = [
+        {"src": row.edge.src, "dst": row.edge.dst,
+         "relation": row.edge.relation.value,
+         "weight": row.weight, "count": row.count}
+        for row in (graphmask_aggregate(masks) if masks else [])
+    ]
+
     # an event can touch two top nodes; both read one explanation of it
-    explained: dict[int, tuple] = {}
-
-    def explain_event(ctx: EventContext):
-        if ctx.target_index not in explained:
-            expl = gnn_explain_event(model, ctx, config.gnn)
-            vexpl = None
-            if expl is not None:
-                vcfg = replace(
-                    config.vatg,
-                    seed=derived_seed(config.seed, window_index, ctx.target_index),
-                )
-                vexpl = vatg_explain_event(model, ctx, vcfg)
-            explained[ctx.target_index] = (expl, vexpl)
-        return explained[ctx.target_index]
-
+    explained: dict[int, tuple | None] = {}
     node_blocks = []
     for nid in top_nodes:
         gnn_entries = []
         vatg_pairs = []
-        vatg_events = []
-        for pos in flagged_pos:
-            ctx = window_ctxs[pos]
-            if nid not in (ctx.target.src, ctx.target.dst):
+        for ctx in node_ctxs[nid]:
+            if ctx.target_index not in explained:
+                explained[ctx.target_index] = _explain_event(
+                    model, ctx, config, window_index)
+            pair = explained[ctx.target_index]
+            if pair is None:
+                skipped.append(_skip(ctx))
                 continue
-            expl, vexpl = explain_event(ctx)
-            if expl is None:
-                skipped.append(
-                    {"event_index": ctx.target_index, "reason": "no-neighborhood"}
-                )
-                continue
-            gnn_entries.append(
-                {
-                    "event_index": expl.event_index,
-                    "comprehensiveness": expl.fidelity.comprehensiveness,
-                    "sufficiency": expl.fidelity.sufficiency,
-                    "top_edges": [
-                        {"src": s, "dst": d, "rel": r.value, "imp": imp}
-                        for s, d, r, imp in expl.top_edges
-                    ],
-                }
-            )
-            if vexpl is not None:
-                vatg_pairs.append((ctx, vexpl))
-                vatg_events.append(
-                    {
-                        "event_index": vexpl.event_index,
-                        "top_edges": [
-                            {"src": s, "dst": d, "rel": r.value, "imp": imp}
-                            for s, d, r, imp in vexpl.top_edges
-                        ],
-                    }
-                )
-        va_aggregate = []
-        if vatg_pairs:
-            for row in vatg_aggregate_node(vatg_pairs):
-                va_aggregate.append(
-                    {
-                        "src": row.src,
-                        "dst": row.dst,
-                        "rel": row.relation.value,
-                        "mean": row.mean,
-                        "var": row.var,
-                    }
-                )
-        node_blocks.append(
-            {
-                "node_id": nid,
-                "score": node_scores[nid],
-                "gnn": gnn_entries,
-                "va_tg": {"events": vatg_events, "aggregate": va_aggregate},
-            }
-        )
+            expl, vexpl = pair
+            gnn_entries.append({
+                "event_index": expl.event_index,
+                "comprehensiveness": expl.fidelity.comprehensiveness,
+                "sufficiency": expl.fidelity.sufficiency,
+                "top_edges": _edge_rows(expl.top_edges),
+            })
+            vatg_pairs.append((ctx, vexpl))
+        node_blocks.append({
+            "node_id": nid,
+            "score": node_scores[nid],
+            "gnn": gnn_entries,
+            "va_tg": {
+                "events": [{"event_index": v.event_index,
+                            "top_edges": _edge_rows(v.top_edges)}
+                           for _, v in vatg_pairs],
+                "aggregate": [
+                    {"src": row.src, "dst": row.dst, "rel": row.relation.value,
+                     "mean": row.mean, "var": row.var}
+                    for row in (vatg_aggregate_node(vatg_pairs) if vatg_pairs else [])
+                ],
+            },
+        })
 
     return WindowReport(
         window=verdict.window,
@@ -313,3 +226,14 @@ def _explain_window(
         nodes=node_blocks,
         skipped=skipped,
     )
+
+
+def _explain_event(model, ctx, config, window_index):
+    """GNNExplainer and VA-TG for one event, or None on an empty
+    neighborhood (both explainers skip exactly then)."""
+    expl = gnn_explain_event(model, ctx, config.gnn)
+    if expl is None:
+        return None
+    vcfg = replace(config.vatg,
+                   seed=derived_seed(config.seed, window_index, ctx.target_index))
+    return expl, vatg_explain_event(model, ctx, vcfg)

@@ -110,8 +110,14 @@ def emit_json(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> dict
 
 
 def parse_report_json(doc: dict) -> WindowReport:
-    """Inverse of emit_json (labels section is derived, not round-tripped)."""
-    validate_document(doc)
+    """Inverse of emit_json (labels section is derived, not round-tripped).
+    A document that fails the schema raises ValueError."""
+    import jsonschema
+
+    try:
+        validate_document(doc)
+    except jsonschema.ValidationError as exc:
+        raise ValueError(f"report does not match the schema: {exc.message}") from exc
     t0, t1 = doc["window"].split("-")
     return WindowReport(
         window=(int(t0), int(t1)),

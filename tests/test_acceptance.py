@@ -31,7 +31,6 @@ from provlens.graphmask import (
 from provlens.harness import ablate_edge, fidelity_summary, measure_runtime
 from provlens.model import ModelConfig, RELATION_INDEX, score_stream, train
 from provlens.pipeline import (
-    ContextCache,
     PipelineConfig,
     estimate_need,
     run_pipeline,
@@ -388,11 +387,6 @@ def test_explanation_is_isolated_and_deterministic(
     assert after == verdicts
 
     baseline = _report_bytes(full_report, dataset)
-
-    cached = run_pipeline(model, dataset, attack_alert, stats,
-                          PipelineConfig(), contexts=contexts,
-                          cache=ContextCache())
-    assert _report_bytes(cached, dataset) == baseline
 
     parallel = run_pipeline(model, dataset, attack_alert, stats,
                             PipelineConfig(parallel_windows=4),

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import provlens
 from provlens.cli import EXIT_ARGUMENT, EXIT_OK, EXIT_RESOURCE, main
@@ -180,6 +181,166 @@ def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
                "--model", str(cli_dir / "model.json"),
                "--out-dir", str(tmp_path / "x")])
     assert rc == EXIT_RESOURCE
+
+
+def test_non_object_dataset_is_argument_error(tmp_path):
+    bad = tmp_path / "ds.json"
+    bad.write_text("[1, 2]")
+    rc = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "m.json")])
+    assert rc == EXIT_ARGUMENT
+
+
+def test_short_labels_dataset_is_argument_error(cli_dir, tmp_path):
+    doc = json.loads((cli_dir / "ds.json").read_text())
+    doc["labels"] = doc["labels"][:-1]
+    bad = tmp_path / "ds.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["detect", "--dataset", str(bad),
+               "--model", str(cli_dir / "model.json"),
+               "--out", str(tmp_path / "a.json")])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_report_schema_failure_is_argument_error(tmp_path):
+    bad = tmp_path / "r.json"
+    bad.write_text('{"window": "1-2"}')
+    rc = main(["report", "--out-dir", str(tmp_path / "out"), str(bad)])
+    assert rc == EXIT_ARGUMENT
+
+
+def test_ablate_schema_failure_is_argument_error(cli_dir, tmp_path):
+    bad = tmp_path / "r.json"
+    bad.write_text('{"window": "1-2"}')
+    rc = main(["ablate", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(cli_dir / "model.json"),
+               "--report", str(bad), "--out", str(tmp_path / "a.csv")])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "a.csv").exists()
+
+
+def test_negative_gnn_penalty_is_argument_error(cli_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gnn": {"sparsity_weight": -0.001}}')
+    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(cli_dir / "model.json"),
+               "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+
+
+# ----------------------------------------------------------------------
+# fuzzed dataset files: every document below is malformed by
+# construction, so the CLI must exit 2 on each and never raise
+# ----------------------------------------------------------------------
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6))
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_not_int = _scalars.filter(lambda v: type(v) is not int)
+
+
+def _base_doc():
+    return {
+        "version": 1,
+        "nodes": [{"id": 0, "kind": "PROCESS", "label": "sh"},
+                  {"id": 1, "kind": "FILE", "label": "/x"},
+                  {"id": 2, "kind": "SOCKET", "label": "10.0.0.1:80"}],
+        "events": [[0, 1, "OPEN", 1000], [0, 1, "READ", 2000],
+                   [0, 2, "SEND", 3000]],
+        "labels": ["BENIGN", "BENIGN", "MALICIOUS"],
+        "attack_interval": [3000, 3000],
+    }
+
+
+@st.composite
+def _malformed_doc(draw):
+    """A JSON-ready value that load_dataset must reject."""
+    doc = _base_doc()
+    kind = draw(st.sampled_from([
+        "not-object", "drop-key", "version", "scalar-field", "node", "event",
+        "labels", "interval", "order",
+    ]))
+    if kind == "not-object":
+        return draw(_scalars | st.lists(_json, max_size=4))
+    if kind == "drop-key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "version":
+        doc["version"] = draw(_json.filter(lambda v: v != 1))
+    elif kind == "scalar-field":
+        key = draw(st.sampled_from(["nodes", "events", "labels", "attack_interval"]))
+        doc[key] = draw(_scalars)
+    elif kind == "node":
+        node = doc["nodes"][draw(st.integers(0, 2))]
+        field = draw(st.sampled_from(["id", "kind", "label"]))
+        node[field] = draw({
+            "id": _not_int,
+            "kind": _json.filter(lambda v: v not in ("PROCESS", "FILE", "SOCKET")),
+            "label": _json.filter(lambda v: not isinstance(v, str)) | st.just(""),
+        }[field])
+    elif kind == "event":
+        event = doc["events"][draw(st.integers(0, 2))]
+        slot = draw(st.integers(0, 4))
+        if slot == 4:
+            event.append(draw(_json))                 # five fields
+        elif draw(st.booleans()):
+            del event[slot]                           # three fields
+        elif slot < 2:
+            event[slot] = draw(_not_int | st.integers(3, 10**6))  # unknown node
+        elif slot == 2:
+            event[slot] = draw(_json.filter(lambda v: v not in [r.value for r in
+                                                                provlens.Relation]))
+        else:
+            event[slot] = draw(_not_int)
+    elif kind == "labels":
+        if draw(st.booleans()):
+            doc["labels"] = doc["labels"][:draw(st.integers(0, 2))]
+        else:
+            doc["labels"].append(draw(st.sampled_from(["BENIGN", "UNKNOWN"])))
+    elif kind == "interval":
+        doc["attack_interval"] = draw(
+            st.lists(st.integers(), max_size=4).filter(lambda v: len(v) != 2)
+            | st.tuples(_not_int, st.integers()).map(list))
+    else:
+        doc["events"][2][3] = draw(st.integers(-10**6, 1999))  # before its predecessor
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_doc(), st.sampled_from(["train", "detect"]))
+@example([1, 2], "train")
+@example({**_base_doc(), "labels": ["BENIGN"]}, "detect")
+def test_fuzzed_dataset_files_exit_2(cli_dir, tmp_path_factory, doc, command):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "ds.json"
+    path.write_text(json.dumps(doc))
+    out = work / "out.json"
+    args = [command, "--dataset", str(path), "--out", str(out)]
+    if command == "detect":
+        args += ["--model", str(cli_dir / "model.json")]
+    assert main(args) == EXIT_ARGUMENT
+    assert not out.exists()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.text(max_size=40).filter(lambda t: not _parses(t)))
+def test_fuzzed_non_json_dataset_exits_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "ds.json"
+    path.write_text(text)
+    assert main(["train", "--dataset", str(path),
+                 "--out", str(path.with_name("m.json"))]) == EXIT_ARGUMENT
+
+
+def _parses(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_console_entry_point_usage_error():

@@ -1,9 +1,13 @@
 """Scenario generation, the plain-text log format, and dataset IO."""
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provlens.data import (
     DatasetFormatError,
+    LabeledDataset,
     ParseError,
     default_scenario,
     generate_scenario,
@@ -12,7 +16,14 @@ from provlens.data import (
     render_log,
     save_dataset,
 )
-from provlens.graph import NodeKind, Relation, TruthLabel
+from provlens.graph import (
+    Event,
+    NodeDescriptor,
+    NodeKind,
+    Relation,
+    TemporalGraph,
+    TruthLabel,
+)
 
 
 def test_generation_is_deterministic():
@@ -78,6 +89,40 @@ def test_log_round_trip(dataset):
     assert all(l is TruthLabel.UNKNOWN for l in parsed.labels)
 
 
+# log tokens: anything str.split() keeps in one piece
+_token = st.text(
+    st.characters(blacklist_categories=("Zs", "Zl", "Zp", "Cc", "Cs")),
+    min_size=1, max_size=6,
+)
+_entity = st.tuples(st.sampled_from(list(NodeKind)), _token)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(_entity, st.sampled_from(list(Relation)), _entity,
+              st.integers(0, 3)),
+    max_size=25,
+))
+def test_log_round_trip_on_generated_graphs(records):
+    """Nodes numbered in first-appearance order, as parse_log numbers
+    them; equal timestamps keep their order."""
+    graph = TemporalGraph()
+    ids: dict = {}
+
+    def node_id(key):
+        if key not in ids:
+            ids[key] = len(ids)
+            graph.add_node(NodeDescriptor(ids[key], *key))
+        return ids[key]
+
+    t = 0
+    for src, rel, dst, dt in records:
+        t += dt
+        graph.append_event(Event(node_id(src), node_id(dst), rel, t))
+    ds = LabeledDataset(graph, [TruthLabel.UNKNOWN] * len(graph), (0, 0))
+    assert parse_log(render_log(ds).splitlines()) == ds
+
+
 def test_parse_log_sorts_and_dedups_nodes():
     lines = [
         "PROCESS sh READ FILE /x 2000",
@@ -121,6 +166,41 @@ def test_load_dataset_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DatasetFormatError):
         load_dataset(bad)
+
+
+def _tiny_doc():
+    return {
+        "version": 1,
+        "nodes": [{"id": 0, "kind": "PROCESS", "label": "sh"},
+                  {"id": 1, "kind": "FILE", "label": "/x"}],
+        "events": [[0, 1, "OPEN", 1000], [0, 1, "READ", 2000]],
+        "labels": ["BENIGN", "BENIGN"],
+        "attack_interval": [0, 0],
+    }
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: [1, 2],
+    lambda d: {**d, "labels": d["labels"][:1]},
+    lambda d: {**d, "labels": d["labels"] + ["BENIGN"]},
+    lambda d: {**d, "nodes": [{"id": "0", "kind": "PROCESS", "label": "sh"}]},
+    lambda d: {**d, "events": [[0, 1, "OPEN", 1000.5]]},
+    lambda d: {**d, "attack_interval": "ab"},
+    lambda d: {k: v for k, v in d.items() if k != "events"},
+], ids=["not-object", "labels-short", "labels-long", "string-id", "float-time",
+        "string-interval", "no-events"])
+def test_load_dataset_rejects_malformed_documents(tmp_path, edit):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(_tiny_doc())))
+    with pytest.raises(DatasetFormatError):
+        load_dataset(bad)
+
+
+def test_load_dataset_reads_tiny_document(tmp_path):
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(_tiny_doc()))
+    ds = load_dataset(p)
+    assert len(ds.graph) == 2 and ds.attack_interval == (0, 0)
 
 
 def test_attack_offsets_must_increase():

@@ -3,7 +3,9 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from provlens.detect import iter_windows
 from provlens.graph import (
     Event,
     EventContext,
@@ -78,6 +80,58 @@ def test_every_event_in_exactly_one_window(dataset):
         for i in g.window_slice(*w):
             counts[i] += 1
     assert all(c == 1 for c in counts)
+
+
+def _random_graph(n_nodes, edges):
+    """Graph over n_nodes processes; edges are (src, dst, relation,
+    timestamp increment) with increments of 0 making timestamp ties."""
+    g = TemporalGraph()
+    for nid in range(n_nodes):
+        g.add_node(NodeDescriptor(nid, NodeKind.PROCESS, f"p{nid}"))
+    t = 0
+    for src, dst, rel, dt in edges:
+        t += dt
+        g.append_event(Event(src % n_nodes, dst % n_nodes, rel, t))
+    return g
+
+
+# timestamps and window widths on a quarter-second grid, so window
+# bounds often fall exactly on an event
+QUARTER = NS // 4
+_edges = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 7), st.sampled_from(list(Relation)),
+              st.integers(0, 12).map(lambda k: k * QUARTER)),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), _edges, st.integers(1, 20).map(lambda k: k * QUARTER))
+def test_windows_partition_events(n_nodes, edges, window_ns):
+    g = _random_graph(n_nodes, edges)
+    counts = [0] * len(g)
+    for w in iter_windows(g.span(), window_ns):
+        for i in g.window_slice(*w):
+            counts[i] += 1
+    assert counts == [1] * len(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), _edges, st.integers(1, 4), st.data())
+def test_one_hop_context_is_last_horizon_per_endpoint(n_nodes, edges, horizon,
+                                                      data):
+    """Oracle: each endpoint's `horizon` latest earlier-index events, so a
+    timestamp tie after the target is the future and stays out."""
+    g = _random_graph(n_nodes, edges)
+    i = data.draw(st.integers(0, len(g) - 1))
+    target = g.events[i]
+    expected = set()
+    for node in (target.src, target.dst):
+        incident = [j for j in range(i) if node in (g.events[j].src, g.events[j].dst)]
+        expected.update(incident[-horizon:])
+    ctx = extract_context(g, i, hops=1, horizon=horizon)
+    assert ctx.neighborhood == sorted(expected,
+                                      key=lambda j: (-g.events[j].timestamp, j))
 
 
 def test_extract_context_matches_brute_force(tiny_graph):

@@ -30,6 +30,19 @@ def test_configs_reject_non_finite(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("cls", [GraphMaskConfig, GnnExplainerConfig])
+@pytest.mark.parametrize("field", ["sparsity_weight", "entropy_weight"])
+def test_mask_penalty_weights_reject_negative(cls, field):
+    """A negative penalty would reward mask mass or entropy."""
+    with pytest.raises(ValueError):
+        cls(**{field: -1e-3})
+
+
+@pytest.mark.parametrize("field", ["sparsity_weight", "entropy_weight"])
+def test_gnnexplainer_penalty_weights_allow_zero(field):
+    assert getattr(GnnExplainerConfig(**{field: 0.0}), field) == 0.0
+
+
 def test_sigmoid_and_entropy_anchors():
     assert sigmoid(0.0) == 0.5
     assert binary_entropy(np.array([0.5]))[0] == pytest.approx(math.log(2))

@@ -1,4 +1,4 @@
-"""Pipeline orchestration: selection, caching, memory budget, determinism."""
+"""Pipeline orchestration: selection, memory budget, determinism."""
 
 import dataclasses
 import json
@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from provlens.gnnexplainer import GnnExplainerConfig
-from provlens.graph import Event, Relation, extract_context
+from provlens.graph import Event, Relation
 from provlens.graphmask import GraphMaskConfig
 from provlens.pipeline import (
-    ContextCache,
     PipelineConfig,
     ResourceError,
     derived_seed,
@@ -64,46 +63,6 @@ def test_ensure_memory_decisions():
     assert warnings and "disabling parallel windows" in warnings[0]
     with pytest.raises(ResourceError):
         ensure_memory(100, 500)
-
-
-def test_context_cache_hits_and_eviction(contexts):
-    small = [c for c in contexts if not c.neighborhood][:1] or contexts[:1]
-    calls = []
-
-    def supplier(tag):
-        def fn():
-            calls.append(tag)
-            return list(small)
-        return fn
-
-    cache = ContextCache(budget_bytes=None)
-    a1 = cache.get("w1", supplier("w1"))
-    a2 = cache.get("w1", supplier("w1"))
-    assert a1 is a2
-    assert calls == ["w1"]
-
-    # a tiny budget evicts the least recently used entry
-    tiny = ContextCache(budget_bytes=1)
-    tiny.get("w1", supplier("e1"))
-    tiny.get("w2", supplier("e2"))
-    tiny.get("w1", supplier("e3"))  # w1 was evicted; recomputed
-    assert calls == ["w1", "e1", "e2", "e3"]
-
-
-def test_context_cache_counts_shared_state_once(tiny_graph):
-    """Contexts share read-only state vectors; the cache counts each
-    distinct vector once, not once per context that holds it."""
-    shared = np.zeros(32)
-    own = np.zeros(32)
-    a = extract_context(tiny_graph, 0)
-    b = extract_context(tiny_graph, 1)
-    a.node_states = {1: (shared, None)}
-    b.node_states = {1: (shared, None), 2: (own, None)}
-    overhead = sum(64 * len(c.neighborhood) + 256 for c in (a, b))
-
-    cache = ContextCache()
-    cache.get("w", lambda: [a, b])
-    assert cache.total_bytes == shared.nbytes + own.nbytes + overhead
 
 
 def test_derived_seed_is_pure_and_distinct():
