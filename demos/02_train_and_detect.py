@@ -14,7 +14,6 @@ from provlens import (
     reconstruct_subgraph,
     score_all_windows,
 )
-from provlens.detect import THRESHOLD_SIGMA_FACTOR
 from provlens.model import score_stream, train
 
 dataset = generate_scenario(default_scenario(seed=7))
@@ -22,11 +21,7 @@ model = train(dataset, ModelConfig())
 print(f"benign held-out loss: mu={model.stats.mu:.4f} "
       f"sigma={model.stats.sigma:.4f}")
 
-stats = WindowStats(
-    mu=model.stats.mu,
-    sigma=model.stats.sigma,
-    threshold=model.stats.mu + THRESHOLD_SIGMA_FACTOR * model.stats.sigma,
-)
+stats = WindowStats.from_benign(model.stats.mu, model.stats.sigma)
 print(f"event threshold (mu + 1.5 sigma): {stats.threshold:.4f}")
 
 contexts = score_stream(model, dataset)

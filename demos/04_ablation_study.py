@@ -21,7 +21,6 @@ from provlens import (
     run_pipeline,
     score_all_windows,
 )
-from provlens.detect import THRESHOLD_SIGMA_FACTOR
 from provlens.graph import Relation, TruthLabel
 from provlens.graphmask import graphmask_explain_event
 from provlens.harness import (
@@ -36,11 +35,7 @@ from provlens.vatg import vatg_explain_event
 
 dataset = generate_scenario(default_scenario(seed=7))
 model = train(dataset, ModelConfig())
-stats = WindowStats(
-    mu=model.stats.mu,
-    sigma=model.stats.sigma,
-    threshold=model.stats.mu + THRESHOLD_SIGMA_FACTOR * model.stats.sigma,
-)
+stats = WindowStats.from_benign(model.stats.mu, model.stats.sigma)
 contexts = score_stream(model, dataset)
 verdicts = score_all_windows(dataset.graph, contexts, stats, DetectorConfig())
 alerts = link_queues(verdicts, stats, DetectorConfig())

@@ -23,7 +23,6 @@ from .data import (
     save_dataset,
 )
 from .detect import (
-    THRESHOLD_SIGMA_FACTOR,
     DetectorConfig,
     WindowStats,
     link_queues,
@@ -54,7 +53,7 @@ _ARGUMENT_ERRORS = (
     ValueError,
     TypeError,
     KeyError,
-    FileNotFoundError,
+    OSError,
     ParseError,
     DatasetFormatError,
     CheckpointError,
@@ -85,18 +84,9 @@ def _pipeline_config(cfg: dict) -> PipelineConfig:
     )
 
 
-def _window_stats(model: TgnModel) -> WindowStats:
-    s = model.stats
-    return WindowStats(
-        mu=s.mu,
-        sigma=s.sigma,
-        threshold=s.mu + THRESHOLD_SIGMA_FACTOR * s.sigma,
-    )
-
-
 def _detect(model, dataset, det_cfg):
     contexts = score_stream(model, dataset)
-    stats = _window_stats(model)
+    stats = WindowStats.from_benign(model.stats.mu, model.stats.sigma)
     verdicts = score_all_windows(dataset.graph, contexts, stats, det_cfg)
     alerts = link_queues(verdicts, stats, det_cfg)
     return contexts, stats, alerts

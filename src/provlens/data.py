@@ -91,10 +91,18 @@ def parse_log(lines) -> LabeledDataset:
             raise ParseError(
                 f"line {lineno}: field timestamp_ns is not an integer: {parts[5]!r}"
             ) from None
-        records.append(((src_kind, parts[1]), rel, (dst_kind, parts[4]), ts))
+        records.append(((src_kind, parts[1]), (dst_kind, parts[4]), rel, ts))
 
     records.sort(key=lambda r: r[3])
+    graph = _keyed_graph(records)
+    labels = [TruthLabel.UNKNOWN] * len(graph)
+    return LabeledDataset(graph=graph, labels=labels, attack_interval=(0, 0))
 
+
+def _keyed_graph(records) -> TemporalGraph:
+    """Graph of (src_key, dst_key, relation, timestamp_ns) records in
+    order, where a key is (kind, label); node ids are dense integers in
+    first-appearance order of the keys."""
     graph = TemporalGraph()
     ids: dict[tuple[NodeKind, str], int] = {}
 
@@ -105,11 +113,9 @@ def parse_log(lines) -> LabeledDataset:
             graph.add_node(NodeDescriptor(nid, key[0], key[1]))
         return ids[key]
 
-    for src_key, rel, dst_key, ts in records:
+    for src_key, dst_key, rel, ts in records:
         graph.append_event(Event(node_id(src_key), node_id(dst_key), rel, ts))
-
-    labels = [TruthLabel.UNKNOWN] * len(graph)
-    return LabeledDataset(graph=graph, labels=labels, attack_interval=(0, 0))
+    return graph
 
 
 def render_log(ds: LabeledDataset) -> str:
@@ -511,25 +517,10 @@ def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
 
     pending.sort(key=lambda p: (p.ts_ns, p.order))
 
-    graph = TemporalGraph()
-    ids: dict[tuple[NodeKind, str], int] = {}
-
-    def node_id(key: tuple[NodeKind, str]) -> int:
-        if key not in ids:
-            nid = len(ids)
-            ids[key] = nid
-            graph.add_node(NodeDescriptor(nid, key[0], key[1]))
-        return ids[key]
-
-    labels: list[TruthLabel] = []
-    attack_ts: list[int] = []
-    for p in pending:
-        graph.append_event(Event(node_id(p.src_key), node_id(p.dst_key),
-                                 p.relation, p.ts_ns))
-        labels.append(TruthLabel.MALICIOUS if p.malicious else TruthLabel.BENIGN)
-        if p.malicious:
-            attack_ts.append(p.ts_ns)
-
+    graph = _keyed_graph((p.src_key, p.dst_key, p.relation, p.ts_ns) for p in pending)
+    labels = [TruthLabel.MALICIOUS if p.malicious else TruthLabel.BENIGN
+              for p in pending]
+    attack_ts = [p.ts_ns for p in pending if p.malicious]
     interval = (min(attack_ts), max(attack_ts)) if attack_ts else (0, 0)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
 

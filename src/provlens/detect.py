@@ -25,6 +25,11 @@ class WindowStats:
     sigma: float
     threshold: float
 
+    @classmethod
+    def from_benign(cls, mu: float, sigma: float) -> "WindowStats":
+        """The stats whose threshold is mu + 1.5*sigma of the benign losses."""
+        return cls(mu=mu, sigma=sigma, threshold=mu + THRESHOLD_SIGMA_FACTOR * sigma)
+
 
 @dataclass
 class WindowVerdict:
@@ -88,8 +93,7 @@ def compute_threshold(benign_losses) -> WindowStats:
     n = len(losses)
     mu = sum(losses) / n
     var = sum((x - mu) ** 2 for x in losses) / n
-    sigma = var**0.5
-    return WindowStats(mu=mu, sigma=sigma, threshold=mu + THRESHOLD_SIGMA_FACTOR * sigma)
+    return WindowStats.from_benign(mu, var**0.5)
 
 
 def score_window(

@@ -100,8 +100,8 @@ def gnn_explain_event(
     """Optimize a soft edge mask for one event; None on empty neighborhood.
 
     Objective: loss(masked) + sparsity_weight*sum(m)
-    + entropy_weight*sum(H(m)), minimized by gradient descent on the
-    mask logits from m = 0.5; the best iterate is kept.
+    + entropy_weight*sum(H(m)), minimized by :func:`masks.descend` on
+    the mask logits from m = 0.5; the best iterate is kept.
     """
     if not ctx.neighborhood_events:
         return None

@@ -164,8 +164,8 @@ def extract_context(
     """Build the EventContext for one event.
 
     Deterministic: neighborhood ordered by descending timestamp, ties by
-    ascending event index. Only events strictly at-or-before the target's
-    timestamp are eligible (ties included, the target itself excluded).
+    ascending event index. Only events at a lower index than the target
+    are eligible: a later event at the target's timestamp is its future.
     """
     if not (0 <= event_index < len(graph.events)):
         raise IndexError(f"event index {event_index} out of range")

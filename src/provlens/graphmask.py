@@ -60,7 +60,7 @@ def graphmask_explain_event(
     """Optimize the mask for one event; None signals an empty neighborhood.
 
     Objective: |loss(masked) - loss(original)| + sparsity_weight*sum(m)
-    + entropy_weight*sum(H(m)), minimized by plain gradient descent on
+    + entropy_weight*sum(H(m)), minimized by :func:`masks.descend` on
     the mask logits (initialized at 0, i.e. m = 0.5). The best iterate
     seen is returned, so the result never exceeds the initial objective.
     """
@@ -74,8 +74,8 @@ def graphmask_explain_event(
     def data_term(loss: float) -> tuple[float, float]:
         return abs(loss - loss_orig), np.sign(loss - loss_orig)
 
-    values, best_j, initial_j = descend_mask(evaluator, config, data_term)
-    return EdgeMask(values=values, objective=best_j, initial_objective=initial_j)
+    values, best_j, trace = descend_mask(evaluator, config, data_term)
+    return EdgeMask(values=values, objective=best_j, initial_objective=trace[0])
 
 
 def graphmask_aggregate(

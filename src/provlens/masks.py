@@ -2,8 +2,9 @@
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
 finite-value check of explainer configs, the ranking of a context's
-edges by importance, and the regularized gradient descent on mask
-logits that GraphMask and GNNExplainer both run.
+edges by importance, and the gradient-descent loop that GraphMask,
+GNNExplainer and VA-TG all run, with its one divergence rule: a
+non-finite objective raises :class:`DivergenceError`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ import math
 import numpy as np
 
 from .graph import EventContext, Relation
+
+
+class DivergenceError(RuntimeError):
+    """Training or an explainer produced a non-finite loss."""
 
 
 def sigmoid(x):
@@ -44,18 +49,18 @@ def top_edges(
 
 
 def descend_mask(evaluator, config, data_term):
-    """Gradient descent on mask logits, started at 0 (m = 0.5).
+    """:func:`descend` on mask logits theta from 0 (m = 0.5) over
+    ``config.epochs + 1`` evaluations, for GraphMask and GNNExplainer.
 
-    The objective is data_term(loss)[0] + sparsity_weight*sum(m)
-    + entropy_weight*sum(H(m)), where loss is the masked loss from the
-    context's evaluator and data_term(loss)[1] is the data term's slope
-    in the loss. One evaluator pass per epoch gives both the loss of the
-    new mask and the gradient for the next step. Returns the best mask
-    seen, its objective and the initial objective.
+    With m = sigmoid(theta) the objective is data_term(loss)[0]
+    + sparsity_weight*sum(m) + entropy_weight*sum(H(m)), where loss is
+    the masked loss from the context's evaluator and data_term(loss)[1]
+    is the data term's slope in the loss. One evaluator pass gives the
+    value and, by the chain rule through the sigmoid, the gradient in
+    theta. Returns the best mask seen, its objective and the trace.
     """
-    theta = np.zeros(evaluator.n)
-
-    def objective(m):
+    def objective(theta):
+        m = sigmoid(theta)
         loss, dl_dm = evaluator.loss_and_gradient(m)
         value, slope = data_term(loss)
         j = (
@@ -63,22 +68,38 @@ def descend_mask(evaluator, config, data_term):
             + config.sparsity_weight * m.sum()
             + config.entropy_weight * binary_entropy(m).sum()
         )
-        return j, slope * dl_dm
-
-    m = sigmoid(theta)
-    initial_j, dv_dm = objective(m)
-    best_j, best_m = initial_j, m
-
-    for _ in range(config.epochs):
         dj_dm = (
-            dv_dm
+            slope * dl_dm
             + config.sparsity_weight
             + config.entropy_weight * np.log((1.0 - m) / m)
         )
-        theta -= config.learning_rate * dj_dm * m * (1.0 - m)
-        m = sigmoid(theta)
-        j, dv_dm = objective(m)
-        if j < best_j:
-            best_j, best_m = j, m
+        return j, dj_dm * m * (1.0 - m)
 
-    return best_m, best_j, initial_j
+    theta, best_j, trace = descend(objective, np.zeros(evaluator.n),
+                                   config.learning_rate, config.epochs + 1)
+    return sigmoid(theta), best_j, trace
+
+
+def descend(objective, x, learning_rate: float, evaluations: int):
+    """Plain gradient descent from x, the one loop of every explainer.
+
+    ``objective(x)`` returns the value at x and its gradient in x. Each
+    of the ``evaluations`` evaluations raises :class:`DivergenceError` on
+    a non-finite value, appends the value to the trace, keeps x when it
+    is strictly better than the best so far, and steps
+    ``x = x - learning_rate * gradient``. Returns the best x, its value
+    and the trace, whose first entry is the value at the start.
+    """
+    best_x, best_value, trace = x, math.inf, []
+    for _ in range(evaluations):
+        value, gradient = objective(x)
+        if not math.isfinite(value):
+            raise DivergenceError(
+                f"explainer objective went non-finite at evaluation "
+                f"{len(trace) + 1} of {evaluations}"
+            )
+        trace.append(value)
+        if value < best_value:
+            best_x, best_value = x, value
+        x = x - learning_rate * gradient
+    return best_x, best_value, trace

@@ -40,9 +40,11 @@ is two small matrix-vector products, with the closed-form gradient
 
     d loss / d m = B^T ((1 - z^2) * Wo^T (p - e_y)).
 
-All three explainers run their optimization loops on one evaluator per
+All three explainers run :func:`masks.descend` on one evaluator per
 event; :meth:`TgnModel.masked_forward`, :meth:`TgnModel.mask_gradient`
-and :meth:`TgnModel.score_event` are thin wrappers over it.
+and :meth:`TgnModel.score_event` are thin wrappers over it. Training,
+stream scoring and the evaluator share one head pass, :func:`_head`.
+A non-finite training loss raises the explainers' ``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .graph import (
     TruthLabel,
     extract_context,
 )
-from .masks import require_finite, sigmoid
+from .masks import DivergenceError, require_finite, sigmoid
 
 CHECKPOINT_VERSION = 2
 
@@ -78,10 +80,6 @@ _AGG_SCALE = 0.5
 #: events per replay block and contexts per featurization block; bounds
 #: the size of the per-block temporaries
 _BLOCK = 512
-
-
-class DivergenceError(RuntimeError):
-    """Training or an explainer produced a non-finite loss."""
 
 
 class CheckpointError(ValueError):
@@ -300,8 +298,7 @@ class MaskEvaluator:
         self.y = RELATION_INDEX[ctx.target.relation]
 
     def _pass(self, mask: np.ndarray):
-        z = np.tanh(self.a0 + self.B @ mask)
-        probs = _softmax(self.Wo @ z + self.bo)
+        z, probs = _head(self.a0 + self.B @ mask, self.Wo, self.bo)
         return probs, float(-np.log(max(probs[self.y], 1e-300))), z
 
     def forward(self, mask: np.ndarray) -> tuple[np.ndarray, float]:
@@ -409,12 +406,7 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     for epoch in range(1, config.epochs + 1):
-        A = X @ model.We.T + model.be
-        Z = np.tanh(A)
-        logits = Z @ model.Wo.T + model.bo
-        logits -= logits.max(axis=1, keepdims=True)
-        expl = np.exp(logits)
-        P = expl / expl.sum(axis=1, keepdims=True)
+        Z, P = _head(X @ model.We.T + model.be, model.Wo, model.bo)
         loss = -weight @ np.log(np.maximum(P[np.arange(k), y], 1e-300))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
@@ -450,12 +442,21 @@ def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return first, counts
 
 
+def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray):
+    """Hidden layer Z = tanh(A) and softmax prediction P of the head from
+    its pre-activation A, for one row or a batch of rows.
+
+    The softmax runs on the transposed logits, so each row's max and sum
+    broadcast without keepdims and a single row divides by a scalar: the
+    mask evaluator makes hundreds of one-row passes per event."""
+    Z = np.tanh(A)
+    logits = (Z @ Wo.T + bo).T
+    expl = np.exp(logits - logits.max(0))
+    return Z, (expl / expl.sum(0)).T
+
+
 def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    Z = np.tanh(X @ model.We.T + model.be)
-    logits = Z @ model.Wo.T + model.bo
-    logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    P = expl / expl.sum(axis=1, keepdims=True)
+    _, P = _head(X @ model.We.T + model.be, model.Wo, model.bo)
     return -np.log(np.maximum(P[np.arange(len(X)), y], 1e-300))
 
 
@@ -595,8 +596,3 @@ def score_stream(model: TgnModel, dataset) -> list[EventContext]:
         ctx.loss = float(loss)
     return contexts
 
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()

@@ -7,9 +7,10 @@ log_var). Masks are sampled via the reparameterization trick
 
 and (mu, log_var) are optimized on a Monte Carlo estimate of the masked
 cross-entropy plus a closed-form KL penalty toward the unit Gaussian
-prior and a sparsity penalty on the largest mask means. The mask means
-sigmoid(mu) serve as edge importances; the loss trace is kept as an
-optimization diagnostic.
+prior and a sparsity penalty on the largest mask means, by the same
+:func:`masks.descend` loop that GraphMask and GNNExplainer run. The mask
+means sigmoid(mu) serve as edge importances; the loss trace is kept as
+an optimization diagnostic.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import require_finite, sigmoid, top_edges
-from .model import DivergenceError, MaskEvaluator, TgnModel
+from .masks import descend, require_finite, sigmoid, top_edges
+from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
 
@@ -95,13 +96,14 @@ def _objective(
     params: VariationalMaskParams,
     config: VatgConfig,
     epsilons: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Monte Carlo objective at fixed noise draws and its closed-form
-    gradients w.r.t. (mu, log_var), one evaluator pass per sample."""
+    gradient w.r.t. [mu; log_var] as a (2, n) array, one evaluator pass
+    per sample."""
     n = len(params)
     ce = 0.0
-    d_mu = np.zeros(n)
-    d_lv = np.zeros(n)
+    grad = np.zeros((2, n))
+    d_mu, d_lv = grad
     for eps in epsilons:
         m = sample_mask(params, eps)
         loss, dl_dm = evaluator.loss_and_gradient(m)
@@ -119,7 +121,7 @@ def _objective(
     omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
     d_mu += config.lambda_sp * omega_grad
     loss = ce + config.lambda_kl * kl_term(params) + config.lambda_sp * omega
-    return loss, d_mu, d_lv
+    return loss, grad
 
 
 def vatg_loss(
@@ -132,7 +134,7 @@ def vatg_loss(
     """Monte Carlo objective at fixed noise draws (one row per sample)."""
     if len(ctx.neighborhood_events) == 0:
         raise ValueError("empty neighborhood")
-    loss, _, _ = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    loss, _ = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
     return loss
 
 
@@ -144,7 +146,7 @@ def vatg_gradients(
     epsilons: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradients of the objective w.r.t. (mu, log_var)."""
-    _, d_mu, d_lv = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    _, (d_mu, d_lv) = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
     return d_mu, d_lv
 
 
@@ -155,9 +157,11 @@ def vatg_explain_event(
 ) -> VatgExplanation | None:
     """Optimize the variational mask parameters for one event.
 
-    Fresh noise is drawn from the seeded stream at every step; the
-    best-loss iterate is returned (the objective is noisy, so the last
-    iterate is not necessarily the best). None on empty neighborhood.
+    :func:`masks.descend` runs over the stacked ``(2, n)`` array
+    ``[mu; log_var]`` for ``epochs`` evaluations. Fresh noise is drawn
+    from the seeded stream at every evaluation; the best-loss iterate is
+    returned (the objective is noisy, so the last iterate is not
+    necessarily the best). None on empty neighborhood.
     """
     n = len(ctx.neighborhood_events)
     if n == 0:
@@ -165,25 +169,14 @@ def vatg_explain_event(
 
     evaluator = MaskEvaluator(model, ctx)
     rng = np.random.default_rng(config.seed)
-    params = VariationalMaskParams(
-        mu=np.zeros(n), log_var=np.full(n, _INIT_LOG_VAR)
-    )
-    trace: list[float] = []
-    best_loss = np.inf
-    best = (params.mu.copy(), params.log_var.copy())
 
-    for _ in range(config.epochs):
+    def objective(x):
         eps = rng.standard_normal((config.mc_samples, n))
-        loss, d_mu, d_lv = _objective(evaluator, params, config, eps)
-        if not np.isfinite(loss):
-            raise DivergenceError("variational explainer diverged to non-finite loss")
-        trace.append(loss)
-        if loss < best_loss:
-            best_loss = loss
-            best = (params.mu.copy(), params.log_var.copy())
-        params.mu -= config.learning_rate * d_mu
-        params.log_var -= config.learning_rate * d_lv
+        params = VariationalMaskParams(mu=x[0], log_var=x[1])
+        return _objective(evaluator, params, config, eps)
 
+    start = np.stack([np.zeros(n), np.full(n, _INIT_LOG_VAR)])
+    best, _, trace = descend(objective, start, config.learning_rate, config.epochs)
     final = VariationalMaskParams(mu=best[0], log_var=best[1])
     importance = sigmoid(final.mu)
     _, rows = top_edges(ctx, importance, 3)

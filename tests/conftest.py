@@ -18,7 +18,7 @@ from provlens import (
     score_stream,
     train,
 )
-from provlens.detect import THRESHOLD_SIGMA_FACTOR, WindowStats
+from provlens.detect import WindowStats
 from provlens.graph import Event, NodeDescriptor, NodeKind, Relation, TruthLabel
 
 NS = 1_000_000_000
@@ -41,12 +41,7 @@ def contexts(model, dataset):
 
 @pytest.fixture(scope="session")
 def stats(model) -> WindowStats:
-    s = model.stats
-    return WindowStats(
-        mu=s.mu,
-        sigma=s.sigma,
-        threshold=s.mu + THRESHOLD_SIGMA_FACTOR * s.sigma,
-    )
+    return WindowStats.from_benign(model.stats.mu, model.stats.sigma)
 
 
 @pytest.fixture(scope="session")

@@ -126,6 +126,19 @@ def test_missing_input_is_argument_error(cli_dir, tmp_path):
     assert rc == EXIT_ARGUMENT
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--dataset", "{dir}", "--out", "{out}"],
+    ["detect", "--dataset", "{ds}", "--model", "{dir}", "--out", "{out}"],
+    ["train", "--dataset", "{ds}", "--out", "{out}", "--config", "{dir}"],
+    ["report", "--out-dir", "{out}", "{dir}"],
+])
+def test_unreadable_input_path_is_argument_error(cli_dir, tmp_path, command):
+    """A directory where an input file belongs is an input error."""
+    paths = {"dir": tmp_path, "ds": cli_dir / "ds.json", "out": tmp_path / "out"}
+    rc = main([arg.format(**paths) for arg in command])
+    assert rc == EXIT_ARGUMENT
+
+
 def test_corrupt_checkpoint_is_argument_error(cli_dir, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -160,6 +173,8 @@ def test_bad_config_is_argument_error(cli_dir, tmp_path):
     '{"vatg": {"learning_rate": NaN}}',
     '{"gnn": {"learning_rate": Infinity}}',
     '{"detector": {"alert_threshold_factor": NaN}}',
+    '{"graphmask": {"learning_rate": 100}}',
+    '{"gnn": {"learning_rate": 100}}',
 ])
 def test_non_finite_explainer_config_is_argument_error(cli_dir, tmp_path,
                                                        config_text):

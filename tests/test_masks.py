@@ -7,7 +7,13 @@ import pytest
 
 from provlens.gnnexplainer import GnnExplainerConfig
 from provlens.graphmask import GraphMaskConfig
-from provlens.masks import binary_entropy, sigmoid, top_edges
+from provlens.masks import (
+    DivergenceError,
+    binary_entropy,
+    descend,
+    sigmoid,
+    top_edges,
+)
 from provlens.vatg import VatgConfig
 
 from test_model import _tiny_model
@@ -62,3 +68,35 @@ def test_top_edges_rank_by_importance_then_index(tiny_graph):
     ev = ctx.neighborhood_events[n - 1]
     assert rows[0] == (ev.src, ev.dst, ev.relation, 0.9)
     assert len(top_edges(ctx, importance, n + 5)[0]) == n
+
+
+def _quadratic(x):
+    """|x - c|^2 with its gradient; the minimum 0 is at c."""
+    d = x - np.array([1.0, -2.0])
+    return float(d @ d), 2.0 * d
+
+
+def test_descend_traces_and_keeps_best():
+    start = np.zeros(2)
+    best, value, trace = descend(_quadratic, start, 0.1, 12)
+    assert len(trace) == 12
+    assert trace[0] == _quadratic(start)[0]
+    assert value == min(trace) == _quadratic(best)[0]
+    assert trace == sorted(trace, reverse=True)
+    # an overshooting step makes the start the best iterate
+    best, value, trace = descend(_quadratic, start, 1.5, 5)
+    assert np.array_equal(best, start) and value == trace[0] == min(trace)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_descend_raises_on_non_finite_objective(bad):
+    calls = []
+
+    def objective(x):
+        calls.append(x)
+        return (bad if len(calls) == 3 else 1.0), np.ones(1)
+
+    with pytest.raises(DivergenceError):
+        descend(objective, np.zeros(1), 0.1, 10)
+    assert len(calls) == 3
+
