@@ -168,6 +168,8 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0, got {args.top}")
     cfg = _load_config(args.config)
     dataset = load_dataset(args.dataset)
     model = TgnModel.load(args.model)
@@ -267,7 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--model", required=True)
     a.add_argument("--report", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--top", type=int, default=3)
+    a.add_argument("--top", type=int, default=3,
+                   help="number of top GraphMask aggregate edges to ablate; "
+                        "0 writes the baseline row only")
     a.add_argument("--config")
     a.set_defaults(fn=_cmd_ablate)
 

@@ -11,10 +11,12 @@ subgraph handed to the explainers.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .graph import Event, EventContext, TemporalGraph
 from .masks import require_finite
+from .model import StreamContexts
 
 THRESHOLD_SIGMA_FACTOR = 1.5
 
@@ -96,30 +98,40 @@ def compute_threshold(benign_losses) -> WindowStats:
     return WindowStats.from_benign(mu, var**0.5)
 
 
+def event_losses(contexts: Sequence[EventContext], idxs: list[int]) -> list[float]:
+    """Losses of the events at ``idxs``: read from the loss array of a
+    scored stream (building no context), or from each context's ``loss``
+    in any other sequence, such as a hand-built or edited list."""
+    if isinstance(contexts, StreamContexts):
+        return contexts.losses[idxs].tolist()
+    return [contexts[i].loss for i in idxs]
+
+
 def score_window(
     graph: TemporalGraph,
-    contexts: list[EventContext],
+    contexts: Sequence[EventContext],
     window: tuple[int, int],
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
 ) -> WindowVerdict:
     """Aggregate per-event losses over one half-open window.
 
-    ``contexts`` is the scored full-stream context list; losses are read
-    from it. Flagging uses strict inequality at the threshold.
+    ``contexts`` is the scored full-stream context sequence; losses are
+    read from it through :func:`event_losses`. Flagging uses strict
+    inequality at the threshold.
     """
     t0, t1 = window
     idxs = graph.window_slice(t0, t1)
-    flagged = [i for i in idxs if contexts[i].loss > stats.threshold]
+    losses = event_losses(contexts, idxs)
+    flagged = [i for i, loss in zip(idxs, losses) if loss > stats.threshold]
     node_scores: dict[int, float] = {}
-    for i in idxs:
+    for i, loss in zip(idxs, losses):
         e = graph.events[i]
-        loss = contexts[i].loss
         node_scores[e.src] = node_scores.get(e.src, 0.0) + loss
         if e.dst != e.src:
             node_scores[e.dst] = node_scores.get(e.dst, 0.0) + loss
     suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
-    flagged_loss = sum(contexts[i].loss for i in flagged)
+    flagged_loss = sum(loss for loss in losses if loss > stats.threshold)
 
     anomalous = bool(flagged) and len(suspicious) >= config.min_suspicious_nodes
     if config.window_loss_budget is not None:
@@ -148,7 +160,7 @@ def iter_windows(span: tuple[int, int], window_ns: int):
 
 def score_all_windows(
     graph: TemporalGraph,
-    contexts: list[EventContext],
+    contexts: Sequence[EventContext],
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
 ) -> list[WindowVerdict]:

@@ -89,17 +89,22 @@ def descend(objective, x, learning_rate: float, evaluations: int):
     is strictly better than the best so far, and steps
     ``x = x - learning_rate * gradient``. Returns the best x, its value
     and the trace, whose first entry is the value at the start.
+
+    The loop runs with numpy's divide, overflow and invalid-value
+    warnings off: a diverging descent produces them on its way to the
+    non-finite value, and :class:`DivergenceError` is its one report.
     """
     best_x, best_value, trace = x, math.inf, []
-    for _ in range(evaluations):
-        value, gradient = objective(x)
-        if not math.isfinite(value):
-            raise DivergenceError(
-                f"explainer objective went non-finite at evaluation "
-                f"{len(trace) + 1} of {evaluations}"
-            )
-        trace.append(value)
-        if value < best_value:
-            best_x, best_value = x, value
-        x = x - learning_rate * gradient
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(evaluations):
+            value, gradient = objective(x)
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"explainer objective went non-finite at evaluation "
+                    f"{len(trace) + 1} of {evaluations}"
+                )
+            trace.append(value)
+            if value < best_value:
+                best_x, best_value = x, value
+            x = x - learning_rate * gradient
     return best_x, best_value, trace

@@ -10,21 +10,33 @@ relation is the anomaly score.
 
 :class:`TgnModel` holds parameters only. Node memory is an input to
 scoring, not part of the trained model: each replay of the stream starts
-a fresh :class:`ReplayMemory`, and every context keeps references to the
-states it reads. Each update allocates new read-only arrays, so those
-references are a snapshot nothing can write through. A checkpoint
-therefore holds the config, the trained parameters and the benign loss
-statistics.
+from empty memory, and every context keeps references to the states it
+reads. Those states are read-only (rows of the stream's trace, or the
+arrays a :class:`ReplayMemory` stores), so a reference is a snapshot
+nothing can write through. A checkpoint therefore holds the config, the
+trained parameters and the benign loss statistics.
 
-Replay and featurization work on blocks of ``_BLOCK`` events. For a
-block, one pass computes every update's memory-independent drive (the
-relation column, the time encoding of each endpoint's delta and the
-bias, against the stacked candidate and gate weights); each event then
-advances both endpoints with one ``(2, 2 mem) @ (2 mem, 2 mem)`` product
-over ``[h_self, h_other]``. Featurization gathers every neighborhood
-edge of a block of contexts into one matrix, computes all edge messages
-with one product and sums them per context with ``np.add.reduceat``.
-One vectorized :func:`_time_enc` serves replay, featurization and
+Stream scoring is column-wise (:class:`_Stream`). The events become
+src, dst, relation and timestamp arrays, and the (node, event)
+incidences are sorted once. An event's dependency level is one more
+than the higher level of its endpoints' previous events, so the events
+of one level touch distinct nodes: the replay advances a whole level
+(in chunks of at most ``_BLOCK`` events) with one
+``(2k, 2 mem) @ (2 mem, 2 mem)`` product over the rows
+``[h_self, h_other]`` and writes the new memories into one read-only
+trace of post-update memories. A node's state before event i is the
+trace row of its last incidence before i, found by one searchsorted.
+At ``hops=1`` every neighborhood is the last ``horizon`` incidences of
+each endpoint, deduplicated, built as arrays; at ``hops > 1`` the same
+arrays are filled from :func:`extract_context`, whose breadth-first walk
+has no simple array form. Scoring featurizes blocks of ``_BLOCK``
+targets, computing all edge messages of a block with one product and
+summing them per target with ``np.add.reduceat``.
+:func:`score_stream` returns a :class:`StreamContexts`: the loss array,
+and an :class:`EventContext` built only when one is read. One update
+kernel (:func:`_update_rows`) serves the level replay and the
+one-event :meth:`TgnModel.replay_update`; one featurization kernel
+(:func:`_input_terms`) over gathered columns serves stream scoring and
 :class:`MaskEvaluator`.
 
 The neighborhood aggregate is a mask-weighted sum with a fixed scale,
@@ -49,7 +61,10 @@ A non-finite training loss raises the explainers' ``DivergenceError``.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -77,8 +92,8 @@ NS_PER_S = 1_000_000_000
 #: mask, so the all-ones identity and the closed-form gradient hold exactly
 _AGG_SCALE = 0.5
 
-#: events per replay block and contexts per featurization block; bounds
-#: the size of the per-block temporaries
+#: most events one replay product advances, and targets per featurization
+#: block; bounds the size of the per-block temporaries
 _BLOCK = 512
 
 
@@ -105,6 +120,10 @@ class ModelConfig:
             raise ValueError("learning_rate must be positive")
         if self.time_dim % 2:
             raise ValueError("time_dim must be even (sin/cos pairs)")
+        if self.hops < 1:
+            raise ValueError("hops must be >= 1")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
 
 @dataclass
@@ -115,14 +134,14 @@ class TrainStats:
 
 
 class ReplayMemory:
-    """Node memories of one replay of the stream.
+    """Node memories of a replay made one event at a time.
 
     Holds each node's memory vector and last-update time, rejects events
-    that arrive out of timestamp order, and takes the node-state
-    snapshots that contexts carry. A replay owns one and advances it
-    through :meth:`TgnModel.replay_update`. Every stored vector is
-    read-only and is replaced, never written, by an update, so a
-    snapshot references the vectors instead of copying them.
+    that arrive out of timestamp order, and takes node-state snapshots.
+    :meth:`TgnModel.replay_update` advances it on the same update kernel
+    as the stream's level replay. Every stored vector is read-only and is
+    replaced, never written, by an update, so a snapshot references the
+    vectors instead of copying them.
     """
 
     def __init__(self, memory_dim: int):
@@ -157,9 +176,9 @@ class TgnModel:
     """Fixed recurrent memory machinery plus a trained head.
 
     Holds parameters, config and training statistics only; replay memory
-    lives in the :class:`ReplayMemory` a replay passes to
-    :meth:`replay_update`. Scoring is pure with respect to the node-state
-    snapshots carried by each context.
+    lives in the stream's trace, or in the :class:`ReplayMemory` a
+    one-event replay passes to :meth:`replay_update`. Scoring is pure
+    with respect to the node-state snapshots carried by each context.
     """
 
     def __init__(self, config: ModelConfig):
@@ -188,26 +207,17 @@ class TgnModel:
 
         self.stats = TrainStats()
 
-    def replay_update(
-        self, memory: ReplayMemory, e: Event, drive: np.ndarray | None = None
-    ) -> None:
-        """Advance both endpoint memories with the event's message.
-
-        ``drive`` is the event's row of :func:`_replay_drive` computed
-        for the block it belongs to; without it the event is its own
-        one-event block.
-        """
-        if drive is None:
-            drive = _replay_drive(self, [e], memory)[0]
+    def replay_update(self, memory: ReplayMemory, e: Event) -> None:
+        """Advance both endpoint memories with the event's message, on the
+        update kernel the stream replay runs."""
         mem = self.config.memory_dim
         h_src, h_dst = memory.memory_of(e.src), memory.memory_of(e.dst)
         # rows [h_self, h_other] of the src-side and the dst-side update
         H = np.concatenate([h_src, h_dst, h_dst, h_src]).reshape(2, 2 * mem)
-        h = H[:, :mem]
-        pre = H @ self.Wu[:, : 2 * mem].T + drive
-        cand = np.tanh(pre[:, :mem])
-        gate = sigmoid(pre[:, mem:])
-        new = (1.0 - gate) * h + gate * cand
+        dt = [e.timestamp - memory.last_update.get(nid, e.timestamp)
+              for nid in (e.src, e.dst)]
+        rel = RELATION_INDEX[e.relation]
+        new = _update_rows(self, H, [rel, rel], dt)
         new.flags.writeable = False
         memory.advance(e.timestamp, {e.src: new[0], e.dst: new[1]})
 
@@ -363,7 +373,10 @@ def train(dataset, config: ModelConfig) -> TgnModel:
         raise ValueError("no benign training prefix before the attack interval")
 
     model = TgnModel(config)
-    X, y = _featurize(model, _replay_contexts(model, dataset.graph, n_events=n_prefix))
+    stream = _Stream(model, dataset.graph, n_prefix)
+    X, y = np.empty((n_prefix, model.input_dim)), stream.rel
+    for start, stop, rows in stream.feature_blocks(model):
+        X[start:stop] = rows
 
     n_fit = max(1, int(round(n_prefix * 0.8)))
     X_fit, y_fit = X[:n_fit], y[:n_fit]
@@ -460,39 +473,6 @@ def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(P[np.arange(len(X)), y], 1e-300))
 
 
-def _replay_contexts(
-    model: TgnModel,
-    graph: TemporalGraph,
-    n_events: int | None = None,
-    labels=None,
-) -> list[EventContext]:
-    """Replay the stream from empty memory, extracting each event's context
-    (with node-state snapshots taken before the event's own update).
-
-    Walks the stream in blocks of ``_BLOCK`` events; each block's
-    memory-independent drive is computed in one pass before its events
-    are applied one by one."""
-    memory = ReplayMemory(model.config.memory_dim)
-    n = len(graph) if n_events is None else n_events
-    out = []
-    for start in range(0, n, _BLOCK):
-        block = graph.events[start : min(start + _BLOCK, n)]
-        drive = _replay_drive(model, block, memory)
-        for i, e in enumerate(block, start):
-            ctx = extract_context(graph, i, hops=model.config.hops,
-                                  horizon=model.config.horizon)
-            involved = {e.src, e.dst}
-            for ev in ctx.neighborhood_events:
-                involved.add(ev.src)
-                involved.add(ev.dst)
-            ctx.node_states = memory.snapshot(involved)
-            if labels is not None:
-                ctx.truth_label = labels[i]
-            out.append(ctx)
-            model.replay_update(memory, e, drive[i - start])
-    return out
-
-
 def _time_enc(dt_ns, time_dim: int) -> np.ndarray:
     """(..., time_dim) sin/cos encoding of time deltas in nanoseconds at
     halving frequencies of log(1 + seconds); negative deltas count as 0."""
@@ -501,44 +481,67 @@ def _time_enc(dt_ns, time_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _replay_drive(
-    model: TgnModel, events: list[Event], memory: ReplayMemory
-) -> np.ndarray:
-    """(n_events, 2, 2 * memory_dim) memory-independent part of the
-    candidate and gate pre-activations of each event's src-side (row 0)
-    and dst-side (row 1) update: the relation column, the time encoding
-    and the bias. An endpoint's delta counts from its last update, in
-    ``memory`` or earlier in ``events``; a first update has delta 0."""
-    mem, tdim = model.config.memory_dim, model.config.time_dim
-    last: dict[int, int] = {}
-    dts = []
-    for e in events:
-        for nid in (e.src, e.dst):
-            prev = last.get(nid)
-            if prev is None:
-                prev = memory.last_update.get(nid, e.timestamp)
-            dts.append(e.timestamp - prev)
-        last[e.src] = last[e.dst] = e.timestamp
-    rel = [RELATION_INDEX[e.relation] for e in events]
+def _update_rows(model: TgnModel, H: np.ndarray, rel, dt) -> np.ndarray:
+    """New memories of k updates: the gated blend of each updated node's
+    memory and its candidate.
+
+    ``H`` holds the rows ``[h_self, h_other]`` ``(k, 2 * memory_dim)``;
+    ``rel`` and ``dt`` give each row's relation index and the delta since
+    the updated node's last update (0 for a first update). The
+    memory-independent drive (relation column, time encoding, bias) and
+    the memory product share the stacked candidate and gate weights."""
+    mem = model.config.memory_dim
     W_rel = model.Wu[:, 2 * mem : 2 * mem + N_RELATIONS]
     W_time = model.Wu[:, 2 * mem + N_RELATIONS :]
-    timed = (_time_enc(dts, tdim) @ W_time.T).reshape(len(events), 2, 2 * mem)
-    return timed + W_rel.T[rel][:, None, :] + model.bu
+    drive = _time_enc(dt, model.config.time_dim) @ W_time.T + W_rel.T[rel] + model.bu
+    pre = H @ model.Wu[:, : 2 * mem].T + drive
+    cand = np.tanh(pre[:, :mem])
+    gate = sigmoid(pre[:, mem:])
+    return (1.0 - gate) * H[:, :mem] + gate * cand
+
+
+def _input_terms(
+    model: TgnModel, h_target, target_dt, h_edges, edge_rel, edge_dt
+) -> tuple[np.ndarray, np.ndarray]:
+    """Head-input rows with a zero aggregate ``(n_targets, input_dim)`` and
+    edge messages ``(n_edges, embed_dim)`` from gathered columns.
+
+    Each target gives its ``[h_src, h_dst]`` and the delta since its src's
+    last update; each edge its ``[h_src, h_dst]`` at the target's time,
+    its relation index and its age at the target's timestamp."""
+    tdim, emb = model.config.time_dim, model.config.embed_dim
+    x0 = np.concatenate([
+        h_target,
+        _time_enc(target_dt, tdim),
+        np.zeros((len(h_target), emb)),
+    ], axis=1)
+    feats = np.concatenate([
+        h_edges,
+        np.eye(N_RELATIONS)[edge_rel],
+        _time_enc(edge_dt, tdim),
+    ], axis=1)
+    return x0, np.tanh(feats @ model.Wn.T)
+
+
+def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``x0`` with each row's aggregate set to the scaled sum of its
+    edges' messages, where row r owns the next ``sizes[r]`` messages; a
+    row without edges keeps a zero aggregate."""
+    nonempty = sizes > 0
+    firsts = (np.cumsum(sizes) - sizes)[nonempty]
+    x0[nonempty, -msgs.shape[1]:] = np.add.reduceat(msgs, firsts, axis=0) * _AGG_SCALE
+    return x0
 
 
 def _context_block(
     model: TgnModel, contexts: list[EventContext]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask-independent terms of a block of contexts, built in one pass.
-
-    Returns the head-input rows with a zero aggregate
-    ``(n_contexts, input_dim)``, the message of every neighborhood edge in
-    context order ``(n_edges, embed_dim)``, and each context's number of
-    edges. A node missing from a context's states has zero memory and no
-    last update.
+    """:func:`_input_terms` of a block of contexts over the columns
+    gathered from their node states, and each context's number of edges.
+    A node missing from a context's states has zero memory and no last
+    update.
     """
-    mem, tdim, emb = (model.config.memory_dim, model.config.time_dim,
-                      model.config.embed_dim)
+    mem = model.config.memory_dim
     absent = (np.zeros(mem), None)
     target_h, target_dt = [], []
     edge_h, edge_rel, edge_dt, sizes = [], [], [], []
@@ -554,45 +557,242 @@ def _context_block(
             edge_dt.append(t - ev.timestamp)
         sizes.append(len(ctx.neighborhood_events))
     n, n_edges = len(contexts), len(edge_rel)
-    x0 = np.concatenate([
-        np.reshape(target_h, (n, 2 * mem)),
-        _time_enc(target_dt, tdim),
-        np.zeros((n, emb)),
-    ], axis=1)
-    feats = np.concatenate([
-        np.reshape(edge_h, (n_edges, 2 * mem)),
-        np.eye(N_RELATIONS)[edge_rel],
-        _time_enc(edge_dt, tdim),
-    ], axis=1)
-    return x0, np.tanh(feats @ model.Wn.T), np.array(sizes, dtype=int)
+    x0, msgs = _input_terms(
+        model,
+        np.reshape(target_h, (n, 2 * mem)), target_dt,
+        np.reshape(edge_h, (n_edges, 2 * mem)), edge_rel, edge_dt,
+    )
+    return x0, msgs, np.array(sizes, dtype=int)
 
 
 def _featurize(
     model: TgnModel, contexts: list[EventContext]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked head inputs and relation labels of the contexts, one row
-    each: the input vector every context scores with under an all-ones
-    mask. Works on blocks of ``_BLOCK`` contexts; a context without
-    neighborhood edges has a zero aggregate."""
-    emb = model.config.embed_dim
+    """Unmasked head inputs and relation labels of a list of contexts, one
+    row each, in blocks of ``_BLOCK`` contexts: the input vector
+    :meth:`TgnModel.score_event` scores each context with."""
     X = np.empty((len(contexts), model.input_dim))
     for start in range(0, len(contexts), _BLOCK):
         x0, msgs, sizes = _context_block(model, contexts[start : start + _BLOCK])
-        nonempty = sizes > 0
-        firsts = (np.cumsum(sizes) - sizes)[nonempty]
-        x0[nonempty, -emb:] = np.add.reduceat(msgs, firsts, axis=0) * _AGG_SCALE
-        X[start : start + len(x0)] = x0
+        X[start : start + len(x0)] = _aggregate(x0, msgs, sizes)
     y = np.array([RELATION_INDEX[c.target.relation] for c in contexts], dtype=int)
     return X, y
 
 
-def score_stream(model: TgnModel, dataset) -> list[EventContext]:
-    """Test-phase pass: replay the full stream, returning one scored
-    EventContext per event. Each replay starts from empty memory, so
-    results are a pure function of (model parameters, stream)."""
-    contexts = _replay_contexts(model, dataset.graph, labels=dataset.labels)
-    losses = _batch_losses(model, *_featurize(model, contexts))
-    for ctx, loss in zip(contexts, losses):
-        ctx.loss = float(loss)
-    return contexts
+class _Stream:
+    """The first ``n`` events of a graph in column form, replayed.
 
+    Holds the event columns (endpoints as dense node ids), the (node,
+    event) incidences sorted once by node and then event, the replay's
+    trace, and every event's neighborhood as one flat array of event
+    indexes with offsets.
+
+    The trace is one read-only ``(2n + 1, memory_dim)`` array of
+    post-update memories: row ``2i`` is event i's src-side memory and row
+    ``2i + 1`` its dst-side memory; a self-loop has one incidence, which
+    keeps the dst-side row. The last row is the zero memory of a node
+    with no earlier update. A node's state before event i is the trace
+    row of its last incidence before i.
+    """
+
+    def __init__(self, model: TgnModel, graph: TemporalGraph, n: int):
+        events = graph.events
+        self.events, self.n = events, n
+        ev = np.arange(n)
+        src = np.fromiter((e.src for e in events), np.int64, n)
+        dst = np.fromiter((e.dst for e in events), np.int64, n)
+        self.rel = np.fromiter((RELATION_INDEX[e.relation] for e in events), np.intp, n)
+        self.ts = np.fromiter((e.timestamp for e in events), np.int64, n)
+        self.nodes, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
+        self.src, self.dst = dense[:n], dense[n:]
+
+        loop = self.src == self.dst
+        inc_node = np.concatenate([self.src, self.dst[~loop]])
+        inc_ev = np.concatenate([ev, ev[~loop]])
+        inc_row = np.concatenate([2 * ev + loop, 2 * ev[~loop] + 1])
+        key = inc_node * (n + 1) + inc_ev
+        order = np.argsort(key)
+        self.key, self.inc_ev, self.inc_row = key[order], inc_ev[order], inc_row[order]
+
+        # each event's own src-side and dst-side incidence, and the first
+        # incidence of that node: the ones between are its earlier events
+        where = np.empty_like(order)
+        where[order] = np.arange(len(order))
+        pos = np.stack([where[:n], where[:n]])
+        pos[1, ~loop] = where[n:]
+        first = np.searchsorted(self.key, np.stack([self.src, self.dst]) * (n + 1))
+        has_prev = pos > first
+        before = self.inc_ev[pos - 1]
+        #: (2, n) trace row each event's src-side and dst-side update reads
+        self.prev_row = np.where(has_prev, self.inc_row[pos - 1], 2 * n)
+        #: (2, n) delta since each endpoint's last update, 0 for a first update
+        self.dt = np.where(has_prev, self.ts - self.ts[before], 0)
+
+        self.trace = self._replay(model, _levels(np.where(has_prev, before, n)))
+        if model.config.hops == 1:
+            self.nb, sizes = self._one_hop(pos, first, model.config.horizon)
+        else:
+            self.nb, sizes = _extracted_neighborhoods(graph, n, model.config)
+        self.nb_off = np.concatenate([[0], np.cumsum(sizes)])
+
+    def _replay(self, model: TgnModel, level: np.ndarray) -> np.ndarray:
+        """Replay level by level into the trace, at most ``_BLOCK`` events
+        per update product."""
+        mem = model.config.memory_dim
+        trace = np.zeros((2 * self.n + 1, mem))
+        by_level = np.argsort(level, kind="stable")
+        for group in np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1):
+            for start in range(0, len(group), _BLOCK):
+                ev = group[start : start + _BLOCK]
+                h_src, h_dst = self.prev_row[:, ev]
+                H = trace[np.stack([h_src, h_dst, h_dst, h_src], axis=1)]
+                trace[np.stack([2 * ev, 2 * ev + 1], axis=1).ravel()] = _update_rows(
+                    model, H.reshape(2 * len(ev), 2 * mem),
+                    np.repeat(self.rel[ev], 2), self.dt[:, ev].T.ravel())
+        trace.flags.writeable = False
+        return trace
+
+    def _one_hop(self, pos, first, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+        """One-hop neighborhoods, in blocks of ``_BLOCK`` events: the last
+        ``horizon`` earlier incidences of each endpoint, deduplicated and
+        ordered by descending timestamp, then ascending index."""
+        n = self.n
+        ev = np.arange(n)
+        # each event's position in (-timestamp, index) order; timestamps
+        # never decrease, so ties keep their index order
+        rank = (n - np.searchsorted(self.ts, self.ts, "right")
+                + ev - np.searchsorted(self.ts, self.ts, "left"))
+        by_rank = np.empty_like(ev)
+        by_rank[rank] = ev
+        parts, sizes = [], []
+        for start in range(0, n, _BLOCK):
+            p, f = pos[:, start : start + _BLOCK], first[:, start : start + _BLOCK]
+            width = min(horizon, int((p - f).max()))
+            cand = p[..., None] - width + np.arange(width)
+            ok = cand >= f[..., None]
+            r = np.where(ok, rank[self.inc_ev[np.where(ok, cand, 0)]], n)
+            r = np.sort(np.concatenate(r, axis=1), axis=1)
+            keep = r < n
+            keep[:, 1:] &= r[:, 1:] != r[:, :-1]
+            parts.append(by_rank[r[keep]])
+            sizes.append(keep.sum(axis=1))
+        return np.concatenate([ev[:0], *parts]), np.concatenate([ev[:0], *sizes])
+
+    def _rows_before(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
+        """Trace row and event of each dense node's last incidence before
+        event ``before``; the zero row and -1 for a node with none."""
+        stride = self.n + 1
+        p = np.searchsorted(self.key, nodes * stride + before) - 1
+        found = (p >= 0) & (self.key[p] >= nodes * stride)
+        return (np.where(found, self.inc_row[p], 2 * self.n),
+                np.where(found, self.inc_ev[p], -1))
+
+    def feature_blocks(self, model: TgnModel):
+        """Yield (start, stop, X) for each block of ``_BLOCK`` targets: the
+        unmasked head inputs of events start to stop."""
+        mem, trace = model.config.memory_dim, self.trace
+        for start in range(0, self.n, _BLOCK):
+            stop = min(start + _BLOCK, self.n)
+            sizes = np.diff(self.nb_off[start : stop + 1])
+            edges = self.nb[self.nb_off[start] : self.nb_off[stop]]
+            owner = np.repeat(np.arange(start, stop), sizes)
+            rows, _ = self._rows_before(
+                np.concatenate([self.src[edges], self.dst[edges]]), np.tile(owner, 2))
+            x0, msgs = _input_terms(
+                model,
+                trace[self.prev_row[:, start:stop].T].reshape(stop - start, 2 * mem),
+                self.dt[0, start:stop],
+                trace[rows.reshape(2, -1).T].reshape(len(edges), 2 * mem),
+                self.rel[edges],
+                self.ts[owner] - self.ts[edges],
+            )
+            yield start, stop, _aggregate(x0, msgs, sizes)
+
+    def context(self, i: int, loss: float, label: TruthLabel) -> EventContext:
+        """Event i's context, its node states read-only rows of the trace."""
+        target = self.events[i]
+        nb = self.nb[self.nb_off[i] : self.nb_off[i + 1]].tolist()
+        nb_events = [self.events[j] for j in nb]
+        ids = {target.src, target.dst}
+        for e in nb_events:
+            ids.add(e.src)
+            ids.add(e.dst)
+        ids = list(ids)
+        rows, last = self._rows_before(np.searchsorted(self.nodes, ids), i)
+        states = {
+            nid: (self.trace[row], t if at >= 0 else None)
+            for nid, row, at, t in zip(ids, rows.tolist(), last.tolist(),
+                                       self.ts[last].tolist())
+        }
+        return EventContext(target, i, nb, nb_events, states, loss, label)
+
+
+def _levels(prev_ev: np.ndarray) -> np.ndarray:
+    """Dependency level of each event from the (2, n) events that last
+    touched its endpoints before it (n for none): one more than the
+    higher of their levels, 0 for an event with no predecessor."""
+    n = prev_ev.shape[1]
+    level = [0] * n + [-1]
+    for i, (a, b) in enumerate(zip(*prev_ev.tolist())):
+        la, lb = level[a], level[b]
+        level[i] = (la if la > lb else lb) + 1
+    return np.array(level[:n], dtype=np.intp)
+
+
+def _extracted_neighborhoods(graph: TemporalGraph, n: int, config: ModelConfig):
+    """Flat neighborhoods and their sizes from :func:`extract_context`, for
+    walks past one hop."""
+    nbs = [extract_context(graph, i, hops=config.hops, horizon=config.horizon)
+           .neighborhood for i in range(n)]
+    flat = np.fromiter(itertools.chain.from_iterable(nbs), np.intp)
+    return flat, np.array([len(nb) for nb in nbs], dtype=np.intp)
+
+
+class StreamContexts(Sequence):
+    """The scored contexts of a stream, one per event, built when read.
+
+    ``losses`` is every event's anomaly loss as one read-only array;
+    detection reads it and builds no context. Reading ``stream[i]``
+    builds event i's :class:`EventContext` from the replay's trace and
+    neighborhood arrays: a new object on every read, whose node states
+    are read-only rows of the trace. A slice is a list of built contexts.
+    """
+
+    def __init__(self, stream: _Stream, losses: np.ndarray, labels=None):
+        self._stream = stream
+        self._labels = labels
+        self.losses = losses
+
+    def __len__(self) -> int:
+        return len(self.losses)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"event index {i} out of range")
+        label = TruthLabel.UNKNOWN if self._labels is None else self._labels[i]
+        return self._stream.context(i, float(self.losses[i]), label)
+
+
+def _replay_contexts(model: TgnModel, graph: TemporalGraph) -> list[EventContext]:
+    """Every context of a replay of the whole graph, unscored (loss 0)."""
+    stream = _Stream(model, graph, len(graph))
+    return list(StreamContexts(stream, np.zeros(len(graph))))
+
+
+def score_stream(model: TgnModel, dataset) -> StreamContexts:
+    """Test-phase pass: replay and score the full stream column-wise.
+
+    Returns the per-event losses and contexts built when read (see
+    :class:`StreamContexts`). Each replay starts from empty memory, so
+    results are a pure function of (model parameters, stream)."""
+    stream = _Stream(model, dataset.graph, len(dataset.graph))
+    losses = np.empty(stream.n)
+    for start, stop, X in stream.feature_blocks(model):
+        losses[start:stop] = _batch_losses(model, X, stream.rel[start:stop])
+    losses.flags.writeable = False
+    return StreamContexts(stream, losses, dataset.labels)

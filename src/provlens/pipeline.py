@@ -1,7 +1,8 @@
 """Explanation pipeline orchestration.
 
-For every window of a raised alert, one pass over the window's flagged
-contexts (those whose detector-scored loss exceeds the threshold) scores
+For every window of a raised alert, the window's losses are read from
+the detector's scored stream, and only its flagged contexts (those
+whose loss exceeds the threshold) are built. One pass over them scores
 each endpoint node and collects its flagged contexts. The top-K flagged
 events get the window-level mask explainer and its aggregate; the top-M
 nodes get both per-event explainers over their flagged contexts, once
@@ -16,12 +17,13 @@ derived from (seed, window, event) so scheduling cannot change results.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import Alert, WindowStats
+from .detect import Alert, WindowStats, event_losses
 from .graph import Event, EventContext
 from .gnnexplainer import GnnExplainerConfig, gnn_explain_event
 from .graphmask import GraphMaskConfig, graphmask_aggregate, graphmask_explain_event
@@ -98,13 +100,14 @@ def run_pipeline(
     alert: Alert,
     stats: WindowStats,
     config: PipelineConfig = PipelineConfig(),
-    contexts: list[EventContext] | None = None,
+    contexts: Sequence[EventContext] | None = None,
 ) -> ExplanationReport:
     """Explain every window of a raised alert.
 
     ``contexts`` may carry the detector's scored full-stream contexts;
-    otherwise they are scored here. Explainer skip signals are recorded
-    per event, never fatal.
+    otherwise they are scored here. Only each window's flagged contexts
+    are read from it. Explainer skip signals are recorded per event,
+    never fatal.
     """
     if not alert.windows:
         raise ValueError("alert has zero windows; nothing to explain")
@@ -121,8 +124,10 @@ def run_pipeline(
 
     def process(args) -> WindowReport:
         w_idx, verdict = args
-        window_ctxs = [contexts[i] for i in verdict.event_indexes]
-        return _explain_window(model, w_idx, verdict, window_ctxs, stats, config)
+        idxs = verdict.event_indexes
+        flagged = [contexts[i] for i, loss in zip(idxs, event_losses(contexts, idxs))
+                   if loss > stats.threshold]
+        return _explain_window(model, w_idx, verdict, flagged, stats, config)
 
     jobs = list(enumerate(alert.windows))
     if parallel > 1 and len(jobs) > 1:
@@ -147,12 +152,10 @@ def _explain_window(
     model: TgnModel,
     window_index: int,
     verdict,
-    window_ctxs: list[EventContext],
+    flagged: list[EventContext],
     stats: WindowStats,
     config: PipelineConfig,
 ) -> WindowReport:
-    flagged = [c for c in window_ctxs if c.loss > stats.threshold]
-
     # node scores and each node's flagged contexts, in window order
     node_scores: dict[int, float] = {}
     node_ctxs: dict[int, list[EventContext]] = {}

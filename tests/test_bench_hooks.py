@@ -47,7 +47,18 @@ def test_tracer_installs_counts_and_uninstalls(tiny_graph):
                for (owner, attr), raw in zip(targets, originals))
     assert len(contexts) == len(tiny_graph)
     assert len(tracer.named("model.score_stream")) == 1
-    assert tracer.count("model.replay_update") == len(tiny_graph)
+    # the column-wise replay makes no per-event update call, and one-hop
+    # neighborhoods are built as arrays
+    assert tracer.count("model.replay_update") == 0
+    assert len(tracer.named("graph.extract_context")) == 0
+
+    # walks past one hop fill the neighborhoods from extract_context
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        provlens.model.score_stream(TgnModel(ModelConfig(hops=2)), dataset)
+    finally:
+        tracer.uninstall()
     assert len(tracer.named("graph.extract_context")) == len(tiny_graph)
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -186,6 +187,45 @@ def test_non_finite_explainer_config_is_argument_error(cli_dir, tmp_path,
                "--out-dir", str(out), "--config", str(cfg)])
     assert rc == EXIT_ARGUMENT
     assert not list(out.glob("explanations_*.json"))
+
+
+def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"horizon": 0}}')
+    rc = main(["train", "--dataset", str(cli_dir / "ds.json"),
+               "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_diverging_explainer_reports_one_error_and_no_warnings(cli_dir, tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"graphmask": {"learning_rate": 100}}')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
+                   "--model", str(cli_dir / "model.json"),
+                   "--out-dir", str(tmp_path / "x"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite" in err
+
+
+def test_ablate_top_is_not_negative(cli_dir, explain_dir, tmp_path):
+    report = sorted(explain_dir.glob("explanations_*.json"))[0]
+    out = tmp_path / "ablation.csv"
+    args = ["ablate", "--dataset", str(cli_dir / "ds.json"),
+            "--model", str(cli_dir / "model.json"),
+            "--report", str(report), "--out", str(out), "--top"]
+    assert main(args + ["-1"]) == EXIT_ARGUMENT
+    assert not out.exists()
+    assert main(args + ["0"]) == EXIT_OK
+    assert out.read_text().splitlines() == [
+        "removed_edge,graphmask_score,delta_anomaly_pct,alert_still_raised",
+        "NONE,0.000000,0.00,true",
+    ]
 
 
 def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import provlens.model
-from provlens.graph import Event, NodeKind, OrderingError, Relation, extract_context
+from provlens.data import LabeledDataset
+from provlens.graph import (
+    Event,
+    NodeKind,
+    OrderingError,
+    Relation,
+    TruthLabel,
+    extract_context,
+)
 from provlens.model import (
     _AGG_SCALE,
     N_RELATIONS,
@@ -45,6 +53,16 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ModelConfig(learning_rate=bad)
+
+
+def test_config_rejects_walks_without_edges():
+    """hops and horizon are checked when the config is built: the
+    column-wise stream does not call extract_context at one hop, so an
+    unchecked horizon of 0 would score every event on an empty
+    neighborhood."""
+    for bad in ({"hops": 0}, {"horizon": 0}, {"horizon": -3}):
+        with pytest.raises(ValueError):
+            ModelConfig(**bad)
 
 
 def test_all_ones_mask_matches_unmasked(tiny_graph):
@@ -351,6 +369,72 @@ def test_block_replay_and_featurize_match_reference(case):
         np.testing.assert_allclose(row, _reference_input(model, ctx, agg),
                                    rtol=0, atol=1e-12)
         assert label == RELATION_INDEX[ctx.target.relation]
+
+
+@st.composite
+def _stream_cases(draw):
+    """An untrained model at one of the (hops, horizon) settings and a
+    random small graph with a hub (node 0 on every other event), a
+    self-loop and timestamp ties."""
+    n_nodes = draw(st.integers(2, 6))
+    nodes = [(i, NodeKind.PROCESS, f"n{i}") for i in range(n_nodes)]
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1),
+                  st.sampled_from(list(Relation)), st.sampled_from([0, 0, 1, 7])),
+        min_size=2, max_size=24,
+    ))
+    loop_at = draw(st.integers(0, len(steps) - 1))
+    events, t = [], 1
+    for i, (src, dst, rel, gap) in enumerate(steps):
+        t += gap
+        src = 0 if i % 2 == 0 else src
+        events.append((src, src if i == loop_at else dst, rel, t))
+    hops, horizon = draw(st.sampled_from([(1, 1), (1, 10), (2, 3)]))
+    config = ModelConfig(seed=draw(st.integers(0, 3)), hops=hops, horizon=horizon)
+    return TgnModel(config), build_graph((nodes, events))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases())
+def test_stream_contexts_match_per_event_reference(case):
+    """Every context read from the column-wise stream has extract_context's
+    neighborhood in its order, the reference replay's state and update
+    time for exactly the involved nodes, and its score_event loss."""
+    model, graph = case
+    labels = [TruthLabel.BENIGN] * len(graph)
+    stream = score_stream(model, LabeledDataset(graph, labels, (0, 0)))
+    before, _ = _reference_replay(model, graph.events)
+    zero = np.zeros(model.config.memory_dim)
+
+    assert len(stream) == len(graph)
+    for i, (ctx, (ref_memory, ref_last)) in enumerate(zip(stream, before)):
+        ref = extract_context(graph, i, hops=model.config.hops,
+                              horizon=model.config.horizon)
+        assert ctx.target_index == i and ctx.target == graph.events[i]
+        assert ctx.neighborhood == ref.neighborhood
+        assert ctx.neighborhood_events == ref.neighborhood_events
+        involved = {ctx.target.src, ctx.target.dst}
+        involved.update(n for ev in ref.neighborhood_events for n in (ev.src, ev.dst))
+        assert ctx.node_states.keys() == involved
+        for nid, (h, lu) in ctx.node_states.items():
+            assert lu == ref_last.get(nid)
+            np.testing.assert_allclose(h, ref_memory.get(nid, zero), rtol=0, atol=1e-12)
+        assert ctx.loss == stream.losses[i]
+        assert abs(ctx.loss - model.score_event(ctx)) <= 1e-12
+        assert ctx.truth_label is TruthLabel.BENIGN
+
+
+def test_stream_reads_build_new_contexts(model, contexts):
+    """A read builds a fresh context; slices and negative indexes read the
+    same events as plain indexes."""
+    assert contexts[5] is not contexts[5]
+    assert contexts[5].neighborhood == contexts[5].neighborhood
+    assert [c.target_index for c in contexts[3:6]] == [3, 4, 5]
+    assert contexts[-1].target_index == len(contexts) - 1
+    with pytest.raises(IndexError):
+        contexts[len(contexts)]
+    with pytest.raises(ValueError):
+        contexts.losses[0] = 1.0
 
 
 def test_training_is_deterministic(dataset):
