@@ -15,8 +15,9 @@ attack_interval}.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import (
@@ -160,12 +161,14 @@ def _parse_relation(token: str, lineno: int) -> Relation:
 class SessionStep:
     """One scripted action by a session's actor process.
 
-    ``coin`` may name an alternative relation; the emitter then alternates
-    between ``relation`` and ``coin`` on successive sessions. Sessions are
-    otherwise indistinguishable (fresh actor, fresh partners, fixed
-    timing), so no feature reveals the parity and the best achievable
-    per-event cross-entropy on coin steps is exactly ln 2 — an
-    irreducible entropy floor for the background distribution.
+    ``coin`` may name an alternative relation on the same ``dst_kind``
+    partner; the k-th coin step of a session takes it when bit k of the
+    session counter is set, so over 2^k sessions every combination of
+    outcomes occurs equally often. Sessions are otherwise
+    indistinguishable (fresh actor, fresh partners, fixed timing), so no
+    feature reveals the parity and the best achievable per-event
+    cross-entropy on coin steps is exactly ln 2 — an irreducible entropy
+    floor for the background distribution.
     """
 
     relation: Relation
@@ -174,18 +177,18 @@ class SessionStep:
                         # "same" = the previous step's partner
     gap_s: float = 1.0  # delay after the previous event in the session
     coin: Relation | None = None
-    coin_dst_kind: NodeKind | None = None
 
 
 @dataclass(frozen=True)
 class SessionSpec:
     """A short scripted interaction, optionally spawned by a parent process.
 
-    With a parent, every session opens with `parent EXECUTE <fresh child>`
-    and the child then performs the steps. Without a parent, a fresh
-    process appears and performs the steps directly. Parents read their
-    config file before their first session and again every
-    ``reboot_period_s`` seconds (daemons re-read config on reload).
+    Session n's actor is the process ``f"{name}.{n}"``. With a parent,
+    every session opens with `parent EXECUTE <actor>` and the actor then
+    performs the steps ``start_gap_s`` later. Without a parent, the
+    actor appears and performs the steps directly. A parent with a
+    ``conf`` opens that file once, at max(offset_s - 2 s, 0). A stream
+    of sessions stops at the first session that ends past the capture.
     """
 
     name: str
@@ -195,7 +198,6 @@ class SessionSpec:
     period_s: float = 60.0     # one session per period
     offset_s: float = 0.0      # first session start
     conf: str | None = None    # parent's config file label
-    reboot_period_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -478,6 +480,23 @@ class _PendingEvent:
     malicious: bool
 
 
+def _event(t_s: float, order: tuple, src_key: tuple[NodeKind, str],
+           dst_key: tuple[NodeKind, str], relation: Relation) -> _PendingEvent:
+    """A benign event at t_s seconds into the capture."""
+    return _PendingEvent(int(t_s * NS_PER_S), order, src_key, dst_key,
+                         relation, malicious=False)
+
+
+def _conf_open(actor: tuple[NodeKind, str], conf: str, first_s: float,
+               order: tuple) -> _PendingEvent:
+    """The actor opens its config file 2 s before its first action, but
+    not before the capture starts: a daemon reads its config before
+    serving, so its first-ever event is in line with other fresh
+    processes."""
+    return _event(max(first_s - 2.0, 0.0), order, actor, (NodeKind.FILE, conf),
+                  Relation.OPEN)
+
+
 def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
     """Deterministic pure function of the spec (including its seed)."""
     import random
@@ -560,184 +579,97 @@ def _emit_cycle(tmpl: BenignTemplate, tmpl_idx: int, duration_s: float, rng):
     while t < duration_s:
         rel = cycle[i % len(cycle)]
         jitter = rng.uniform(-0.05, 0.05) * period
-        out.append(
-            _PendingEvent(
-                ts_ns=int((t + jitter) * NS_PER_S),
-                order=(0, tmpl_idx, i),
-                src_key=proc,
-                dst_key=partner(rel),
-                relation=rel,
-                malicious=False,
-            )
-        )
+        out.append(_event(t + jitter, (0, tmpl_idx, i), proc, partner(rel), rel))
         t += period
         i += 1
     return out
 
 
-def _realize_step(step: SessionStep, session_no: int,
-                  coin_idx: int) -> tuple[Relation, NodeKind]:
-    """Resolve a step's relation; coin steps alternate by session parity.
-
-    The k-th coin of a session follows bit k of the session counter, so
-    within every class of sessions that share a realized prefix the two
-    outcomes stay exactly balanced.
-    """
-    if step.coin is not None and (session_no >> coin_idx) & 1:
-        return step.coin, step.coin_dst_kind or step.dst_kind
-    return step.relation, step.dst_kind
-
-
 def _session_events(sess: SessionSpec, session_no: int, start_s: float,
                     order_key: tuple) -> list[_PendingEvent]:
-    """One session instance: optional parent EXECUTE plus the actor steps."""
+    """One session instance: optional parent EXECUTE plus the actor steps;
+    coin steps follow the bits of session_no (see SessionStep)."""
+    actor = (NodeKind.PROCESS, f"{sess.name}.{session_no}")
     batch: list[_PendingEvent] = []
-    seq = 0
-    cursor = start_s
+    t = start_s
     if sess.parent:
-        child = (NodeKind.PROCESS, f"{sess.name}.{session_no}")
-        batch.append(
-            _PendingEvent(
-                ts_ns=int(cursor * NS_PER_S),
-                order=(*order_key, session_no, seq),
-                src_key=(NodeKind.PROCESS, sess.parent),
-                dst_key=child,
-                relation=Relation.EXECUTE,
-                malicious=False,
-            )
-        )
-        seq += 1
-        cursor += sess.start_gap_s
-        actor = child
-    else:
-        actor = (NodeKind.PROCESS, f"{sess.name}.{session_no}")
-
+        batch.append(_event(t, (*order_key, session_no, 0),
+                            (NodeKind.PROCESS, sess.parent), actor,
+                            Relation.EXECUTE))
+        t += sess.start_gap_s
     coin_idx = 0
-    prev_dst: tuple[NodeKind, str] | None = None
+    dst: tuple[NodeKind, str] | None = None
     for step_idx, step in enumerate(sess.steps):
-        relation, dst_kind = _realize_step(step, session_no, coin_idx)
+        relation = step.relation
         if step.coin is not None:
+            if (session_no >> coin_idx) & 1:
+                relation = step.coin
             coin_idx += 1
         if step.dst == "fresh":
-            dst = (dst_kind, f"{sess.name}.{session_no}.obj{step_idx}")
+            dst = (step.dst_kind, f"{sess.name}.{session_no}.obj{step_idx}")
         elif step.dst == "same":
-            if prev_dst is None:
+            if dst is None:
                 raise ValueError(f"session {sess.name!r}: 'same' needs a prior step")
-            dst = prev_dst
         else:
-            dst = (dst_kind, step.dst)
-        prev_dst = dst
+            dst = (step.dst_kind, step.dst)
         if step_idx > 0:
-            cursor += step.gap_s
-        batch.append(
-            _PendingEvent(
-                ts_ns=int(cursor * NS_PER_S),
-                order=(*order_key, session_no, seq),
-                src_key=actor,
-                dst_key=dst,
-                relation=relation,
-                malicious=False,
-            )
-        )
-        seq += 1
+            t += step.gap_s
+        batch.append(_event(t, (*order_key, session_no, len(batch)), actor, dst,
+                            relation))
     return batch
 
 
 def _emit_session_stream(sess: SessionSpec, tmpl_idx: int, spec_idx: int,
                          duration_s: float) -> list[_PendingEvent]:
-    """All sessions of one spec, plus the parent's config (re-)reads."""
+    """The parent's config read, then one session per period until the
+    first session that ends past the capture."""
+    order_key = (1, tmpl_idx, spec_idx)
     out: list[_PendingEvent] = []
     if sess.parent and sess.conf:
-        # daemons open their config before serving and again on reload;
-        # this keeps a parent's first-ever event in line with other
-        # fresh-process behavior
-        boot = max(sess.offset_s - 2.0, 0.0)
-        boots = [boot]
-        if sess.reboot_period_s:
-            t = boot + sess.reboot_period_s
-            while t < duration_s:
-                boots.append(t)
-                t += sess.reboot_period_s
-        for boot_no, boot_t in enumerate(boots):
-            out.append(
-                _PendingEvent(
-                    ts_ns=int(boot_t * NS_PER_S),
-                    order=(1, tmpl_idx, spec_idx, boot_no, -1),
-                    src_key=(NodeKind.PROCESS, sess.parent),
-                    dst_key=(NodeKind.FILE, sess.conf),
-                    relation=Relation.OPEN,
-                    malicious=False,
-                )
-            )
-
-    session_no = 0
-    while True:
-        start = sess.offset_s + session_no * sess.period_s
-        batch = _session_events(sess, session_no, start,
-                                (1, tmpl_idx, spec_idx))
+        out.append(_conf_open((NodeKind.PROCESS, sess.parent), sess.conf,
+                              sess.offset_s, (*order_key, 0, -1)))
+    for session_no in itertools.count():
+        batch = _session_events(sess, session_no,
+                                sess.offset_s + session_no * sess.period_s,
+                                order_key)
         if batch[-1].ts_ns >= duration_s * NS_PER_S:
-            break
+            return out
         out.extend(batch)
-        session_no += 1
-    return out
 
 
 def _emit_duty_cycle(tmpl: BenignTemplate, tmpl_idx: int,
                      duration_s: float) -> list[_PendingEvent]:
     """A long-lived process repeating a fixed duty cycle; EXECUTE
-    positions spawn scripted child sessions."""
+    positions spawn scripted child sessions. The stream ends at the
+    first position past the capture; a spawned session that ends past
+    it is dropped on its own."""
     proc = (NodeKind.PROCESS, tmpl.label)
     period = sum(step.gap_s for step in tmpl.cycle)
     out: list[_PendingEvent] = []
     if tmpl.conf:
-        out.append(
-            _PendingEvent(
-                ts_ns=int(max(tmpl.cycle_offset_s - 2.0, 0.0) * NS_PER_S),
-                order=(0, tmpl_idx, -1),
-                src_key=proc,
-                dst_key=(NodeKind.FILE, tmpl.conf),
-                relation=Relation.OPEN,
-                malicious=False,
-            )
-        )
-    lap = 0
-    while True:
+        out.append(_conf_open(proc, tmpl.conf, tmpl.cycle_offset_s,
+                              (0, tmpl_idx, -1)))
+    for lap in itertools.count():
         t = tmpl.cycle_offset_s + lap * period
-        lap_done = False
         for step_idx, step in enumerate(tmpl.cycle):
             if step_idx > 0:
                 t += step.gap_s
             if t >= duration_s:
-                lap_done = True
-                break
+                return out
             if step.spawn is not None:
-                child_batch = _session_events(
-                    step.spawn, lap, t, (0, tmpl_idx, lap)
-                )
-                if child_batch[-1].ts_ns < duration_s * NS_PER_S:
-                    out.extend(child_batch)
+                child = _session_events(step.spawn, lap, t, (0, tmpl_idx, lap))
+                if child[-1].ts_ns < duration_s * NS_PER_S:
+                    out.extend(child)
                 continue
             if step.dst == "fresh":
-                dst = (step.dst_kind, f"{tmpl.label}/lap{lap}.s{step_idx}")
+                dst = f"{tmpl.label}/lap{lap}.s{step_idx}"
             elif step.dst == "conn":
                 # a small pool of peer sockets; one peer per lap
-                dst = (step.dst_kind, f"{tmpl.label}:conn{lap % 6}")
+                dst = f"{tmpl.label}:conn{lap % 6}"
             else:
-                dst = (step.dst_kind, step.dst)
-            out.append(
-                _PendingEvent(
-                    ts_ns=int(t * NS_PER_S),
-                    order=(0, tmpl_idx, lap, step_idx),
-                    src_key=proc,
-                    dst_key=dst,
-                    relation=step.relation,
-                    malicious=False,
-                )
-            )
-        if lap_done:
-            break
-        lap += 1
-    return out
+                dst = step.dst
+            out.append(_event(t, (0, tmpl_idx, lap, step_idx), proc,
+                              (step.dst_kind, dst), step.relation))
 
 
 # ---------------------------------------------------------------------------

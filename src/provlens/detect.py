@@ -11,12 +11,13 @@ subgraph handed to the explainers.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Event, EventContext, TemporalGraph
 from .masks import require_finite
-from .model import StreamContexts
+from .model import NS_PER_S, StreamContexts
 
 THRESHOLD_SIGMA_FACTOR = 1.5
 
@@ -77,14 +78,22 @@ class DetectorConfig:
     min_suspicious_nodes: int = 1
     window_loss_budget: float | None = None       # OR-predicate; None disables
     alert_threshold_factor: float = 2.0           # alert iff queue >= factor*threshold
+    #: window_minutes in whole nanoseconds, derived at construction
+    window_ns: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(window_minutes=self.window_minutes,
                        alert_threshold_factor=self.alert_threshold_factor)
         if self.window_loss_budget is not None:
             require_finite(window_loss_budget=self.window_loss_budget)
-        if self.window_minutes <= 0:
-            raise ValueError("window_minutes must be positive")
+        # a window under 1 ns would truncate to 0 and never advance
+        window_ns = self.window_minutes * 60 * NS_PER_S
+        if not 1 <= window_ns < math.inf:
+            raise ValueError(
+                f"window_minutes={self.window_minutes!r} must give a window "
+                f"of at least 1 ns and of finite length in ns"
+            )
+        object.__setattr__(self, "window_ns", int(window_ns))
 
 
 def compute_threshold(benign_losses) -> WindowStats:
@@ -164,10 +173,9 @@ def score_all_windows(
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
 ) -> list[WindowVerdict]:
-    window_ns = int(config.window_minutes * 60 * 1_000_000_000)
     return [
         score_window(graph, contexts, w, stats, config)
-        for w in iter_windows(graph.span(), window_ns)
+        for w in iter_windows(graph.span(), config.window_ns)
     ]
 
 

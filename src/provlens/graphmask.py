@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend_mask, require_finite
+from .masks import descend_mask, edge_groups, require_finite
 from .model import MaskEvaluator, TgnModel
 
 
@@ -85,16 +85,7 @@ def graphmask_aggregate(
     relation) edge, sorted by descending weight."""
     if not masks:
         raise ValueError("cannot aggregate an empty mask list")
-    sums: dict[CanonicalEdge, float] = {}
-    counts: dict[CanonicalEdge, int] = {}
-    for ctx, mask in masks:
-        for ev, value in zip(ctx.neighborhood_events, mask.values):
-            key = CanonicalEdge(ev.src, ev.dst, ev.relation)
-            sums[key] = sums.get(key, 0.0) + float(value)
-            counts[key] = counts.get(key, 0) + 1
-    rows = [
-        AggregateRow(edge=k, weight=sums[k] / counts[k], count=counts[k])
-        for k in sums
+    return [
+        AggregateRow(edge=CanonicalEdge(*edge), weight=mean, count=len(vals))
+        for edge, mean, vals in edge_groups((ctx, m.values) for ctx, m in masks)
     ]
-    rows.sort(key=lambda r: (-r.weight, r.edge.src, r.edge.dst, r.edge.relation.value))
-    return rows

@@ -2,7 +2,8 @@
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
 finite-value check of explainer configs, the ranking of a context's
-edges by importance, and the gradient-descent loop that GraphMask,
+edges by importance, the per-edge grouping of the window aggregates,
+and the gradient-descent loop that GraphMask,
 GNNExplainer and VA-TG all run, with its one divergence rule: a
 non-finite objective raises :class:`DivergenceError`.
 """
@@ -46,6 +47,20 @@ def top_edges(
         ev = ctx.neighborhood_events[i]
         rows.append((ev.src, ev.dst, ev.relation, float(importance[i])))
     return order, rows
+
+
+def edge_groups(pairs) -> list[tuple[tuple[int, int, Relation], float, list[float]]]:
+    """Group the per-edge values of (context, values) pairs by canonical
+    (src, dst, relation) edge: one (edge, mean, values) triple per edge,
+    the values in the order met, sorted by descending mean, then by src,
+    dst and relation."""
+    values: dict[tuple[int, int, Relation], list[float]] = {}
+    for ctx, per_edge in pairs:
+        for ev, value in zip(ctx.neighborhood_events, per_edge):
+            values.setdefault((ev.src, ev.dst, ev.relation), []).append(float(value))
+    groups = [(edge, sum(vals) / len(vals), vals) for edge, vals in values.items()]
+    groups.sort(key=lambda g: (-g[1], g[0][0], g[0][1], g[0][2].value))
+    return groups
 
 
 def descend_mask(evaluator, config, data_term):

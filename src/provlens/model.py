@@ -124,6 +124,8 @@ class ModelConfig:
             raise ValueError("hops must be >= 1")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
 
 
 @dataclass
@@ -278,11 +280,27 @@ class TgnModel:
             )
         model = cls(ModelConfig(**doc["config"]))
         params = doc["parameters"]
-        model.We = np.asarray(params["We"])
-        model.be = np.asarray(params["be"])
-        model.Wo = np.asarray(params["Wo"])
-        model.bo = np.asarray(params["bo"])
+        for name in ("We", "be", "Wo", "bo"):
+            # the freshly built model holds each parameter's implied shape
+            shape = getattr(model, name).shape
+            try:
+                value = np.asarray(params[name], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"parameter {name} in {p}: {exc}") from exc
+            if value.shape != shape:
+                raise CheckpointError(
+                    f"parameter {name} in {p} has shape {value.shape}; "
+                    f"its config implies {shape}"
+                )
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"parameter {name} in {p} is not finite")
+            setattr(model, name, value)
         model.stats = TrainStats(**doc["stats"])
+        for name, value in asdict(model.stats).items():
+            if not (isinstance(value, (int, float)) and np.isfinite(value)):
+                raise CheckpointError(
+                    f"stat {name} in {p} is not a finite number: {value!r}"
+                )
         return model
 
 

@@ -51,8 +51,10 @@ class PipelineConfig:
     vatg: VatgConfig = VatgConfig()
 
     def __post_init__(self):
-        if self.top_k_events < 1 or self.top_m_nodes < 1:
-            raise ValueError("top_k_events and top_m_nodes must be >= 1")
+        if min(self.top_k_events, self.top_m_nodes, self.parallel_windows) < 1:
+            raise ValueError(
+                "top_k_events, top_m_nodes and parallel_windows must be >= 1"
+            )
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend, require_finite, sigmoid, top_edges
+from .masks import descend, edge_groups, require_finite, sigmoid, top_edges
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
@@ -206,15 +206,11 @@ def vatg_aggregate_node(
     posterior variance stays internal."""
     if not explanations:
         raise ValueError("cannot aggregate an empty explanation list")
-    values: dict[tuple[int, int, Relation], list[float]] = {}
-    for ctx, expl in explanations:
-        for ev, imp in zip(ctx.neighborhood_events, expl.importance):
-            values.setdefault((ev.src, ev.dst, ev.relation), []).append(float(imp))
     rows = []
-    for (src, dst, rel), vals in values.items():
-        mean = sum(vals) / len(vals)
+    for (src, dst, rel), mean, vals in edge_groups(
+        (ctx, expl.importance) for ctx, expl in explanations
+    ):
         var = sum((v - mean) ** 2 for v in vals) / len(vals)
         rows.append(NodeAggregateRow(src=src, dst=dst, relation=rel,
                                      mean=mean, var=var))
-    rows.sort(key=lambda r: (-r.mean, r.src, r.dst, r.relation.value))
     return rows

@@ -198,6 +198,35 @@ def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command, config_text", [
+    (["detect", "--model", "{model}", "--out", "{out}"],
+     '{"detector": {"window_minutes": 1e300}}'),
+    (["train", "--out", "{out}"], '{"model": {"epochs": -3}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"parallel_windows": 0}}'),
+])
+def test_config_value_that_does_nothing_useful_is_argument_error(
+        cli_dir, tmp_path, command, config_text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    paths = {"model": cli_dir / "model.json", "out": tmp_path / "out"}
+    rc = main([arg.format(**paths) for arg in command]
+              + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_checkpoint_is_argument_error(cli_dir, tmp_path):
+    doc = json.loads((cli_dir / "model.json").read_text())
+    doc["parameters"]["We"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["detect", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(bad), "--out", str(tmp_path / "a.json")])
+    assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "a.json").exists()
+
+
 def test_diverging_explainer_reports_one_error_and_no_warnings(cli_dir, tmp_path,
                                                                capsys):
     cfg = tmp_path / "cfg.json"

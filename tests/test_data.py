@@ -1,14 +1,21 @@
 """Scenario generation, the plain-text log format, and dataset IO."""
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from provlens.data import (
+    NS_PER_S,
+    BenignTemplate,
+    CycleStep,
     DatasetFormatError,
     LabeledDataset,
     ParseError,
+    ScenarioSpec,
+    SessionSpec,
+    SessionStep,
     default_scenario,
     generate_scenario,
     load_dataset,
@@ -212,3 +219,120 @@ def test_attack_offsets_must_increase():
             attack_chain=tuple(reversed(spec.attack_chain)),
             seed=spec.seed,
         )
+
+
+# ----------------------------------------------------------------------
+# generator contracts: coin balance, config reads and truncation
+# ----------------------------------------------------------------------
+
+_MIX = {Relation.READ: 1}
+
+
+def _scripted(duration_s, *templates):
+    """(src label, relation, (dst kind, dst label), seconds) per event."""
+    g = generate_scenario(
+        ScenarioSpec(duration_s=duration_s, benign_templates=templates,
+                     attack_chain=())
+    ).graph
+    return [
+        (g.nodes[e.src].label, e.relation,
+         (g.nodes[e.dst].kind, g.nodes[e.dst].label), e.timestamp / NS_PER_S)
+        for e in g.events
+    ]
+
+
+def _sessions(*specs):
+    return BenignTemplate(label="t", mix=_MIX, rate_per_min=1.0, sessions=specs)
+
+
+def _cycle(*steps, **kwargs):
+    return BenignTemplate(label="p", mix=_MIX, rate_per_min=1.0, cycle=steps,
+                          **kwargs)
+
+
+def test_coin_steps_balance_exactly_over_2_pow_k_sessions():
+    """With k coin steps, every combination of outcomes occurs equally
+    often over each 2^k sessions, and a coin keeps its step's partner."""
+    worker = SessionSpec(name="w", period_s=10.0, steps=(
+        SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+        SessionStep(Relation.OPEN, NodeKind.FILE, "same", coin=Relation.CLOSE),
+        SessionStep(Relation.CONNECT, NodeKind.SOCKET, "fresh",
+                    coin=Relation.RECV),
+    ))
+    events = _scripted(80.0, _sessions(worker))  # sessions 0..7
+    by_actor: dict = {}
+    for src, rel, dst, _ in events:
+        by_actor.setdefault(src, []).append((rel, dst))
+    assert len(by_actor) == 8
+    outcomes = Counter((s[1][0], s[2][0]) for s in by_actor.values())
+    assert outcomes == {
+        (a, b): 2
+        for a in (Relation.OPEN, Relation.CLOSE)
+        for b in (Relation.CONNECT, Relation.RECV)
+    }
+    for actor, steps in by_actor.items():
+        assert steps[1][1] == steps[0][1]
+        assert steps[2][1] == (NodeKind.SOCKET, f"{actor}.obj2")
+
+
+@pytest.mark.parametrize("offset_s, open_s", [(5.0, 3.0), (1.0, 0.0)])
+def test_config_is_opened_once_before_the_first_action(offset_s, open_s):
+    """A session parent and a duty-cycle process each open their config
+    once, at max(first action - 2 s, 0)."""
+    job = SessionSpec(name="job", parent="d", conf="d.conf", offset_s=offset_s,
+                      period_s=10.0,
+                      steps=(SessionStep(Relation.READ, NodeKind.FILE, "fresh"),))
+    svc = _cycle(CycleStep(Relation.READ, NodeKind.FILE, "x", gap_s=10.0),
+                 cycle_offset_s=offset_s, conf="p.conf")
+    events = _scripted(100.0, _sessions(job), svc)
+    for actor, conf in (("d", "d.conf"), ("p", "p.conf")):
+        mine = [(rel, dst, t) for src, rel, dst, t in events if src == actor]
+        opens = [(rel, t) for rel, dst, t in mine if dst == (NodeKind.FILE, conf)]
+        assert opens == [(Relation.OPEN, open_s)]
+        assert mine[0] == (Relation.OPEN, (NodeKind.FILE, conf), open_s)
+        assert mine[1][2] == offset_s
+
+
+def test_session_stream_stops_at_first_session_ending_past_capture():
+    """The session starting at 90 s would end at the capture's 100 s end,
+    so it is dropped whole, its in-capture first step too."""
+    spec = SessionSpec(name="s", period_s=30.0, steps=(
+        SessionStep(Relation.READ, NodeKind.FILE, "fresh"),
+        SessionStep(Relation.WRITE, NodeKind.FILE, "fresh", gap_s=10.0),
+    ))
+    events = _scripted(100.0, _sessions(spec))
+    assert [t for *_, t in events] == [0.0, 10.0, 30.0, 40.0, 60.0, 70.0]
+
+
+def test_duty_cycle_lap_is_cut_at_its_first_late_step():
+    """Positions at 0, 2, 5 s per 15 s lap: the second lap keeps its
+    position at 15 s and is cut at 17 s, the capture's end."""
+    proc = _cycle(
+        CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=10.0),
+        CycleStep(Relation.WRITE, NodeKind.FILE, "b", gap_s=2.0),
+        CycleStep(Relation.SEND, NodeKind.SOCKET, "c", gap_s=3.0),
+    )
+    events = _scripted(17.0, proc)
+    assert [(rel, t) for _, rel, _, t in events] == [
+        (Relation.READ, 0.0), (Relation.WRITE, 2.0), (Relation.SEND, 5.0),
+        (Relation.READ, 15.0),
+    ]
+
+
+def test_late_spawned_session_is_dropped_on_its_own():
+    """The second lap's child would read at 17 s, past the 16 s capture:
+    its whole session goes, and the lap's later position stays."""
+    child = SessionSpec(name="c", parent="p", start_gap_s=5.0,
+                        steps=(SessionStep(Relation.READ, NodeKind.FILE, "fresh"),))
+    proc = _cycle(
+        CycleStep(Relation.EXECUTE, NodeKind.PROCESS, "fresh", gap_s=10.0,
+                  spawn=child),
+        CycleStep(Relation.READ, NodeKind.FILE, "f", gap_s=2.0),
+    )
+    events = _scripted(16.0, proc)
+    assert [(src, rel, dst[1], t) for src, rel, dst, t in events] == [
+        ("p", Relation.EXECUTE, "c.0", 0.0),
+        ("p", Relation.READ, "f", 2.0),
+        ("c.0", Relation.READ, "c.0.obj0", 5.0),
+        ("p", Relation.READ, "f", 14.0),
+    ]

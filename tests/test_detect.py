@@ -1,5 +1,7 @@
 """Windowed detection, alert queues, and subgraph reconstruction."""
 
+import dataclasses
+
 import pytest
 
 from provlens.detect import (
@@ -101,6 +103,20 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(window_minutes=-15.0)
     assert DetectorConfig(window_loss_budget=None).window_loss_budget is None
+
+
+def test_detector_config_derives_window_ns():
+    assert DetectorConfig().window_ns == 15 * 60 * NS
+    assert DetectorConfig(window_minutes=1 / 60e9).window_ns == 1
+    assert dataclasses.replace(DetectorConfig(), window_minutes=1.0).window_ns == 60 * NS
+
+
+@pytest.mark.parametrize("minutes", [1e-12, 1.5e-11, 1e300])
+def test_detector_config_rejects_sub_ns_and_overflowing_windows(minutes):
+    """A window under 1 ns truncates to 0 ns and never advances; a huge
+    one overflows to an infinite length."""
+    with pytest.raises(ValueError, match="window_minutes"):
+        DetectorConfig(window_minutes=minutes)
 
 
 def test_link_queues_merges_runs_sharing_nodes():

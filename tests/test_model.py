@@ -65,6 +65,13 @@ def test_config_rejects_walks_without_edges():
             ModelConfig(**bad)
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_config_rejects_fewer_than_one_epoch(epochs):
+    """Fewer than one epoch would leave the head untrained."""
+    with pytest.raises(ValueError, match="epochs"):
+        ModelConfig(epochs=epochs)
+
+
 def test_all_ones_mask_matches_unmasked(tiny_graph):
     model, ctxs = _tiny_model(tiny_graph)
     for ctx in ctxs:
@@ -595,6 +602,38 @@ def test_v1_checkpoint_is_rejected(model, tmp_path):
     doc.update(version=1, memory={}, last_update={}, last_replay_ts=None)
     p.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="version 1"):
+        TgnModel.load(p)
+
+
+def _set(path, value):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set(("parameters", "We", 0, 0), float("nan")), "We"),
+    (_set(("parameters", "bo", 3), float("-inf")), "bo"),
+    (_set(("stats", "sigma"), float("nan")), "sigma"),
+    (_set(("stats", "mu"), "0.5"), "mu"),
+    (lambda doc: doc["parameters"]["Wo"].pop(), "Wo"),
+    (_set(("parameters", "be"), [[0.0]]), "be"),
+    (_set(("parameters", "We", 1), [0.0]), "We"),
+    (_set(("parameters", "bo", 0), "x"), "bo"),
+], ids=["nan-We", "inf-bo", "nan-sigma", "text-mu", "short-Wo", "nested-be",
+        "ragged-We", "text-bo"])
+def test_checkpoint_rejects_bad_parameters(model, tmp_path, edit, match):
+    """A parameter whose shape differs from the one its config implies,
+    or any non-finite parameter or stat, is a checkpoint error."""
+    p = tmp_path / "ckpt.json"
+    model.save(p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=match):
         TgnModel.load(p)
 
 

@@ -192,3 +192,9 @@ def test_config_validation():
         PipelineConfig(top_k_events=0)
     with pytest.raises(ValueError):
         PipelineConfig(top_m_nodes=0)
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_config_rejects_fewer_than_one_parallel_window(workers):
+    with pytest.raises(ValueError, match="parallel_windows"):
+        PipelineConfig(parallel_windows=workers)
