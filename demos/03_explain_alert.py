@@ -1,8 +1,9 @@
 """Explain a raised alert with all three edge-mask explainers.
 
 Runs the orchestration pipeline over the attack alert and writes the
-JSON report, the Markdown summary, and a DOT rendering of the attack
-subgraph into ./demo_out/.
+JSON report, the Markdown summary, and a DOT rendering of each window's
+attack subgraph (the window's events touching the alert's entities, as
+`provlens explain` draws it) into ./demo_out/.
 """
 
 import json
@@ -16,10 +17,10 @@ from provlens import (
     default_scenario,
     generate_scenario,
     link_queues,
-    reconstruct_subgraph,
     run_pipeline,
     score_all_windows,
 )
+from provlens.detect import span_subgraph
 from provlens.model import score_stream, train
 from provlens.report import emit_graph_description, emit_json, emit_markdown
 
@@ -40,13 +41,13 @@ report = run_pipeline(model, dataset, alert, stats, PipelineConfig(),
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
 node_map = dataset.graph.nodes
-sub = reconstruct_subgraph(alert, dataset.graph)
 
 for wr in report.windows:
     doc = emit_json(wr, node_map)
     (out / f"explanations_{doc['window']}.json").write_text(
         json.dumps(doc, indent=2) + "\n")
     (out / f"window_{doc['window']}.md").write_text(emit_markdown(wr, node_map))
+    sub = span_subgraph(dataset.graph, *wr.window, set(wr.entities))
     (out / f"window_{doc['window']}.gv").write_text(
         emit_graph_description(wr, sub, node_map))
 

@@ -42,7 +42,13 @@ from .model import (
     train,
 )
 from .pipeline import PipelineConfig, ResourceError, run_pipeline
-from .report import emit_graph_description, emit_json, emit_markdown, parse_report_json
+from .report import (
+    ExplanationReport,
+    emit_graph_description,
+    emit_json,
+    emit_markdown,
+    parse_report_json,
+)
 from .vatg import VatgConfig
 
 EXIT_OK = 0
@@ -82,6 +88,31 @@ def _pipeline_config(cfg: dict) -> PipelineConfig:
         vatg=_section(cfg, "vatg", VatgConfig),
         **fields,
     )
+
+
+def _write_summary(out_dir: Path, results: list[ExplanationReport], node_map,
+                   graph) -> None:
+    """Write ``summary.md`` over every window of the results, each
+    result's warnings after its windows, and, given the graph,
+    ``window_<n>.gv`` for the n-th window. A window's graph is drawn over
+    the report's entities, or its explained node ids when it has none."""
+    md_parts: list[str] = []
+    n = 0
+    for result in results:
+        for wr in result.windows:
+            md_parts.append(emit_markdown(wr, node_map))
+            if graph is not None:
+                entities = (wr.entities if wr.entities is not None
+                            else [node["node_id"] for node in wr.nodes])
+                sub = span_subgraph(graph, *wr.window, set(entities))
+                (out_dir / f"window_{n}.gv").write_text(
+                    emit_graph_description(wr, sub, node_map)
+                )
+            n += 1
+        md_parts.extend(w + "\n" for w in result.warnings)
+    if not results:
+        md_parts.append("No raised alerts; nothing to explain.\n")
+    (out_dir / "summary.md").write_text("\n".join(md_parts))
 
 
 def _detect(model, dataset, det_cfg):
@@ -143,8 +174,7 @@ def _cmd_explain(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     node_map = dataset.graph.nodes
-    md_parts: list[str] = []
-    n = 0
+    results = []
     for alert in raised:
         result = run_pipeline(model, dataset, alert, stats, pipe_cfg,
                               contexts=contexts)
@@ -153,16 +183,9 @@ def _cmd_explain(args) -> int:
             (out_dir / f"explanations_{doc['window']}.json").write_text(
                 json.dumps(doc, indent=2) + "\n"
             )
-            md_parts.append(emit_markdown(wr, node_map))
-            sub = span_subgraph(dataset.graph, *wr.window, alert.entities)
-            (out_dir / f"window_{n}.gv").write_text(
-                emit_graph_description(wr, sub, node_map)
-            )
-            n += 1
-        md_parts.extend(w + "\n" for w in result.warnings)
-    if not raised:
-        md_parts.append("No raised alerts; nothing to explain.\n")
-    (out_dir / "summary.md").write_text("\n".join(md_parts))
+        results.append(result)
+    _write_summary(out_dir, results, node_map, dataset.graph)
+    n = sum(len(result.windows) for result in results)
     print(f"explained {n} window(s); outputs in {out_dir}")
     return EXIT_OK
 
@@ -209,20 +232,11 @@ def _cmd_report(args) -> int:
     graph = None
     node_map: dict = {}
     if args.dataset:
-        dataset = load_dataset(args.dataset)
-        graph = dataset.graph
-        node_map = dataset.graph.nodes
-    md_parts = []
-    for n, path in enumerate(args.json):
-        wr = parse_report_json(json.loads(Path(path).read_text()))
-        md_parts.append(emit_markdown(wr, node_map))
-        if graph is not None:
-            entities = {node["node_id"] for node in wr.nodes}
-            sub = span_subgraph(graph, *wr.window, entities)
-            (out_dir / f"window_{n}.gv").write_text(
-                emit_graph_description(wr, sub, node_map)
-            )
-    (out_dir / "summary.md").write_text("\n".join(md_parts))
+        graph = load_dataset(args.dataset).graph
+        node_map = graph.nodes
+    windows = [parse_report_json(json.loads(Path(path).read_text()))
+               for path in args.json]
+    _write_summary(out_dir, [ExplanationReport(windows)], node_map, graph)
     print(f"re-rendered {len(args.json)} report(s) into {out_dir}")
     return EXIT_OK
 

@@ -11,10 +11,10 @@ relation is the anomaly score.
 :class:`TgnModel` holds parameters only. Node memory is an input to
 scoring, not part of the trained model: each replay of the stream starts
 from empty memory, and every context keeps references to the states it
-reads. Those states are read-only (rows of the stream's trace, or the
-arrays a :class:`ReplayMemory` stores), so a reference is a snapshot
-nothing can write through. A checkpoint therefore holds the config, the
-trained parameters and the benign loss statistics.
+reads. Those states are read-only rows of the stream's trace, so a
+reference is a snapshot nothing can write through. A checkpoint
+therefore holds the config, the trained parameters and the benign loss
+statistics.
 
 Stream scoring is column-wise (:class:`_Stream`). The events become
 src, dst, relation and timestamp arrays, and the (node, event)
@@ -36,8 +36,9 @@ summing them per target with ``np.add.reduceat``.
 and an :class:`EventContext` built only when one is read. One update
 kernel (:func:`_update_rows`) serves the level replay and the
 one-event :meth:`TgnModel.replay_update`; one featurization kernel
-(:func:`_input_terms`) over gathered columns serves stream scoring and
-:class:`MaskEvaluator`.
+(:func:`_input_terms`) serves stream scoring, over the columns of a
+block of targets, and :class:`MaskEvaluator`, over the columns it
+gathers from its one context's node states.
 
 The neighborhood aggregate is a mask-weighted sum with a fixed scale,
 so the head's pre-activation is affine in the mask m:
@@ -138,12 +139,12 @@ class TrainStats:
 class ReplayMemory:
     """Node memories of a replay made one event at a time.
 
-    Holds each node's memory vector and last-update time, rejects events
-    that arrive out of timestamp order, and takes node-state snapshots.
+    Holds each node's memory vector and last-update time and rejects
+    events that arrive out of timestamp order.
     :meth:`TgnModel.replay_update` advances it on the same update kernel
     as the stream's level replay. Every stored vector is read-only and is
-    replaced, never written, by an update, so a snapshot references the
-    vectors instead of copying them.
+    replaced, never written, by an update, so a reader may keep a
+    reference instead of a copy.
     """
 
     def __init__(self, memory_dim: int):
@@ -155,14 +156,6 @@ class ReplayMemory:
 
     def memory_of(self, nid: int) -> np.ndarray:
         return self.memory.get(nid, self._zero)
-
-    def snapshot(self, node_ids) -> dict[int, tuple[np.ndarray, int | None]]:
-        """The current (read-only memory, last-update time) of each node;
-        a node never updated has the zero vector and no update time."""
-        return {
-            nid: (self.memory_of(nid), self.last_update.get(nid))
-            for nid in node_ids
-        }
 
     def advance(self, timestamp: int, states: dict[int, np.ndarray]) -> None:
         """Store the new memories of the nodes one event touched."""
@@ -316,8 +309,22 @@ class MaskEvaluator:
     """
 
     def __init__(self, model: TgnModel, ctx: EventContext):
-        emb = model.config.embed_dim
-        x0, msgs, _ = _context_block(model, [ctx])
+        mem, emb = model.config.memory_dim, model.config.embed_dim
+        # a node missing from the context's states has zero memory and no
+        # last update
+        states, absent = ctx.node_states, (np.zeros(mem), None)
+        t, edges = ctx.target.timestamp, ctx.neighborhood_events
+        h_src, lu_src = states.get(ctx.target.src, absent)
+        x0, msgs = _input_terms(
+            model,
+            np.concatenate([h_src, states.get(ctx.target.dst, absent)[0]])[None],
+            [t - lu_src if lu_src is not None else 0],
+            np.reshape([states.get(nid, absent)[0]
+                        for ev in edges for nid in (ev.src, ev.dst)],
+                       (len(edges), 2 * mem)),
+            [RELATION_INDEX[ev.relation] for ev in edges],
+            [t - ev.timestamp for ev in edges],
+        )
         self.n = len(msgs)
         self.a0 = model.We @ x0[0] + model.be
         self.B = _AGG_SCALE * (model.We[:, -emb:] @ msgs.T)
@@ -551,52 +558,6 @@ def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return x0
 
 
-def _context_block(
-    model: TgnModel, contexts: list[EventContext]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_input_terms` of a block of contexts over the columns
-    gathered from their node states, and each context's number of edges.
-    A node missing from a context's states has zero memory and no last
-    update.
-    """
-    mem = model.config.memory_dim
-    absent = (np.zeros(mem), None)
-    target_h, target_dt = [], []
-    edge_h, edge_rel, edge_dt, sizes = [], [], [], []
-    for ctx in contexts:
-        states = ctx.node_states
-        t = ctx.target.timestamp
-        h_s, lu_s = states.get(ctx.target.src, absent)
-        target_h += (h_s, states.get(ctx.target.dst, absent)[0])
-        target_dt.append(t - lu_s if lu_s is not None else 0)
-        for ev in ctx.neighborhood_events:
-            edge_h += (states.get(ev.src, absent)[0], states.get(ev.dst, absent)[0])
-            edge_rel.append(RELATION_INDEX[ev.relation])
-            edge_dt.append(t - ev.timestamp)
-        sizes.append(len(ctx.neighborhood_events))
-    n, n_edges = len(contexts), len(edge_rel)
-    x0, msgs = _input_terms(
-        model,
-        np.reshape(target_h, (n, 2 * mem)), target_dt,
-        np.reshape(edge_h, (n_edges, 2 * mem)), edge_rel, edge_dt,
-    )
-    return x0, msgs, np.array(sizes, dtype=int)
-
-
-def _featurize(
-    model: TgnModel, contexts: list[EventContext]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked head inputs and relation labels of a list of contexts, one
-    row each, in blocks of ``_BLOCK`` contexts: the input vector
-    :meth:`TgnModel.score_event` scores each context with."""
-    X = np.empty((len(contexts), model.input_dim))
-    for start in range(0, len(contexts), _BLOCK):
-        x0, msgs, sizes = _context_block(model, contexts[start : start + _BLOCK])
-        X[start : start + len(x0)] = _aggregate(x0, msgs, sizes)
-    y = np.array([RELATION_INDEX[c.target.relation] for c in contexts], dtype=int)
-    return X, y
-
-
 class _Stream:
     """The first ``n`` events of a graph in column form, replayed.
 
@@ -776,7 +737,7 @@ class StreamContexts(Sequence):
     are read-only rows of the trace. A slice is a list of built contexts.
     """
 
-    def __init__(self, stream: _Stream, losses: np.ndarray, labels=None):
+    def __init__(self, stream: _Stream, losses: np.ndarray, labels):
         self._stream = stream
         self._labels = labels
         self.losses = losses
@@ -792,14 +753,7 @@ class StreamContexts(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"event index {i} out of range")
-        label = TruthLabel.UNKNOWN if self._labels is None else self._labels[i]
-        return self._stream.context(i, float(self.losses[i]), label)
-
-
-def _replay_contexts(model: TgnModel, graph: TemporalGraph) -> list[EventContext]:
-    """Every context of a replay of the whole graph, unscored (loss 0)."""
-    stream = _Stream(model, graph, len(graph))
-    return list(StreamContexts(stream, np.zeros(len(graph))))
+        return self._stream.context(i, float(self.losses[i]), self._labels[i])
 
 
 def score_stream(model: TgnModel, dataset) -> StreamContexts:

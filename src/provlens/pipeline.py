@@ -10,8 +10,9 @@ per event even when an event touches two of those nodes. Strictly
 post-hoc: the model holds parameters only, and the flagged set is the
 detector's by construction.
 
-Window-level work can run in parallel; per-event explainer randomness is
-derived from (seed, window, event) so scheduling cannot change results.
+Window-level work can run in parallel; VA-TG's randomness is derived
+per event from (VA-TG seed, window, event) so scheduling cannot change
+results.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ class PipelineConfig:
     top_m_nodes: int = 20
     memory_budget: int | None = None     # bytes; None -> env var or default
     parallel_windows: int = 1
-    seed: int = 0
     graphmask: GraphMaskConfig = GraphMaskConfig()
     gnn: GnnExplainerConfig = GnnExplainerConfig()
     vatg: VatgConfig = VatgConfig()
@@ -55,6 +55,8 @@ class PipelineConfig:
             raise ValueError(
                 "top_k_events, top_m_nodes and parallel_windows must be >= 1"
             )
+        if self.memory_budget is not None and self.memory_budget < 0:
+            raise ValueError(f"memory_budget must be >= 0, got {self.memory_budget}")
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
@@ -108,8 +110,9 @@ def run_pipeline(
 
     ``contexts`` may carry the detector's scored full-stream contexts;
     otherwise they are scored here. Only each window's flagged contexts
-    are read from it. Explainer skip signals are recorded per event,
-    never fatal.
+    are read from it. Explainer skip signals are recorded once per
+    event and window, never fatal. Each window report carries the
+    alert's sorted entities, the nodes its attack subgraph is drawn over.
     """
     if not alert.windows:
         raise ValueError("alert has zero windows; nothing to explain")
@@ -117,19 +120,23 @@ def run_pipeline(
     budget = config.memory_budget
     if budget is None:
         budget = int(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET))
+        if budget < 0:
+            raise ValueError(f"{MEMORY_BUDGET_ENV} must be >= 0, got {budget}")
     need = estimate_need(alert, model.config.horizon, model.config.memory_dim)
     decision, warnings = ensure_memory(budget, need)
     parallel = config.parallel_windows if decision == "proceed" else 1
 
     if contexts is None:
         contexts = score_stream(model, dataset)
+    entities = sorted(alert.entities)
 
     def process(args) -> WindowReport:
         w_idx, verdict = args
         idxs = verdict.event_indexes
         flagged = [contexts[i] for i, loss in zip(idxs, event_losses(contexts, idxs))
                    if loss > stats.threshold]
-        return _explain_window(model, w_idx, verdict, flagged, stats, config)
+        return _explain_window(model, w_idx, verdict, flagged, stats, config,
+                               entities)
 
     jobs = list(enumerate(alert.windows))
     if parallel > 1 and len(jobs) > 1:
@@ -157,6 +164,7 @@ def _explain_window(
     flagged: list[EventContext],
     stats: WindowStats,
     config: PipelineConfig,
+    entities: list[int],
 ) -> WindowReport:
     # node scores and each node's flagged contexts, in window order
     node_scores: dict[int, float] = {}
@@ -168,14 +176,15 @@ def _explain_window(
     top_nodes = sorted(node_scores, key=lambda n: (-node_scores[n], n))
     top_nodes = top_nodes[: config.top_m_nodes]
 
-    skipped: list[dict] = []
+    # one skip record per event, in the order the skips are met
+    skipped: dict[int, dict] = {}
     masks = []
     top = select_high_loss([c.target for c in flagged], [c.loss for c in flagged],
                            config.top_k_events)
     for ctx in (flagged[i] for i in top):
         m = graphmask_explain_event(model, ctx, config.graphmask)
         if m is None:
-            skipped.append(_skip(ctx))
+            skipped.setdefault(ctx.target_index, _skip(ctx))
         else:
             masks.append((ctx, m))
     aggregate_rows = [
@@ -197,7 +206,7 @@ def _explain_window(
                     model, ctx, config, window_index)
             pair = explained[ctx.target_index]
             if pair is None:
-                skipped.append(_skip(ctx))
+                skipped.setdefault(ctx.target_index, _skip(ctx))
                 continue
             expl, vexpl = pair
             gnn_entries.append({
@@ -229,7 +238,8 @@ def _explain_window(
         threshold=stats.threshold,
         graphmask_aggregate=aggregate_rows,
         nodes=node_blocks,
-        skipped=skipped,
+        skipped=list(skipped.values()),
+        entities=entities,
     )
 
 
@@ -239,6 +249,6 @@ def _explain_event(model, ctx, config, window_index):
     expl = gnn_explain_event(model, ctx, config.gnn)
     if expl is None:
         return None
-    vcfg = replace(config.vatg,
-                   seed=derived_seed(config.seed, window_index, ctx.target_index))
+    vcfg = replace(config.vatg, seed=derived_seed(config.vatg.seed, window_index,
+                                                  ctx.target_index))
     return expl, vatg_explain_event(model, ctx, vcfg)

@@ -57,6 +57,9 @@ class WindowReport:
     graphmask_aggregate: list[dict]   # {src, dst, relation, weight, count}
     nodes: list[dict]                 # {node_id, score, gnn, va_tg}, score desc
     skipped: list[dict] = field(default_factory=list)  # per-event skip records
+    # the alert's sorted entities the window's subgraph is drawn over;
+    # None in a document written without them
+    entities: list[int] | None = None
 
 
 @dataclass
@@ -99,6 +102,7 @@ def emit_json(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> dict
         "threshold": report.threshold,
         "graphmask": {"aggregate": report.graphmask_aggregate},
         "nodes": report.nodes,
+        **({} if report.entities is None else {"entities": report.entities}),
         "labels": {
             str(nid): node_map[nid].label
             for nid in sorted(referenced)
@@ -125,6 +129,7 @@ def parse_report_json(doc: dict) -> WindowReport:
         threshold=doc["threshold"],
         graphmask_aggregate=doc["graphmask"]["aggregate"],
         nodes=doc["nodes"],
+        entities=doc.get("entities"),
     )
 
 

@@ -120,6 +120,23 @@ def test_report_rerenders(cli_dir, explain_dir, tmp_path):
     assert (out / "window_0.gv").exists()
 
 
+def test_report_reproduces_explain_outputs(cli_dir, explain_dir, tmp_path):
+    """report --dataset on explain's documents writes summary.md and every
+    window_<n>.gv byte for byte as explain did."""
+    jsons = sorted(explain_dir.glob("explanations_*.json"),
+                   key=lambda p: int(p.stem.split("_")[1].split("-")[0]))
+    out = tmp_path / "rerender"
+    rc = main(["report", "--out-dir", str(out),
+               "--dataset", str(cli_dir / "ds.json"),
+               *[str(p) for p in jsons]])
+    assert rc == EXIT_OK
+    written = sorted(p.name for p in explain_dir.glob("window_*.gv"))
+    assert written == sorted(p.name for p in out.glob("window_*.gv"))
+    assert len(written) == len(jsons)
+    for name in ["summary.md", *written]:
+        assert (out / name).read_bytes() == (explain_dir / name).read_bytes(), name
+
+
 def test_missing_input_is_argument_error(cli_dir, tmp_path):
     rc = main(["detect", "--dataset", str(tmp_path / "nope.json"),
                "--model", str(cli_dir / "model.json"),
@@ -204,6 +221,10 @@ def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
     (["train", "--out", "{out}"], '{"model": {"epochs": -3}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"parallel_windows": 0}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"memory_budget": -5}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"seed": 3}}'),
 ])
 def test_config_value_that_does_nothing_useful_is_argument_error(
         cli_dir, tmp_path, command, config_text):
@@ -265,6 +286,20 @@ def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
                "--model", str(cli_dir / "model.json"),
                "--out-dir", str(tmp_path / "x")])
     assert rc == EXIT_RESOURCE
+
+
+def test_negative_memory_budget_env_is_argument_error(cli_dir, tmp_path,
+                                                     monkeypatch):
+    """A negative budget is bad input (exit 2), where a budget too small
+    for the alert is a resource error (exit 3)."""
+    from provlens.pipeline import MEMORY_BUDGET_ENV
+
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "-5")
+    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(cli_dir / "model.json"),
+               "--out-dir", str(tmp_path / "x")])
+    assert rc == EXIT_ARGUMENT
+    assert not list((tmp_path / "x").glob("explanations_*.json"))
 
 
 def test_non_object_dataset_is_argument_error(tmp_path):

@@ -26,11 +26,11 @@ from provlens.model import (
     MaskEvaluator,
     ModelConfig,
     ReplayMemory,
+    StreamContexts,
     TgnModel,
+    _Stream,
     _distinct_rows,
-    _featurize,
     _fit_head,
-    _replay_contexts,
     score_stream,
     train,
 )
@@ -38,9 +38,17 @@ from provlens.model import (
 from conftest import NS, build_graph, random_contexts
 
 
+def _replayed_contexts(model, graph):
+    """Every context of a replay of the whole graph, unscored (loss 0,
+    label unknown), and the replayed stream."""
+    n = len(graph)
+    stream = _Stream(model, graph, n)
+    return list(StreamContexts(stream, np.zeros(n), [TruthLabel.UNKNOWN] * n)), stream
+
+
 def _tiny_model(tiny_graph, seed=0):
     model = TgnModel(ModelConfig(seed=seed))
-    return model, _replay_contexts(model, tiny_graph)
+    return model, _replayed_contexts(model, tiny_graph)[0]
 
 
 def test_config_validation():
@@ -303,17 +311,20 @@ def test_replay_rejects_out_of_order(tiny_graph):
         np.testing.assert_array_equal(memory.memory[k], before[k])
 
 
-def test_snapshot_states_are_read_only(tiny_graph):
+def test_replayed_memories_are_read_only(tiny_graph):
+    """Every vector replay_update stores, and the zero memory of a node
+    never updated, refuses writes."""
     model = TgnModel(ModelConfig())
     memory = _replayed_memory(model, tiny_graph)
-    snap = memory.snapshot([0, 99])
-    before = memory.memory_of(0).copy()
-    for h, _ in snap.values():
+    assert memory.memory.keys() == {0, 1, 2, 3, 4}
+    before = {k: v.copy() for k, v in memory.memory.items()}
+    for h in [*memory.memory.values(), memory.memory_of(99)]:
         with pytest.raises(ValueError):
             h[:] = 99.0
-    np.testing.assert_array_equal(memory.memory_of(0), before)
+    for k, v in before.items():
+        np.testing.assert_array_equal(memory.memory_of(k), v)
     assert not np.any(memory.memory_of(99))
-    assert snap[99][1] is None
+    assert 99 not in memory.last_update
 
 
 def test_stream_snapshots_are_read_only(contexts):
@@ -350,13 +361,19 @@ def _replay_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(_replay_cases())
 def test_block_replay_and_featurize_match_reference(case):
-    """Block replay, the standalone update and block featurization agree
-    with the per-endpoint and per-edge formulas to 1e-12."""
+    """Block replay, the standalone update and the stream's block
+    featurization agree with the per-endpoint and per-edge formulas to
+    1e-12."""
     model, graph, block = case
     with mock.patch.object(provlens.model, "_BLOCK", block):
-        ctxs = _replay_contexts(model, graph)
-        X, y = _featurize(model, ctxs)
+        ctxs, stream = _replayed_contexts(model, graph)
+        blocks = list(stream.feature_blocks(model))
     before, (final, final_last) = _reference_replay(model, graph.events)
+
+    bounds = [(start, stop) for start, stop, _ in blocks]
+    assert bounds == [(s, min(s + block, len(graph)))
+                      for s in range(0, len(graph), block)]
+    X = np.concatenate([rows for _, _, rows in blocks])
 
     assert not ctxs[0].neighborhood_events
     for ctx, (ref_memory, ref_last) in zip(ctxs, before):
@@ -371,7 +388,8 @@ def test_block_replay_and_featurize_match_reference(case):
     for nid, h in final.items():
         np.testing.assert_allclose(memory.memory[nid], h, rtol=0, atol=1e-12)
 
-    for row, label, ctx in zip(X, y, ctxs):
+    assert X.shape == (len(graph), model.input_dim)
+    for row, label, ctx in zip(X, stream.rel, ctxs):
         agg = _reference_messages(model, ctx).sum(axis=0) * _AGG_SCALE
         np.testing.assert_allclose(row, _reference_input(model, ctx, agg),
                                    rtol=0, atol=1e-12)

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from provlens.detect import Alert, WindowStats, WindowVerdict
 from provlens.gnnexplainer import GnnExplainerConfig
 from provlens.graph import Event, Relation
 from provlens.graphmask import GraphMaskConfig
 from provlens.pipeline import (
+    MEMORY_BUDGET_ENV,
     PipelineConfig,
     ResourceError,
     derived_seed,
@@ -20,6 +22,8 @@ from provlens.pipeline import (
 )
 from provlens.report import emit_json
 from provlens.vatg import VatgConfig
+
+from test_model import _tiny_model
 
 
 def quick_config(**kw):
@@ -198,3 +202,67 @@ def test_config_validation():
 def test_config_rejects_fewer_than_one_parallel_window(workers):
     with pytest.raises(ValueError, match="parallel_windows"):
         PipelineConfig(parallel_windows=workers)
+
+
+def test_negative_memory_budget_is_rejected(model, dataset, stats, attack_alert,
+                                            monkeypatch):
+    """A negative budget is bad input, from the config or the environment;
+    a budget of 0 is a valid one that nothing fits in."""
+    with pytest.raises(ValueError, match="memory_budget"):
+        PipelineConfig(memory_budget=-5)
+    with pytest.raises(ResourceError):
+        run_pipeline(model, dataset, attack_alert, stats,
+                     quick_config(memory_budget=0))
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "-5")
+    with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
+        run_pipeline(model, dataset, attack_alert, stats, quick_config())
+
+
+def test_vatg_seed_sets_the_pipeline_noise(model, dataset, stats, attack_alert,
+                                           contexts):
+    """vatg.seed is the base of every per-event VA-TG seed: changing it
+    changes the VA-TG output and nothing else."""
+    def run(seed):
+        config = quick_config(vatg=VatgConfig(epochs=5, mc_samples=2, seed=seed))
+        windows = run_pipeline(model, dataset, attack_alert, stats, config,
+                               contexts=contexts).windows
+        return ([(w.graphmask_aggregate, [(n["node_id"], n["gnn"]) for n in w.nodes])
+                 for w in windows],
+                [[n["va_tg"] for n in w.nodes] for w in windows])
+
+    default, reseeded = run(0), run(3)
+    assert reseeded[0] == default[0]
+    assert reseeded[1] != default[1]
+    assert "seed" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+def test_window_reports_carry_the_alert_entities(model, dataset, stats,
+                                                 attack_alert, contexts):
+    report = run_pipeline(model, dataset, attack_alert, stats, quick_config(),
+                          contexts=contexts)
+    for w in report.windows:
+        assert w.entities == sorted(attack_alert.entities)
+        assert emit_json(w, dataset.graph.nodes)["entities"] == w.entities
+
+
+def test_skipped_event_is_recorded_once_per_window(tiny_graph):
+    """A flagged event with an empty neighborhood and two distinct
+    endpoints is skipped by GraphMask and by both of its top nodes, and
+    is recorded once."""
+    model, ctxs = _tiny_model(tiny_graph)
+    ctx = ctxs[0]
+    assert not ctx.neighborhood_events and ctx.target.src != ctx.target.dst
+    flagged = dataclasses.replace(ctx, loss=5.0)
+    t = ctx.target.timestamp
+    verdict = WindowVerdict(
+        window=(t, t + 1), event_count=1, event_indexes=[0],
+        high_loss_events=[0], node_scores={}, suspicious_nodes=set(),
+        flagged_loss=5.0, anomalous=True,
+    )
+    alert = Alert(windows=[verdict], t_start=t, t_end=t + 1, queue_score=5.0,
+                  entities={ctx.target.src, ctx.target.dst}, raised=True)
+    report = run_pipeline(model, None, alert, WindowStats(0.0, 1.0, 1.0),
+                          quick_config(), contexts=[flagged])
+    (window,) = report.windows
+    assert [n["node_id"] for n in window.nodes] == sorted(alert.entities)
+    assert window.skipped == [{"event_index": 0, "reason": "no-neighborhood"}]

@@ -116,6 +116,24 @@ def test_json_round_trip():
     assert back.nodes == orig.nodes
 
 
+def test_entities_are_optional_and_round_trip():
+    """A document carries the window's entities only when the report has
+    them, and parse_report_json reads back what was written."""
+    plain = emit_json(_report(), NODE_MAP)
+    assert "entities" not in plain
+    assert parse_report_json(plain).entities is None
+
+    report = _report()
+    report.entities = [1, 2, 3]
+    doc = emit_json(report, NODE_MAP)
+    assert doc["entities"] == [1, 2, 3]
+    assert {k: v for k, v in doc.items() if k != "entities"} == plain
+    assert parse_report_json(doc).entities == [1, 2, 3]
+    doc["entities"] = ["sh"]
+    with pytest.raises(ValueError):
+        parse_report_json(doc)
+
+
 def test_validate_rejects_malformed():
     import jsonschema
 
