@@ -48,10 +48,18 @@ so the head's pre-activation is affine in the mask m:
 where x0 is the input vector with a zero aggregate, msgs the context's
 (n_edges, embed_dim) edge messages and We_agg the columns of We that
 read the aggregate. Only a0 and B depend on the context, so a
-:class:`MaskEvaluator` builds them once and every masked pass after that
-is two small matrix-vector products, with the closed-form gradient
+:class:`MaskEvaluator` builds them once and every one-row masked pass
+after that is two small matrix-vector products, with the closed-form
+gradient
 
     d loss / d m = B^T ((1 - z^2) * Wo^T (p - e_y)).
+
+The evaluator's batched pass stacks S masks as the rows of M and gives
+all S losses and gradients from one head pass on ``a0 + M B^T`` and one
+``(S, n)`` product ``((1 - Z^2) * ((P - E_y) Wo)) B``; VA-TG sends its
+Monte Carlo samples through it. GraphMask and GNNExplainer evaluate one
+mask per step, hundreds of times per event, and keep the one-row pass,
+which is cheaper than a batch of one.
 
 All three explainers run :func:`masks.descend` on one evaluator per
 event; :meth:`TgnModel.masked_forward`, :meth:`TgnModel.mask_gradient`
@@ -303,9 +311,15 @@ class MaskEvaluator:
     Builds the mask-independent terms once: the edge messages, the
     pre-activation a0 of the input with a zero aggregate, and the
     (embed_dim, n_edges) matrix B that maps the mask into the
-    pre-activation. Each pass is then ``z = tanh(a0 + B m)``. The
-    evaluator reads the head's weights as they were when it was built
-    and does not check the mask; :meth:`TgnModel.masked_forward` does.
+    pre-activation. A one-row pass is then ``z = tanh(a0 + B m)``; the
+    batched pass :meth:`losses_and_gradients` takes S masks as the rows
+    of an (S, n_edges) matrix M and runs ``Z = tanh(a0 + M B^T)`` as one
+    head pass. GraphMask and GNNExplainer descend on one mask at a time
+    and make hundreds of passes per event, so they keep the one-row pass,
+    which costs less than a batch of one; VA-TG evaluates all of its
+    Monte Carlo samples at once. The evaluator reads the head's weights
+    as they were when it was built and does not check the mask;
+    :meth:`TgnModel.masked_forward` does.
     """
 
     def __init__(self, model: TgnModel, ctx: EventContext):
@@ -348,6 +362,16 @@ class MaskEvaluator:
         dlogits = probs.copy()
         dlogits[self.y] -= 1.0
         return loss, self.B.T @ ((1.0 - z * z) * (self.Wo.T @ dlogits))
+
+    def losses_and_gradients(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Losses ``(S,)`` and mask gradients ``(S, n_edges)`` of the S
+        masks in the rows of ``masks``, from one batched pass: row s is
+        :meth:`loss_and_gradient` of ``masks[s]`` up to float rounding."""
+        Z, P = _head(self.a0 + masks @ self.B.T, self.Wo, self.bo)
+        rows = np.arange(len(masks))
+        losses = -np.log(np.maximum(P[rows, self.y], 1e-300))
+        P[rows, self.y] -= 1.0
+        return losses, ((1.0 - Z * Z) * (P @ self.Wo)) @ self.B
 
 
 def _checked_mask(ctx: EventContext, mask) -> np.ndarray:
@@ -485,8 +509,10 @@ def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray):
     its pre-activation A, for one row or a batch of rows.
 
     The softmax runs on the transposed logits, so each row's max and sum
-    broadcast without keepdims and a single row divides by a scalar: the
-    mask evaluator makes hundreds of one-row passes per event."""
+    broadcast without keepdims and a single row divides by a scalar:
+    GraphMask and GNNExplainer make hundreds of one-row evaluator passes
+    per event, while VA-TG makes one batched pass over its Monte Carlo
+    samples per evaluation."""
     Z = np.tanh(A)
     logits = (Z @ Wo.T + bo).T
     expl = np.exp(logits - logits.max(0))

@@ -8,7 +8,9 @@ log_var). Masks are sampled via the reparameterization trick
 and (mu, log_var) are optimized on a Monte Carlo estimate of the masked
 cross-entropy plus a closed-form KL penalty toward the unit Gaussian
 prior and a sparsity penalty on the largest mask means, by the same
-:func:`masks.descend` loop that GraphMask and GNNExplainer run. The mask
+:func:`masks.descend` loop that GraphMask and GNNExplainer run. Each
+evaluation draws an (S, n) noise matrix and scores its S sampled masks
+in one batched :class:`MaskEvaluator` pass. The mask
 means sigmoid(mu) serve as edge importances; the loss trace is kept as
 an optimization diagnostic.
 """
@@ -98,30 +100,45 @@ def _objective(
     epsilons: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo objective at fixed noise draws and its closed-form
-    gradient w.r.t. [mu; log_var] as a (2, n) array, one evaluator pass
-    per sample."""
-    n = len(params)
-    ce = 0.0
-    grad = np.zeros((2, n))
+    gradient w.r.t. [mu; log_var] as a (2, n) array.
+
+    The ``(S, n)`` noise gives S sampled masks, the rows of one matrix,
+    and one batched evaluator pass gives their losses and mask gradients;
+    the Monte Carlo means are taken over the sample axis."""
+    sd = np.exp(0.5 * params.log_var)
+    masks = sigmoid(params.mu + epsilons * sd)
+    losses, dl_dm = evaluator.losses_and_gradients(masks)
+    dl_dx = dl_dm * (masks * (1.0 - masks))
+    grad = np.stack([dl_dx.mean(0), (dl_dx * epsilons * 0.5 * sd).mean(0)])
     d_mu, d_lv = grad
-    for eps in epsilons:
-        m = sample_mask(params, eps)
-        loss, dl_dm = evaluator.loss_and_gradient(m)
-        ce += loss
-        jac = m * (1.0 - m)
-        d_mu += dl_dm * jac
-        d_lv += dl_dm * jac * eps * 0.5 * np.exp(0.5 * params.log_var)
-    ce /= len(epsilons)
-    d_mu /= len(epsilons)
-    d_lv /= len(epsilons)
 
     d_mu += config.lambda_kl * params.mu
     d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
 
     omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
     d_mu += config.lambda_sp * omega_grad
-    loss = ce + config.lambda_kl * kl_term(params) + config.lambda_sp * omega
+    loss = (float(losses.mean()) + config.lambda_kl * kl_term(params)
+            + config.lambda_sp * omega)
     return loss, grad
+
+
+def _checked_objective(model, ctx, params, config, epsilons):
+    """:func:`_objective` after the checks :func:`vatg_loss` and
+    :func:`vatg_gradients` share: a non-empty neighborhood of n edges,
+    (mu, log_var) of shape (n,), and noise of shape (S, n) with S >= 1."""
+    n = len(ctx.neighborhood_events)
+    if n == 0:
+        raise ValueError("empty neighborhood")
+    for name in ("mu", "log_var"):
+        shape = np.shape(getattr(params, name))
+        if shape != (n,):
+            raise ValueError(f"params.{name} shape {shape} != neighborhood size ({n},)")
+    epsilons = np.asarray(epsilons, dtype=float)
+    if epsilons.ndim != 2 or epsilons.shape[0] < 1 or epsilons.shape[1] != n:
+        raise ValueError(
+            f"epsilons shape {epsilons.shape} is not (S, {n}) with S >= 1"
+        )
+    return _objective(MaskEvaluator(model, ctx), params, config, epsilons)
 
 
 def vatg_loss(
@@ -132,9 +149,7 @@ def vatg_loss(
     epsilons: np.ndarray,
 ) -> float:
     """Monte Carlo objective at fixed noise draws (one row per sample)."""
-    if len(ctx.neighborhood_events) == 0:
-        raise ValueError("empty neighborhood")
-    loss, _ = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    loss, _ = _checked_objective(model, ctx, params, config, epsilons)
     return loss
 
 
@@ -146,7 +161,7 @@ def vatg_gradients(
     epsilons: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form gradients of the objective w.r.t. (mu, log_var)."""
-    _, (d_mu, d_lv) = _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    _, (d_mu, d_lv) = _checked_objective(model, ctx, params, config, epsilons)
     return d_mu, d_lv
 
 

@@ -236,6 +236,23 @@ def test_evaluator_matches_concatenated_input_reference(model, contexts):
             np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
 
 
+def test_batched_pass_rows_match_one_row_pass(model, contexts):
+    """Row s of the batched pass is the one-row pass on mask s, for
+    batches of one and more, including the empty neighborhood."""
+    rng = np.random.default_rng(6)
+    for ctx in random_contexts(contexts, rng, 40, min_edges=0):
+        n = len(ctx.neighborhood_events)
+        evaluator = MaskEvaluator(model, ctx)
+        for s in (1, 3, 8):
+            masks = rng.uniform(0.0, 1.0, (s, n))
+            losses, grads = evaluator.losses_and_gradients(masks)
+            assert losses.shape == (s,) and grads.shape == (s, n)
+            for mask, loss, grad in zip(masks, losses, grads):
+                loss_ref, grad_ref = evaluator.loss_and_gradient(mask)
+                assert loss == pytest.approx(loss_ref, rel=0, abs=1e-12)
+                np.testing.assert_allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+
 @st.composite
 def _tiny_cases(draw):
     """An untrained model, one context of a random small graph replayed

@@ -1,11 +1,15 @@
 """Variational explainer: sampling, KL term, gradients, aggregation."""
 
+import re
+
 import numpy as np
 import pytest
 
+from provlens.model import MaskEvaluator
 from provlens.vatg import (
     VariationalMaskParams,
     VatgConfig,
+    _sparsity_penalty,
     kl_term,
     sample_mask,
     vatg_aggregate_node,
@@ -14,6 +18,7 @@ from provlens.vatg import (
     vatg_loss,
 )
 
+from conftest import random_contexts
 from test_model import _tiny_model
 
 
@@ -115,6 +120,125 @@ def test_gradients_match_finite_differences(tiny_graph):
         dn_lv[j] -= h
         fd_lv = (loss_at(params.mu, up_lv) - loss_at(params.mu, dn_lv)) / (2 * h)
         assert d_lv[j] == pytest.approx(fd_lv, abs=1e-6, rel=1e-4)
+
+
+def _reference_objective(model, ctx, params, config, epsilons):
+    """The per-sample Monte Carlo loop: one one-row evaluator pass per
+    noise row, means taken left to right. Returns (loss, d_mu, d_lv)."""
+    evaluator = MaskEvaluator(model, ctx)
+    n = len(params)
+    ce, d_mu, d_lv = 0.0, np.zeros(n), np.zeros(n)
+    for eps in epsilons:
+        m = sample_mask(params, eps)
+        loss, dl_dm = evaluator.loss_and_gradient(m)
+        ce += loss
+        jac = m * (1.0 - m)
+        d_mu += dl_dm * jac
+        d_lv += dl_dm * jac * eps * 0.5 * np.exp(0.5 * params.log_var)
+    ce /= len(epsilons)
+    d_mu /= len(epsilons)
+    d_lv /= len(epsilons)
+
+    d_mu += config.lambda_kl * params.mu
+    d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
+    omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
+    d_mu += config.lambda_sp * omega_grad
+    loss = ce + config.lambda_kl * kl_term(params) + config.lambda_sp * omega
+    return loss, d_mu, d_lv
+
+
+def _context_with(contexts, n):
+    return next(c for c in contexts if len(c.neighborhood_events) == n)
+
+
+def _random_params(rng, n):
+    return VariationalMaskParams(
+        mu=rng.normal(0, 1.0, n), log_var=rng.normal(-1.5, 0.5, n)
+    )
+
+
+@pytest.mark.parametrize("samples", [1, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 9, 20])
+def test_batched_objective_matches_per_sample_loop(model, contexts, samples, n):
+    ctx = _context_with(contexts, n)
+    cfg = VatgConfig(mc_samples=samples)
+    rng = np.random.default_rng(100 * samples + n)
+    for _ in range(5):
+        params = _random_params(rng, n)
+        eps = rng.standard_normal((samples, n))
+        loss_ref, d_mu_ref, d_lv_ref = _reference_objective(
+            model, ctx, params, cfg, eps)
+        d_mu, d_lv = vatg_gradients(model, ctx, params, cfg, eps)
+        assert vatg_loss(model, ctx, params, cfg, eps) == pytest.approx(
+            loss_ref, rel=0, abs=1e-12)
+        np.testing.assert_allclose(d_mu, d_mu_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_lv, d_lv_ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("samples", [1, 8])
+def test_gradients_match_finite_differences_narrow_and_wide(
+        model, contexts, samples):
+    """Central differences of vatg_loss at fixed noise, on trained-model
+    contexts with one edge and with ten or more, at one sample and at
+    the default eight."""
+    rng = np.random.default_rng(samples)
+    cfg = VatgConfig(mc_samples=samples)
+    narrow = random_contexts(contexts, rng, 3, max_edges=1)
+    wide = random_contexts(contexts, rng, 3, min_edges=10)
+    h = 1e-6
+    for ctx in narrow + wide:
+        n = len(ctx.neighborhood_events)
+        params = _random_params(rng, n)
+        eps = rng.standard_normal((samples, n))
+        grads = vatg_gradients(model, ctx, params, cfg, eps)
+        x = np.stack([params.mu, params.log_var])
+        for which, grad in enumerate(grads):
+            for j in range(n):
+                up, dn = x.copy(), x.copy()
+                up[which, j] += h
+                dn[which, j] -= h
+                fd = (vatg_loss(model, ctx, VariationalMaskParams(*up), cfg, eps)
+                      - vatg_loss(model, ctx, VariationalMaskParams(*dn), cfg, eps)
+                      ) / (2 * h)
+                assert grad[j] == pytest.approx(fd, abs=1e-6, rel=1e-4)
+
+
+def test_empty_neighborhood_is_rejected(tiny_graph):
+    model, ctxs = _tiny_model(tiny_graph)
+    params = VariationalMaskParams(mu=np.zeros(0), log_var=np.zeros(0))
+    for fn in (vatg_loss, vatg_gradients):
+        with pytest.raises(ValueError, match="empty neighborhood"):
+            fn(model, ctxs[0], params, VatgConfig(), np.zeros((4, 0)))
+
+
+def test_params_of_wrong_length_are_rejected(tiny_graph):
+    """A length-1 mu or log_var would broadcast against the (S, n) noise."""
+    model, ctxs = _tiny_model(tiny_graph)
+    ctx = ctxs[-1]
+    n = len(ctx.neighborhood_events)
+    eps = np.zeros((4, n))
+    for bad in ("mu", "log_var"):
+        for length in (1, n + 1):
+            params = VariationalMaskParams(mu=np.zeros(n), log_var=np.zeros(n))
+            setattr(params, bad, np.zeros(length))
+            for fn in (vatg_loss, vatg_gradients):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"params.{bad} shape ({length},)")):
+                    fn(model, ctx, params, VatgConfig(), eps)
+
+
+def test_noise_of_wrong_shape_is_rejected(tiny_graph):
+    """No samples, a noise row of the wrong width, a 1-D draw and a
+    trailing axis are all rejected rather than divided by zero or
+    broadcast."""
+    model, ctxs = _tiny_model(tiny_graph)
+    ctx = ctxs[-1]
+    n = len(ctx.neighborhood_events)
+    params = VariationalMaskParams(mu=np.zeros(n), log_var=np.zeros(n))
+    for shape in ((0, n), (8, 1), (8, n, 1), (n,), (8, n + 1)):
+        for fn in (vatg_loss, vatg_gradients):
+            with pytest.raises(ValueError, match=re.escape(f"epsilons shape {shape}")):
+                fn(model, ctx, params, VatgConfig(), np.zeros(shape))
 
 
 def test_explain_empty_neighborhood_is_none(tiny_graph):
