@@ -67,12 +67,22 @@ _ARGUMENT_ERRORS = (
 )
 
 
+#: the top-level sections a config file may hold
+_CONFIG_SECTIONS = ("model", "detector", "pipeline", "graphmask", "gnn", "vatg")
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    for key in doc:
+        if key not in _CONFIG_SECTIONS:
+            raise ValueError(
+                f"config file {path}: unknown section {key!r}; the sections "
+                f"are {', '.join(_CONFIG_SECTIONS)}"
+            )
     return doc
 
 

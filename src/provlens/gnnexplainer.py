@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend_mask, require_finite, top_edges
+from .masks import descend_mask, require_finite, require_int, top_edges
 from .model import MaskEvaluator, TgnModel
 
 
@@ -28,6 +28,7 @@ class GnnExplainerConfig:
     entropy_weight: float = 1e-3
 
     def __post_init__(self):
+        require_int(epochs=self.epochs, top_k=self.top_k)
         if min(self.epochs, self.top_k) < 1 or self.learning_rate <= 0:
             raise ValueError("GNNExplainer config values must be positive")
         if min(self.sparsity_weight, self.entropy_weight) < 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend_mask, edge_groups, require_finite
+from .masks import descend_mask, edge_groups, require_finite, require_int
 from .model import MaskEvaluator, TgnModel
 
 
@@ -25,6 +25,7 @@ class GraphMaskConfig:
     entropy_weight: float = 1e-3
 
     def __post_init__(self):
+        require_int(epochs=self.epochs)
         if min(self.epochs, self.learning_rate,
                self.sparsity_weight, self.entropy_weight) <= 0:
             raise ValueError("all GraphMask hyperparameters must be positive")

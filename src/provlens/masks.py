@@ -1,16 +1,23 @@
 """Pieces shared by the edge-mask explainers.
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
-finite-value check of explainer configs, the ranking of a context's
-edges by importance, the per-edge grouping of the window aggregates,
-and the gradient-descent loop that GraphMask,
+finite-value and integer checks of explainer configs, the ranking of a
+context's edges by importance, the per-edge grouping of the window
+aggregates, and the gradient-descent loop that GraphMask,
 GNNExplainer and VA-TG all run, with its one divergence rule: a
 non-finite objective raises :class:`DivergenceError`.
+
+GraphMask and GNNExplainer descend on mask logits with
+:func:`descend_mask`: one step per evaluation, the context's
+:class:`~provlens.model.MaskEvaluator` one-row pass followed by both
+penalties with each shared subexpression once, bitwise equal to the
+plain sum of the loss and the penalties.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +41,14 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_int(**values: int) -> None:
+    """ValueError naming the first value that is a bool or not an
+    integer; numpy integers are integers."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def top_edges(
@@ -69,28 +84,31 @@ def descend_mask(evaluator, config, data_term):
 
     With m = sigmoid(theta) the objective is data_term(loss)[0]
     + sparsity_weight*sum(m) + entropy_weight*sum(H(m)), where loss is
-    the masked loss from the context's evaluator and data_term(loss)[1]
-    is the data term's slope in the loss. One evaluator pass gives the
-    value and, by the chain rule through the sigmoid, the gradient in
-    theta. Returns the best mask seen, its objective and the trace.
+    the context's masked loss and data_term(loss)[1] is the data term's
+    slope in the loss. Returns the best mask seen, its objective and the
+    trace.
+
+    Each evaluation is one step: one :meth:`MaskEvaluator.loss_and_gradient`
+    pass, then both penalties and the chain rule into theta with 1 - m
+    computed once and the entropy negated after its sum, which is exact,
+    so the masks and objectives are bitwise those of the loss plus
+    :func:`binary_entropy`. It keeps log((1 - m) / m) rather than the
+    identity -theta: the two part where m rounds to 0 or 1, which is
+    where a descent diverges.
     """
-    def objective(theta):
+    sw, ew = config.sparsity_weight, config.entropy_weight
+
+    def step(theta):
         m = sigmoid(theta)
+        om = 1.0 - m
         loss, dl_dm = evaluator.loss_and_gradient(m)
         value, slope = data_term(loss)
-        j = (
-            value
-            + config.sparsity_weight * m.sum()
-            + config.entropy_weight * binary_entropy(m).sum()
-        )
-        dj_dm = (
-            slope * dl_dm
-            + config.sparsity_weight
-            + config.entropy_weight * np.log((1.0 - m) / m)
-        )
-        return j, dj_dm * m * (1.0 - m)
+        j = (value + sw * np.add.reduce(m)
+             + ew * -np.add.reduce(m * np.log(m) + om * np.log(om)))
+        dj_dm = slope * dl_dm + sw + ew * np.log(om / m)
+        return j, dj_dm * m * om
 
-    theta, best_j, trace = descend(objective, np.zeros(evaluator.n),
+    theta, best_j, trace = descend(step, np.zeros(evaluator.n),
                                    config.learning_rate, config.epochs + 1)
     return sigmoid(theta), best_j, trace
 

@@ -359,9 +359,8 @@ class MaskEvaluator:
         """Loss under the mask and its closed-form gradient in the mask,
         from one pass."""
         probs, loss, z = self._pass(mask)
-        dlogits = probs.copy()
-        dlogits[self.y] -= 1.0
-        return loss, self.B.T @ ((1.0 - z * z) * (self.Wo.T @ dlogits))
+        probs[self.y] -= 1.0  # a fresh array: the logits' gradient
+        return loss, self.B.T @ ((1.0 - z * z) * (self.Wo.T @ probs))
 
     def losses_and_gradients(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses ``(S,)`` and mask gradients ``(S, n_edges)`` of the S
@@ -509,14 +508,16 @@ def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray):
     its pre-activation A, for one row or a batch of rows.
 
     The softmax runs on the transposed logits, so each row's max and sum
-    broadcast without keepdims and a single row divides by a scalar:
-    GraphMask and GNNExplainer make hundreds of one-row evaluator passes
-    per event, while VA-TG makes one batched pass over its Monte Carlo
+    broadcast without keepdims and a single row divides by a scalar, and
+    it calls the ufunc reductions directly rather than through the
+    ``max``/``sum`` methods' Python wrappers (the same reductions):
+    GraphMask and GNNExplainer make hundreds of one-row passes per
+    event, while VA-TG makes one batched pass over its Monte Carlo
     samples per evaluation."""
     Z = np.tanh(A)
     logits = (Z @ Wo.T + bo).T
-    expl = np.exp(logits - logits.max(0))
-    return Z, (expl / expl.sum(0)).T
+    expl = np.exp(logits - np.maximum.reduce(logits, 0))
+    return Z, (expl / np.add.reduce(expl, 0)).T
 
 
 def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -10,9 +10,13 @@ cross-entropy plus a closed-form KL penalty toward the unit Gaussian
 prior and a sparsity penalty on the largest mask means, by the same
 :func:`masks.descend` loop that GraphMask and GNNExplainer run. Each
 evaluation draws an (S, n) noise matrix and scores its S sampled masks
-in one batched :class:`MaskEvaluator` pass. The mask
-means sigmoid(mu) serve as edge importances; the loss trace is kept as
-an optimization diagnostic.
+in one batched :class:`MaskEvaluator` pass. One objective,
+:func:`_objective`, serves :func:`vatg_explain_event`, :func:`vatg_loss`
+and :func:`vatg_gradients`; it takes mu and log_var as arrays, computes
+exp(log_var) and sigmoid(mu) once per evaluation and takes the Monte
+Carlo means with ``np.add.reduce``, the reduction ``np.mean`` makes. The
+mask means sigmoid(mu) serve as edge importances; the loss trace is kept
+as an optimization diagnostic.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend, edge_groups, require_finite, sigmoid, top_edges
+from .masks import (descend, edge_groups, require_finite, require_int, sigmoid,
+                    top_edges)
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
@@ -39,6 +44,10 @@ class VatgConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int(mc_samples=self.mc_samples, epochs=self.epochs,
+                    sparsity_top_k=self.sparsity_top_k, seed=self.seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.lambda_kl <= 0 or self.lambda_sp <= 0:
             raise ValueError("penalty weights must be positive")
         if self.mc_samples < 1 or self.epochs < 1 or self.sparsity_top_k < 1:
@@ -79,23 +88,18 @@ def sample_mask(params: VariationalMaskParams, epsilon: np.ndarray) -> np.ndarra
 
 def kl_term(params: VariationalMaskParams) -> float:
     """Closed-form KL(N(mu, sigma^2) || N(0, 1)), summed over edges."""
-    mu, lv = params.mu, params.log_var
-    return float(0.5 * np.sum(mu * mu + np.exp(lv) - 1.0 - lv))
+    return _kl(params.mu, params.log_var, np.exp(params.log_var))
 
 
-def _sparsity_penalty(params: VariationalMaskParams, k: int) -> tuple[float, np.ndarray]:
-    """Sum of the k largest mask means, plus its subgradient w.r.t. mu."""
-    means = sigmoid(params.mu)
-    n = len(means)
-    top = np.argsort(-means, kind="stable")[: min(k, n)]
-    grad = np.zeros(n)
-    grad[top] = means[top] * (1.0 - means[top])
-    return float(means[top].sum()), grad
+def _kl(mu: np.ndarray, log_var: np.ndarray, var: np.ndarray) -> float:
+    """:func:`kl_term` given var = exp(log_var)."""
+    return float(0.5 * np.add.reduce(mu * mu + var - 1.0 - log_var))
 
 
 def _objective(
     evaluator: MaskEvaluator,
-    params: VariationalMaskParams,
+    mu: np.ndarray,
+    log_var: np.ndarray,
     config: VatgConfig,
     epsilons: np.ndarray,
 ) -> tuple[float, np.ndarray]:
@@ -103,22 +107,35 @@ def _objective(
     gradient w.r.t. [mu; log_var] as a (2, n) array.
 
     The ``(S, n)`` noise gives S sampled masks, the rows of one matrix,
-    and one batched evaluator pass gives their losses and mask gradients;
-    the Monte Carlo means are taken over the sample axis."""
-    sd = np.exp(0.5 * params.log_var)
-    masks = sigmoid(params.mu + epsilons * sd)
+    and one batched evaluator pass gives their losses and mask gradients.
+    The Monte Carlo means over the sample axis are ``np.add.reduce(.., 0)
+    / S``, which is what ``np.mean`` computes. ``exp(log_var)`` serves
+    the KL term and its gradient, and ``sigmoid(mu)`` the sparsity
+    penalty (the sum of the ``sparsity_top_k`` largest mask means) and
+    its subgradient; each is computed once."""
+    S, n = epsilons.shape
+    sd = np.exp(0.5 * log_var)
+    var = np.exp(log_var)
+    masks = sigmoid(mu + epsilons * sd)
     losses, dl_dm = evaluator.losses_and_gradients(masks)
     dl_dx = dl_dm * (masks * (1.0 - masks))
-    grad = np.stack([dl_dx.mean(0), (dl_dx * epsilons * 0.5 * sd).mean(0)])
+    grad = np.stack([np.add.reduce(dl_dx, 0) / S,
+                     np.add.reduce(dl_dx * epsilons * 0.5 * sd, 0) / S])
     d_mu, d_lv = grad
 
-    d_mu += config.lambda_kl * params.mu
-    d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
+    d_mu += config.lambda_kl * mu
+    d_lv += config.lambda_kl * 0.5 * (var - 1.0)
 
-    omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
+    means = sigmoid(mu)
+    top = np.argsort(-means, kind="stable")[:config.sparsity_top_k]
+    top_means = means[top]
+    omega_grad = np.zeros(n)
+    omega_grad[top] = top_means * (1.0 - top_means)
     d_mu += config.lambda_sp * omega_grad
-    loss = (float(losses.mean()) + config.lambda_kl * kl_term(params)
-            + config.lambda_sp * omega)
+
+    loss = (float(np.add.reduce(losses) / S)
+            + config.lambda_kl * _kl(mu, log_var, var)
+            + config.lambda_sp * float(np.add.reduce(top_means)))
     return loss, grad
 
 
@@ -138,7 +155,8 @@ def _checked_objective(model, ctx, params, config, epsilons):
         raise ValueError(
             f"epsilons shape {epsilons.shape} is not (S, {n}) with S >= 1"
         )
-    return _objective(MaskEvaluator(model, ctx), params, config, epsilons)
+    return _objective(MaskEvaluator(model, ctx), params.mu, params.log_var,
+                      config, epsilons)
 
 
 def vatg_loss(
@@ -187,8 +205,7 @@ def vatg_explain_event(
 
     def objective(x):
         eps = rng.standard_normal((config.mc_samples, n))
-        params = VariationalMaskParams(mu=x[0], log_var=x[1])
-        return _objective(evaluator, params, config, eps)
+        return _objective(evaluator, x[0], x[1], config, eps)
 
     start = np.stack([np.zeros(n), np.full(n, _INIT_LOG_VAR)])
     best, _, trace = descend(objective, start, config.learning_rate, config.epochs)

@@ -206,6 +206,50 @@ def test_non_finite_explainer_config_is_argument_error(cli_dir, tmp_path,
     assert not list(out.glob("explanations_*.json"))
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "{out}"],
+    ["detect", "--model", "{model}", "--out", "{out}"],
+    ["explain", "--model", "{model}", "--out-dir", "{out}"],
+])
+def test_unknown_config_section_is_argument_error(cli_dir, tmp_path, capsys,
+                                                  command):
+    """A misnamed section (GNNExplainer's is "gnn") used to be ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gnnexplainer": {"top_k": true}}')
+    paths = {"model": cli_dir / "model.json", "out": tmp_path / "out"}
+    rc = main([arg.format(**paths) for arg in command]
+              + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert "'gnnexplainer'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config_text", [
+    '{"graphmask": {"epochs": 2.5}}',
+    '{"graphmask": {"epochs": true}}',
+    '{"gnn": {"epochs": 10.0}}',
+    '{"gnn": {"top_k": true}}',
+    '{"vatg": {"mc_samples": 2.5}}',
+    '{"vatg": {"mc_samples": true}}',
+    '{"vatg": {"sparsity_top_k": 1e9}}',
+    '{"vatg": {"seed": 1.5}}',
+    '{"vatg": {"seed": -1}}',
+])
+def test_explainer_integer_field_is_argument_error(cli_dir, tmp_path, capsys,
+                                                   config_text):
+    """Each is rejected with the field's name before detection runs."""
+    (field,) = next(iter(json.loads(config_text).values()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    out = tmp_path / "out"
+    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(cli_dir / "model.json"),
+               "--out-dir", str(out), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"model": {"horizon": 0}}')

@@ -5,17 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from provlens.gnnexplainer import GnnExplainerConfig
-from provlens.graphmask import GraphMaskConfig
+from provlens.gnnexplainer import (
+    FidelityMetrics,
+    GnnExplainerConfig,
+    gnn_explain_event,
+)
+from provlens.graphmask import GraphMaskConfig, graphmask_explain_event
 from provlens.masks import (
     DivergenceError,
     binary_entropy,
     descend,
+    descend_mask,
     sigmoid,
     top_edges,
 )
+from provlens.model import MaskEvaluator
 from provlens.vatg import VatgConfig
 
+from conftest import random_contexts
 from test_model import _tiny_model
 
 
@@ -34,6 +41,36 @@ from test_model import _tiny_model
 def test_configs_reject_non_finite(cls, field, value):
     with pytest.raises(ValueError):
         cls(**{field: value})
+
+
+_INTEGER_FIELDS = [
+    (GraphMaskConfig, "epochs"),
+    (GnnExplainerConfig, "epochs"),
+    (GnnExplainerConfig, "top_k"),
+    (VatgConfig, "mc_samples"),
+    (VatgConfig, "epochs"),
+    (VatgConfig, "sparsity_top_k"),
+    (VatgConfig, "seed"),
+]
+
+
+@pytest.mark.parametrize("cls, field", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 3.0, 1e9, "3"])
+def test_integer_fields_reject_bools_and_non_integers(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", _INTEGER_FIELDS)
+def test_integer_fields_accept_numpy_integers(cls, field):
+    config = cls(**{field: np.int32(3)})
+    assert getattr(config, field) == 3
+
+
+def test_vatg_seed_is_not_negative():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        VatgConfig(seed=-1)
+    assert VatgConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("cls", [GraphMaskConfig, GnnExplainerConfig])
@@ -100,3 +137,166 @@ def test_descend_raises_on_non_finite_objective(bad):
         descend(objective, np.zeros(1), 0.1, 10)
     assert len(calls) == 3
 
+
+
+# ----------------------------------------------------------------------
+# bitwise oracles: the mask objective as it was written before
+# descend_mask fused its step (one loss_and_gradient pass, then
+# binary_entropy), with the head pass as model._head then wrote it
+# ----------------------------------------------------------------------
+
+def _reference_sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def _reference_head(A, Wo, bo):
+    Z = np.tanh(A)
+    logits = (Z @ Wo.T + bo).T
+    expl = np.exp(logits - logits.max(0))
+    return Z, (expl / expl.sum(0)).T
+
+
+def _reference_pass(evaluator, m):
+    """(probs, loss, z) of MaskEvaluator's one-row pass."""
+    z, probs = _reference_head(evaluator.a0 + evaluator.B @ m,
+                               evaluator.Wo, evaluator.bo)
+    return probs, float(-np.log(max(probs[evaluator.y], 1e-300))), z
+
+
+def _reference_descend_mask(evaluator, config, data_term):
+    def loss_and_gradient(m):
+        probs, loss, z = _reference_pass(evaluator, m)
+        dlogits = probs.copy()
+        dlogits[evaluator.y] -= 1.0
+        return loss, evaluator.B.T @ ((1.0 - z * z) * (evaluator.Wo.T @ dlogits))
+
+    def entropy(m):
+        return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
+
+    def objective(theta):
+        m = _reference_sigmoid(theta)
+        loss, dl_dm = loss_and_gradient(m)
+        value, slope = data_term(loss)
+        j = (
+            value
+            + config.sparsity_weight * m.sum()
+            + config.entropy_weight * entropy(m).sum()
+        )
+        dj_dm = (
+            slope * dl_dm
+            + config.sparsity_weight
+            + config.entropy_weight * np.log((1.0 - m) / m)
+        )
+        return j, dj_dm * m * (1.0 - m)
+
+    theta, best_j, trace = descend(objective, np.zeros(evaluator.n),
+                                   config.learning_rate, config.epochs + 1)
+    return _reference_sigmoid(theta), best_j, trace
+
+
+def _reference_graphmask(model, ctx, config):
+    """(values, objective, initial_objective)."""
+    evaluator = MaskEvaluator(model, ctx)
+    _, loss_orig, _ = _reference_pass(evaluator, np.ones(evaluator.n))
+
+    def data_term(loss):
+        return abs(loss - loss_orig), np.sign(loss - loss_orig)
+
+    values, best_j, trace = _reference_descend_mask(evaluator, config, data_term)
+    return values, best_j, trace[0]
+
+
+def _reference_gnn(model, ctx, config):
+    """(mask, top-edge rows, fidelity)."""
+    evaluator = MaskEvaluator(model, ctx)
+    mask, _, _ = _reference_descend_mask(evaluator, config,
+                                         lambda loss: (loss, 1.0))
+    top, rows = top_edges(ctx, mask, config.top_k)
+    n, y = evaluator.n, evaluator.y
+    p_original = float(_reference_pass(evaluator, np.ones(n))[0][y])
+    removed, kept = np.ones(n), np.zeros(n)
+    removed[top], kept[top] = 0.0, 1.0
+    p_removed = float(_reference_pass(evaluator, removed)[0][y])
+    p_kept = (p_original if len(top) == n
+              else float(_reference_pass(evaluator, kept)[0][y]))
+    return mask, rows, FidelityMetrics(p_original - p_removed, p_original - p_kept)
+
+
+def oracle_contexts(contexts, seed):
+    """Two contexts with one edge, two with two, three with ten or more."""
+    rng = np.random.default_rng(seed)
+    return (random_contexts(contexts, rng, 2, max_edges=1)
+            + random_contexts(contexts, rng, 2, min_edges=2, max_edges=2)
+            + random_contexts(contexts, rng, 3, min_edges=10))
+
+
+@pytest.mark.parametrize("config", [
+    GraphMaskConfig(),
+    GnnExplainerConfig(sparsity_weight=0.0),
+    GnnExplainerConfig(entropy_weight=0.0),
+], ids=["graphmask", "sparsity_weight=0", "entropy_weight=0"])
+def test_descend_mask_traces_are_bitwise_the_reference(model, contexts, config):
+    """Every evaluation's objective, not only the best one."""
+    for ctx in oracle_contexts(contexts, 20):
+        evaluator = MaskEvaluator(model, ctx)
+        _, loss_orig, _ = _reference_pass(evaluator, np.ones(evaluator.n))
+
+        def data_term(loss):
+            return abs(loss - loss_orig), np.sign(loss - loss_orig)
+
+        got = descend_mask(evaluator, config, data_term)
+        expected = _reference_descend_mask(evaluator, config, data_term)
+        assert np.array_equal(got[0], expected[0])
+        assert got[1:] == expected[1:]
+
+
+def test_graphmask_is_bitwise_the_reference(model, contexts):
+    config = GraphMaskConfig()
+    for ctx in oracle_contexts(contexts, 21):
+        out = graphmask_explain_event(model, ctx, config)
+        values, objective, initial = _reference_graphmask(model, ctx, config)
+        assert np.array_equal(out.values, values)
+        assert out.objective == objective
+        assert out.initial_objective == initial
+
+
+@pytest.mark.parametrize("config", [
+    GnnExplainerConfig(),
+    GnnExplainerConfig(sparsity_weight=0.0),
+    GnnExplainerConfig(entropy_weight=0.0),
+], ids=["default", "sparsity_weight=0", "entropy_weight=0"])
+def test_gnnexplainer_is_bitwise_the_reference(model, contexts, config):
+    for ctx in oracle_contexts(contexts, 22):
+        out = gnn_explain_event(model, ctx, config)
+        mask, rows, fid = _reference_gnn(model, ctx, config)
+        assert np.array_equal(out.mask, mask)
+        assert out.top_edges == rows
+        assert out.fidelity == fid
+
+
+def test_divergence_comes_at_the_reference_evaluation(model, contexts):
+    """At learning_rate 100 a descent either diverges at the same
+    evaluation as the reference or returns the same result."""
+    rng = np.random.default_rng(23)
+    ctxs = (random_contexts(contexts, rng, 8, max_edges=9)
+            + random_contexts(contexts, rng, 8, min_edges=10))
+    runs = [
+        (graphmask_explain_event, _reference_graphmask,
+         GraphMaskConfig(learning_rate=100.0), lambda out: out.values),
+        (gnn_explain_event, _reference_gnn,
+         GnnExplainerConfig(learning_rate=100.0), lambda out: out.mask),
+    ]
+    for explain, reference, config, mask_of in runs:
+        diverged = 0
+        for ctx in ctxs:
+            try:
+                expected = reference(model, ctx, config)
+            except DivergenceError as exc:
+                with pytest.raises(DivergenceError) as got:
+                    explain(model, ctx, config)
+                assert str(got.value) == str(exc)
+                diverged += 1
+            else:
+                assert np.array_equal(mask_of(explain(model, ctx, config)),
+                                      expected[0])
+        assert diverged > 0

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
+from provlens.masks import DivergenceError, descend
 from provlens.model import MaskEvaluator
 from provlens.vatg import (
     VariationalMaskParams,
     VatgConfig,
-    _sparsity_penalty,
     kl_term,
     sample_mask,
     vatg_aggregate_node,
@@ -19,6 +19,7 @@ from provlens.vatg import (
 )
 
 from conftest import random_contexts
+from test_masks import _reference_head, oracle_contexts
 from test_model import _tiny_model
 
 
@@ -122,6 +123,16 @@ def test_gradients_match_finite_differences(tiny_graph):
         assert d_lv[j] == pytest.approx(fd_lv, abs=1e-6, rel=1e-4)
 
 
+def _sparsity_penalty(params, k):
+    """Sum of the k largest mask means, plus its subgradient w.r.t. mu."""
+    means = _sigmoid(params.mu)
+    n = len(means)
+    top = np.argsort(-means, kind="stable")[: min(k, n)]
+    grad = np.zeros(n)
+    grad[top] = means[top] * (1.0 - means[top])
+    return float(means[top].sum()), grad
+
+
 def _reference_objective(model, ctx, params, config, epsilons):
     """The per-sample Monte Carlo loop: one one-row evaluator pass per
     noise row, means taken left to right. Returns (loss, d_mu, d_lv)."""
@@ -201,6 +212,103 @@ def test_gradients_match_finite_differences_narrow_and_wide(
                       - vatg_loss(model, ctx, VariationalMaskParams(*dn), cfg, eps)
                       ) / (2 * h)
                 assert grad[j] == pytest.approx(fd, abs=1e-6, rel=1e-4)
+
+
+# ----------------------------------------------------------------------
+# bitwise oracle: vatg._objective as it was written before its fused
+# form (np.mean, exp(log_var) twice, a params object per evaluation),
+# with the batched pass as MaskEvaluator and model._head then wrote it
+# ----------------------------------------------------------------------
+
+def _reference_kl(params):
+    mu, lv = params.mu, params.log_var
+    return float(0.5 * np.sum(mu * mu + np.exp(lv) - 1.0 - lv))
+
+
+def _reference_batched_pass(evaluator, masks):
+    Z, P = _reference_head(evaluator.a0 + masks @ evaluator.B.T,
+                           evaluator.Wo, evaluator.bo)
+    rows = np.arange(len(masks))
+    losses = -np.log(np.maximum(P[rows, evaluator.y], 1e-300))
+    P[rows, evaluator.y] -= 1.0
+    return losses, ((1.0 - Z * Z) * (P @ evaluator.Wo)) @ evaluator.B
+
+
+def _reference_batched_objective(evaluator, params, config, epsilons):
+    sd = np.exp(0.5 * params.log_var)
+    masks = _sigmoid(params.mu + epsilons * sd)
+    losses, dl_dm = _reference_batched_pass(evaluator, masks)
+    dl_dx = dl_dm * (masks * (1.0 - masks))
+    grad = np.stack([dl_dx.mean(0), (dl_dx * epsilons * 0.5 * sd).mean(0)])
+    d_mu, d_lv = grad
+
+    d_mu += config.lambda_kl * params.mu
+    d_lv += config.lambda_kl * 0.5 * (np.exp(params.log_var) - 1.0)
+
+    omega, omega_grad = _sparsity_penalty(params, config.sparsity_top_k)
+    d_mu += config.lambda_sp * omega_grad
+    loss = (float(losses.mean()) + config.lambda_kl * _reference_kl(params)
+            + config.lambda_sp * omega)
+    return loss, grad
+
+
+def _reference_explain(model, ctx, config):
+    """(best [mu; log_var], importance, trace) of vatg_explain_event."""
+    n = len(ctx.neighborhood_events)
+    evaluator = MaskEvaluator(model, ctx)
+    rng = np.random.default_rng(config.seed)
+
+    def objective(x):
+        eps = rng.standard_normal((config.mc_samples, n))
+        params = VariationalMaskParams(mu=x[0], log_var=x[1])
+        return _reference_batched_objective(evaluator, params, config, eps)
+
+    start = np.stack([np.zeros(n), np.full(n, -2.0)])
+    best, _, trace = descend(objective, start, config.learning_rate, config.epochs)
+    return best, _sigmoid(best[0]), trace
+
+
+@pytest.mark.parametrize("config", [VatgConfig(), VatgConfig(mc_samples=1)],
+                         ids=["default", "mc_samples=1"])
+def test_explain_is_bitwise_the_reference(model, contexts, config):
+    for ctx in oracle_contexts(contexts, 31):
+        out = vatg_explain_event(model, ctx, config)
+        best, importance, trace = _reference_explain(model, ctx, config)
+        assert np.array_equal(out.params.mu, best[0])
+        assert np.array_equal(out.params.log_var, best[1])
+        assert np.array_equal(out.importance, importance)
+        assert out.trace == trace
+
+
+@pytest.mark.parametrize("samples", [1, 3, 8])
+def test_objective_is_bitwise_the_reference(model, contexts, samples):
+    """vatg_loss, vatg_gradients and the evaluator's batched pass at
+    random parameters and noise."""
+    rng = np.random.default_rng(samples)
+    cfg = VatgConfig(mc_samples=samples)
+    for ctx in oracle_contexts(contexts, 32):
+        n = len(ctx.neighborhood_events)
+        params = _random_params(rng, n)
+        eps = rng.standard_normal((samples, n))
+        evaluator = MaskEvaluator(model, ctx)
+        loss, (d_mu, d_lv) = _reference_batched_objective(evaluator, params, cfg, eps)
+        assert vatg_loss(model, ctx, params, cfg, eps) == loss
+        got_mu, got_lv = vatg_gradients(model, ctx, params, cfg, eps)
+        assert np.array_equal(got_mu, d_mu) and np.array_equal(got_lv, d_lv)
+        masks = _sigmoid(rng.normal(size=(samples, n)))
+        for got, expected in zip(evaluator.losses_and_gradients(masks),
+                                 _reference_batched_pass(evaluator, masks)):
+            assert np.array_equal(got, expected)
+
+
+def test_divergence_comes_at_the_reference_evaluation(model, contexts):
+    config = VatgConfig(learning_rate=1e300)
+    for ctx in oracle_contexts(contexts, 33):
+        with pytest.raises(DivergenceError) as expected:
+            _reference_explain(model, ctx, config)
+        with pytest.raises(DivergenceError) as got:
+            vatg_explain_event(model, ctx, config)
+        assert str(got.value) == str(expected.value)
 
 
 def test_empty_neighborhood_is_rejected(tiny_graph):
