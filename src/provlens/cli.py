@@ -14,8 +14,6 @@ import sys
 from pathlib import Path
 
 from .data import (
-    DatasetFormatError,
-    ParseError,
     default_scenario,
     generate_scenario,
     load_dataset,
@@ -31,16 +29,10 @@ from .detect import (
     span_subgraph,
 )
 from .gnnexplainer import GnnExplainerConfig
+from .graph import Relation
 from .graphmask import CanonicalEdge, GraphMaskConfig
 from .harness import ablate_edge, ablation_csv, baseline_row
-from .model import (
-    CheckpointError,
-    DivergenceError,
-    ModelConfig,
-    TgnModel,
-    score_stream,
-    train,
-)
+from .model import DivergenceError, ModelConfig, TgnModel, score_stream, train
 from .pipeline import PipelineConfig, ResourceError, run_pipeline
 from .report import (
     ExplanationReport,
@@ -55,16 +47,9 @@ EXIT_OK = 0
 EXIT_ARGUMENT = 2
 EXIT_RESOURCE = 3
 
-_ARGUMENT_ERRORS = (
-    ValueError,
-    TypeError,
-    KeyError,
-    OSError,
-    ParseError,
-    DatasetFormatError,
-    CheckpointError,
-    json.JSONDecodeError,
-)
+#: input errors; parse, dataset-format, checkpoint and JSON errors are
+#: ValueErrors
+_ARGUMENT_ERRORS = (ValueError, TypeError, KeyError, OSError, DivergenceError)
 
 
 #: the top-level sections a config file may hold
@@ -222,8 +207,6 @@ def _cmd_ablate(args) -> int:
         )
     alert = raised[0]
 
-    from .graph import Relation
-
     rows = [baseline_row()]
     for row in report.graphmask_aggregate[: args.top]:
         edge = CanonicalEdge(row["src"], row["dst"], Relation(row["relation"]))
@@ -316,9 +299,6 @@ def main(argv=None) -> int:
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGUMENT
     except _ARGUMENT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGUMENT

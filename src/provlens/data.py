@@ -175,7 +175,9 @@ class SessionStep:
     dst_kind: NodeKind
     dst: str            # partner label; "fresh" = new node per session,
                         # "same" = the previous step's partner
-    gap_s: float = 1.0  # delay after the previous event in the session
+    gap_s: float = 1.0  # delay after the session's previous step; the
+                        # first step starts at the session start, or
+                        # start_gap_s after the parent's EXECUTE
     coin: Relation | None = None
 
 
@@ -284,7 +286,7 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
         parent="nginx",
         start_gap_s=1.0,
         steps=(
-            SessionStep(Relation.READ, NodeKind.FILE, "fresh", gap_s=1.0),
+            SessionStep(Relation.READ, NodeKind.FILE, "fresh"),
             SessionStep(Relation.WRITE, NodeKind.FILE, "fresh", gap_s=1.0),
             SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh", gap_s=1.0),
         ),
@@ -368,8 +370,7 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
                 name="batch", parent="svc_batch", start_gap_s=24.0,
                 period_s=120.0, offset_s=23.0, conf="svc_batch.conf",
                 steps=(
-                    SessionStep(Relation.WRITE, NodeKind.FILE, "fresh",
-                                gap_s=24.0),
+                    SessionStep(Relation.WRITE, NodeKind.FILE, "fresh"),
                     SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh",
                                 gap_s=1.0),
                     SessionStep(Relation.CLOSE, NodeKind.FILE, "fresh",
@@ -402,8 +403,7 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
                 name="authcheck", parent="authd", start_gap_s=2.0,
                 period_s=120.0, offset_s=11.0, conf="auth.conf",
                 steps=(
-                    SessionStep(Relation.READ, NodeKind.FILE, "auth/db",
-                                gap_s=2.0),
+                    SessionStep(Relation.READ, NodeKind.FILE, "auth/db"),
                 ),
             ),
         ),

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .graph import Event, EventContext, TemporalGraph
-from .masks import require_finite
+from .masks import check_fields
 from .model import NS_PER_S, StreamContexts
 
 THRESHOLD_SIGMA_FACTOR = 1.5
@@ -82,10 +82,7 @@ class DetectorConfig:
     window_ns: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite(window_minutes=self.window_minutes,
-                       alert_threshold_factor=self.alert_threshold_factor)
-        if self.window_loss_budget is not None:
-            require_finite(window_loss_budget=self.window_loss_budget)
+        check_fields(self)
         # a window under 1 ns would truncate to 0 and never advance
         window_ns = self.window_minutes * 60 * NS_PER_S
         if not 1 <= window_ns < math.inf:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend_mask, require_finite, require_int, top_edges
+from .masks import check_fields, descend_mask, top_edges
 from .model import MaskEvaluator, TgnModel
 
 
@@ -28,14 +28,11 @@ class GnnExplainerConfig:
     entropy_weight: float = 1e-3
 
     def __post_init__(self):
-        require_int(epochs=self.epochs, top_k=self.top_k)
+        check_fields(self)
         if min(self.epochs, self.top_k) < 1 or self.learning_rate <= 0:
             raise ValueError("GNNExplainer config values must be positive")
         if min(self.sparsity_weight, self.entropy_weight) < 0:
             raise ValueError("GNNExplainer penalty weights must be non-negative")
-        require_finite(learning_rate=self.learning_rate,
-                       sparsity_weight=self.sparsity_weight,
-                       entropy_weight=self.entropy_weight)
 
 
 @dataclass

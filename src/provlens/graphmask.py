@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import descend_mask, edge_groups, require_finite, require_int
+from .masks import check_fields, descend_mask, edge_groups
 from .model import MaskEvaluator, TgnModel
 
 
@@ -25,13 +25,10 @@ class GraphMaskConfig:
     entropy_weight: float = 1e-3
 
     def __post_init__(self):
-        require_int(epochs=self.epochs)
+        check_fields(self)
         if min(self.epochs, self.learning_rate,
                self.sparsity_weight, self.entropy_weight) <= 0:
             raise ValueError("all GraphMask hyperparameters must be positive")
-        require_finite(learning_rate=self.learning_rate,
-                       sparsity_weight=self.sparsity_weight,
-                       entropy_weight=self.entropy_weight)
 
 
 @dataclass

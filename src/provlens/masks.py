@@ -1,9 +1,9 @@
 """Pieces shared by the edge-mask explainers.
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
-finite-value and integer checks of explainer configs, the ranking of a
-context's edges by importance, the per-edge grouping of the window
-aggregates, and the gradient-descent loop that GraphMask,
+one type rule of every config dataclass (:func:`check_fields`), the
+ranking of a context's edges by importance, the per-edge grouping of
+the window aggregates, and the gradient-descent loop that GraphMask,
 GNNExplainer and VA-TG all run, with its one divergence rule: a
 non-finite objective raises :class:`DivergenceError`.
 
@@ -16,8 +16,10 @@ plain sum of the loss and the penalties.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -36,19 +38,34 @@ def binary_entropy(m: np.ndarray) -> np.ndarray:
     return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
 
 
-def require_finite(**values: float) -> None:
-    """ValueError naming the first NaN or infinite value."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+#: what each checked annotation takes; the float bound keeps out NaN,
+#: infinities and ints past float range
+_TYPE_RULES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral)),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and abs(v) <= sys.float_info.max),
+}
 
 
-def require_int(**values: int) -> None:
-    """ValueError naming the first value that is a bool or not an
-    integer; numpy integers are integers."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_fields(config) -> None:
+    """ValueError naming the first init field of the dataclass ``config``
+    whose value breaks the type rule of its annotation: an ``int`` field
+    takes an integer (numpy integers included), a ``float`` field a
+    finite real number (integers included), neither a bool, and
+    ``... | None`` also takes None. Other annotations, such as nested
+    configs, are not checked. Annotations are read as the strings that
+    ``from __future__ import annotations`` leaves.
+    """
+    for f in dataclasses.fields(config):
+        base = f.type.removesuffix(" | None")
+        if not f.init or base not in _TYPE_RULES:
+            continue
+        value = getattr(config, f.name)
+        if value is None and base != f.type:
+            continue
+        what, fits = _TYPE_RULES[base]
+        if isinstance(value, bool) or not fits(value):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 def top_edges(

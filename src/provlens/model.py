@@ -89,7 +89,7 @@ from .graph import (
     TruthLabel,
     extract_context,
 )
-from .masks import DivergenceError, require_finite, sigmoid
+from .masks import DivergenceError, check_fields, sigmoid
 
 CHECKPOINT_VERSION = 2
 
@@ -122,9 +122,9 @@ class ModelConfig:
     horizon: int = 10
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.memory_dim, self.time_dim, self.embed_dim) <= 0:
             raise ValueError("all dimensions must be positive")
-        require_finite(learning_rate=self.learning_rate)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.time_dim % 2:
@@ -135,6 +135,8 @@ class ModelConfig:
             raise ValueError("horizon must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

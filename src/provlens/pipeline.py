@@ -28,6 +28,7 @@ from .detect import Alert, WindowStats, event_losses
 from .graph import Event, EventContext
 from .gnnexplainer import GnnExplainerConfig, gnn_explain_event
 from .graphmask import GraphMaskConfig, graphmask_aggregate, graphmask_explain_event
+from .masks import check_fields
 from .model import TgnModel, score_stream
 from .report import ExplanationReport, WindowReport
 from .vatg import VatgConfig, vatg_aggregate_node, vatg_explain_event
@@ -51,6 +52,7 @@ class PipelineConfig:
     vatg: VatgConfig = VatgConfig()
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.top_k_events, self.top_m_nodes, self.parallel_windows) < 1:
             raise ValueError(
                 "top_k_events, top_m_nodes and parallel_windows must be >= 1"

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import (descend, edge_groups, require_finite, require_int, sigmoid,
-                    top_edges)
+from .masks import check_fields, descend, edge_groups, sigmoid, top_edges
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
@@ -44,8 +43,7 @@ class VatgConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int(mc_samples=self.mc_samples, epochs=self.epochs,
-                    sparsity_top_k=self.sparsity_top_k, seed=self.seed)
+        check_fields(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.lambda_kl <= 0 or self.lambda_sp <= 0:
@@ -54,8 +52,6 @@ class VatgConfig:
             raise ValueError("mc_samples, epochs, sparsity_top_k must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        require_finite(lambda_kl=self.lambda_kl, lambda_sp=self.lambda_sp,
-                       learning_rate=self.learning_rate)
 
 
 @dataclass

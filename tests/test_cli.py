@@ -269,6 +269,14 @@ def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
      '{"pipeline": {"memory_budget": -5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"seed": 3}}'),
+    (["train", "--out", "{out}"], '{"model": {"horizon": 2.5}}'),
+    (["train", "--out", "{out}"], '{"model": {"seed": -1}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"top_k_events": 2.5}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"memory_budget": 2.5}}'),
+    (["detect", "--model", "{model}", "--out", "{out}"],
+     '{"detector": {"min_suspicious_nodes": 1.5}}'),
 ])
 def test_config_value_that_does_nothing_useful_is_argument_error(
         cli_dir, tmp_path, command, config_text):
@@ -278,6 +286,38 @@ def test_config_value_that_does_nothing_useful_is_argument_error(
     rc = main([arg.format(**paths) for arg in command]
               + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
     assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, config_text", [
+    (["train", "--out", "{out}"], '{"model": {"horizon": 2.5}}'),
+    (["train", "--out", "{out}"], '{"model": {"seed": -1}}'),
+    (["train", "--out", "{out}"], '{"model": {"learning_rate": "0.01"}}'),
+    (["detect", "--model", "{model}", "--out", "{out}"],
+     '{"detector": {"min_suspicious_nodes": 1.5}}'),
+    (["detect", "--model", "{model}", "--out", "{out}"],
+     '{"detector": {"window_loss_budget": true}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"top_k_events": 2.5}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"memory_budget": 2.5}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"memory_budget": 1e9}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"vatg": {"learning_rate": true}}'),
+])
+def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
+                                         config_text):
+    """An ill-typed value exits 2 with the field's name before any
+    output is written."""
+    (field,) = next(iter(json.loads(config_text).values()))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    paths = {"model": cli_dir / "model.json", "out": tmp_path / "out"}
+    rc = main([arg.format(**paths) for arg in command]
+              + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
+    assert rc == EXIT_ARGUMENT
+    assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

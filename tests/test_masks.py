@@ -1,10 +1,12 @@
-"""Helpers shared by the explainers and the finite-value config contract."""
+"""Helpers shared by the explainers and the config type rule."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from provlens.detect import DetectorConfig
 from provlens.gnnexplainer import (
     FidelityMetrics,
     GnnExplainerConfig,
@@ -19,7 +21,8 @@ from provlens.masks import (
     sigmoid,
     top_edges,
 )
-from provlens.model import MaskEvaluator
+from provlens.model import MaskEvaluator, ModelConfig
+from provlens.pipeline import PipelineConfig
 from provlens.vatg import VatgConfig
 
 from conftest import random_contexts
@@ -71,6 +74,68 @@ def test_vatg_seed_is_not_negative():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         VatgConfig(seed=-1)
     assert VatgConfig(seed=0).seed == 0
+
+
+_CONFIGS = [ModelConfig, DetectorConfig, PipelineConfig, GraphMaskConfig,
+            GnnExplainerConfig, VatgConfig]
+
+
+def _fields(pick):
+    """(class, field) for every init field of the configs whose
+    annotation string passes ``pick``."""
+    return [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+            for cls in _CONFIGS for f in dataclasses.fields(cls)
+            if f.init and pick(f.type)]
+
+
+_INT_FIELDS = _fields(lambda t: t.removesuffix(" | None") == "int")
+_FLOAT_FIELDS = _fields(lambda t: t.removesuffix(" | None") == "float")
+_OPTIONAL_FIELDS = _fields(lambda t: t.endswith(" | None"))
+
+
+@pytest.mark.parametrize("cls", _CONFIGS)
+def test_config_annotations_are_strings(cls):
+    """The type rule reads annotations as strings; a module without
+    ``from __future__ import annotations`` would leave its fields unchecked."""
+    assert all(isinstance(f.type, str) for f in dataclasses.fields(cls))
+
+
+@pytest.mark.parametrize("cls, field", _INT_FIELDS)
+@pytest.mark.parametrize("value", [True, np.True_, 2.5, "3"])
+def test_declared_int_fields_reject_non_integers(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", _INT_FIELDS)
+def test_declared_int_fields_accept_numpy_integers(cls, field):
+    # 4 rather than 3: time_dim must be even
+    assert cls(**{field: np.int32(4)}) == cls(**{field: 4})
+
+
+@pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400,
+                                   True, "0.01"])
+def test_declared_float_fields_reject_non_finite_and_non_numbers(cls, field,
+                                                                 value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+        cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
+def test_declared_float_fields_accept_ints(cls, field):
+    assert cls(**{field: 1}) == cls(**{field: 1.0})
+
+
+@pytest.mark.parametrize("cls, field", _OPTIONAL_FIELDS)
+def test_optional_fields_accept_none(cls, field):
+    assert getattr(cls(**{field: None}), field) is None
+
+
+def test_model_seed_is_not_negative():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ModelConfig(seed=-1)
+    assert ModelConfig(seed=0).seed == 0
 
 
 @pytest.mark.parametrize("cls", [GraphMaskConfig, GnnExplainerConfig])
