@@ -34,6 +34,13 @@ DATASET_VERSION = 1
 NS_PER_S = 1_000_000_000
 
 
+#: each enum's members by value, for decoding dataset files; a lookup
+#: costs a fraction of a call to the Enum
+_KINDS = {k.value: k for k in NodeKind}
+_RELATIONS = {r.value: r for r in Relation}
+_LABELS = {lab.value: lab for lab in TruthLabel}
+
+
 class ParseError(ValueError):
     """Malformed audit-log line; message carries line number and field."""
 
@@ -707,21 +714,28 @@ def load_dataset(path) -> LabeledDataset:
             f"unsupported dataset version {doc.get('version')!r} "
             f"(expected {DATASET_VERSION})"
         )
+    # a value that is no member's raises KeyError, an unhashable one TypeError
     try:
         graph = TemporalGraph()
         for n in doc["nodes"]:
-            graph.add_node(NodeDescriptor(_typed(n["id"], int), NodeKind(n["kind"]),
+            graph.add_node(NodeDescriptor(_typed(n["id"], int), _KINDS[n["kind"]],
                                           _typed(n["label"], str)))
         for src, dst, rel, ts in doc["events"]:
             graph.append_event(Event(_typed(src, int), _typed(dst, int),
-                                     Relation(rel), _typed(ts, int)))
-        labels = [TruthLabel(v) for v in doc["labels"]]
+                                     _RELATIONS[rel], _typed(ts, int)))
+        labels = [_LABELS[v] for v in doc["labels"]]
         t0, t1 = (_typed(t, int) for t in doc["attack_interval"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed dataset file {p}: {exc!r}") from exc
     if len(labels) != len(graph):
         raise DatasetFormatError(
             f"dataset file {p} has {len(labels)} labels for {len(graph)} events"
+        )
+    if t0 > t1:
+        # training would run up to the later bound, over the attack itself
+        raise DatasetFormatError(
+            f"dataset file {p} has attack_interval [{t0}, {t1}], "
+            f"whose start is after its end"
         )
     return LabeledDataset(graph=graph, labels=labels, attack_interval=(t0, t1))
 

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .graph import Event, EventContext, TemporalGraph
-from .masks import check_fields
+from .masks import check_fields, ordered_sum
 from .model import NS_PER_S, StreamContexts
 
 THRESHOLD_SIGMA_FACTOR = 1.5
@@ -99,8 +99,8 @@ def compute_threshold(benign_losses) -> WindowStats:
     if len(losses) < 2:
         raise ValueError("need at least 2 benign losses to compute a threshold")
     n = len(losses)
-    mu = sum(losses) / n
-    var = sum((x - mu) ** 2 for x in losses) / n
+    mu = ordered_sum(losses) / n
+    var = ordered_sum((x - mu) ** 2 for x in losses) / n
     return WindowStats.from_benign(mu, var**0.5)
 
 
@@ -137,7 +137,7 @@ def score_window(
         if e.dst != e.src:
             node_scores[e.dst] = node_scores.get(e.dst, 0.0) + loss
     suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
-    flagged_loss = sum(loss for loss in losses if loss > stats.threshold)
+    flagged_loss = ordered_sum(loss for loss in losses if loss > stats.threshold)
 
     anomalous = bool(flagged) and len(suspicious) >= config.min_suspicious_nodes
     if config.window_loss_budget is not None:
@@ -194,7 +194,7 @@ def link_queues(
     def close_run():
         if not run:
             return
-        queue_score = sum(w.flagged_loss for w in run)
+        queue_score = ordered_sum(w.flagged_loss for w in run)
         entities: set[int] = set()
         for w in run:
             entities |= w.suspicious_nodes

@@ -20,6 +20,7 @@ from .detect import Alert, DetectorConfig, WindowStats, link_queues, score_all_w
 from .gnnexplainer import FidelityMetrics
 from .graph import EventContext, TemporalGraph
 from .graphmask import CanonicalEdge
+from .masks import ordered_sum
 from .model import TgnModel, score_stream
 
 ABLATION_COLUMNS = [
@@ -98,14 +99,14 @@ def ablate_edge(
     span overlaps the original alert's span. Unrelated alerts elsewhere
     in the stream do not count.
     """
-    before = sum(v.flagged_loss for v in alert.windows)
+    before = ordered_sum(v.flagged_loss for v in alert.windows)
     if before <= 0:
         raise ValueError("alert carries no flagged loss; nothing to compare")
     ablated = remove_edge(dataset, edge)
     contexts = score_stream(model, ablated)
     verdicts = score_all_windows(ablated.graph, contexts, stats, config)
     spans = {v.window for v in alert.windows}
-    after = sum(v.flagged_loss for v in verdicts if v.window in spans)
+    after = ordered_sum(v.flagged_loss for v in verdicts if v.window in spans)
     alerts = link_queues(verdicts, stats, config)
     still = any(
         a.raised
@@ -124,9 +125,9 @@ def fidelity_summary(metrics: list[FidelityMetrics]) -> FidelitySummary:
     if not metrics:
         raise ValueError("cannot summarize an empty fidelity list")
     return FidelitySummary(
-        mean_comprehensiveness=sum(m.comprehensiveness for m in metrics)
+        mean_comprehensiveness=ordered_sum(m.comprehensiveness for m in metrics)
         / len(metrics),
-        mean_sufficiency=sum(m.sufficiency for m in metrics) / len(metrics),
+        mean_sufficiency=ordered_sum(m.sufficiency for m in metrics) / len(metrics),
         count=len(metrics),
     )
 

@@ -1,7 +1,8 @@
 """Pieces shared by the edge-mask explainers.
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
-one type rule of every config dataclass (:func:`check_fields`), the
+left-to-right float sum of every reported figure (:func:`ordered_sum`),
+the one type rule of every config dataclass (:func:`check_fields`), the
 ranking of a context's edges by importance, the per-edge grouping of
 the window aggregates, and the gradient-descent loop that GraphMask,
 GNNExplainer and VA-TG all run, with its one divergence rule: a
@@ -32,6 +33,18 @@ class DivergenceError(RuntimeError):
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def ordered_sum(values):
+    """Sum of ``values`` added one at a time from the left, starting at 0.
+
+    Python 3.12 made ``sum()`` of floats compensated and 3.11's is not;
+    every float sum that reaches a report, an alert or a CSV goes through
+    this one, so their bytes do not depend on the Python version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def binary_entropy(m: np.ndarray) -> np.ndarray:
@@ -90,7 +103,8 @@ def edge_groups(pairs) -> list[tuple[tuple[int, int, Relation], float, list[floa
     for ctx, per_edge in pairs:
         for ev, value in zip(ctx.neighborhood_events, per_edge):
             values.setdefault((ev.src, ev.dst, ev.relation), []).append(float(value))
-    groups = [(edge, sum(vals) / len(vals), vals) for edge, vals in values.items()]
+    groups = [(edge, ordered_sum(vals) / len(vals), vals)
+              for edge, vals in values.items()]
     groups.sort(key=lambda g: (-g[1], g[0][0], g[0][1], g[0][2].value))
     return groups
 

@@ -24,8 +24,14 @@ of one level touch distinct nodes: the replay advances a whole level
 (in chunks of at most ``_BLOCK`` events) with one
 ``(2k, 2 mem) @ (2 mem, 2 mem)`` product over the rows
 ``[h_self, h_other]`` and writes the new memories into one read-only
-trace of post-update memories. A node's state before event i is the
-trace row of its last incidence before i, found by one searchsorted.
+trace of post-update memories. Most levels hold a few events, so the
+work that does not read memory is done once per segment of at most
+``_BLOCK`` events in level order, which may span many levels: the trace
+rows each update reads and writes, and its drive (time encoding,
+relation column and bias). Each product then only gathers its memory
+rows, multiplies, adds its rows of the drive, gates and scatters. A
+node's state before event i is the trace row of its last incidence
+before i, found by one searchsorted.
 At ``hops=1`` every neighborhood is the last ``horizon`` incidences of
 each endpoint, deduplicated, built as arrays; at ``hops > 1`` the same
 arrays are filled from :func:`extract_context`, whose breadth-first walk
@@ -34,8 +40,9 @@ targets, computing all edge messages of a block with one product and
 summing them per target with ``np.add.reduceat``.
 :func:`score_stream` returns a :class:`StreamContexts`: the loss array,
 and an :class:`EventContext` built only when one is read. One update
-kernel (:func:`_update_rows`) serves the level replay and the
-one-event :meth:`TgnModel.replay_update`; one featurization kernel
+kernel, split into the drive (:func:`_drive`) and the gated step
+(:func:`_gated_step`), serves the level replay and the one-event
+:meth:`TgnModel.replay_update`; one featurization kernel
 (:func:`_input_terms`) serves stream scoring, over the columns of a
 block of targets, and :class:`MaskEvaluator`, over the columns it
 gathers from its one context's node states.
@@ -70,6 +77,7 @@ A non-finite training loss raises the explainers' ``DivergenceError``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import operator
@@ -222,7 +230,7 @@ class TgnModel:
         dt = [e.timestamp - memory.last_update.get(nid, e.timestamp)
               for nid in (e.src, e.dst)]
         rel = RELATION_INDEX[e.relation]
-        new = _update_rows(self, H, [rel, rel], dt)
+        new = _gated_step(self, H, _drive(self, [rel, rel], dt))
         new.flags.writeable = False
         memory.advance(e.timestamp, {e.src: new[0], e.dst: new[1]})
 
@@ -535,20 +543,29 @@ def _time_enc(dt_ns, time_dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
 
 
-def _update_rows(model: TgnModel, H: np.ndarray, rel, dt) -> np.ndarray:
-    """New memories of k updates: the gated blend of each updated node's
-    memory and its candidate.
+def _drive(model: TgnModel, rel, dt) -> np.ndarray:
+    """Memory-independent part of k updates' pre-activation
+    ``(k, 2 * memory_dim)``: each row's time-encoding product, relation
+    column and bias, for the candidate and the gate at once.
 
-    ``H`` holds the rows ``[h_self, h_other]`` ``(k, 2 * memory_dim)``;
     ``rel`` and ``dt`` give each row's relation index and the delta since
-    the updated node's last update (0 for a first update). The
-    memory-independent drive (relation column, time encoding, bias) and
-    the memory product share the stacked candidate and gate weights."""
+    the updated node's last update (0 for a first update)."""
     mem = model.config.memory_dim
     W_rel = model.Wu[:, 2 * mem : 2 * mem + N_RELATIONS]
     W_time = model.Wu[:, 2 * mem + N_RELATIONS :]
-    drive = _time_enc(dt, model.config.time_dim) @ W_time.T + W_rel.T[rel] + model.bu
-    pre = H @ model.Wu[:, : 2 * mem].T + drive
+    return _time_enc(dt, model.config.time_dim) @ W_time.T + W_rel.T[rel] + model.bu
+
+
+def _gated_step(model: TgnModel, H: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """New memories of k updates: the gated blend of each updated node's
+    memory and its candidate.
+
+    ``H`` holds the rows ``[h_self, h_other]`` ``(k, 2 * memory_dim)`` and
+    ``drive`` their :func:`_drive`; one product with the stacked candidate
+    and gate weights reads the memories."""
+    mem = model.config.memory_dim
+    pre = H @ model.Wu[:, : 2 * mem].T
+    pre += drive
     cand = np.tanh(pre[:, :mem])
     gate = sigmoid(pre[:, mem:])
     return (1.0 - gate) * H[:, :mem] + gate * cand
@@ -594,6 +611,10 @@ class _Stream:
     event) incidences sorted once by node and then event, the replay's
     trace, and every event's neighborhood as one flat array of event
     indexes with offsets.
+
+    The replay computes each segment's read and write rows and drive
+    once, and each update product only its memory-dependent step (see
+    :meth:`_replay`).
 
     The trace is one read-only ``(2n + 1, memory_dim)`` array of
     post-update memories: row ``2i`` is event i's src-side memory and row
@@ -644,19 +665,39 @@ class _Stream:
         self.nb_off = np.concatenate([[0], np.cumsum(sizes)])
 
     def _replay(self, model: TgnModel, level: np.ndarray) -> np.ndarray:
-        """Replay level by level into the trace, at most ``_BLOCK`` events
-        per update product."""
-        mem = model.config.memory_dim
-        trace = np.zeros((2 * self.n + 1, mem))
-        by_level = np.argsort(level, kind="stable")
-        for group in np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1):
-            for start in range(0, len(group), _BLOCK):
-                ev = group[start : start + _BLOCK]
-                h_src, h_dst = self.prev_row[:, ev]
-                H = trace[np.stack([h_src, h_dst, h_dst, h_src], axis=1)]
-                trace[np.stack([2 * ev, 2 * ev + 1], axis=1).ravel()] = _update_rows(
-                    model, H.reshape(2 * len(ev), 2 * mem),
-                    np.repeat(self.rel[ev], 2), self.dt[:, ev].T.ravel())
+        """Replay level by level into the trace.
+
+        Each level is advanced in update products of at most ``_BLOCK``
+        events. The events are walked in level order in segments of
+        whole products, at most ``_BLOCK`` events each: a segment may
+        hold many small levels, and a wide level fills several segments.
+        The trace rows each update reads and writes and its
+        :func:`_drive` are computed once per segment; each product only
+        gathers its memories, runs :func:`_gated_step` on its rows of
+        the drive and scatters the new memories into the trace."""
+        mem, n = model.config.memory_dim, self.n
+        trace = np.zeros((2 * n + 1, mem))
+        order = np.argsort(level, kind="stable")
+        ends = np.cumsum(np.bincount(level)).tolist()
+        # a product starts at its level's start and every _BLOCK events after
+        cuts = [c for s, e in itertools.pairwise([0, *ends]) for c in range(s, e, _BLOCK)]
+        cuts.append(n)
+        first = 0
+        while first < len(cuts) - 1:
+            # the segment: as many whole products as fit in _BLOCK events
+            last = bisect.bisect_right(cuts, cuts[first] + _BLOCK) - 1
+            base = cuts[first]
+            ev = order[base : cuts[last]]
+            h_src, h_dst = self.prev_row[:, ev]
+            # two rows per event, its src-side then its dst-side update
+            reads = np.stack([h_src, h_dst, h_dst, h_src], axis=1).reshape(-1, 2)
+            writes = np.stack([2 * ev, 2 * ev + 1], axis=1).ravel()
+            drive = _drive(model, np.repeat(self.rel[ev], 2), self.dt[:, ev].T.ravel())
+            for a, b in itertools.pairwise(cuts[first : last + 1]):
+                rows = slice(2 * (a - base), 2 * (b - base))
+                H = trace[reads[rows]].reshape(-1, 2 * mem)
+                trace[writes[rows]] = _gated_step(model, H, drive[rows])
+            first = last
         trace.flags.writeable = False
         return trace
 

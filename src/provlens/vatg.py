@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import check_fields, descend, edge_groups, sigmoid, top_edges
+from .masks import check_fields, descend, edge_groups, ordered_sum, sigmoid, top_edges
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
@@ -238,7 +238,7 @@ def vatg_aggregate_node(
     for (src, dst, rel), mean, vals in edge_groups(
         (ctx, expl.importance) for ctx, expl in explanations
     ):
-        var = sum((v - mean) ** 2 for v in vals) / len(vals)
+        var = ordered_sum((v - mean) ** 2 for v in vals) / len(vals)
         rows.append(NodeAggregateRow(src=src, dst=dst, relation=rel,
                                      mean=mean, var=var))
     return rows

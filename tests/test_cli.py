@@ -405,6 +405,25 @@ def test_short_labels_dataset_is_argument_error(cli_dir, tmp_path):
     assert not (tmp_path / "a.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "detect"])
+def test_reversed_attack_interval_is_argument_error(cli_dir, tmp_path, capsys, command):
+    """With the interval's bounds swapped, train would fit the head and
+    the benign statistics on the attack's own events."""
+    doc = json.loads((cli_dir / "ds.json").read_text())
+    t0, t1 = doc["attack_interval"]
+    assert t0 < t1
+    doc["attack_interval"] = [t1, t0]
+    bad = tmp_path / "ds.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    args = [command, "--dataset", str(bad), "--out", str(out)]
+    if command == "detect":
+        args += ["--model", str(cli_dir / "model.json")]
+    assert main(args) == EXIT_ARGUMENT
+    assert "attack_interval" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_schema_failure_is_argument_error(tmp_path):
     bad = tmp_path / "r.json"
     bad.write_text('{"window": "1-2"}')

@@ -203,6 +203,39 @@ def test_load_dataset_rejects_malformed_documents(tmp_path, edit):
         load_dataset(bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("kind", ["PROCESS"]), ("kind", {"PROCESS": 1}), ("kind", None), ("kind", 1),
+    ("relation", ["OPEN"]), ("relation", "open"), ("relation", True),
+    ("label", ["BENIGN"]), ("label", {}), ("label", "benign"), ("label", 0.5),
+])
+def test_load_dataset_rejects_values_of_no_member(tmp_path, field, value):
+    """Enum fields decode by value lookup: an unknown or unhashable value
+    is a format error, not a TypeError out of the lookup."""
+    doc = _tiny_doc()
+    if field == "kind":
+        doc["nodes"][1]["kind"] = value
+    elif field == "relation":
+        doc["events"][1][2] = value
+    else:
+        doc["labels"][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError):
+        load_dataset(bad)
+
+
+def test_load_dataset_rejects_reversed_attack_interval(tmp_path):
+    """Training runs up to the interval's start; a start after the end
+    would train on the attack's own events."""
+    doc = {**_tiny_doc(), "attack_interval": [2000, 1000]}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError, match="attack_interval"):
+        load_dataset(bad)
+    bad.write_text(json.dumps({**doc, "attack_interval": [1000, 1000]}))
+    assert load_dataset(bad).attack_interval == (1000, 1000)
+
+
 def test_load_dataset_reads_tiny_document(tmp_path):
     p = tmp_path / "ok.json"
     p.write_text(json.dumps(_tiny_doc()))

@@ -18,6 +18,7 @@ from provlens.masks import (
     binary_entropy,
     descend,
     descend_mask,
+    ordered_sum,
     sigmoid,
     top_edges,
 )
@@ -365,3 +366,11 @@ def test_divergence_comes_at_the_reference_evaluation(model, contexts):
                 assert np.array_equal(mask_of(explain(model, ctx, config)),
                                       expected[0])
         assert diverged > 0
+
+
+def test_ordered_sum_adds_left_to_right():
+    """Python 3.12's compensated sum() gives 2.0 here; report figures
+    must keep the uncompensated left-to-right value on every version."""
+    assert ordered_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+    assert ordered_sum(iter([0.1, 0.2, 0.3])) == (0.1 + 0.2) + 0.3
+    assert ordered_sum([]) == 0 and type(ordered_sum([])) is int

@@ -17,6 +17,7 @@ from provlens.graph import (
     TruthLabel,
     extract_context,
 )
+from provlens.masks import sigmoid
 from provlens.model import (
     _AGG_SCALE,
     N_RELATIONS,
@@ -31,6 +32,7 @@ from provlens.model import (
     _Stream,
     _distinct_rows,
     _fit_head,
+    _time_enc,
     score_stream,
     train,
 )
@@ -464,6 +466,105 @@ def test_stream_contexts_match_per_event_reference(case):
         assert ctx.loss == stream.losses[i]
         assert abs(ctx.loss - model.score_event(ctx)) <= 1e-12
         assert ctx.truth_label is TruthLabel.BENIGN
+
+
+# ---------------------------------------------------------------------------
+# reference: the level loop that computed each product's drive and index
+# arrays inside the product
+# ---------------------------------------------------------------------------
+
+def _loop_update_rows(model, H, rel, dt):
+    mem = model.config.memory_dim
+    W_rel = model.Wu[:, 2 * mem : 2 * mem + N_RELATIONS]
+    W_time = model.Wu[:, 2 * mem + N_RELATIONS :]
+    drive = _time_enc(dt, model.config.time_dim) @ W_time.T + W_rel.T[rel] + model.bu
+    pre = H @ model.Wu[:, : 2 * mem].T + drive
+    cand = np.tanh(pre[:, :mem])
+    gate = sigmoid(pre[:, mem:])
+    return (1.0 - gate) * H[:, :mem] + gate * cand
+
+
+def _loop_replay(products):
+    """A ``_Stream._replay`` stand-in: per level, one product every
+    ``_BLOCK`` events, each product computing its own drive and index
+    arrays; appends each product's memory rows ``H`` to ``products``."""
+    def replay(self, model, level):
+        mem = model.config.memory_dim
+        trace = np.zeros((2 * self.n + 1, mem))
+        by_level = np.argsort(level, kind="stable")
+        for group in np.split(by_level, np.flatnonzero(np.diff(level[by_level])) + 1):
+            for start in range(0, len(group), provlens.model._BLOCK):
+                ev = group[start : start + provlens.model._BLOCK]
+                h_src, h_dst = self.prev_row[:, ev]
+                H = trace[np.stack([h_src, h_dst, h_dst, h_src], axis=1)]
+                H = H.reshape(2 * len(ev), 2 * mem)
+                products.append(H)
+                trace[np.stack([2 * ev, 2 * ev + 1], axis=1).ravel()] = _loop_update_rows(
+                    model, H, np.repeat(self.rel[ev], 2), self.dt[:, ev].T.ravel())
+        trace.flags.writeable = False
+        return trace
+    return replay
+
+
+def _assert_replay_matches_loop(model, dataset, block):
+    """Trace, losses and every product's memory rows of the segment
+    replay equal the level loop's, bit for bit."""
+    steps, loop_products = mock.Mock(wraps=provlens.model._gated_step), []
+    with mock.patch.object(provlens.model, "_BLOCK", block):
+        with mock.patch.object(provlens.model, "_gated_step", steps):
+            got = score_stream(model, dataset)
+        with mock.patch.object(_Stream, "_replay", _loop_replay(loop_products)):
+            ref = score_stream(model, dataset)
+    assert np.array_equal(got._stream.trace, ref._stream.trace)
+    assert np.array_equal(got.losses, ref.losses)
+    products = [call.args[1] for call in steps.call_args_list]
+    assert len(products) == len(loop_products)
+    assert all(np.array_equal(a, b) for a, b in zip(products, loop_products))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases(), st.sampled_from([1, 2, 3, 512]))
+def test_segment_replay_matches_level_loop(case, block):
+    """Blocks of 1 to 3 events make segments cross levels and levels
+    cross segments on graphs with a hub, a self-loop and timestamp ties."""
+    model, graph = case
+    labels = [TruthLabel.BENIGN] * len(graph)
+    _assert_replay_matches_loop(model, LabeledDataset(graph, labels, (0, 0)), block)
+
+
+def test_segment_replay_matches_level_loop_on_scenario(model, dataset):
+    """The default scenario's widest levels hold over a thousand events,
+    so they fill several segments."""
+    _assert_replay_matches_loop(model, dataset, provlens.model._BLOCK)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases())
+def test_levels_schedule_independent_updates(case):
+    """The events of one level touch pairwise distinct nodes, and each
+    event's level is one more than the higher level of its endpoints'
+    previous events (0 for an event with none)."""
+    model, graph = case
+    seen = []
+    replay = _Stream._replay
+
+    def record(self, model, level):
+        seen.append(level)
+        return replay(self, model, level)
+
+    with mock.patch.object(_Stream, "_replay", record):
+        _Stream(model, graph, len(graph))
+    (level,) = seen
+    last: dict[int, int] = {}
+    nodes_at: dict[int, list[int]] = {}
+    for i, e in enumerate(graph.events):
+        ends = {e.src, e.dst}
+        assert level[i] == 1 + max(last.get(nid, -1) for nid in ends)
+        for nid in ends:
+            last[nid] = level[i]
+        nodes_at.setdefault(level[i], []).extend(ends)
+    for nodes in nodes_at.values():
+        assert len(nodes) == len(set(nodes))
 
 
 def test_stream_reads_build_new_contexts(model, contexts):
