@@ -11,16 +11,30 @@ Log line format::
 
 Dataset file: a single JSON document {version, nodes, events, labels,
 attack_interval}.
+
+Every reader and writer here works on the graph's columns (see
+:mod:`provlens.graph`) and builds no per-event object: the scenario
+generator and the log parser number the nodes and fill the columns in
+bulk, :func:`load_dataset` checks the decoded document's records in bulk
+and fills the columns, and :func:`save_dataset` and :func:`render_log`
+write from them. A document whose records are not all well-typed is
+decoded one record at a time, so every malformed file raises the error
+of its first bad record, as a record-by-record decode does.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .graph import (
+    NODE_KINDS,
+    RELATIONS,
     Event,
     NodeDescriptor,
     NodeKind,
@@ -31,14 +45,23 @@ from .graph import (
 
 DATASET_VERSION = 1
 
+#: timestamps and node ids are int64 columns
+_I64 = np.iinfo(np.int64)
+
 NS_PER_S = 1_000_000_000
 
 
-#: each enum's members by value, for decoding dataset files; a lookup
-#: costs a fraction of a call to the Enum
-_KINDS = {k.value: k for k in NodeKind}
-_RELATIONS = {r.value: r for r in Relation}
+#: by value, each kind's and relation's code in the graph's columns and
+#: each truth label's member, for decoding; a lookup costs a fraction of
+#: a call to the Enum
+_KIND_CODES = {k.value: i for i, k in enumerate(NODE_KINDS)}
+_RELATION_CODES = {r.value: i for i, r in enumerate(RELATIONS)}
 _LABELS = {lab.value: lab for lab in TruthLabel}
+#: the value of each code, for writing
+_KIND_VALUES = [k.value for k in NODE_KINDS]
+_RELATION_VALUES = [r.value for r in RELATIONS]
+#: an enum member's value, read without the Enum's property (or its hash)
+_VALUE = operator.attrgetter("_value_")
 
 
 class ParseError(ValueError):
@@ -58,12 +81,20 @@ class LabeledDataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
+        a, b = self.graph, other.graph
         return (
-            self.graph.nodes == other.graph.nodes
-            and self.graph.events == other.graph.events
+            _node_table(a) == _node_table(b)
+            and all(np.array_equal(x, y) for x, y in
+                    ((a.src, b.src), (a.dst, b.dst), (a.rel, b.rel), (a.ts, b.ts)))
             and self.labels == other.labels
             and self.attack_interval == other.attack_interval
         )
+
+
+def _node_table(graph: TemporalGraph) -> dict:
+    """node id -> (kind code, label); equal tables mean equal nodes."""
+    return dict(zip(graph.node_ids.tolist(),
+                    zip(graph.node_kinds.tolist(), graph.node_labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +130,10 @@ def parse_log(lines) -> LabeledDataset:
             raise ParseError(
                 f"line {lineno}: field timestamp_ns is not an integer: {parts[5]!r}"
             ) from None
+        if not _I64.min <= ts <= _I64.max:
+            raise ParseError(
+                f"line {lineno}: field timestamp_ns is outside the int64 range: {ts}"
+            )
         records.append(((src_kind, parts[1]), (dst_kind, parts[4]), rel, ts))
 
     records.sort(key=lambda r: r[3])
@@ -110,32 +145,38 @@ def parse_log(lines) -> LabeledDataset:
 def _keyed_graph(records) -> TemporalGraph:
     """Graph of (src_key, dst_key, relation, timestamp_ns) records in
     order, where a key is (kind, label); node ids are dense integers in
-    first-appearance order of the keys."""
-    graph = TemporalGraph()
+    first-appearance order of the keys (a record's src before its dst),
+    and the columns are filled in bulk."""
+    columns = list(zip(*records))
+    if not columns:
+        return TemporalGraph()
+    src_keys, dst_keys, rels, ts = columns
     ids: dict[tuple[NodeKind, str], int] = {}
-
-    def node_id(key: tuple[NodeKind, str]) -> int:
-        if key not in ids:
-            nid = len(ids)
-            ids[key] = nid
-            graph.add_node(NodeDescriptor(nid, key[0], key[1]))
-        return ids[key]
-
-    for src_key, dst_key, rel, ts in records:
-        graph.append_event(Event(node_id(src_key), node_id(dst_key), rel, ts))
-    return graph
+    ends = np.array([ids.setdefault(key, len(ids)) for key in
+                     itertools.chain.from_iterable(zip(src_keys, dst_keys))], np.int64)
+    return TemporalGraph.from_columns(
+        range(len(ids)),
+        [_KIND_CODES[_VALUE(kind)] for kind, _ in ids],
+        [label for _, label in ids],
+        ends[0::2], ends[1::2],
+        np.fromiter(map(_RELATION_CODES.__getitem__, map(_VALUE, rels)), np.int8,
+                    len(rels)),
+        ts,
+    )
 
 
 def render_log(ds: LabeledDataset) -> str:
     """Inverse of parse_log for the event stream (labels are not carried)."""
-    out = []
-    for e in ds.graph.events:
-        s = ds.graph.nodes[e.src]
-        d = ds.graph.nodes[e.dst]
-        out.append(
-            f"{s.kind.value} {s.label} {e.relation.value} "
-            f"{d.kind.value} {d.label} {e.timestamp}"
-        )
+    g = ds.graph
+    names = dict(zip(g.node_ids.tolist(),
+                     (f"{_KIND_VALUES[k]} {label}"
+                      for k, label in zip(g.node_kinds.tolist(), g.node_labels))))
+    out = list(map(" ".join, zip(
+        map(names.__getitem__, g.src.tolist()),
+        map(_RELATION_VALUES.__getitem__, g.rel.tolist()),
+        map(names.__getitem__, g.dst.tolist()),
+        map(str, g.ts.tolist()),
+    )))
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -684,15 +725,20 @@ def _emit_duty_cycle(tmpl: BenignTemplate, tmpl_idx: int,
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: LabeledDataset, path) -> None:
+    g = ds.graph
+    labels = g.node_labels
+    by_id = np.argsort(g.node_ids, kind="stable").tolist()
     doc = {
         "version": DATASET_VERSION,
         "nodes": [
-            {"id": n.node_id, "kind": n.kind.value, "label": n.label}
-            for n in (ds.graph.nodes[i] for i in sorted(ds.graph.nodes))
+            {"id": nid, "kind": _KIND_VALUES[kind], "label": labels[row]}
+            for nid, kind, row in zip(g.node_ids[by_id].tolist(),
+                                      g.node_kinds[by_id].tolist(), by_id)
         ],
-        "events": [
-            [e.src, e.dst, e.relation.value, e.timestamp] for e in ds.graph.events
-        ],
+        "events": list(map(list, zip(
+            g.src.tolist(), g.dst.tolist(),
+            map(_RELATION_VALUES.__getitem__, g.rel.tolist()), g.ts.tolist(),
+        ))),
         "labels": [lab.value for lab in ds.labels],
         "attack_interval": list(ds.attack_interval),
     }
@@ -714,18 +760,15 @@ def load_dataset(path) -> LabeledDataset:
             f"unsupported dataset version {doc.get('version')!r} "
             f"(expected {DATASET_VERSION})"
         )
-    # a value that is no member's raises KeyError, an unhashable one TypeError
+    # a value that is no member's raises KeyError, an unhashable one
+    # TypeError, an integer past int64 OverflowError
     try:
-        graph = TemporalGraph()
-        for n in doc["nodes"]:
-            graph.add_node(NodeDescriptor(_typed(n["id"], int), _KINDS[n["kind"]],
-                                          _typed(n["label"], str)))
-        for src, dst, rel, ts in doc["events"]:
-            graph.append_event(Event(_typed(src, int), _typed(dst, int),
-                                     _RELATIONS[rel], _typed(ts, int)))
-        labels = [_LABELS[v] for v in doc["labels"]]
+        graph = _bulk_graph(doc)
+        if graph is None:
+            graph = _record_graph(doc)
+        labels = list(map(_LABELS.__getitem__, doc["labels"]))
         t0, t1 = (_typed(t, int) for t in doc["attack_interval"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"malformed dataset file {p}: {exc!r}") from exc
     if len(labels) != len(graph):
         raise DatasetFormatError(
@@ -738,6 +781,49 @@ def load_dataset(path) -> LabeledDataset:
             f"whose start is after its end"
         )
     return LabeledDataset(graph=graph, labels=labels, attack_interval=(t0, t1))
+
+
+def _bulk_graph(doc: dict) -> TemporalGraph | None:
+    """The graph of a document whose node and event records are all
+    well-typed, checked and filled column by column; None for any other
+    document. ``TemporalGraph.from_columns`` makes the graph's own checks
+    (known endpoints, timestamp order, one descriptor per node id)."""
+    nodes, events = doc.get("nodes"), doc.get("events")
+    if not (_all_of(type, [nodes, events], list) and _all_of(type, nodes, dict)
+            and _all_of(type, events, list) and _all_of(len, events, 4)):
+        return None
+    src, dst, rels, ts = zip(*events) if events else ((),) * 4
+    try:
+        ids, kinds, labels = (list(map(operator.itemgetter(key), nodes))
+                              for key in ("id", "kind", "label"))
+        if not (all(_all_of(type, col, int) for col in (ids, src, dst, ts))
+                and _all_of(type, labels, str)):
+            return None
+        ids, src, dst, ts = (np.array(col, np.int64) for col in (ids, src, dst, ts))
+        kinds = list(map(_KIND_CODES.__getitem__, kinds))
+        rels = list(map(_RELATION_CODES.__getitem__, rels))
+    except (KeyError, TypeError, OverflowError):
+        return None
+    return TemporalGraph.from_columns(ids, kinds, labels, src, dst, rels, ts)
+
+
+def _all_of(fn, values, expected) -> bool:
+    """Whether fn(v) == expected for every v, as one set built in C."""
+    return set(map(fn, values)) <= {expected}
+
+
+def _record_graph(doc: dict) -> TemporalGraph:
+    """The graph of a document decoded one record at a time, in file
+    order; raises at the first record that fails a check."""
+    graph = TemporalGraph()
+    for n in doc["nodes"]:
+        graph.add_node(NodeDescriptor(_typed(n["id"], int),
+                                      NODE_KINDS[_KIND_CODES[n["kind"]]],
+                                      _typed(n["label"], str)))
+    for src, dst, rel, ts in doc["events"]:
+        graph.append_event(Event(_typed(src, int), _typed(dst, int),
+                                 RELATIONS[_RELATION_CODES[rel]], _typed(ts, int)))
+    return graph
 
 
 def _typed(value, kind: type):

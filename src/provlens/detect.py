@@ -15,6 +15,8 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .graph import Event, EventContext, TemporalGraph
 from .masks import check_fields, ordered_sum
 from .model import NS_PER_S, StreamContexts
@@ -126,16 +128,11 @@ def score_window(
     read from it through :func:`event_losses`. Flagging uses strict
     inequality at the threshold.
     """
-    t0, t1 = window
-    idxs = graph.window_slice(t0, t1)
+    lo, hi = graph.window_bounds(*window)
+    idxs = list(range(lo, hi))
     losses = event_losses(contexts, idxs)
     flagged = [i for i, loss in zip(idxs, losses) if loss > stats.threshold]
-    node_scores: dict[int, float] = {}
-    for i, loss in zip(idxs, losses):
-        e = graph.events[i]
-        node_scores[e.src] = node_scores.get(e.src, 0.0) + loss
-        if e.dst != e.src:
-            node_scores[e.dst] = node_scores.get(e.dst, 0.0) + loss
+    node_scores = _node_scores(graph.src[lo:hi], graph.dst[lo:hi], losses)
     suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
     flagged_loss = ordered_sum(loss for loss in losses if loss > stats.threshold)
 
@@ -153,6 +150,23 @@ def score_window(
         flagged_loss=flagged_loss,
         anomalous=anomalous,
     )
+
+
+def _node_scores(src: np.ndarray, dst: np.ndarray,
+                 losses: list[float]) -> dict[int, float]:
+    """Each endpoint's summed loss over the events, keyed in order of
+    first appearance (an event's src before its dst). ``np.add.at`` adds
+    in event order, src before dst, and a self-loop counts once, so every
+    sum is the same float sequence as a loop over the events."""
+    ends = np.stack([src, dst], axis=1).ravel()
+    weights = np.repeat(np.asarray(losses, dtype=float), 2)
+    keep = np.ones(len(ends), bool)
+    keep[1::2] = src != dst
+    nodes, first, slot = np.unique(ends[keep], return_index=True, return_inverse=True)
+    sums = np.zeros(len(nodes))
+    np.add.at(sums, slot, weights[keep])
+    order = np.argsort(first)
+    return dict(zip(nodes[order].tolist(), sums[order].tolist()))
 
 
 def iter_windows(span: tuple[int, int], window_ns: int):
@@ -238,15 +252,13 @@ def span_subgraph(
 ) -> AttackSubgraph:
     """Events in the half-open span [t0, t1) with at least one endpoint
     among the entities; nodes are the entities plus their event partners."""
-    idxs = [
-        i
-        for i in graph.window_slice(t0, t1)
-        if graph.events[i].src in entities or graph.events[i].dst in entities
-    ]
+    lo, hi = graph.window_bounds(t0, t1)
+    src, dst = graph.src[lo:hi], graph.dst[lo:hi]
+    members = np.fromiter(entities, np.int64, len(entities))
+    hit = np.flatnonzero(np.isin(src, members) | np.isin(dst, members))
     nodes = set(entities)
-    for i in idxs:
-        nodes.add(graph.events[i].src)
-        nodes.add(graph.events[i].dst)
+    nodes.update(src[hit].tolist(), dst[hit].tolist())
+    idxs = (hit + lo).tolist()
     return AttackSubgraph(
         nodes=nodes,
         event_indexes=idxs,

@@ -15,10 +15,12 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import LabeledDataset
 from .detect import Alert, DetectorConfig, WindowStats, link_queues, score_all_windows
 from .gnnexplainer import FidelityMetrics
-from .graph import EventContext, TemporalGraph
+from .graph import RELATION_INDEX, EventContext, TemporalGraph
 from .graphmask import CanonicalEdge
 from .masks import ordered_sum
 from .model import TgnModel, score_stream
@@ -65,21 +67,22 @@ def baseline_row() -> AblationResult:
 
 
 def remove_edge(dataset: LabeledDataset, edge: CanonicalEdge) -> LabeledDataset:
-    """Dataset with every occurrence of one canonical edge dropped."""
-    keep = [
-        i
-        for i, e in enumerate(dataset.graph.events)
-        if (e.src, e.dst, e.relation) != (edge.src, edge.dst, edge.relation)
-    ]
-    if len(keep) == len(dataset.graph.events):
+    """Dataset with every occurrence of one canonical edge dropped: the
+    graph's event columns masked, its nodes kept, in node-id order."""
+    g = dataset.graph
+    keep = ~((g.src == edge.src) & (g.dst == edge.dst)
+             & (g.rel == RELATION_INDEX[edge.relation]))
+    if keep.all():
         raise ValueError(f"edge not present in stream: {edge}")
-    graph = TemporalGraph()
-    for nid in sorted(dataset.graph.nodes):
-        graph.add_node(dataset.graph.nodes[nid])
-    for i in keep:
-        graph.append_event(dataset.graph.events[i])
-    labels = [dataset.labels[i] for i in keep]
-    return LabeledDataset(graph, labels, dataset.attack_interval)
+    by_id = np.argsort(g.node_ids, kind="stable")
+    labels = g.node_labels
+    graph = TemporalGraph.from_columns(
+        g.node_ids[by_id], g.node_kinds[by_id], [labels[r] for r in by_id.tolist()],
+        g.src[keep], g.dst[keep], g.rel[keep], g.ts[keep],
+    )
+    kept = np.flatnonzero(keep).tolist()
+    return LabeledDataset(graph, [dataset.labels[i] for i in kept],
+                          dataset.attack_interval)
 
 
 def ablate_edge(

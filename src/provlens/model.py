@@ -16,12 +16,12 @@ reference is a snapshot nothing can write through. A checkpoint
 therefore holds the config, the trained parameters and the benign loss
 statistics.
 
-Stream scoring is column-wise (:class:`_Stream`). The events become
-src, dst, relation and timestamp arrays, and the (node, event)
-incidences are sorted once. An event's dependency level is one more
-than the higher level of its endpoints' previous events, so the events
-of one level touch distinct nodes: the replay advances a whole level
-(in chunks of at most ``_BLOCK`` events) with one
+Stream scoring is column-wise (:class:`_Stream`). It reads the graph's
+src, dst, relation and timestamp columns (see :mod:`provlens.graph`),
+and sorts the (node, event) incidences once. An event's dependency
+level is one more than the higher level of its endpoints' previous
+events, so the events of one level touch distinct nodes: the replay
+advances a whole level (in chunks of at most ``_BLOCK`` events) with one
 ``(2k, 2 mem) @ (2 mem, 2 mem)`` product over the rows
 ``[h_self, h_other]`` and writes the new memories into one read-only
 trace of post-update memories. Most levels hold a few events, so the
@@ -80,6 +80,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, asdict
@@ -422,11 +423,10 @@ def train(dataset, config: ModelConfig) -> TgnModel:
         raise ValueError("cannot train on an empty dataset")
 
     bound = training_prefix_end(dataset)
-    events = dataset.graph.events
     if bound is None:
-        n_prefix = len(events)
+        n_prefix = len(dataset.graph)
     else:
-        n_prefix = sum(1 for e in events if e.timestamp < bound)
+        n_prefix = dataset.graph.count_before(bound)
     if n_prefix == 0:
         raise ValueError("no benign training prefix before the attack interval")
 
@@ -462,41 +462,66 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     Each epoch computes that loss and its gradient on the k rows (the
     per-row ``P - Y`` scaled by count / n), so the result equals the
     fit over every row up to float rounding of the reordered sums.
+
+    The parameters, their gradients and Adam's two moments are each one
+    flat buffer (``We``, ``be``, ``Wo`` and ``bo`` are views into the
+    first), so the gradients are written in place and one Adam update
+    runs over all parameters; every elementwise step is the one a
+    per-parameter update makes, so the fit is bitwise the same. The
+    model gets copies, not views, of the fitted parameters.
     """
     n = len(X)
     first, counts = _distinct_rows(X, y)
     X, y = X[first], y[first]
     k = len(first)
     weight = counts / n
-    Y = np.zeros((k, N_RELATIONS))
-    Y[np.arange(k), y] = 1.0
+    rows = np.arange(k)
 
-    params = [model.We, model.be, model.Wo, model.bo]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    shapes = [model.We.shape, model.be.shape, model.Wo.shape, model.bo.shape]
+    theta = np.concatenate([model.We.ravel(), model.be, model.Wo.ravel(), model.bo])
+    grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    step, scale = np.empty_like(theta), np.empty_like(theta)
+    We, be, Wo, bo = _views(theta, shapes)
+    dWe, dbe, dWo, dbo = _views(grad, shapes)
+    dlogits = np.empty((k, N_RELATIONS))
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     for epoch in range(1, config.epochs + 1):
-        Z, P = _head(X @ model.We.T + model.be, model.Wo, model.bo)
-        loss = -weight @ np.log(np.maximum(P[np.arange(k), y], 1e-300))
+        Z, P = _head(X @ We.T + be, Wo, bo)
+        loss = -weight @ np.log(np.maximum(P[rows, y], 1e-300))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
 
-        dlogits = (P - Y) * weight[:, None]
-        dWo = dlogits.T @ Z
-        dbo = dlogits.sum(axis=0)
-        dZ = dlogits @ model.Wo
-        dA = (1.0 - Z * Z) * dZ
-        dWe = dA.T @ X
-        dbe = dA.sum(axis=0)
+        P[rows, y] -= 1.0  # P - Y
+        np.multiply(P, weight[:, None], out=dlogits)
+        np.matmul(dlogits.T, Z, out=dWo)
+        np.add.reduce(dlogits, axis=0, out=dbo)
+        dA = dlogits @ Wo
+        Z *= Z
+        dA *= np.subtract(1.0, Z, out=Z)
+        np.matmul(dA.T, X, out=dWe)
+        np.add.reduce(dA, axis=0, out=dbe)
 
-        grads = [dWe, dbe, dWo, dbo]
-        for i, (p, g) in enumerate(zip(params, grads)):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            mhat = m[i] / (1 - b1**epoch)
-            vhat = v[i] / (1 - b2**epoch)
-            p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+        m *= b1
+        m += np.multiply(grad, 1 - b1, out=step)
+        v *= b2
+        np.multiply(grad, 1 - b2, out=step)
+        v += np.multiply(step, grad, out=step)
+        np.divide(m, 1 - b1**epoch, out=step)
+        step *= config.learning_rate
+        np.divide(v, 1 - b2**epoch, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += eps
+        theta -= np.divide(step, scale, out=step)
+
+    model.We, model.be, model.Wo, model.bo = (p.copy() for p in (We, be, Wo, bo))
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat`` with the given shapes."""
+    ends = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+    return [flat[a:b].reshape(shape)
+            for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -607,10 +632,12 @@ def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarra
 class _Stream:
     """The first ``n`` events of a graph in column form, replayed.
 
-    Holds the event columns (endpoints as dense node ids), the (node,
-    event) incidences sorted once by node and then event, the replay's
-    trace, and every event's neighborhood as one flat array of event
-    indexes with offsets.
+    Holds the event columns, read from the graph's own columns with the
+    endpoints renumbered as dense node ids, the (node, event) incidences
+    sorted once by node and then event, the replay's trace, and every
+    event's neighborhood as one flat array of event indexes with
+    offsets. Only :meth:`context` builds :class:`Event` objects, through
+    the graph's ``events`` view, for the one context it builds.
 
     The replay computes each segment's read and write rows and drive
     once, and each update product only its memory-dependent step (see
@@ -625,13 +652,11 @@ class _Stream:
     """
 
     def __init__(self, model: TgnModel, graph: TemporalGraph, n: int):
-        events = graph.events
-        self.events, self.n = events, n
+        self.events, self.n = graph.events, n
         ev = np.arange(n)
-        src = np.fromiter((e.src for e in events), np.int64, n)
-        dst = np.fromiter((e.dst for e in events), np.int64, n)
-        self.rel = np.fromiter((RELATION_INDEX[e.relation] for e in events), np.intp, n)
-        self.ts = np.fromiter((e.timestamp for e in events), np.int64, n)
+        src, dst = graph.src[:n], graph.dst[:n]
+        self.rel = graph.rel[:n].astype(np.intp)
+        self.ts = graph.ts[:n]
         self.nodes, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
         self.src, self.dst = dense[:n], dense[n:]
 

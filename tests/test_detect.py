@@ -2,7 +2,9 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from provlens.detect import (
     Alert,
@@ -13,6 +15,7 @@ from provlens.detect import (
     link_queues,
     reconstruct_subgraph,
     score_window,
+    _node_scores,
 )
 from provlens.graph import TruthLabel
 
@@ -86,6 +89,24 @@ def test_anomalous_needs_flag_and_suspicious_node(tiny_graph):
     v2 = score_window(tiny_graph, ctxs, (0, 10 * NS), stats, cfg)
     assert v2.high_loss_events == []
     assert v2.anomalous
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-7, 0, 3, 2**40]),
+                          st.sampled_from([-7, 0, 3, 2**40]),
+                          st.floats(0.0, 10.0, allow_subnormal=False)),
+                max_size=30))
+def test_node_scores_match_the_event_loop(events):
+    """Oracle: the per-event loop, src then dst, a self-loop counted once;
+    sums are bitwise equal and keys in first-appearance order."""
+    expected: dict[int, float] = {}
+    for src, dst, loss in events:
+        expected[src] = expected.get(src, 0.0) + loss
+        if dst != src:
+            expected[dst] = expected.get(dst, 0.0) + loss
+    src, dst, losses = (list(col) for col in zip(*events)) if events else ([], [], [])
+    got = _node_scores(np.array(src, np.int64), np.array(dst, np.int64), losses)
+    assert list(got.items()) == list(expected.items())
 
 
 @pytest.mark.parametrize("field", [

@@ -648,6 +648,48 @@ def test_weighted_fit_matches_row_by_row_reference():
     _assert_same_head(_fitted(X, y), _reference_fit(X, y))
 
 
+def _per_parameter_fit(X, y, config=_FIT_CONFIG):
+    """The distinct-row fit with its own Adam update per parameter array
+    and fresh temporaries at each step."""
+    model = TgnModel(config)
+    first, counts = _distinct_rows(X, y)
+    k, weight = len(first), counts / len(y)
+    X, y = X[first], y[first]
+    Y = np.zeros((k, N_RELATIONS))
+    Y[np.arange(k), y] = 1.0
+    params = [model.We, model.be, model.Wo, model.bo]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for epoch in range(1, config.epochs + 1):
+        Z, P = provlens.model._head(X @ model.We.T + model.be, model.Wo, model.bo)
+        dlogits = (P - Y) * weight[:, None]
+        dA = (1.0 - Z * Z) * (dlogits @ model.Wo)
+        grads = [dA.T @ X, dA.sum(axis=0), dlogits.T @ Z, dlogits.sum(axis=0)]
+        for i, (p, g) in enumerate(zip(params, grads)):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat = m[i] / (1 - b1**epoch)
+            vhat = v[i] / (1 - b2**epoch)
+            p -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+    return model
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_distinct=st.integers(1, 9),
+       n_rows=st.integers(1, 30))
+def test_flat_buffer_fit_is_bitwise_the_per_parameter_fit(seed, n_distinct, n_rows):
+    """One Adam update over the flat parameter buffer makes the same
+    elementwise steps as one update per parameter; the model keeps its
+    own copies of the parameters, not views into the buffer."""
+    X, y = _random_rows(seed, n_distinct, n_rows)
+    fitted, reference = _fitted(X, y), _per_parameter_fit(X, y)
+    for name in ("We", "be", "Wo", "bo"):
+        param = getattr(fitted, name)
+        assert np.array_equal(param, getattr(reference, name))
+        assert param.base is None and param.flags.owndata
+
+
 def test_equal_inputs_with_different_labels_stay_apart():
     X, y = _random_rows(5, n_distinct=4, n_rows=12)
     X = np.vstack([X, X[:1], X[:1]])

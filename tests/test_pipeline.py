@@ -176,6 +176,35 @@ def test_degraded_run_warns_but_matches(model, dataset, stats, attack_alert,
     assert a == b
 
 
+def test_window_parallelism_is_byte_identical(model, dataset, stats, verdicts,
+                                              contexts):
+    """An alert over every window of the stream, explained serially, on
+    2 and 4 window workers, and degraded (which falls back to serial):
+    the reports are byte-identical."""
+    alert = Alert(
+        windows=list(verdicts), t_start=verdicts[0].window[0],
+        t_end=verdicts[-1].window[1],
+        queue_score=sum(v.flagged_loss for v in verdicts),
+        entities=set().union(*(v.suspicious_nodes for v in verdicts)), raised=True,
+    )
+    assert len(alert.windows) >= 4
+    assert sum(bool(v.high_loss_events) for v in verdicts) >= 2
+
+    def run(**kw):
+        report = run_pipeline(model, dataset, alert, stats, quick_config(**kw),
+                              contexts=contexts)
+        docs = [emit_json(w, dataset.graph.nodes) for w in report.windows]
+        return json.dumps(docs, sort_keys=True).encode(), report.warnings
+
+    serial = run()
+    assert serial[1] == []
+    assert run(parallel_windows=2) == serial
+    assert run(parallel_windows=4) == serial
+    need = estimate_need(alert, model.config.horizon, model.config.memory_dim)
+    degraded, warnings = run(parallel_windows=4, memory_budget=need // 2)
+    assert degraded == serial[0] and "memory budget" in warnings[0]
+
+
 def test_pipeline_over_budget_raises(model, dataset, stats, attack_alert):
     with pytest.raises(ResourceError):
         run_pipeline(model, dataset, attack_alert, stats,
