@@ -15,11 +15,13 @@ attack_interval}.
 Every reader and writer here works on the graph's columns (see
 :mod:`provlens.graph`) and builds no per-event object: the scenario
 generator and the log parser number the nodes and fill the columns in
-bulk, :func:`load_dataset` checks the decoded document's records in bulk
-and fills the columns, and :func:`save_dataset` and :func:`render_log`
-write from them. A document whose records are not all well-typed is
-decoded one record at a time, so every malformed file raises the error
-of its first bad record, as a record-by-record decode does.
+bulk, :func:`load_dataset` hands the decoded document's records to
+``TemporalGraph.from_columns`` in bulk, and :func:`save_dataset` and
+:func:`render_log` write from the columns. A document whose records are
+not all well-typed, or that the graph's bulk checks reject, is decoded
+one record at a time instead, so every malformed file raises the error
+of its first bad record, and a node listed twice with one descriptor
+loads as it does record by record.
 """
 
 from __future__ import annotations
@@ -766,7 +768,7 @@ def load_dataset(path) -> LabeledDataset:
         graph = _bulk_graph(doc)
         if graph is None:
             graph = _record_graph(doc)
-        labels = list(map(_LABELS.__getitem__, doc["labels"]))
+        labels = list(map(_LABELS.__getitem__, _typed(doc["labels"], list)))
         t0, t1 = (_typed(t, int) for t in doc["attack_interval"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"malformed dataset file {p}: {exc!r}") from exc
@@ -785,9 +787,9 @@ def load_dataset(path) -> LabeledDataset:
 
 def _bulk_graph(doc: dict) -> TemporalGraph | None:
     """The graph of a document whose node and event records are all
-    well-typed, checked and filled column by column; None for any other
-    document. ``TemporalGraph.from_columns`` makes the graph's own checks
-    (known endpoints, timestamp order, one descriptor per node id)."""
+    well-typed and pass ``TemporalGraph.from_columns``' checks (known
+    endpoints, timestamp order, distinct node ids), filled column by
+    column; None for any other document."""
     nodes, events = doc.get("nodes"), doc.get("events")
     if not (_all_of(type, [nodes, events], list) and _all_of(type, nodes, dict)
             and _all_of(type, events, list) and _all_of(len, events, 4)):
@@ -802,9 +804,9 @@ def _bulk_graph(doc: dict) -> TemporalGraph | None:
         ids, src, dst, ts = (np.array(col, np.int64) for col in (ids, src, dst, ts))
         kinds = list(map(_KIND_CODES.__getitem__, kinds))
         rels = list(map(_RELATION_CODES.__getitem__, rels))
-    except (KeyError, TypeError, OverflowError):
+        return TemporalGraph.from_columns(ids, kinds, labels, src, dst, rels, ts)
+    except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    return TemporalGraph.from_columns(ids, kinds, labels, src, dst, rels, ts)
 
 
 def _all_of(fn, values, expected) -> bool:

@@ -10,13 +10,15 @@ into :data:`RELATIONS`); nodes are id, kind-code (indexes into
 :data:`NODE_KINDS`) and label columns in insertion order. The events
 touching each node are one CSR incidence list: per-node offsets into one
 array of event indexes, node-major and in event order, built when it is
-first read. ``graph.events`` and ``graph.nodes`` are read-only views that
-build an :class:`Event` or a :class:`NodeDescriptor` when one is read,
-so no per-event object is kept; the hot readers (stream scoring, window
-scoring, ablation) read the columns. :meth:`TemporalGraph.add_node` and
-:meth:`TemporalGraph.append_event` are the validated one-record write
-paths; :meth:`TemporalGraph.from_columns` fills the columns in bulk with
-the same checks and the same errors.
+first read together with each event's endpoint rows. Node ids are mapped
+to rows by one lookup over the ids in sorted order (an argsort, then a
+searchsorted). ``graph.events`` and ``graph.nodes`` are read-only views
+that build an :class:`Event` or a :class:`NodeDescriptor` when one is
+read, so no per-event object is kept; the hot readers (stream scoring,
+window scoring, ablation) read the columns. :meth:`TemporalGraph.add_node`
+and :meth:`TemporalGraph.append_event` are the validated one-record write
+paths; :meth:`TemporalGraph.from_columns` fills the columns in bulk and
+raises ``ValueError`` on any input they would reject.
 """
 
 from __future__ import annotations
@@ -110,7 +112,10 @@ class TemporalGraph:
         self._ts = np.empty(0, np.int64)
         self._rel = np.empty(0, np.int8)
         self._n = 0
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        # (offsets, event indexes, (2, n) endpoint rows); see _incidence
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # (node rows in id order, the sorted node ids); see _rows
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_columns(cls, node_ids, node_kinds, node_labels,
@@ -120,11 +125,8 @@ class TemporalGraph:
         in bulk.
 
         ``node_kinds`` and ``rel`` are codes into :data:`NODE_KINDS` and
-        :data:`RELATIONS`. The bulk checks are those of the one-record
-        paths; a graph that fails one (or repeats a node) is built one
-        record at a time instead, which raises the error of the first
-        failing record, or accepts a node repeated with an equal
-        descriptor."""
+        :data:`RELATIONS`. Columns that the one-record paths would reject
+        or that repeat a node id raise ``ValueError``."""
         ids, kinds = np.array(node_ids, np.int64), np.array(node_kinds, np.int8)
         labels = list(node_labels)
         src, dst = np.array(src, np.int64), np.array(dst, np.int64)
@@ -136,24 +138,16 @@ class TemporalGraph:
         if not (_codes_in_range(kinds, NODE_KINDS) and _codes_in_range(rel, RELATIONS)):
             raise ValueError(
                 "kind and relation codes must index NODE_KINDS and RELATIONS")
-        sorted_ids = np.sort(ids)
-        if (
-            (sorted_ids[1:] == sorted_ids[:-1]).any()
-            or not all(labels)
-            or not (_members(sorted_ids, src) and _members(sorted_ids, dst))
-            or (ts[1:] < ts[:-1]).any()
-        ):
-            graph = cls()
-            for nid, kind, label in zip(ids.tolist(), kinds.tolist(), labels):
-                graph.add_node(NodeDescriptor(nid, NODE_KINDS[kind], label))
-            for s, d, r, t in zip(src.tolist(), dst.tolist(), rel.tolist(),
-                                  ts.tolist()):
-                graph.append_event(Event(s, d, RELATIONS[r], t))
-            return graph
         graph = cls()
         graph._node_id, graph._node_kind, graph._labels = ids, kinds, labels
         graph._row = dict(zip(ids.tolist(), range(m)))
         graph._src, graph._dst, graph._rel, graph._ts, graph._n = src, dst, rel, ts, n
+        if len(graph._row) < m or not all(labels):
+            raise ValueError("node ids must be distinct and labels non-empty")
+        if (graph._rows(np.concatenate([src, dst])) < 0).any():
+            raise ValueError("every event endpoint must be a node")
+        if (ts[1:] < ts[:-1]).any():
+            raise ValueError("event timestamps must be non-decreasing")
         return graph
 
     def add_node(self, node: NodeDescriptor) -> None:
@@ -170,7 +164,7 @@ class TemporalGraph:
         self._node_kind[row] = kind
         self._labels.append(node.label)
         self._row[node.node_id] = row
-        self._csr = None
+        self._csr = self._index = None
 
     def append_event(self, e: Event) -> None:
         if e.src not in self._row:
@@ -241,31 +235,44 @@ class TemporalGraph:
         return Event(self._src.item(i), self._dst.item(i),
                      RELATIONS[self._rel.item(i)], self._ts.item(i))
 
-    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR incidence: node row r's incident event indexes, ascending,
-        are ``events[offsets[r]:offsets[r + 1]]``; a self-loop is listed
-        once. Built on the first read after a write."""
+    def _rows(self, node_ids) -> np.ndarray:
+        """Row of each of ``node_ids`` in the node columns, -1 for an id
+        that is not a node: one searchsorted over the sorted node ids,
+        which are kept until a node is added."""
+        if self._index is None:
+            order = np.argsort(self.node_ids)
+            self._index = order, self.node_ids[order]
+        order, ids = self._index
+        node_ids = np.asarray(node_ids, np.int64)
+        if not len(ids):
+            return np.full(node_ids.shape, -1, np.intp)
+        pos = np.minimum(np.searchsorted(ids, node_ids), len(ids) - 1)
+        return np.where(ids[pos] == node_ids, order[pos], -1)
+
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR incidence and endpoint rows: node row r's incident event
+        indexes, ascending, are ``events[offsets[r]:offsets[r + 1]]``, and
+        event i's src and dst rows are ``ends[:, i]``; a self-loop is
+        listed once. Built on the first read after a write."""
         csr = self._csr
         if csr is None:
             n, m = self._n, len(self._row)
-            ends = np.fromiter(
-                map(self._row.__getitem__,
-                    np.stack([self._src[:n], self._dst[:n]], axis=1).ravel().tolist()),
-                np.intp, 2 * n)
-            # each event's src row, then its dst row unless it is a self-loop
-            keep = np.ones(2 * n, bool)
-            keep[1::2] = self._src[:n] != self._dst[:n]
-            ends, ev = ends[keep], np.repeat(np.arange(n), 2)[keep]
+            ends = self._rows(np.stack([self._src[:n], self._dst[:n]]))
+            # each event under its src row, then its dst row unless it is a
+            # self-loop
+            keep = np.ones((n, 2), bool)
+            keep[:, 1] = ends[0] != ends[1]
+            inc, ev = ends.T[keep], np.repeat(np.arange(n), 2)[keep.ravel()]
             offsets = np.zeros(m + 1, np.intp)
-            np.cumsum(np.bincount(ends, minlength=m), out=offsets[1:])
-            csr = self._csr = (offsets, ev[np.argsort(ends, kind="stable")])
+            np.cumsum(np.bincount(inc, minlength=m), out=offsets[1:])
+            csr = self._csr = (offsets, ev[np.argsort(inc, kind="stable")], ends)
         return csr
 
     # -- queries ------------------------------------------------------------
 
     def incident(self, node_id: int) -> list[int]:
         """Sorted event indexes touching node_id, as a new list."""
-        offsets, events = self._incidence()
+        offsets, events, _ = self._incidence()
         row = self._row[node_id]
         return events[offsets[row] : offsets[row + 1]].tolist()
 
@@ -378,14 +385,6 @@ def _codes_in_range(codes: np.ndarray, alphabet: list) -> bool:
     return not len(codes) or (codes.min() >= 0 and codes.max() < len(alphabet))
 
 
-def _members(sorted_ids: np.ndarray, ids: np.ndarray) -> bool:
-    """Whether every entry of ``ids`` is in the sorted array."""
-    if not len(sorted_ids):
-        return not len(ids)
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
-    return bool((sorted_ids[pos] == ids).all())
-
-
 @dataclass
 class EventContext:
     """One event plus the local temporal data an explainer consumes.
@@ -469,7 +468,7 @@ def _recent_incident(
     in timestamp are broken by insertion index, so anything at or past
     the target's own index is the future; every earlier index is
     at-or-before its timestamp."""
-    offsets, events = graph._incidence()
+    offsets, events, _ = graph._incidence()
     row = graph._row[node_id]
     lo = offsets[row]
     end = lo + int(np.searchsorted(events[lo : offsets[row + 1]], exclude))

@@ -17,8 +17,9 @@ therefore holds the config, the trained parameters and the benign loss
 statistics.
 
 Stream scoring is column-wise (:class:`_Stream`). It reads the graph's
-src, dst, relation and timestamp columns (see :mod:`provlens.graph`),
-and sorts the (node, event) incidences once. An event's dependency
+relation and timestamp columns, each event's endpoint rows and the
+graph's CSR incidence list (see :mod:`provlens.graph`), cut to the
+stream's events, and sorts nothing of its own. An event's dependency
 level is one more than the higher level of its endpoints' previous
 events, so the events of one level touch distinct nodes: the replay
 advances a whole level (in chunks of at most ``_BLOCK`` events) with one
@@ -632,12 +633,12 @@ def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarra
 class _Stream:
     """The first ``n`` events of a graph in column form, replayed.
 
-    Holds the event columns, read from the graph's own columns with the
-    endpoints renumbered as dense node ids, the (node, event) incidences
-    sorted once by node and then event, the replay's trace, and every
-    event's neighborhood as one flat array of event indexes with
-    offsets. Only :meth:`context` builds :class:`Event` objects, through
-    the graph's ``events`` view, for the one context it builds.
+    Holds the event columns, each event's endpoint rows in the graph's
+    node columns, the graph's (node, event) incidences of those events in
+    node-major, event order with one sort key each, the replay's trace,
+    and every event's neighborhood as one flat array of event indexes
+    with offsets. Only :meth:`context` builds :class:`Event` objects,
+    through the graph's ``events`` view, for the one context it builds.
 
     The replay computes each segment's read and write rows and drive
     once, and each update product only its memory-dependent step (see
@@ -652,29 +653,25 @@ class _Stream:
     """
 
     def __init__(self, model: TgnModel, graph: TemporalGraph, n: int):
-        self.events, self.n = graph.events, n
+        self.graph, self.n = graph, n
         ev = np.arange(n)
-        src, dst = graph.src[:n], graph.dst[:n]
         self.rel = graph.rel[:n].astype(np.intp)
         self.ts = graph.ts[:n]
-        self.nodes, dense = np.unique(np.concatenate([src, dst]), return_inverse=True)
-        self.src, self.dst = dense[:n], dense[n:]
-
-        loop = self.src == self.dst
-        inc_node = np.concatenate([self.src, self.dst[~loop]])
-        inc_ev = np.concatenate([ev, ev[~loop]])
-        inc_row = np.concatenate([2 * ev + loop, 2 * ev[~loop] + 1])
-        key = inc_node * (n + 1) + inc_ev
-        order = np.argsort(key)
-        self.key, self.inc_ev, self.inc_row = key[order], inc_ev[order], inc_row[order]
+        offsets, events, ends = graph._incidence()
+        #: (2, n) node rows of each event's src and dst
+        self.ends = ends[:, :n]
+        # the graph's incidences of the first n events, still by node row
+        # and then event, so their keys ascend
+        cut = events < n
+        self.inc_ev = events[cut]
+        inc_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[cut]
+        self.key = inc_node * (n + 1) + self.inc_ev
+        self.inc_row = 2 * self.inc_ev + (inc_node == self.ends[1, self.inc_ev])
 
         # each event's own src-side and dst-side incidence, and the first
         # incidence of that node: the ones between are its earlier events
-        where = np.empty_like(order)
-        where[order] = np.arange(len(order))
-        pos = np.stack([where[:n], where[:n]])
-        pos[1, ~loop] = where[n:]
-        first = np.searchsorted(self.key, np.stack([self.src, self.dst]) * (n + 1))
+        pos = np.searchsorted(self.key, self.ends * (n + 1) + ev)
+        first = np.searchsorted(self.key, self.ends * (n + 1))
         has_prev = pos > first
         before = self.inc_ev[pos - 1]
         #: (2, n) trace row each event's src-side and dst-side update reads
@@ -753,7 +750,7 @@ class _Stream:
         return np.concatenate([ev[:0], *parts]), np.concatenate([ev[:0], *sizes])
 
     def _rows_before(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
-        """Trace row and event of each dense node's last incidence before
+        """Trace row and event of each node row's last incidence before
         event ``before``; the zero row and -1 for a node with none."""
         stride = self.n + 1
         p = np.searchsorted(self.key, nodes * stride + before) - 1
@@ -770,8 +767,7 @@ class _Stream:
             sizes = np.diff(self.nb_off[start : stop + 1])
             edges = self.nb[self.nb_off[start] : self.nb_off[stop]]
             owner = np.repeat(np.arange(start, stop), sizes)
-            rows, _ = self._rows_before(
-                np.concatenate([self.src[edges], self.dst[edges]]), np.tile(owner, 2))
+            rows, _ = self._rows_before(self.ends[:, edges].ravel(), np.tile(owner, 2))
             x0, msgs = _input_terms(
                 model,
                 trace[self.prev_row[:, start:stop].T].reshape(stop - start, 2 * mem),
@@ -784,15 +780,16 @@ class _Stream:
 
     def context(self, i: int, loss: float, label: TruthLabel) -> EventContext:
         """Event i's context, its node states read-only rows of the trace."""
-        target = self.events[i]
+        events = self.graph.events
+        target = events[i]
         nb = self.nb[self.nb_off[i] : self.nb_off[i + 1]].tolist()
-        nb_events = [self.events[j] for j in nb]
+        nb_events = [events[j] for j in nb]
         ids = {target.src, target.dst}
         for e in nb_events:
             ids.add(e.src)
             ids.add(e.dst)
         ids = list(ids)
-        rows, last = self._rows_before(np.searchsorted(self.nodes, ids), i)
+        rows, last = self._rows_before(self.graph._rows(ids), i)
         states = {
             nid: (self.trace[row], t if at >= 0 else None)
             for nid, row, at, t in zip(ids, rows.tolist(), last.tolist(),

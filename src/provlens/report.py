@@ -8,6 +8,7 @@ Importance bands over [0, 1]: critical above 0.7, moderate in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -83,6 +84,14 @@ def _fmt_window(window: tuple[int, int]) -> str:
     return f"{window[0]}-{window[1]}"
 
 
+def _parse_window(text: str) -> tuple[int, int]:
+    """Inverse of _fmt_window; either bound may be negative."""
+    match = re.fullmatch(r"([+-]?[0-9]+)-([+-]?[0-9]+)", text)
+    if match is None:
+        raise ValueError(f"malformed window {text!r}; expected <t0>-<t1>")
+    return int(match[1]), int(match[2])
+
+
 def emit_json(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> dict:
     """The per-window JSON document; validates against the shipped schema."""
     referenced: set[int] = set()
@@ -122,9 +131,8 @@ def parse_report_json(doc: dict) -> WindowReport:
         validate_document(doc)
     except jsonschema.ValidationError as exc:
         raise ValueError(f"report does not match the schema: {exc.message}") from exc
-    t0, t1 = doc["window"].split("-")
     return WindowReport(
-        window=(int(t0), int(t1)),
+        window=_parse_window(doc["window"]),
         num_events=doc["num_events"],
         threshold=doc["threshold"],
         graphmask_aggregate=doc["graphmask"]["aggregate"],
@@ -199,6 +207,7 @@ def emit_graph_description(
 
     Importance per canonical edge comes from the report's GraphMask
     aggregate; edges absent from every explanation are styled irrelevant.
+    Node labels are written as DOT strings, with ``\\`` and ``"`` escaped.
     """
     weights = {
         (row["src"], row["dst"], row["relation"]): row["weight"]
@@ -210,6 +219,7 @@ def emit_graph_description(
         shape = {
             "PROCESS": "box", "FILE": "ellipse", "SOCKET": "diamond"
         }.get(node_map[nid].kind.value if nid in node_map else "", "ellipse")
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{nid} [label="{label}", shape={shape}];')
     seen: set[tuple[int, int, str]] = set()
     for ev in subgraph.events:

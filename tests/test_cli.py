@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import provlens
 from provlens.cli import EXIT_ARGUMENT, EXIT_OK, EXIT_RESOURCE, main
 from provlens.data import load_dataset, parse_log, save_dataset
-from provlens.report import validate_document
+from provlens.report import parse_report_json, validate_document
 
 QUICK_CONFIG = {
     "pipeline": {"top_k_events": 5, "top_m_nodes": 3},
@@ -135,6 +135,37 @@ def test_report_reproduces_explain_outputs(cli_dir, explain_dir, tmp_path):
     assert len(written) == len(jsons)
     for name in ["summary.md", *written]:
         assert (out / name).read_bytes() == (explain_dir / name).read_bytes(), name
+
+
+def test_report_reads_explain_outputs_with_negative_windows(cli_dir, tmp_path):
+    """On a stream whose timestamps are all negative, report and ablate
+    read the documents explain wrote, and report reproduces its files."""
+    doc = json.loads((cli_dir / "ds.json").read_text())
+    shift = -4 * 3600 * 10**9
+    for event in doc["events"]:
+        event[3] += shift
+    doc["attack_interval"] = [t + shift for t in doc["attack_interval"]]
+    ds = tmp_path / "ds.json"
+    ds.write_text(json.dumps(doc))
+    out = tmp_path / "explain"
+    assert main(["explain", "--dataset", str(ds),
+                 "--model", str(cli_dir / "model.json"), "--out-dir", str(out),
+                 "--config", str(cli_dir / "quick.json")]) == EXIT_OK
+    # in the order explain wrote them: by window start
+    windows = {p: parse_report_json(json.loads(p.read_text())).window
+               for p in out.glob("explanations_*.json")}
+    jsons = sorted(windows, key=windows.get)
+    assert jsons and all(t1 < 0 for _, t1 in windows.values())
+    rerender = tmp_path / "rerender"
+    assert main(["report", "--out-dir", str(rerender), "--dataset", str(ds),
+                 *map(str, jsons)]) == EXIT_OK
+    written = sorted(p.name for p in out.glob("window_*.gv"))
+    assert written == sorted(p.name for p in rerender.glob("window_*.gv"))
+    for name in ["summary.md", *written]:
+        assert (rerender / name).read_bytes() == (out / name).read_bytes(), name
+    assert main(["ablate", "--dataset", str(ds), "--model", str(cli_dir / "model.json"),
+                 "--report", str(jsons[0]), "--out", str(tmp_path / "a.csv"),
+                 "--top", "1"]) == EXIT_OK
 
 
 def test_missing_input_is_argument_error(cli_dir, tmp_path):
@@ -536,6 +567,9 @@ def _malformed_doc(draw):
 @given(_malformed_doc(), st.sampled_from(["train", "detect"]))
 @example([1, 2], "train")
 @example({**_base_doc(), "labels": ["BENIGN"]}, "detect")
+# an object with one key per event, which is not read as the list of its keys
+@example({**_base_doc(), "labels": dict.fromkeys(["BENIGN", "UNKNOWN", "MALICIOUS"], 1)},
+         "train")
 def test_fuzzed_dataset_files_exit_2(cli_dir, tmp_path_factory, doc, command):
     work = tmp_path_factory.mktemp("fuzz")
     path = work / "ds.json"

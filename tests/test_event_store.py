@@ -212,6 +212,32 @@ def test_malformed_file_errors(tmp_path, edit, message):
     assert str(err.value) == f"malformed dataset file {path}: {message}"
 
 
+def test_labels_must_be_an_array(tmp_path):
+    """A labels object with one key per event is not read as its keys."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_tiny_doc(),
+                                "labels": {"BENIGN": 1, "MALICIOUS": 1}}))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == (
+        f"malformed dataset file {path}: TypeError(\"expected list, got "
+        f"{{'BENIGN': 1, 'MALICIOUS': 1}}\")")
+
+
+def test_node_listed_twice_with_one_descriptor_loads(tmp_path):
+    """The bulk checks reject a repeated node id; the record-by-record
+    decode then accepts the repeat, since its descriptor is equal."""
+    doc = _tiny_doc()
+    doc["nodes"].insert(1, dict(doc["nodes"][0]))
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_dataset(path)
+    ref = _appended([(0, NodeKind.PROCESS, "sh"), (1, NodeKind.FILE, "/x")],
+                    [Event(0, 1, Relation.OPEN, 1000), Event(0, 1, Relation.READ, 2000)])
+    _assert_same(loaded.graph, ref)
+    assert loaded == LabeledDataset(ref, [TruthLabel.BENIGN] * 2, (0, 0))
+
+
 def test_reversed_attack_interval_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_tiny_doc(), "attack_interval": [2000, 1000]}))
@@ -346,6 +372,20 @@ def test_from_columns_rejects_ragged_columns_and_unknown_codes():
         TemporalGraph.from_columns(*one_node, [7], [7], [-1], [1])
     g = TemporalGraph.from_columns(*one_node, [7], [7], [len(Relation) - 1], [1])
     assert list(g.events) == [Event(7, 7, list(Relation)[-1], 1)]
+
+
+@pytest.mark.parametrize("columns, message", [
+    (([7, 7], [0, 0], ["p", "p"], [], [], [], []), "distinct"),
+    (([7], [0], [""], [], [], [], []), "non-empty"),
+    (([7, -3], [0, 1], ["p", "f"], [7], [2**41], [0], [1]), "endpoint"),
+    (([], [], [], [7], [7], [0], [1]), "endpoint"),
+    (([7, -3], [0, 1], ["p", "f"], [7, -3], [-3, 7], [0, 0], [2, 1]), "non-decreasing"),
+], ids=["repeated-id", "empty-label", "unknown-endpoint", "no-nodes", "decreasing"])
+def test_from_columns_rejects_what_append_event_would(columns, message):
+    """The bulk path raises ValueError where the one-record paths would
+    raise or, for a repeated node, where they would have to compare."""
+    with pytest.raises(ValueError, match=message):
+        TemporalGraph.from_columns(*columns)
 
 
 def test_window_bounds_past_int64(tiny_graph):

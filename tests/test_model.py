@@ -14,6 +14,7 @@ from provlens.graph import (
     NodeKind,
     OrderingError,
     Relation,
+    TemporalGraph,
     TruthLabel,
     extract_context,
 )
@@ -417,13 +418,18 @@ def test_block_replay_and_featurize_match_reference(case):
 
 @st.composite
 def _stream_cases(draw):
-    """An untrained model at one of the (hops, horizon) settings and a
-    random small graph with a hub (node 0 on every other event), a
-    self-loop and timestamp ties."""
+    """An untrained model at one of the (hops, horizon) settings, a random
+    small graph with a hub (the first node on every other event), a
+    self-loop and timestamp ties, and a prefix length k. The node ids are
+    distinct, unsorted and never dense (negative to past 2^40), and one
+    node, at a random place in the node columns, is on no event."""
     n_nodes = draw(st.integers(2, 6))
-    nodes = [(i, NodeKind.PROCESS, f"n{i}") for i in range(n_nodes)]
+    ids = draw(st.lists(st.integers(-2**45, 2**45), min_size=n_nodes + 1,
+                        max_size=n_nodes + 1, unique=True))
+    nodes = [(nid, NodeKind.PROCESS, f"n{nid}") for nid in ids]
+    isolated = ids.pop(draw(st.integers(0, n_nodes)))
     steps = draw(st.lists(
-        st.tuples(st.integers(0, n_nodes - 1), st.integers(0, n_nodes - 1),
+        st.tuples(st.sampled_from(ids), st.sampled_from(ids),
                   st.sampled_from(list(Relation)), st.sampled_from([0, 0, 1, 7])),
         min_size=2, max_size=24,
     ))
@@ -431,11 +437,13 @@ def _stream_cases(draw):
     events, t = [], 1
     for i, (src, dst, rel, gap) in enumerate(steps):
         t += gap
-        src = 0 if i % 2 == 0 else src
+        src = ids[0] if i % 2 == 0 else src
         events.append((src, src if i == loop_at else dst, rel, t))
     hops, horizon = draw(st.sampled_from([(1, 1), (1, 10), (2, 3)]))
     config = ModelConfig(seed=draw(st.integers(0, 3)), hops=hops, horizon=horizon)
-    return TgnModel(config), build_graph((nodes, events))
+    graph = build_graph((nodes, events))
+    assert not graph.incident(isolated)
+    return TgnModel(config), graph, draw(st.integers(1, len(events)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -444,7 +452,7 @@ def test_stream_contexts_match_per_event_reference(case):
     """Every context read from the column-wise stream has extract_context's
     neighborhood in its order, the reference replay's state and update
     time for exactly the involved nodes, and its score_event loss."""
-    model, graph = case
+    model, graph, _ = case
     labels = [TruthLabel.BENIGN] * len(graph)
     stream = score_stream(model, LabeledDataset(graph, labels, (0, 0)))
     before, _ = _reference_replay(model, graph.events)
@@ -466,6 +474,33 @@ def test_stream_contexts_match_per_event_reference(case):
         assert ctx.loss == stream.losses[i]
         assert abs(ctx.loss - model.score_event(ctx)) <= 1e-12
         assert ctx.truth_label is TruthLabel.BENIGN
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases())
+def test_prefix_stream_equals_stream_of_cut_graph(case):
+    """Training's stream of a graph's first k events reads the graph's
+    incidence list and endpoint rows cut to those events: its trace,
+    update reads, deltas, neighborhoods, features and contexts are bit
+    for bit those of the stream of a graph that holds only them."""
+    model, graph, k = case
+    cut = TemporalGraph.from_columns(graph.node_ids, graph.node_kinds,
+                                     graph.node_labels, graph.src[:k], graph.dst[:k],
+                                     graph.rel[:k], graph.ts[:k])
+    got, ref = _Stream(model, graph, k), _Stream(model, cut, k)
+    for name in ("trace", "prev_row", "dt", "nb", "nb_off"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for (a, b, x), (c, d, y) in zip(got.feature_blocks(model), ref.feature_blocks(model)):
+        assert (a, b) == (c, d) and np.array_equal(x, y)
+    for i in range(k):
+        ctx, want = (s.context(i, 0.0, TruthLabel.UNKNOWN) for s in (got, ref))
+        assert ctx.target == want.target == graph.events[i]
+        assert ctx.neighborhood == want.neighborhood
+        assert ctx.neighborhood_events == want.neighborhood_events
+        assert ctx.node_states.keys() == want.node_states.keys()
+        for nid, (h, lu) in ctx.node_states.items():
+            assert np.array_equal(h, want.node_states[nid][0])
+            assert lu == want.node_states[nid][1]
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +562,7 @@ def _assert_replay_matches_loop(model, dataset, block):
 def test_segment_replay_matches_level_loop(case, block):
     """Blocks of 1 to 3 events make segments cross levels and levels
     cross segments on graphs with a hub, a self-loop and timestamp ties."""
-    model, graph = case
+    model, graph, _ = case
     labels = [TruthLabel.BENIGN] * len(graph)
     _assert_replay_matches_loop(model, LabeledDataset(graph, labels, (0, 0)), block)
 
@@ -544,7 +579,7 @@ def test_levels_schedule_independent_updates(case):
     """The events of one level touch pairwise distinct nodes, and each
     event's level is one more than the higher level of its endpoints'
     previous events (0 for an event with none)."""
-    model, graph = case
+    model, graph, _ = case
     seen = []
     replay = _Stream._replay
 

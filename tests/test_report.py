@@ -180,3 +180,39 @@ def test_graph_description_styles_by_band():
     assert 'n1 -> n3 [label="SEND", style=solid, color=gray, penwidth=1];' in dot
     # duplicate canonical edges are drawn once
     assert dot.count('n1 -> n3') == 1
+
+
+@pytest.mark.parametrize("window, text", [
+    ((-900_000_000_000, 0), "-900000000000-0"),
+    ((-1_800_000_000_000, -900_000_000_000), "-1800000000000--900000000000"),
+    ((0, 900_000_000_000), "0-900000000000"),
+])
+def test_window_round_trips_with_negative_bounds(window, text):
+    """The window string is written as before, and read back whichever
+    of its bounds are negative."""
+    report = _report()
+    report.window = window
+    doc = emit_json(report, NODE_MAP)
+    assert doc["window"] == text
+    assert parse_report_json(doc).window == window
+
+
+@pytest.mark.parametrize("text", ["", "1", "1-", "-1", "a-b", "1--", "--1-2",
+                                  "1-2-3", " 1-2", "1.5-2"])
+def test_malformed_window_is_named(text):
+    doc = emit_json(_report(), NODE_MAP)
+    doc["window"] = text
+    with pytest.raises(ValueError, match=f"malformed window {text!r}"):
+        parse_report_json(doc)
+
+
+def test_graph_description_escapes_labels():
+    """A quote or a backslash in a label is escaped, so the DOT string
+    ends where the label does and Graphviz reads no escape into it."""
+    node_map = {1: NodeDescriptor(1, NodeKind.PROCESS, 'a"b'),
+                2: NodeDescriptor(2, NodeKind.FILE, "c\\N\\n\\")}
+    sub = AttackSubgraph(nodes={1, 2}, event_indexes=[0],
+                         events=[Event(1, 2, Relation.READ, 5)])
+    dot = emit_graph_description(_report(), sub, node_map)
+    assert 'n1 [label="a\\"b", shape=box];' in dot
+    assert 'n2 [label="c\\\\N\\\\n\\\\", shape=ellipse];' in dot
