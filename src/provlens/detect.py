@@ -124,17 +124,23 @@ def score_window(
 ) -> WindowVerdict:
     """Aggregate per-event losses over one half-open window.
 
-    ``contexts`` is the scored full-stream context sequence; losses are
-    read from it through :func:`event_losses`. Flagging uses strict
-    inequality at the threshold.
+    ``contexts`` is the scored full-stream context sequence. A
+    :class:`StreamContexts` gives the window's losses as one slice of its
+    loss array; any other sequence gives them through
+    :func:`event_losses`. Flagging uses strict inequality at the
+    threshold, and the flagged loss adds left to right.
     """
     lo, hi = graph.window_bounds(*window)
     idxs = list(range(lo, hi))
-    losses = event_losses(contexts, idxs)
-    flagged = [i for i, loss in zip(idxs, losses) if loss > stats.threshold]
+    if isinstance(contexts, StreamContexts):
+        losses = contexts.losses[lo:hi]
+    else:
+        losses = np.array(event_losses(contexts, idxs), dtype=float)
+    hot = losses > stats.threshold
+    flagged = (np.flatnonzero(hot) + lo).tolist()
     node_scores = _node_scores(graph.src[lo:hi], graph.dst[lo:hi], losses)
     suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
-    flagged_loss = ordered_sum(loss for loss in losses if loss > stats.threshold)
+    flagged_loss = ordered_sum(losses[hot].tolist())
 
     anomalous = bool(flagged) and len(suspicious) >= config.min_suspicious_nodes
     if config.window_loss_budget is not None:
@@ -153,7 +159,7 @@ def score_window(
 
 
 def _node_scores(src: np.ndarray, dst: np.ndarray,
-                 losses: list[float]) -> dict[int, float]:
+                 losses: np.ndarray) -> dict[int, float]:
     """Each endpoint's summed loss over the events, keyed in order of
     first appearance (an event's src before its dst). ``np.add.at`` adds
     in event order, src before dst, and a self-loop counts once, so every

@@ -13,8 +13,14 @@ scoring, not part of the trained model: each replay of the stream starts
 from empty memory, and every context keeps references to the states it
 reads. Those states are read-only rows of the stream's trace, so a
 reference is a snapshot nothing can write through. A checkpoint
-therefore holds the config, the trained parameters and the benign loss
-statistics.
+therefore holds the config, the trained head parameters and the benign
+loss statistics. Format version 3 writes each head parameter as one
+base64 string of its raw little-endian float64 bytes in C order, so a
+load gives back the trained values bit for bit; the config and the
+version fix every shape and the dtype. :meth:`TgnModel.load` requires
+the exact keys, the config's and the statistics' type rules, each
+parameter's byte count and finite values, and raises
+:class:`CheckpointError` naming the file and the field otherwise.
 
 Stream scoring is column-wise (:class:`_Stream`). It reads the graph's
 relation and timestamp columns, each event's endpoint rows and the
@@ -78,13 +84,14 @@ A non-finite training loss raises the explainers' ``DivergenceError``.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import itertools
 import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +108,7 @@ from .graph import (
 )
 from .masks import DivergenceError, check_fields, sigmoid
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 N_RELATIONS = len(RELATIONS)
 NS_PER_S = 1_000_000_000
@@ -117,7 +124,7 @@ _BLOCK = 512
 
 
 class CheckpointError(ValueError):
-    """Checkpoint file corrupt or version mismatch."""
+    """Checkpoint file malformed or of another format version."""
 
 
 @dataclass(frozen=True)
@@ -154,6 +161,9 @@ class TrainStats:
     mu: float = 0.0           # mean held-out benign loss
     sigma: float = 0.0        # population std of held-out benign loss
     final_train_loss: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 class ReplayMemory:
@@ -201,7 +211,8 @@ class TgnModel:
         mem, tdim, emb = config.memory_dim, config.time_dim, config.embed_dim
         msg_dim = 2 * mem + N_RELATIONS + tdim
         feat_dim = 2 * mem + N_RELATIONS + tdim
-        self.input_dim = 2 * mem + tdim + emb
+        head = _head_shapes(config)
+        self.input_dim = head["We"][1]
 
         rng = np.random.default_rng(config.seed)
         # fixed (untrained) recurrent and message weights; the update's
@@ -215,10 +226,10 @@ class TgnModel:
         self.bu = np.concatenate([np.zeros(mem), np.full(mem, -1.0)])
         self.Wn = rng.normal(0.0, 1.5 / np.sqrt(feat_dim), (emb, feat_dim))
         # trained head
-        self.We = rng.normal(0.0, 0.1, (emb, self.input_dim))
-        self.be = np.zeros(emb)
-        self.Wo = rng.normal(0.0, 0.1, (N_RELATIONS, emb))
-        self.bo = np.zeros(N_RELATIONS)
+        self.We = rng.normal(0.0, 0.1, head["We"])
+        self.be = np.zeros(head["be"])
+        self.Wo = rng.normal(0.0, 0.1, head["Wo"])
+        self.bo = np.zeros(head["bo"])
 
         self.stats = TrainStats()
 
@@ -265,12 +276,18 @@ class TgnModel:
     # ------------------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write a format-version-3 checkpoint: ``config`` and ``stats`` as
+        plain JSON, and each head parameter as one base64 string of its
+        raw little-endian float64 bytes in C order, with no shape or
+        dtype field."""
         doc = {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
             "parameters": {
-                "We": self.We.tolist(), "be": self.be.tolist(),
-                "Wo": self.Wo.tolist(), "bo": self.bo.tolist(),
+                name: base64.b64encode(
+                    np.asarray(getattr(self, name), "<f8").tobytes()
+                ).decode("ascii")
+                for name in _head_shapes(self.config)
             },
             "stats": asdict(self.stats),
         }
@@ -278,6 +295,18 @@ class TgnModel:
 
     @classmethod
     def load(cls, path) -> "TgnModel":
+        """Read a checkpoint that :meth:`save` wrote.
+
+        A missing file raises ``FileNotFoundError``. Anything else that is
+        not a version-3 checkpoint raises :class:`CheckpointError` naming
+        the file and the field: a document that is not a JSON object;
+        another version (older files are not converted); a missing or
+        unknown key at the top level or in ``config``, ``parameters`` or
+        ``stats``; a config or statistic that breaks its type rule or its
+        range; and a parameter that is not base64 text, whose byte count
+        is not 8 times the size of the shape its config implies, or that
+        holds a non-finite value.
+        """
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"checkpoint not found: {p}")
@@ -291,30 +320,72 @@ class TgnModel:
                 f"unsupported checkpoint version {version!r} in {p} "
                 f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
             )
-        model = cls(ModelConfig(**doc["config"]))
+        _require_keys(doc, {"version", "config", "parameters", "stats"},
+                      "checkpoint", p)
+        config = _checked_record(ModelConfig, doc["config"], "config", p)
+        shapes = _head_shapes(config)
         params = doc["parameters"]
-        for name in ("We", "be", "Wo", "bo"):
-            # the freshly built model holds each parameter's implied shape
-            shape = getattr(model, name).shape
-            try:
-                value = np.asarray(params[name], dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"parameter {name} in {p}: {exc}") from exc
-            if value.shape != shape:
-                raise CheckpointError(
-                    f"parameter {name} in {p} has shape {value.shape}; "
-                    f"its config implies {shape}"
-                )
-            if not np.isfinite(value).all():
-                raise CheckpointError(f"parameter {name} in {p} is not finite")
+        _require_keys(params, set(shapes), "parameters", p)
+        # decoded before the model is built, so a corrupt dimension fails
+        # on the byte count instead of allocating the fixed weights it implies
+        head = {name: _decode_parameter(params[name], shape, name, p)
+                for name, shape in shapes.items()}
+        model = cls(config)
+        for name, value in head.items():
             setattr(model, name, value)
-        model.stats = TrainStats(**doc["stats"])
-        for name, value in asdict(model.stats).items():
-            if not (isinstance(value, (int, float)) and np.isfinite(value)):
-                raise CheckpointError(
-                    f"stat {name} in {p} is not a finite number: {value!r}"
-                )
+        model.stats = _checked_record(TrainStats, doc["stats"], "stats", p)
         return model
+
+
+def _head_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of each trained head parameter under ``config``."""
+    emb = config.embed_dim
+    input_dim = 2 * config.memory_dim + config.time_dim + emb
+    return {"We": (emb, input_dim), "be": (emb,),
+            "Wo": (N_RELATIONS, emb), "bo": (N_RELATIONS,)}
+
+
+def _require_keys(value, keys: set[str], what: str, p: Path) -> None:
+    """CheckpointError unless ``value`` is a JSON object with exactly ``keys``."""
+    if not isinstance(value, dict):
+        raise CheckpointError(f"{what} in {p} is not a JSON object")
+    for problem, names in (("missing", keys - value.keys()),
+                           ("unknown", value.keys() - keys)):
+        if names:
+            raise CheckpointError(
+                f"{what} in {p}: {problem} key(s) {', '.join(sorted(names))}")
+
+
+def _checked_record(kind, value, what: str, p: Path):
+    """The dataclass ``kind`` built from the JSON object ``value``, which
+    must hold exactly its init fields; its own checks become
+    CheckpointErrors."""
+    _require_keys(value, {f.name for f in fields(kind) if f.init}, what, p)
+    try:
+        return kind(**value)
+    except ValueError as exc:
+        raise CheckpointError(f"{what} in {p}: {exc}") from exc
+
+
+def _decode_parameter(text, shape: tuple[int, ...], name: str, p: Path) -> np.ndarray:
+    """The float64 array of ``shape`` that ``text`` encodes as base64 of
+    its little-endian bytes in C order."""
+    if not isinstance(text, str):
+        raise CheckpointError(f"parameter {name} in {p} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error and non-ASCII text
+        raise CheckpointError(f"parameter {name} in {p} is not base64: {exc}") from exc
+    expected = 8 * math.prod(shape)
+    if len(raw) != expected:
+        raise CheckpointError(
+            f"parameter {name} in {p} holds {len(raw)} bytes; its config "
+            f"implies shape {shape}, {expected} bytes"
+        )
+    value = np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+    if not np.isfinite(value).all():
+        raise CheckpointError(f"parameter {name} in {p} is not finite")
+    return value
 
 
 class MaskEvaluator:

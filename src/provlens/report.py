@@ -208,6 +208,8 @@ def emit_graph_description(
     Importance per canonical edge comes from the report's GraphMask
     aggregate; edges absent from every explanation are styled irrelevant.
     Node labels are written as DOT strings, with ``\\`` and ``"`` escaped.
+    Node ``nid`` is the DOT ID ``n{nid}``, quoted when ``nid`` is negative,
+    since ``n-5`` is not an ID.
     """
     weights = {
         (row["src"], row["dst"], row["relation"]): row["weight"]
@@ -220,7 +222,7 @@ def emit_graph_description(
             "PROCESS": "box", "FILE": "ellipse", "SOCKET": "diamond"
         }.get(node_map[nid].kind.value if nid in node_map else "", "ellipse")
         label = label.replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{nid} [label="{label}", shape={shape}];')
+        lines.append(f'  {_dot_id(nid)} [label="{label}", shape={shape}];')
     seen: set[tuple[int, int, str]] = set()
     for ev in subgraph.events:
         key = (ev.src, ev.dst, ev.relation.value)
@@ -230,8 +232,12 @@ def emit_graph_description(
         weight = weights.get(key, 0.0)
         style, color, penwidth = _BAND_STYLE[band_of(weight)]
         lines.append(
-            f'  n{ev.src} -> n{ev.dst} [label="{ev.relation.value}", '
+            f'  {_dot_id(ev.src)} -> {_dot_id(ev.dst)} [label="{ev.relation.value}", '
             f"style={style}, color={color}, penwidth={penwidth}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def _dot_id(nid: int) -> str:
+    return f'"n{nid}"' if nid < 0 else f"n{nid}"

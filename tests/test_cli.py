@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
+import base64
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -354,12 +356,66 @@ def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
 
 def test_non_finite_checkpoint_is_argument_error(cli_dir, tmp_path):
     doc = json.loads((cli_dir / "model.json").read_text())
-    doc["parameters"]["We"][0][0] = float("nan")
+    We = np.frombuffer(base64.b64decode(doc["parameters"]["We"]), "<f8").copy()
+    We[0] = float("nan")
+    doc["parameters"]["We"] = base64.b64encode(We.tobytes()).decode("ascii")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))
     rc = main(["detect", "--dataset", str(cli_dir / "ds.json"),
                "--model", str(bad), "--out", str(tmp_path / "a.json")])
     assert rc == EXIT_ARGUMENT
+    assert not (tmp_path / "a.json").exists()
+
+
+def _edited(section, key, value=None):
+    def edit(doc):
+        target = doc if section is None else doc[section]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_edited(None, "stats", {}), "stats"),
+    (_edited("stats", "mu", True), "mu"),
+    (_edited("config", "horizon"), "horizon"),
+    (_edited(None, "stats"), "stats"),
+    (_edited(None, "parameters"), "parameters"),
+    (_edited("parameters", "We"), "We"),
+    (_edited("config", "depth", 3), "depth"),
+], ids=["empty-stats", "bool-mu", "no-horizon", "no-stats", "no-parameters",
+        "no-We", "unknown-config-key"])
+def test_malformed_checkpoint_is_named_argument_error(cli_dir, tmp_path, capsys,
+                                                      edit, field):
+    """A checkpoint that used to load as silent garbage or end in a bare
+    KeyError or TypeError exits 2 with one line naming the field and the
+    file, and writes nothing."""
+    doc = json.loads((cli_dir / "model.json").read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["detect", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(bad), "--out", str(tmp_path / "a.json")])
+    assert rc == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err and str(bad) in err
+    assert not (tmp_path / "a.json").exists()
+
+
+def test_v2_checkpoint_is_argument_error(cli_dir, model, tmp_path, capsys):
+    """A version-2 file, parameters as nested lists, exits 2 naming its
+    version."""
+    doc = json.loads((cli_dir / "model.json").read_text())
+    doc.update(version=2, parameters={name: getattr(model, name).tolist()
+                                      for name in ("We", "be", "Wo", "bo")})
+    old = tmp_path / "v2.json"
+    old.write_text(json.dumps(doc))
+    rc = main(["detect", "--dataset", str(cli_dir / "ds.json"),
+               "--model", str(old), "--out", str(tmp_path / "a.json")])
+    assert rc == EXIT_ARGUMENT
+    assert "version 2" in capsys.readouterr().err
     assert not (tmp_path / "a.json").exists()
 
 

@@ -6,20 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from provlens.data import default_scenario, generate_scenario
 from provlens.detect import (
     Alert,
     DetectorConfig,
     WindowStats,
     WindowVerdict,
     compute_threshold,
+    event_losses,
+    iter_windows,
     link_queues,
     reconstruct_subgraph,
     score_window,
     _node_scores,
 )
-from provlens.graph import TruthLabel
+from provlens.graph import EventContext, NodeKind, Relation, TruthLabel
+from provlens.masks import ordered_sum
+from provlens.model import ModelConfig, StreamContexts, TgnModel, _Stream, score_stream
 
-from conftest import NS
+from conftest import NS, build_graph
 
 
 def _verdict(window, flagged, node_scores, flagged_loss, anomalous):
@@ -70,6 +75,85 @@ def test_score_window_flags_strictly_above(tiny_graph):
     assert v.high_loss_events == [2, 3, 4, 5, 6]
     assert v.flagged_loss == pytest.approx(sum(range(2, 7)))
     assert v.event_count == 7
+
+
+def _score_window_reference(graph, contexts, window, stats, config=DetectorConfig()):
+    """The per-event loop ``score_window`` ran before it read a scored
+    stream's losses as one slice: the oracle of the array form."""
+    lo, hi = graph.window_bounds(*window)
+    idxs = list(range(lo, hi))
+    losses = event_losses(contexts, idxs)
+    flagged = [i for i, loss in zip(idxs, losses) if loss > stats.threshold]
+    node_scores = _node_scores(graph.src[lo:hi], graph.dst[lo:hi], losses)
+    suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
+    flagged_loss = ordered_sum(loss for loss in losses if loss > stats.threshold)
+    anomalous = bool(flagged) and len(suspicious) >= config.min_suspicious_nodes
+    if config.window_loss_budget is not None:
+        anomalous = anomalous or flagged_loss > config.window_loss_budget
+    return WindowVerdict(window, len(idxs), idxs, flagged, node_scores,
+                         suspicious, flagged_loss, anomalous)
+
+
+def _assert_same_verdict(got, want):
+    assert got == want
+    # equal values of one type: an empty window's flagged loss stays int 0
+    assert repr(got.flagged_loss) == repr(want.flagged_loss)
+    assert list(got.node_scores) == list(want.node_scores)
+
+
+@pytest.mark.parametrize("hours", [1, 4])
+def test_score_window_matches_the_event_loop(model, stats, hours):
+    """Every window of seed 7's 1 h and 4 h streams gets the verdict of
+    the per-event loop, under the default and a loss-budget config."""
+    spec = dataclasses.replace(default_scenario(seed=7), duration_s=hours * 3600.0)
+    dataset = generate_scenario(spec)
+    contexts = score_stream(model, dataset)
+    graph = dataset.graph
+    for config in (DetectorConfig(), DetectorConfig(window_loss_budget=5.0)):
+        windows = list(iter_windows(graph.span(), config.window_ns))
+        assert len(windows) == 4 * hours
+        for w in windows:
+            _assert_same_verdict(score_window(graph, contexts, w, stats, config),
+                                 _score_window_reference(graph, contexts, w, stats,
+                                                         config))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_score_window_matches_the_event_loop_on_random_streams(data):
+    """Random streams with timestamp ties, self-loops and losses exactly
+    at the threshold or one ulp either side: a scored stream's verdict is
+    the per-event loop's, a plain context list gets the same verdict, and
+    a loss equal to the threshold is never flagged."""
+    threshold = data.draw(st.sampled_from([0.75, 1.0, 2.5]))
+    near = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
+    loss = st.one_of(st.sampled_from(near), st.floats(0.0, 3.0))
+    node = st.integers(0, 3)
+    rows = data.draw(st.lists(st.tuples(node, node, st.integers(0, 2), loss),
+                              min_size=1, max_size=25))
+    t = 0
+    events = []
+    for src, dst, step, _ in rows:
+        t += step
+        events.append((src, dst, Relation.READ, t))
+    graph = build_graph(([(n, NodeKind.PROCESS, f"p{n}") for n in range(4)], events))
+    losses = np.array([r[3] for r in rows])
+    losses.flags.writeable = False
+    labels = [TruthLabel.UNKNOWN] * len(rows)
+    n = len(rows)
+    scored = StreamContexts(_Stream(TgnModel(ModelConfig()), graph, n), losses, labels)
+    plain = [EventContext(ev, i, [], [], loss=float(losses[i]))
+             for i, ev in enumerate(graph.events)]
+    t0 = data.draw(st.integers(-1, t)) * NS
+    t1 = t0 + data.draw(st.integers(1, t + 2)) * NS
+    stats = WindowStats(mu=0.0, sigma=0.0, threshold=threshold)
+    budget = data.draw(st.sampled_from([None, threshold, 2.0]))
+    config = DetectorConfig(window_loss_budget=budget)
+
+    want = _score_window_reference(graph, scored, (t0, t1), stats, config)
+    _assert_same_verdict(score_window(graph, scored, (t0, t1), stats, config), want)
+    _assert_same_verdict(score_window(graph, plain, (t0, t1), stats, config), want)
+    assert all(losses[i] > threshold for i in want.high_loss_events)
 
 
 def test_anomalous_needs_flag_and_suspicious_node(tiny_graph):

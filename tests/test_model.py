@@ -1,11 +1,16 @@
 """Model behavior: masked forward pass, gradients, training, checkpoints."""
 
+import base64
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import provlens.model
 from provlens.data import LabeledDataset
@@ -780,14 +785,51 @@ def test_stream_losses_match_score_event(model, contexts):
 def test_checkpoint_round_trip(model, contexts, tmp_path):
     p = tmp_path / "ckpt.json"
     model.save(p)
-    assert set(json.loads(p.read_text())) == {
-        "version", "config", "parameters", "stats"}
-    assert p.stat().st_size < 100 * 1024
+    doc = json.loads(p.read_text())
+    assert set(doc) == {"version", "config", "parameters", "stats"}
+    assert doc["version"] == 3
+    assert all(isinstance(v, str) for v in doc["parameters"].values())
+    assert p.stat().st_size < 40 * 1024
     loaded = TgnModel.load(p)
+    for name in ("We", "be", "Wo", "bo"):
+        got, want = getattr(loaded, name), getattr(model, name)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
     sample = random_contexts(contexts, np.random.default_rng(0), 10)
     for ctx in sample:
         assert loaded.score_event(ctx) == model.score_event(ctx)
     assert loaded.stats == model.stats
+
+
+#: doubles that a decimal or a shape-carrying encoding could lose: both
+#: zeros, subnormals, the largest finite magnitudes
+_EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                 -1e-310, 1e308, -1e308, 1.7976931348623157e308, 1 / 3]
+_DOUBLES = st.one_of(st.sampled_from(_EDGE_DOUBLES),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 4), st.sampled_from([2, 4]), st.integers(1, 4))
+def test_checkpoint_round_trip_is_bitwise(data, memory_dim, time_dim, embed_dim):
+    """Every double, sign of zero and subnormal included, comes back with
+    the same bytes (``np.array_equal`` would miss a flipped zero sign),
+    and the statistics come back equal."""
+    model = TgnModel(ModelConfig(memory_dim=memory_dim, time_dim=time_dim,
+                                 embed_dim=embed_dim))
+    for name in ("We", "be", "Wo", "bo"):
+        shape = getattr(model, name).shape
+        setattr(model, name, data.draw(arrays(np.float64, shape, elements=_DOUBLES)))
+    model.stats = provlens.model.TrainStats(
+        *(data.draw(_DOUBLES) for _ in range(3)))
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "ckpt.json"
+        model.save(p)
+        loaded = TgnModel.load(p)
+    for name in ("We", "be", "Wo", "bo"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()
+    assert loaded.config == model.config
+    assert repr(loaded.stats) == repr(model.stats)
 
 
 def test_checkpoint_errors(tmp_path):
@@ -818,6 +860,21 @@ def test_v1_checkpoint_is_rejected(model, tmp_path):
         TgnModel.load(p)
 
 
+def test_v2_checkpoint_is_rejected(model, tmp_path):
+    """Version 2 files held the parameters as nested lists of decimal
+    text; they are not converted."""
+    p = tmp_path / "v2.json"
+    p.write_text(json.dumps({
+        "version": 2,
+        "config": dataclasses.asdict(model.config),
+        "parameters": {name: getattr(model, name).tolist()
+                       for name in ("We", "be", "Wo", "bo")},
+        "stats": dataclasses.asdict(model.stats),
+    }))
+    with pytest.raises(CheckpointError, match="version 2 .*retrain"):
+        TgnModel.load(p)
+
+
 def _set(path, value):
     def edit(doc):
         *head, last = path
@@ -827,27 +884,102 @@ def _set(path, value):
     return edit
 
 
-@pytest.mark.parametrize("edit, match", [
-    (_set(("parameters", "We", 0, 0), float("nan")), "We"),
-    (_set(("parameters", "bo", 3), float("-inf")), "bo"),
-    (_set(("stats", "sigma"), float("nan")), "sigma"),
-    (_set(("stats", "mu"), "0.5"), "mu"),
-    (lambda doc: doc["parameters"]["Wo"].pop(), "Wo"),
-    (_set(("parameters", "be"), [[0.0]]), "be"),
-    (_set(("parameters", "We", 1), [0.0]), "We"),
-    (_set(("parameters", "bo", 0), "x"), "bo"),
-], ids=["nan-We", "inf-bo", "nan-sigma", "text-mu", "short-Wo", "nested-be",
-        "ragged-We", "text-bo"])
-def test_checkpoint_rejects_bad_parameters(model, tmp_path, edit, match):
-    """A parameter whose shape differs from the one its config implies,
-    or any non-finite parameter or stat, is a checkpoint error."""
+def _drop(*path):
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return edit
+
+
+def _decoded(doc, name):
+    return np.frombuffer(base64.b64decode(doc["parameters"][name]), "<f8").copy()
+
+
+def _encoded(doc, name, values):
+    doc["parameters"][name] = base64.b64encode(
+        np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _write_value(name, index, value):
+    def edit(doc):
+        a = _decoded(doc, name)
+        a[index] = value
+        _encoded(doc, name, a)
+    return edit
+
+
+def _resize(name, delta):
+    """Drop the parameter's last ``-delta`` doubles, or append ``delta`` zeros."""
+    def edit(doc):
+        a = _decoded(doc, name)
+        _encoded(doc, name, a[:delta] if delta < 0
+                 else np.concatenate([a, np.zeros(delta)]))
+    return edit
+
+
+def _raw_text(name, transform):
+    def edit(doc):
+        doc["parameters"][name] = transform(doc["parameters"][name])
+    return edit
+
+
+#: malformed version-3 checkpoints and a text the error must contain
+MALFORMED_CHECKPOINTS = [
+    pytest.param(_write_value("We", 0, float("nan")), "We.*not finite", id="nan-We"),
+    pytest.param(_write_value("bo", 3, float("-inf")), "bo.*not finite", id="inf-bo"),
+    pytest.param(_set(("stats", "sigma"), float("nan")), "sigma", id="nan-sigma"),
+    pytest.param(_set(("stats", "mu"), "0.5"), "mu", id="text-mu"),
+    pytest.param(_set(("stats", "mu"), True), "mu", id="bool-mu"),
+    pytest.param(_set(("stats",), {}), "stats.*missing", id="empty-stats"),
+    pytest.param(_set(("stats", "spread"), 1.0), "stats.*unknown.*spread",
+                 id="unknown-stat"),
+    pytest.param(_drop("stats"), "checkpoint.*missing.*stats", id="no-stats"),
+    pytest.param(_drop("parameters"), "missing.*parameters", id="no-parameters"),
+    pytest.param(_drop("parameters", "We"), "parameters.*missing.*We", id="no-We"),
+    pytest.param(_set(("parameters", "Wx"), ""), "parameters.*unknown.*Wx",
+                 id="unknown-parameter"),
+    pytest.param(_set(("memory",), {}), "checkpoint.*unknown.*memory",
+                 id="unknown-top-key"),
+    pytest.param(_drop("config", "horizon"), "config.*missing.*horizon",
+                 id="no-horizon"),
+    pytest.param(_set(("config", "depth"), 3), "config.*unknown.*depth",
+                 id="unknown-config-key"),
+    pytest.param(_set(("config", "horizon"), 2.5), "config.*horizon", id="float-horizon"),
+    pytest.param(_set(("config", "time_dim"), 7), "config.*time_dim", id="odd-time_dim"),
+    pytest.param(_set(("config",), [1]), "config.*not a JSON object", id="list-config"),
+    # a corrupt dimension fails on the byte count before any weight is built
+    pytest.param(_set(("config", "memory_dim"), 10**12), "We.*holds .* bytes",
+                 id="huge-memory_dim"),
+    pytest.param(_resize("Wo", -1), "Wo.*holds .* bytes; .*implies", id="short-Wo"),
+    pytest.param(_resize("We", 1), "We.*holds .* bytes; .*implies", id="long-We"),
+    pytest.param(_set(("parameters", "be"), [0.0] * 32), "be.*not a base64 string",
+                 id="list-be"),
+    pytest.param(_raw_text("bo", lambda t: "!" + t[1:]), "bo.*not base64",
+                 id="bad64-bo"),
+    pytest.param(_raw_text("bo", lambda t: t[:-4] + "\n" + t[-4:]), "bo.*not base64",
+                 id="newline-bo"),
+    pytest.param(_raw_text("bo", lambda t: t[:-1]), "bo", id="unpadded-bo"),
+    pytest.param(_raw_text("bo", lambda t: "\u00e9" + t[1:]), "bo.*not base64",
+                 id="non-ascii-bo"),
+]
+
+
+@pytest.mark.parametrize("edit, match", MALFORMED_CHECKPOINTS)
+def test_checkpoint_rejects_malformed_fields(model, tmp_path, edit, match):
+    """A missing or unknown key, a config or stat that breaks its type
+    rule or range, and a parameter that is not base64 text, holds the
+    wrong byte count for its config's shape or a non-finite value is a
+    checkpoint error naming the field and the file."""
     p = tmp_path / "ckpt.json"
     model.save(p)
     doc = json.loads(p.read_text())
     edit(doc)
     p.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match=match):
+    with pytest.raises(CheckpointError, match=match) as err:
         TgnModel.load(p)
+    assert str(p) in str(err.value)
 
 
 def test_train_rejects_empty_dataset():

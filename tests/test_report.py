@@ -216,3 +216,18 @@ def test_graph_description_escapes_labels():
     dot = emit_graph_description(_report(), sub, node_map)
     assert 'n1 [label="a\\"b", shape=box];' in dot
     assert 'n2 [label="c\\\\N\\\\n\\\\", shape=ellipse];' in dot
+
+
+def test_graph_description_quotes_negative_node_ids():
+    """``n-5`` is not a DOT ID, so a negative node id is written quoted;
+    every other id keeps its bare ``n{nid}`` form."""
+    node_map = {-5: NodeDescriptor(-5, NodeKind.PROCESS, "neg"), **NODE_MAP}
+    sub = AttackSubgraph(nodes={-5, 1, 2}, event_indexes=[0, 1],
+                         events=[Event(-5, 1, Relation.EXECUTE, 5),
+                                 Event(1, 2, Relation.READ, 6)])
+    dot = emit_graph_description(_report(), sub, node_map)
+    assert '  "n-5" [label="neg", shape=box];' in dot
+    assert '  n1 [label="sh", shape=box];' in dot
+    assert '  "n-5" -> n1 [label="EXECUTE", ' in dot
+    assert '  n1 -> n2 [label="READ", ' in dot
+    assert "n-5" not in dot.replace('"n-5"', "")
