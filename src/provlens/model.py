@@ -27,18 +27,33 @@ relation and timestamp columns, each event's endpoint rows and the
 graph's CSR incidence list (see :mod:`provlens.graph`), cut to the
 stream's events, and sorts nothing of its own. An event's dependency
 level is one more than the higher level of its endpoints' previous
-events, so the events of one level touch distinct nodes: the replay
-advances a whole level (in chunks of at most ``_BLOCK`` events) with one
+events, so the events of one level touch distinct nodes. Level 0 holds
+the fresh pairs, events neither of whose endpoints has an earlier
+incidence, about 40% of a stream. Both of their updates read the zero
+memory with a delta of 0, so their new memories depend on the relation
+alone: one gated step over ``N_RELATIONS`` zero rows makes a
+per-relation table, and one assignment copies it into their trace rows.
+That is exact, not an approximation: a zero row times the weights is
+exactly zero in any BLAS kernel, and the gate is elementwise, so each
+table row has the bits the event's own update would have (its drive row,
+like each segment's drive below, is checked bit for bit by the tests
+against a drive computed per update product). Every later
+level is advanced (in chunks of at most ``_BLOCK`` events) with one
 ``(2k, 2 mem) @ (2 mem, 2 mem)`` product over the rows
-``[h_self, h_other]`` and writes the new memories into one read-only
+``[h_self, h_other]`` that writes the new memories into one read-only
 trace of post-update memories. Most levels hold a few events, so the
 work that does not read memory is done once per segment of at most
 ``_BLOCK`` events in level order, which may span many levels: the trace
 rows each update reads and writes, and its drive (time encoding,
 relation column and bias). Each product then only gathers its memory
-rows, multiplies, adds its rows of the drive, gates and scatters. A
-node's state before event i is the trace row of its last incidence
-before i, found by one searchsorted.
+rows, multiplies, adds its rows of the drive, gates and scatters.
+"Twin" updates, whose two sides read equal memories, are deliberately
+not merged into one row: OpenBLAS can give a row other bits when it is
+computed in a product with fewer rows, so changing a memory-reading
+product's row count would change the trace. A node's state before event
+i is the trace row of its last incidence before i, found by one
+searchsorted; the level loop and the one-hop neighborhoods visit only
+the events that have such an incidence.
 At ``hops=1`` every neighborhood is the last ``horizon`` incidences of
 each endpoint, deduplicated, built as arrays; at ``hops > 1`` the same
 arrays are filled from :func:`extract_context`, whose breadth-first walk
@@ -711,9 +726,10 @@ class _Stream:
     with offsets. Only :meth:`context` builds :class:`Event` objects,
     through the graph's ``events`` view, for the one context it builds.
 
-    The replay computes each segment's read and write rows and drive
-    once, and each update product only its memory-dependent step (see
-    :meth:`_replay`).
+    The replay writes the fresh pairs (level 0) from one per-relation
+    table, computes each later segment's read and write rows and drive
+    once, and runs each update product only for its memory-dependent
+    step (see :meth:`_replay`).
 
     The trace is one read-only ``(2n + 1, memory_dim)`` array of
     post-update memories: row ``2i`` is event i's src-side memory and row
@@ -760,20 +776,31 @@ class _Stream:
     def _replay(self, model: TgnModel, level: np.ndarray) -> np.ndarray:
         """Replay level by level into the trace.
 
-        Each level is advanced in update products of at most ``_BLOCK``
-        events. The events are walked in level order in segments of
-        whole products, at most ``_BLOCK`` events each: a segment may
-        hold many small levels, and a wide level fills several segments.
-        The trace rows each update reads and writes and its
-        :func:`_drive` are computed once per segment; each product only
-        gathers its memories, runs :func:`_gated_step` on its rows of
-        the drive and scatters the new memories into the trace."""
+        Level 0 holds the fresh pairs: events neither of whose endpoints
+        has an earlier incidence. Their updates read the zero memory with
+        a delta of 0, so each one's result depends on its relation only;
+        one :func:`_gated_step` over ``N_RELATIONS`` zero rows gives the
+        table, and one assignment writes both trace rows of every level-0
+        event from it.
+
+        Each later level is advanced in update products of at most
+        ``_BLOCK`` events. Those events are walked in level order in
+        segments of whole products, at most ``_BLOCK`` events each: a
+        segment may hold many small levels, and a wide level fills
+        several segments. The trace rows each update reads and writes and
+        its :func:`_drive` are computed once per segment; each product
+        only gathers its memories, runs :func:`_gated_step` on its rows
+        of the drive and scatters the new memories into the trace."""
         mem, n = model.config.memory_dim, self.n
         trace = np.zeros((2 * n + 1, mem))
         order = np.argsort(level, kind="stable")
-        ends = np.cumsum(np.bincount(level)).tolist()
+        ends = np.cumsum(np.bincount(level, minlength=1)).tolist()
+        fresh = order[: ends[0]]
+        table = _gated_step(model, np.zeros((N_RELATIONS, 2 * mem)),
+                            _drive(model, np.arange(N_RELATIONS), np.zeros(N_RELATIONS)))
+        trace[: 2 * n].reshape(n, 2, mem)[fresh] = table[self.rel[fresh], None]
         # a product starts at its level's start and every _BLOCK events after
-        cuts = [c for s, e in itertools.pairwise([0, *ends]) for c in range(s, e, _BLOCK)]
+        cuts = [c for s, e in itertools.pairwise(ends) for c in range(s, e, _BLOCK)]
         cuts.append(n)
         first = 0
         while first < len(cuts) - 1:
@@ -797,7 +824,9 @@ class _Stream:
     def _one_hop(self, pos, first, horizon: int) -> tuple[np.ndarray, np.ndarray]:
         """One-hop neighborhoods, in blocks of ``_BLOCK`` events: the last
         ``horizon`` earlier incidences of each endpoint, deduplicated and
-        ordered by descending timestamp, then ascending index."""
+        ordered by descending timestamp, then ascending index. An event
+        whose endpoints have no earlier incidence has none, so the blocks
+        hold only the events that have one."""
         n = self.n
         ev = np.arange(n)
         # each event's position in (-timestamp, index) order; timestamps
@@ -806,8 +835,10 @@ class _Stream:
                 + ev - np.searchsorted(self.ts, self.ts, "left"))
         by_rank = np.empty_like(ev)
         by_rank[rank] = ev
-        parts, sizes = [], []
-        for start in range(0, n, _BLOCK):
+        later = np.flatnonzero((pos > first).any(axis=0))
+        pos, first = pos[:, later], first[:, later]
+        parts, sizes = [], np.zeros(n, dtype=ev.dtype)
+        for start in range(0, len(later), _BLOCK):
             p, f = pos[:, start : start + _BLOCK], first[:, start : start + _BLOCK]
             width = min(horizon, int((p - f).max()))
             cand = p[..., None] - width + np.arange(width)
@@ -817,8 +848,8 @@ class _Stream:
             keep = r < n
             keep[:, 1:] &= r[:, 1:] != r[:, :-1]
             parts.append(by_rank[r[keep]])
-            sizes.append(keep.sum(axis=1))
-        return np.concatenate([ev[:0], *parts]), np.concatenate([ev[:0], *sizes])
+            sizes[later[start : start + _BLOCK]] = keep.sum(axis=1)
+        return np.concatenate([ev[:0], *parts]), sizes
 
     def _rows_before(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
         """Trace row and event of each node row's last incidence before
@@ -872,10 +903,12 @@ class _Stream:
 def _levels(prev_ev: np.ndarray) -> np.ndarray:
     """Dependency level of each event from the (2, n) events that last
     touched its endpoints before it (n for none): one more than the
-    higher of their levels, 0 for an event with no predecessor."""
+    higher of their levels, 0 for an event with no predecessor. The loop
+    visits only the events that have one."""
     n = prev_ev.shape[1]
     level = [0] * n + [-1]
-    for i, (a, b) in enumerate(zip(*prev_ev.tolist())):
+    later = np.flatnonzero((prev_ev < n).any(axis=0))
+    for i, a, b in zip(later.tolist(), *prev_ev[:, later].tolist()):
         la, lb = level[a], level[b]
         level[i] = (la if la > lb else lb) + 1
     return np.array(level[:n], dtype=np.intp)

@@ -154,6 +154,43 @@ def test_parse_log_rejects_malformed(line):
         parse_log([line])
 
 
+_VALID_LINE = "PROCESS sh READ FILE /x 1000"
+#: one whitespace-free token, as ``str.split`` sees it
+_field = st.text(min_size=1, max_size=8).filter(lambda t: t.split() == [t])
+
+
+def _field_or(values):
+    return st.one_of(st.sampled_from([v.value for v in values]), _field)
+
+
+def _assert_parsed_or_names_line(lines, lineno):
+    """parse_log returns a dataset or raises a ParseError that names line
+    ``lineno``, the one line of ``lines`` that may be malformed."""
+    try:
+        ds = parse_log(lines)
+    except ParseError as exc:
+        assert str(exc).startswith(f"line {lineno}: "), str(exc)
+    else:
+        assert isinstance(ds, LabeledDataset)
+        assert len(ds.graph) == len(ds.labels) <= len(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_parse_log_fuzz_arbitrary_line(line):
+    _assert_parsed_or_names_line([_VALID_LINE, line, _VALID_LINE], 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(_field_or(NodeKind), _field, _field_or(Relation), _field_or(NodeKind),
+              _field, st.one_of(st.integers(-2**70, 2**70).map(str), _field)),
+    st.sampled_from([" ", "\t", "  \t "]),
+)
+def test_parse_log_fuzz_six_field_line(fields, sep):
+    _assert_parsed_or_names_line([_VALID_LINE, sep.join(fields)], 2)
+
+
 def test_parse_log_skips_blank_lines():
     ds = parse_log(["", "PROCESS sh READ FILE /x 1000", "   "])
     assert len(ds.graph) == 1

@@ -527,7 +527,8 @@ def _loop_update_rows(model, H, rel, dt):
 def _loop_replay(products):
     """A ``_Stream._replay`` stand-in: per level, one product every
     ``_BLOCK`` events, each product computing its own drive and index
-    arrays; appends each product's memory rows ``H`` to ``products``."""
+    arrays; appends each product's level and memory rows ``H`` to
+    ``products``."""
     def replay(self, model, level):
         mem = model.config.memory_dim
         trace = np.zeros((2 * self.n + 1, mem))
@@ -538,7 +539,7 @@ def _loop_replay(products):
                 h_src, h_dst = self.prev_row[:, ev]
                 H = trace[np.stack([h_src, h_dst, h_dst, h_src], axis=1)]
                 H = H.reshape(2 * len(ev), 2 * mem)
-                products.append(H)
+                products.append((level[ev[0]], H))
                 trace[np.stack([2 * ev, 2 * ev + 1], axis=1).ravel()] = _loop_update_rows(
                     model, H, np.repeat(self.rel[ev], 2), self.dt[:, ev].T.ravel())
         trace.flags.writeable = False
@@ -547,8 +548,11 @@ def _loop_replay(products):
 
 
 def _assert_replay_matches_loop(model, dataset, block):
-    """Trace, losses and every product's memory rows of the segment
-    replay equal the level loop's, bit for bit."""
+    """Trace and losses of the segment replay equal the level loop's, bit
+    for bit. The replay's first update call is the fresh-pair table, a
+    step over one zero row per relation with deltas of 0; every later call
+    reads memory, and their rows are, in order and bit for bit, those of
+    the loop's products of levels 1 and up."""
     steps, loop_products = mock.Mock(wraps=provlens.model._gated_step), []
     with mock.patch.object(provlens.model, "_BLOCK", block):
         with mock.patch.object(provlens.model, "_gated_step", steps):
@@ -557,9 +561,14 @@ def _assert_replay_matches_loop(model, dataset, block):
             ref = score_stream(model, dataset)
     assert np.array_equal(got._stream.trace, ref._stream.trace)
     assert np.array_equal(got.losses, ref.losses)
-    products = [call.args[1] for call in steps.call_args_list]
-    assert len(products) == len(loop_products)
-    assert all(np.array_equal(a, b) for a, b in zip(products, loop_products))
+    table, *products = [call.args for call in steps.call_args_list]
+    mem = model.config.memory_dim
+    assert np.array_equal(table[1], np.zeros((N_RELATIONS, 2 * mem)))
+    assert np.array_equal(table[2], provlens.model._drive(
+        model, np.arange(N_RELATIONS), np.zeros(N_RELATIONS)))
+    later = [H for level, H in loop_products if level >= 1]
+    assert len(products) == len(later)
+    assert all(np.array_equal(args[1], H) for args, H in zip(products, later))
 
 
 @settings(max_examples=80, deadline=None)
@@ -576,6 +585,75 @@ def test_segment_replay_matches_level_loop_on_scenario(model, dataset):
     """The default scenario's widest levels hold over a thousand events,
     so they fill several segments."""
     _assert_replay_matches_loop(model, dataset, provlens.model._BLOCK)
+
+
+def _full_levels(prev_ev):
+    """``_levels`` as a loop over every event."""
+    n = prev_ev.shape[1]
+    level = [0] * n + [-1]
+    for i, (a, b) in enumerate(zip(*prev_ev.tolist())):
+        level[i] = max(level[a], level[b]) + 1
+    return np.array(level[:n], dtype=np.intp)
+
+
+def _all_events_one_hop(stream, pos, first, horizon):
+    """``_Stream._one_hop`` with blocks over every event, fresh ones
+    included."""
+    n = stream.n
+    ev = np.arange(n)
+    rank = (n - np.searchsorted(stream.ts, stream.ts, "right")
+            + ev - np.searchsorted(stream.ts, stream.ts, "left"))
+    by_rank = np.empty_like(ev)
+    by_rank[rank] = ev
+    parts, sizes, block = [], [], provlens.model._BLOCK
+    for start in range(0, n, block):
+        p, f = pos[:, start : start + block], first[:, start : start + block]
+        width = min(horizon, int((p - f).max()))
+        cand = p[..., None] - width + np.arange(width)
+        ok = cand >= f[..., None]
+        r = np.where(ok, rank[stream.inc_ev[np.where(ok, cand, 0)]], n)
+        r = np.sort(np.concatenate(r, axis=1), axis=1)
+        keep = r < n
+        keep[:, 1:] &= r[:, 1:] != r[:, :-1]
+        parts.append(by_rank[r[keep]])
+        sizes.append(keep.sum(axis=1))
+    return np.concatenate([ev[:0], *parts]), np.concatenate([ev[:0], *sizes])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases(), st.sampled_from([1, 2, 3, 512]), st.integers(1, 12))
+def test_fresh_pairs_skip_the_replay(case, block, horizon):
+    """An event neither of whose endpoints has an earlier incidence gets
+    both trace rows from the per-relation table, equal to a one-event
+    replay from empty memory; the levels and one-hop neighborhoods that
+    skip such events equal the loops over every event."""
+    model, graph, _ = case
+    fresh, seen = [], set()
+    for i, e in enumerate(graph.events):
+        if not seen & {e.src, e.dst}:
+            fresh.append(i)
+        seen |= {e.src, e.dst}
+    with mock.patch.object(provlens.model, "_BLOCK", block):
+        stream = _Stream(model, graph, len(graph))
+        n = stream.n
+        pos = np.searchsorted(stream.key, stream.ends * (n + 1) + np.arange(n))
+        first = np.searchsorted(stream.key, stream.ends * (n + 1))
+        nb, sizes = stream._one_hop(pos, first, horizon)
+        ref_nb, ref_sizes = _all_events_one_hop(stream, pos, first, horizon)
+    for i in fresh:
+        memory = ReplayMemory(model.config.memory_dim)
+        e = graph.events[i]
+        model.replay_update(memory, Event(0, 1, e.relation, e.timestamp))
+        assert np.array_equal(stream.trace[2 * i], memory.memory[0])
+        assert np.array_equal(stream.trace[2 * i + 1], memory.memory[1])
+    assert np.array_equal(nb, ref_nb) and nb.dtype == ref_nb.dtype
+    assert np.array_equal(sizes, ref_sizes) and sizes.dtype == ref_sizes.dtype
+    assert not sizes[fresh].any()
+
+    prev_ev = np.where(pos > first, stream.inc_ev[pos - 1], n)
+    level = provlens.model._levels(prev_ev)
+    assert np.array_equal(level, _full_levels(prev_ev)) and level.dtype == np.intp
+    assert np.flatnonzero(level == 0).tolist() == fresh
 
 
 @settings(max_examples=80, deadline=None)
