@@ -245,8 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument(
         "--seed", type=int, default=7,
-        help="scenario seed; the default scenario has no seeded templates, "
-             "so every seed gives the same stream",
+        help="scenario seed; stored on the scenario but read by nothing yet: "
+             "every duty cycle and session stream is scripted, so every seed "
+             "gives the same stream",
     )
     g.add_argument("--log", help="also write the raw text log here")
     g.set_defaults(fn=_cmd_generate)

@@ -1,13 +1,21 @@
 """Audit-log ingestion and synthetic scenario generation.
 
 Two ways to obtain a labeled dataset: parse a plain-text audit log
-(one whitespace-separated record per line), or generate a seeded
-synthetic timeline containing benign background activity plus an
-injected multi-stage attack chain.
+(one whitespace-separated record per line), or generate a synthetic
+timeline from a :class:`ScenarioSpec`. A spec names two kinds of
+benign background, both scripted: duty cycles (:class:`DutyCycle`, a
+long-lived process repeating fixed steps, which may spawn sessions)
+and session streams (:class:`SessionSpec`, one short scripted session
+per period), plus an injected multi-stage attack chain. The spec's
+seed is read by nothing yet, so the timeline is a function of the
+scripts alone.
 
 Log line format::
 
     <src_kind> <src_label> <relation> <dst_kind> <dst_label> <timestamp_ns>
+
+The timestamp is ASCII decimal digits with an optional sign, within
+the int64 range.
 
 Dataset file: a single JSON document {version, nodes, events, labels,
 attack_interval}.
@@ -28,7 +36,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +114,13 @@ def _node_table(graph: TemporalGraph) -> dict:
 # ---------------------------------------------------------------------------
 
 _FIELDS = ("src_kind", "src_label", "relation", "dst_kind", "dst_label", "timestamp_ns")
+#: a timestamp field: ASCII digits only (``int`` also takes other
+#: scripts' digits and underscores)
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+#: digits of the int64 bounds, leading zeros aside
+_I64_DIGITS = len(str(_I64.max))
+#: characters of a bad token quoted in a ParseError
+_EXCERPT = 40
 
 
 def parse_log(lines) -> LabeledDataset:
@@ -126,16 +143,7 @@ def parse_log(lines) -> LabeledDataset:
         src_kind = _parse_kind(parts[0], lineno, "src_kind")
         rel = _parse_relation(parts[2], lineno)
         dst_kind = _parse_kind(parts[3], lineno, "dst_kind")
-        try:
-            ts = int(parts[5])
-        except ValueError:
-            raise ParseError(
-                f"line {lineno}: field timestamp_ns is not an integer: {parts[5]!r}"
-            ) from None
-        if not _I64.min <= ts <= _I64.max:
-            raise ParseError(
-                f"line {lineno}: field timestamp_ns is outside the int64 range: {ts}"
-            )
+        ts = _parse_timestamp(parts[5], lineno)
         records.append(((src_kind, parts[1]), (dst_kind, parts[4]), rel, ts))
 
     records.sort(key=lambda r: r[3])
@@ -182,13 +190,39 @@ def render_log(ds: LabeledDataset) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def _parse_timestamp(token: str, lineno: int) -> int:
+    """ASCII decimal digits with an optional sign, in the int64 range.
+    Leading zeros are dropped before ``int`` reads the digits, which it
+    refuses past 4,300 of them."""
+    if _DECIMAL.fullmatch(token) is None:
+        raise ParseError(
+            f"line {lineno}: field timestamp_ns is not an integer: {_excerpt(token)}"
+        )
+    digits = token.lstrip("+-").lstrip("0") or "0"
+    if len(digits) <= _I64_DIGITS:
+        ts = -int(digits) if token[0] == "-" else int(digits)
+        if _I64.min <= ts <= _I64.max:
+            return ts
+    raise ParseError(
+        f"line {lineno}: field timestamp_ns is outside the int64 range: "
+        f"{_excerpt(token)}"
+    )
+
+
+def _excerpt(token: str) -> str:
+    """The token quoted, cut to its first _EXCERPT characters."""
+    if len(token) <= _EXCERPT:
+        return repr(token)
+    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"
+
+
 def _parse_kind(token: str, lineno: int, fieldname: str) -> NodeKind:
     try:
         return NodeKind(token)
     except ValueError:
         valid = ", ".join(k.value for k in NodeKind)
         raise ParseError(
-            f"line {lineno}: field {fieldname} has unknown kind {token!r} "
+            f"line {lineno}: field {fieldname} has unknown kind {_excerpt(token)} "
             f"(valid: {valid})"
         ) from None
 
@@ -199,7 +233,8 @@ def _parse_relation(token: str, lineno: int) -> Relation:
     except ValueError:
         valid = ", ".join(r.value for r in Relation)
         raise ParseError(
-            f"line {lineno}: unknown relation {token!r} (valid alphabet: {valid})"
+            f"line {lineno}: unknown relation {_excerpt(token)} "
+            f"(valid alphabet: {valid})"
         ) from None
 
 
@@ -233,7 +268,8 @@ class SessionStep:
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """A short scripted interaction, optionally spawned by a parent process.
+    """A stream of short scripted sessions, optionally spawned by a parent
+    process.
 
     Session n's actor is the process ``f"{name}.{n}"``. With a parent,
     every session opens with `parent EXECUTE <actor>` and the actor then
@@ -251,6 +287,17 @@ class SessionSpec:
     offset_s: float = 0.0      # first session start
     conf: str | None = None    # parent's config file label
 
+    def __post_init__(self):
+        # session starts must advance, or the stream never passes the
+        # capture's end; a session must emit at least one event
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(
+                f"session {self.name!r}: period_s must be finite and > 0, "
+                f"got {self.period_s}"
+            )
+        if not self.steps and not self.parent:
+            raise ValueError(f"session {self.name!r} has neither steps nor a parent")
+
 
 @dataclass(frozen=True)
 class CycleStep:
@@ -264,27 +311,29 @@ class CycleStep:
 
 
 @dataclass(frozen=True)
-class BenignTemplate:
-    """One background behavior: a duty cycle, sessions, or a flat mix.
-
-    ``mix`` gives the stationary relation mix. In mix mode the template
-    process emits relations round-robin proportional to the mix weights,
-    so the empirical mix matches the weights without per-event sampling
-    noise. When ``cycle`` or ``sessions`` is set, those drive the
-    behavior and the mix is derived documentation.
+class DutyCycle:
+    """A long-lived process ``label`` repeating its steps, one lap per
+    period (the sum of the steps' gaps), from ``offset_s`` on. With a
+    ``conf``, the process opens that file once, at max(offset_s - 2 s, 0).
     """
 
     label: str
-    mix: dict[Relation, float]
-    rate_per_min: float
-    sessions: tuple[SessionSpec, ...] = ()
-    cycle: tuple[CycleStep, ...] = ()
-    cycle_offset_s: float = 0.0
-    conf: str | None = None  # config file OPENed once, just before the cycle
+    steps: tuple[CycleStep, ...]
+    offset_s: float = 0.0
+    conf: str | None = None
 
     def __post_init__(self):
-        if self.rate_per_min <= 0:
-            raise ValueError("template rate must be > 0")
+        # laps must advance, or the cycle never passes the capture's end
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
+            raise ValueError(
+                f"duty cycle {self.label!r}: the gaps of its {len(self.steps)} "
+                f"step(s) sum to {self.period_s}, not a finite period > 0"
+            )
+
+    @property
+    def period_s(self) -> float:
+        """One lap: the sum of the steps' gaps."""
+        return sum(step.gap_s for step in self.steps)
 
 
 @dataclass(frozen=True)
@@ -299,12 +348,20 @@ class AttackStep:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A capture of ``duration_s`` seconds: benign duty cycles and session
+    streams plus an attack chain. ``seed`` is carried but read by
+    nothing yet; every stream is scripted."""
+
     duration_s: float
-    benign_templates: tuple[BenignTemplate, ...]
+    cycles: tuple[DutyCycle, ...]
+    sessions: tuple[SessionSpec, ...]
     attack_chain: tuple[AttackStep, ...]
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.duration_s):
+            # a stream ends at the first event past the capture
+            raise ValueError(f"duration_s must be finite, got {self.duration_s}")
         offsets = [s.offset_s for s in self.attack_chain]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("attack step offsets must be strictly increasing")
@@ -317,13 +374,14 @@ _WEB_SPAWN_PHASE_S = 30.0  # EXECUTE position within the cycle
 
 
 def default_scenario(seed: int = 7) -> ScenarioSpec:
-    """The desk-scale default: 60 minutes, 3 benign templates (5,760
-    events in all), and the 4-step attack chain (webserver spawns a shell
-    that reads a sensitive file, writes a payload, and phones out).
+    """The desk-scale default: 60 minutes of 2 duty cycles (the
+    webserver, which spawns a CGI session per lap, and the name-service
+    cache) and 9 session streams, 5,760 events in all, and the 4-step
+    attack chain (webserver spawns a shell that reads a sensitive file,
+    writes a payload, and phones out).
 
-    The seed varies nothing here: every template is a duty-cycle or a
-    session template, and only flat-mix templates draw from the seeded
-    generator, so every seed gives the same stream.
+    The seed is carried on the spec but read by nothing yet: every
+    stream is scripted, so every seed gives the same stream.
 
     The background mixes deterministic scripted behavior (whose losses
     shrink with training) with alternating-coin relation choices (whose
@@ -341,12 +399,9 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
             SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh", gap_s=1.0),
         ),
     )
-    web = BenignTemplate(
+    web = DutyCycle(
         label="nginx",
-        mix={Relation.READ: 2, Relation.SEND: 2, Relation.RECV: 1,
-             Relation.EXECUTE: 1, Relation.WRITE: 1},
-        rate_per_min=6.0,
-        cycle=(
+        steps=(
             CycleStep(Relation.READ, NodeKind.FILE, "/srv/www/index.html",
                       gap_s=42.0),
             CycleStep(Relation.SEND, NodeKind.SOCKET, "conn", gap_s=18.0),
@@ -354,141 +409,116 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
             CycleStep(Relation.EXECUTE, NodeKind.PROCESS, "fresh", gap_s=4.0,
                       spawn=cgi),
         ),
-        cycle_offset_s=_WEB_CYCLE_OFFSET_S,
+        offset_s=_WEB_CYCLE_OFFSET_S,
         conf="/etc/nginx.conf",
-    )
-    services = BenignTemplate(
-        label="services",
-        mix={
-            Relation.OPEN: 8,
-            Relation.CLOSE: 3,
-            Relation.CONNECT: 1,
-            Relation.RECV: 1,
-            Relation.EXECUTE: 1,
-            Relation.READ: 1,
-            Relation.WRITE: 1,
-            Relation.SEND: 1,
-        },
-        rate_per_min=70.0,
-        sessions=(
-            # three busy worker pools: each worker opens its task spec and
-            # then either acquires or releases its handle (alternating, so
-            # the choice carries exactly one bit the features cannot
-            # predict); distinct open-to-action delays identify the pool
-            SessionSpec(
-                name="pool_a", parent=None,
-                period_s=6.0, offset_s=2.0,
-                steps=(
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "same",
-                                gap_s=4.0, coin=Relation.CLOSE),
-                ),
-            ),
-            SessionSpec(
-                name="pool_b", parent=None,
-                period_s=6.0, offset_s=4.0,
-                steps=(
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.CONNECT, NodeKind.SOCKET, "fresh",
-                                gap_s=8.0, coin=Relation.RECV),
-                ),
-            ),
-            SessionSpec(
-                name="pool_c", parent=None,
-                period_s=6.0, offset_s=5.0,
-                steps=(
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "same",
-                                gap_s=16.0, coin=Relation.CLOSE),
-                ),
-            ),
-            # a scanner pool that reads what it opened before acting on it,
-            # so recently-opened files are legitimately read
-            SessionSpec(
-                name="pool_d", parent=None,
-                period_s=9.0, offset_s=1.0,
-                steps=(
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.READ, NodeKind.FILE, "same",
-                                gap_s=1.0),
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "same",
-                                gap_s=4.0, coin=Relation.CLOSE),
-                ),
-            ),
-            # a slow batch worker: long spawn-to-action delay, scripted
-            SessionSpec(
-                name="batch", parent="svc_batch", start_gap_s=24.0,
-                period_s=120.0, offset_s=23.0, conf="svc_batch.conf",
-                steps=(
-                    SessionStep(Relation.WRITE, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh",
-                                gap_s=1.0),
-                    SessionStep(Relation.CLOSE, NodeKind.FILE, "fresh",
-                                gap_s=1.0),
-                ),
-            ),
-            # short-lived login helpers consult the account database on a
-            # slow cadence phase-locked with the cache refreshes; the phase
-            # keeps one more read just outside the context horizon, so the
-            # recent mix is insensitive to any single reader dropping out
-            SessionSpec(
-                name="logincheck", parent=None,
-                period_s=450.0, offset_s=190.0,
-                steps=(
-                    SessionStep(Relation.READ, NodeKind.FILE, "/etc/passwd"),
-                ),
-            ),
-            # a slower auditor on an incommensurate period: its reads
-            # drift across the login-check phase, so training sees the
-            # account file's recent history with varied read spacings
-            SessionSpec(
-                name="audit", parent=None,
-                period_s=1350.0, offset_s=660.0,
-                steps=(
-                    SessionStep(Relation.READ, NodeKind.FILE, "/etc/passwd"),
-                ),
-            ),
-            # the auth daemon re-reads the account database on reload
-            SessionSpec(
-                name="authcheck", parent="authd", start_gap_s=2.0,
-                period_s=120.0, offset_s=11.0, conf="auth.conf",
-                steps=(
-                    SessionStep(Relation.READ, NodeKind.FILE, "auth/db"),
-                ),
-            ),
-        ),
     )
     # the name-service cache refreshes its handle on the account database
     # on a steady cadence; the phase puts the final refresh shortly before
     # the attack's READ of the same file, so the file's recent history is
     # realistic, and none follows it inside the capture
-    nscd = BenignTemplate(
+    nscd = DutyCycle(
         label="nscd",
-        mix={Relation.OPEN: 1},
-        rate_per_min=0.4,
-        cycle=(
+        steps=(
             CycleStep(Relation.OPEN, NodeKind.FILE, "/etc/passwd",
                       gap_s=150.0),
         ),
-        cycle_offset_s=115.0,
+        offset_s=115.0,
     )
-    adhoc = BenignTemplate(
-        label="clients",
-        mix={Relation.OPEN: 1, Relation.READ: 1, Relation.WRITE: 1,
-             Relation.SEND: 1},
-        rate_per_min=5.0,
-        sessions=(
-            SessionSpec(
-                name="client",
-                parent=None,
-                period_s=36.0,
-                offset_s=3.5,
-                steps=(
-                    SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.READ, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.WRITE, NodeKind.FILE, "fresh"),
-                    SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh"),
-                ),
+    sessions = (
+        # three busy worker pools: each worker opens its task spec and
+        # then either acquires or releases its handle (alternating, so
+        # the choice carries exactly one bit the features cannot
+        # predict); distinct open-to-action delays identify the pool
+        SessionSpec(
+            name="pool_a", parent=None,
+            period_s=6.0, offset_s=2.0,
+            steps=(
+                SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.OPEN, NodeKind.FILE, "same",
+                            gap_s=4.0, coin=Relation.CLOSE),
+            ),
+        ),
+        SessionSpec(
+            name="pool_b", parent=None,
+            period_s=6.0, offset_s=4.0,
+            steps=(
+                SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.CONNECT, NodeKind.SOCKET, "fresh",
+                            gap_s=8.0, coin=Relation.RECV),
+            ),
+        ),
+        SessionSpec(
+            name="pool_c", parent=None,
+            period_s=6.0, offset_s=5.0,
+            steps=(
+                SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.OPEN, NodeKind.FILE, "same",
+                            gap_s=16.0, coin=Relation.CLOSE),
+            ),
+        ),
+        # a scanner pool that reads what it opened before acting on it,
+        # so recently-opened files are legitimately read
+        SessionSpec(
+            name="pool_d", parent=None,
+            period_s=9.0, offset_s=1.0,
+            steps=(
+                SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.READ, NodeKind.FILE, "same",
+                            gap_s=1.0),
+                SessionStep(Relation.OPEN, NodeKind.FILE, "same",
+                            gap_s=4.0, coin=Relation.CLOSE),
+            ),
+        ),
+        # a slow batch worker: long spawn-to-action delay, scripted
+        SessionSpec(
+            name="batch", parent="svc_batch", start_gap_s=24.0,
+            period_s=120.0, offset_s=23.0, conf="svc_batch.conf",
+            steps=(
+                SessionStep(Relation.WRITE, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh",
+                            gap_s=1.0),
+                SessionStep(Relation.CLOSE, NodeKind.FILE, "fresh",
+                            gap_s=1.0),
+            ),
+        ),
+        # short-lived login helpers consult the account database on a
+        # slow cadence phase-locked with the cache refreshes; the phase
+        # keeps one more read just outside the context horizon, so the
+        # recent mix is insensitive to any single reader dropping out
+        SessionSpec(
+            name="logincheck", parent=None,
+            period_s=450.0, offset_s=190.0,
+            steps=(
+                SessionStep(Relation.READ, NodeKind.FILE, "/etc/passwd"),
+            ),
+        ),
+        # a slower auditor on an incommensurate period: its reads
+        # drift across the login-check phase, so training sees the
+        # account file's recent history with varied read spacings
+        SessionSpec(
+            name="audit", parent=None,
+            period_s=1350.0, offset_s=660.0,
+            steps=(
+                SessionStep(Relation.READ, NodeKind.FILE, "/etc/passwd"),
+            ),
+        ),
+        # the auth daemon re-reads the account database on reload
+        SessionSpec(
+            name="authcheck", parent="authd", start_gap_s=2.0,
+            period_s=120.0, offset_s=11.0, conf="auth.conf",
+            steps=(
+                SessionStep(Relation.READ, NodeKind.FILE, "auth/db"),
+            ),
+        ),
+        # ad-hoc clients touch fresh files and sockets
+        SessionSpec(
+            name="client", parent=None,
+            period_s=36.0, offset_s=3.5,
+            steps=(
+                SessionStep(Relation.OPEN, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.READ, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.WRITE, NodeKind.FILE, "fresh"),
+                SessionStep(Relation.SEND, NodeKind.SOCKET, "fresh"),
             ),
         ),
     )
@@ -510,7 +540,8 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
     )
     return ScenarioSpec(
         duration_s=3600.0,
-        benign_templates=(web, services, nscd, adhoc),
+        cycles=(web, nscd),
+        sessions=sessions,
         attack_chain=attack,
         seed=seed,
     )
@@ -548,30 +579,20 @@ def _conf_open(actor: tuple[NodeKind, str], conf: str, first_s: float,
 
 
 def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
-    """Deterministic pure function of the spec (including its seed)."""
-    import random
-
+    """Deterministic pure function of the spec. Ties in time break by
+    class (duty cycles, then sessions, then the attack), then by
+    position in the spec."""
     for step in spec.attack_chain:
         if step.offset_s > spec.duration_s:
             raise ValueError(
                 f"attack offset {step.offset_s}s exceeds duration {spec.duration_s}s"
             )
 
-    rng = random.Random(spec.seed)
     pending: list[_PendingEvent] = []
-
-    for tmpl_idx, tmpl in enumerate(spec.benign_templates):
-        if tmpl.cycle:
-            pending.extend(_emit_duty_cycle(tmpl, tmpl_idx, spec.duration_s))
-        elif tmpl.sessions:
-            for spec_idx, sess in enumerate(tmpl.sessions):
-                pending.extend(
-                    _emit_session_stream(sess, tmpl_idx, spec_idx,
-                                         spec.duration_s)
-                )
-        else:
-            pending.extend(_emit_cycle(tmpl, tmpl_idx, spec.duration_s, rng))
-
+    for idx, cycle in enumerate(spec.cycles):
+        pending.extend(_emit_duty_cycle(cycle, (0, idx), spec.duration_s))
+    for idx, sess in enumerate(spec.sessions):
+        pending.extend(_emit_session_stream(sess, (1, idx), spec.duration_s))
     for step_idx, step in enumerate(spec.attack_chain):
         pending.append(
             _PendingEvent(
@@ -592,47 +613,6 @@ def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
     attack_ts = [p.ts_ns for p in pending if p.malicious]
     interval = (min(attack_ts), max(attack_ts)) if attack_ts else (0, 0)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
-
-
-def _emit_cycle(tmpl: BenignTemplate, tmpl_idx: int, duration_s: float, rng):
-    """Flat template: one long-lived process cycling through its mix."""
-    cycle: list[Relation] = []
-    for rel, weight in tmpl.mix.items():
-        cycle.extend([rel] * int(round(weight)))
-    if not cycle:
-        raise ValueError(f"template {tmpl.label!r} has an empty mix")
-
-    proc = (NodeKind.PROCESS, tmpl.label)
-    # small per-relation partner pools so partner memories are stationary
-    pools = {
-        "file": [(NodeKind.FILE, f"{tmpl.label}/file{i}") for i in range(3)],
-        "sock": [(NodeKind.SOCKET, f"{tmpl.label}:peer{i}") for i in range(4)],
-        "proc": [(NodeKind.PROCESS, f"{tmpl.label}.helper{i}") for i in range(2)],
-    }
-    counters = {"file": 0, "sock": 0, "proc": 0}
-
-    def partner(rel: Relation):
-        kind = {
-            Relation.READ: "file", Relation.WRITE: "file", Relation.OPEN: "file",
-            Relation.CLOSE: "file", Relation.SEND: "sock", Relation.RECV: "sock",
-            Relation.CONNECT: "sock", Relation.EXECUTE: "proc", Relation.CLONE: "proc",
-        }[rel]
-        pool = pools[kind]
-        key = pool[counters[kind] % len(pool)]
-        counters[kind] += 1
-        return key
-
-    period = 60.0 / tmpl.rate_per_min
-    t = period * (0.3 + 0.1 * tmpl_idx)
-    i = 0
-    out = []
-    while t < duration_s:
-        rel = cycle[i % len(cycle)]
-        jitter = rng.uniform(-0.05, 0.05) * period
-        out.append(_event(t + jitter, (0, tmpl_idx, i), proc, partner(rel), rel))
-        t += period
-        i += 1
-    return out
 
 
 def _session_events(sess: SessionSpec, session_no: int, start_s: float,
@@ -669,11 +649,10 @@ def _session_events(sess: SessionSpec, session_no: int, start_s: float,
     return batch
 
 
-def _emit_session_stream(sess: SessionSpec, tmpl_idx: int, spec_idx: int,
+def _emit_session_stream(sess: SessionSpec, order_key: tuple,
                          duration_s: float) -> list[_PendingEvent]:
     """The parent's config read, then one session per period until the
     first session that ends past the capture."""
-    order_key = (1, tmpl_idx, spec_idx)
     out: list[_PendingEvent] = []
     if sess.parent and sess.conf:
         out.append(_conf_open((NodeKind.PROCESS, sess.parent), sess.conf,
@@ -687,38 +666,36 @@ def _emit_session_stream(sess: SessionSpec, tmpl_idx: int, spec_idx: int,
         out.extend(batch)
 
 
-def _emit_duty_cycle(tmpl: BenignTemplate, tmpl_idx: int,
+def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
                      duration_s: float) -> list[_PendingEvent]:
     """A long-lived process repeating a fixed duty cycle; EXECUTE
     positions spawn scripted child sessions. The stream ends at the
     first position past the capture; a spawned session that ends past
     it is dropped on its own."""
-    proc = (NodeKind.PROCESS, tmpl.label)
-    period = sum(step.gap_s for step in tmpl.cycle)
+    proc = (NodeKind.PROCESS, cycle.label)
     out: list[_PendingEvent] = []
-    if tmpl.conf:
-        out.append(_conf_open(proc, tmpl.conf, tmpl.cycle_offset_s,
-                              (0, tmpl_idx, -1)))
+    if cycle.conf:
+        out.append(_conf_open(proc, cycle.conf, cycle.offset_s, (*order_key, -1)))
     for lap in itertools.count():
-        t = tmpl.cycle_offset_s + lap * period
-        for step_idx, step in enumerate(tmpl.cycle):
+        t = cycle.offset_s + lap * cycle.period_s
+        for step_idx, step in enumerate(cycle.steps):
             if step_idx > 0:
                 t += step.gap_s
             if t >= duration_s:
                 return out
             if step.spawn is not None:
-                child = _session_events(step.spawn, lap, t, (0, tmpl_idx, lap))
+                child = _session_events(step.spawn, lap, t, (*order_key, lap))
                 if child[-1].ts_ns < duration_s * NS_PER_S:
                     out.extend(child)
                 continue
             if step.dst == "fresh":
-                dst = f"{tmpl.label}/lap{lap}.s{step_idx}"
+                dst = f"{cycle.label}/lap{lap}.s{step_idx}"
             elif step.dst == "conn":
                 # a small pool of peer sockets; one peer per lap
-                dst = f"{tmpl.label}:conn{lap % 6}"
+                dst = f"{cycle.label}:conn{lap % 6}"
             else:
                 dst = step.dst
-            out.append(_event(t, (0, tmpl_idx, lap, step_idx), proc,
+            out.append(_event(t, (*order_key, lap, step_idx), proc,
                               (step.dst_kind, dst), step.relation))
 
 

@@ -24,6 +24,7 @@ from .graph import RELATION_INDEX, EventContext, TemporalGraph
 from .graphmask import CanonicalEdge
 from .masks import ordered_sum
 from .model import TgnModel, score_stream
+from .report import node_label
 
 ABLATION_COLUMNS = [
     "removed_edge",
@@ -57,9 +58,8 @@ class RuntimeRow:
 
 def format_edge(dataset: LabeledDataset, edge: CanonicalEdge) -> str:
     nodes = dataset.graph.nodes
-    src = nodes[edge.src].label if edge.src in nodes else str(edge.src)
-    dst = nodes[edge.dst].label if edge.dst in nodes else str(edge.dst)
-    return f"{src} {edge.relation.value} {dst}"
+    return (f"{node_label(nodes, edge.src)} {edge.relation.value} "
+            f"{node_label(nodes, edge.dst)}")
 
 
 def baseline_row() -> AblationResult:

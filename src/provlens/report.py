@@ -141,13 +141,16 @@ def parse_report_json(doc: dict) -> WindowReport:
     )
 
 
+def node_label(node_map, nid: int) -> str:
+    """The node's label, or its id as text when ``node_map`` lacks it."""
+    return node_map[nid].label if nid in node_map else str(nid)
+
+
 def _edge_label(src: int, dst: int, rel: str, node_map, warnings: list[str]) -> str:
     def label(nid: int) -> str:
-        node = node_map.get(nid)
-        if node is None:
+        if nid not in node_map:
             warnings.append(f"warning: no label for node {nid}; using numeric id")
-            return str(nid)
-        return node.label
+        return node_label(node_map, nid)
 
     return f"{label(src)} → {label(dst)}, {rel}"
 
@@ -183,8 +186,8 @@ def emit_markdown(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> 
         lines.append("- no explainable nodes in this window")
     for node in report.nodes:
         nid = node["node_id"]
-        name = node_map[nid].label if nid in node_map else str(nid)
-        lines.append(f"- **{name}** (node {nid}, score {node['score']:.2f})")
+        lines.append(f"- **{node_label(node_map, nid)}** "
+                     f"(node {nid}, score {node['score']:.2f})")
         for g in node["gnn"]:
             for e in g["top_edges"]:
                 band = band_of(e["imp"])
@@ -217,11 +220,10 @@ def emit_graph_description(
     }
     lines = ["digraph attack_subgraph {", "  rankdir=LR;"]
     for nid in sorted(subgraph.nodes):
-        label = node_map[nid].label if nid in node_map else str(nid)
         shape = {
             "PROCESS": "box", "FILE": "ellipse", "SOCKET": "diamond"
         }.get(node_map[nid].kind.value if nid in node_map else "", "ellipse")
-        label = label.replace("\\", "\\\\").replace('"', '\\"')
+        label = node_label(node_map, nid).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {_dot_id(nid)} [label="{label}", shape={shape}];')
     seen: set[tuple[int, int, str]] = set()
     for ev in subgraph.events:

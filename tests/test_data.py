@@ -1,16 +1,20 @@
 """Scenario generation, the plain-text log format, and dataset IO."""
 
+import dataclasses
+import hashlib
 import json
+import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from provlens.data import (
     NS_PER_S,
-    BenignTemplate,
+    AttackStep,
     CycleStep,
     DatasetFormatError,
+    DutyCycle,
     LabeledDataset,
     ParseError,
     ScenarioSpec,
@@ -37,23 +41,6 @@ def test_generation_is_deterministic():
     a = generate_scenario(default_scenario(seed=7))
     b = generate_scenario(default_scenario(seed=7))
     assert a == b
-
-
-def test_seed_jitters_flat_mix_templates():
-    # the default scenario is fully scripted; the seed only jitters
-    # flat-mix (non-cycle, non-session) templates
-    from provlens.data import BenignTemplate, ScenarioSpec
-
-    tmpl = BenignTemplate(label="bg", mix={Relation.READ: 1}, rate_per_min=30.0)
-
-    def make(seed):
-        return generate_scenario(
-            ScenarioSpec(duration_s=120.0, benign_templates=(tmpl,),
-                         attack_chain=(), seed=seed)
-        )
-
-    assert make(1) != make(2)
-    assert make(1) == make(1)
 
 
 def test_scenario_shape(dataset):
@@ -164,19 +151,30 @@ def _field_or(values):
 
 
 def _assert_parsed_or_names_line(lines, lineno):
-    """parse_log returns a dataset or raises a ParseError that names line
-    ``lineno``, the one line of ``lines`` that may be malformed."""
+    """parse_log returns a dataset or raises a short ParseError that names
+    line ``lineno``, the one line of ``lines`` that may be malformed."""
     try:
         ds = parse_log(lines)
     except ParseError as exc:
         assert str(exc).startswith(f"line {lineno}: "), str(exc)
+        assert len(str(exc)) < 200, str(exc)
     else:
         assert isinstance(ds, LabeledDataset)
         assert len(ds.graph) == len(ds.labels) <= len(lines)
 
 
+#: timestamp fields that Python's ``int`` reads but the format does
+#: not (other scripts' digits, underscores), one past int's digit limit,
+#: and one that is within the limit only once its leading zeros go
+_TIMESTAMP_EXAMPLES = ("\uff11\uff12", "1_000", "1" * 5000, "0" * 5000 + "5")
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text())
+@example(f"PROCESS sh READ FILE /x {_TIMESTAMP_EXAMPLES[0]}")
+@example(f"PROCESS sh READ FILE /x {_TIMESTAMP_EXAMPLES[1]}")
+@example(f"PROCESS sh READ FILE /x {_TIMESTAMP_EXAMPLES[2]}")
+@example(f"PROCESS sh READ FILE /x {_TIMESTAMP_EXAMPLES[3]}")
 def test_parse_log_fuzz_arbitrary_line(line):
     _assert_parsed_or_names_line([_VALID_LINE, line, _VALID_LINE], 2)
 
@@ -187,8 +185,39 @@ def test_parse_log_fuzz_arbitrary_line(line):
               _field, st.one_of(st.integers(-2**70, 2**70).map(str), _field)),
     st.sampled_from([" ", "\t", "  \t "]),
 )
+@example(("PROCESS", "sh", "READ", "FILE", "/x", _TIMESTAMP_EXAMPLES[0]), " ")
+@example(("PROCESS", "sh", "READ", "FILE", "/x", _TIMESTAMP_EXAMPLES[1]), " ")
+@example(("PROCESS", "sh", "READ", "FILE", "/x", _TIMESTAMP_EXAMPLES[2]), " ")
+@example(("PROCESS", "sh", "READ", "FILE", "/x", _TIMESTAMP_EXAMPLES[3]), " ")
 def test_parse_log_fuzz_six_field_line(fields, sep):
     _assert_parsed_or_names_line([_VALID_LINE, sep.join(fields)], 2)
+
+
+@pytest.mark.parametrize("token, ts", [
+    ("0" * 5000 + "5", 5), ("-0012", -12), ("+7", 7), ("-0", 0),
+    (str(2**63 - 1), 2**63 - 1), (str(-2**63), -2**63),
+])
+def test_parse_log_reads_ascii_decimal_timestamps(token, ts):
+    assert parse_log([f"PROCESS sh READ FILE /x {token}"]).graph.ts.tolist() == [ts]
+
+
+@pytest.mark.parametrize("token, reason", [
+    ("\uff11\uff12", "is not an integer"),
+    ("1_000", "is not an integer"),
+    ("+-1", "is not an integer"),
+    ("1" * 5000, "is outside the int64 range"),
+    ("0" * 5000 + "1" * 20, "is outside the int64 range"),
+    (str(2**63), "is outside the int64 range"),
+    (str(-2**63 - 1), "is outside the int64 range"),
+])
+def test_parse_log_rejects_timestamp_fields(token, reason):
+    """Only ASCII decimal digits with an optional sign; the message
+    quotes at most the field's first 40 characters."""
+    with pytest.raises(ParseError) as info:
+        parse_log([f"PROCESS sh READ FILE /x {token}"])
+    message = str(info.value)
+    assert message.startswith(f"line 1: field timestamp_ns {reason}: "), message
+    assert repr(token[:40]) in message and len(message) < 120, message
 
 
 def test_parse_log_skips_blank_lines():
@@ -285,23 +314,38 @@ def test_attack_offsets_must_increase():
     with pytest.raises(ValueError):
         type(spec)(
             duration_s=spec.duration_s,
-            benign_templates=spec.benign_templates,
+            cycles=spec.cycles,
+            sessions=spec.sessions,
             attack_chain=tuple(reversed(spec.attack_chain)),
             seed=spec.seed,
         )
+
+
+#: sha256 of save_dataset's bytes for default_scenario(7) at 1 h and at
+#: the 4 h duration the benchmark generates; a change to either digest
+#: changes the stream every measurement starts from
+_STREAM_SHA256 = {
+    3600.0: "1a55739eb5286f35111684a32ca9692884d40b3e53d8f03271b8bffd44f34e2d",
+    14400.0: "3fccc288084b6cebdd4686d89522be93dc08df12008498f89d05819ca7147ad0",
+}
+
+
+@pytest.mark.parametrize("duration_s", sorted(_STREAM_SHA256))
+def test_default_scenario_bytes_are_pinned(duration_s, tmp_path):
+    spec = dataclasses.replace(default_scenario(7), duration_s=duration_s)
+    path = tmp_path / "ds.json"
+    save_dataset(generate_scenario(spec), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _STREAM_SHA256[duration_s]
 
 
 # ----------------------------------------------------------------------
 # generator contracts: coin balance, config reads and truncation
 # ----------------------------------------------------------------------
 
-_MIX = {Relation.READ: 1}
-
-
-def _scripted(duration_s, *templates):
+def _scripted(duration_s, cycles=(), sessions=()):
     """(src label, relation, (dst kind, dst label), seconds) per event."""
     g = generate_scenario(
-        ScenarioSpec(duration_s=duration_s, benign_templates=templates,
+        ScenarioSpec(duration_s=duration_s, cycles=cycles, sessions=sessions,
                      attack_chain=())
     ).graph
     return [
@@ -311,13 +355,57 @@ def _scripted(duration_s, *templates):
     ]
 
 
-def _sessions(*specs):
-    return BenignTemplate(label="t", mix=_MIX, rate_per_min=1.0, sessions=specs)
-
-
 def _cycle(*steps, **kwargs):
-    return BenignTemplate(label="p", mix=_MIX, rate_per_min=1.0, cycle=steps,
-                          **kwargs)
+    return DutyCycle(label="p", steps=steps, **kwargs)
+
+
+_READ = SessionStep(Relation.READ, NodeKind.FILE, "fresh")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DutyCycle("p", steps=()),
+    lambda: _cycle(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=0.0),
+                   CycleStep(Relation.READ, NodeKind.FILE, "b", gap_s=0.0)),
+    lambda: _cycle(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=-1.0)),
+    lambda: _cycle(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=math.inf)),
+    lambda: _cycle(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=math.nan)),
+    lambda: SessionSpec("s", steps=(_READ,), period_s=0.0),
+    lambda: SessionSpec("s", steps=(_READ,), period_s=-6.0),
+    lambda: SessionSpec("s", steps=(_READ,), period_s=math.inf),
+    lambda: SessionSpec("s", steps=(_READ,), period_s=math.nan),
+    lambda: SessionSpec("s", steps=()),
+    lambda: ScenarioSpec(math.inf, cycles=(), sessions=(), attack_chain=()),
+    lambda: ScenarioSpec(math.nan, cycles=(), sessions=(), attack_chain=()),
+], ids=["cycle-no-steps", "cycle-zero-gaps", "cycle-negative-period",
+        "cycle-infinite-period", "cycle-nan-period", "session-zero-period",
+        "session-negative-period", "session-infinite-period",
+        "session-nan-period", "session-empty", "duration-infinite",
+        "duration-nan"])
+def test_specs_that_would_never_finish_are_rejected(make):
+    """Each of these would make the generator loop forever or fail
+    mid-stream, so it is refused when built; none is generated here."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_session_with_a_parent_may_have_no_steps():
+    spawner = SessionSpec("s", steps=(), parent="d", period_s=10.0)
+    assert _scripted(25.0, sessions=(spawner,)) == [
+        ("d", Relation.EXECUTE, (NodeKind.PROCESS, f"s.{n}"), 10.0 * n)
+        for n in range(3)
+    ]
+
+
+def test_ties_break_by_class_then_position_in_the_spec():
+    """At one instant: duty cycles, then session streams, then the
+    attack; within a class, in the order the spec lists them."""
+    lap = (CycleStep(Relation.READ, NodeKind.FILE, "f", gap_s=9.0),)
+    cycles = tuple(DutyCycle(name, lap) for name in ("z", "y"))
+    sessions = tuple(SessionSpec(name, steps=(_READ,)) for name in ("x", "w"))
+    attack = (AttackStep("v", NodeKind.PROCESS, "f", NodeKind.FILE,
+                         Relation.READ, 0.0),)
+    g = generate_scenario(ScenarioSpec(5.0, cycles, sessions, attack)).graph
+    assert [g.nodes[e.src].label for e in g.events] == ["z", "y", "x.0", "w.0", "v"]
 
 
 def test_coin_steps_balance_exactly_over_2_pow_k_sessions():
@@ -329,7 +417,7 @@ def test_coin_steps_balance_exactly_over_2_pow_k_sessions():
         SessionStep(Relation.CONNECT, NodeKind.SOCKET, "fresh",
                     coin=Relation.RECV),
     ))
-    events = _scripted(80.0, _sessions(worker))  # sessions 0..7
+    events = _scripted(80.0, sessions=(worker,))  # sessions 0..7
     by_actor: dict = {}
     for src, rel, dst, _ in events:
         by_actor.setdefault(src, []).append((rel, dst))
@@ -353,8 +441,8 @@ def test_config_is_opened_once_before_the_first_action(offset_s, open_s):
                       period_s=10.0,
                       steps=(SessionStep(Relation.READ, NodeKind.FILE, "fresh"),))
     svc = _cycle(CycleStep(Relation.READ, NodeKind.FILE, "x", gap_s=10.0),
-                 cycle_offset_s=offset_s, conf="p.conf")
-    events = _scripted(100.0, _sessions(job), svc)
+                 offset_s=offset_s, conf="p.conf")
+    events = _scripted(100.0, cycles=(svc,), sessions=(job,))
     for actor, conf in (("d", "d.conf"), ("p", "p.conf")):
         mine = [(rel, dst, t) for src, rel, dst, t in events if src == actor]
         opens = [(rel, t) for rel, dst, t in mine if dst == (NodeKind.FILE, conf)]
@@ -370,7 +458,7 @@ def test_session_stream_stops_at_first_session_ending_past_capture():
         SessionStep(Relation.READ, NodeKind.FILE, "fresh"),
         SessionStep(Relation.WRITE, NodeKind.FILE, "fresh", gap_s=10.0),
     ))
-    events = _scripted(100.0, _sessions(spec))
+    events = _scripted(100.0, sessions=(spec,))
     assert [t for *_, t in events] == [0.0, 10.0, 30.0, 40.0, 60.0, 70.0]
 
 
@@ -382,7 +470,7 @@ def test_duty_cycle_lap_is_cut_at_its_first_late_step():
         CycleStep(Relation.WRITE, NodeKind.FILE, "b", gap_s=2.0),
         CycleStep(Relation.SEND, NodeKind.SOCKET, "c", gap_s=3.0),
     )
-    events = _scripted(17.0, proc)
+    events = _scripted(17.0, cycles=(proc,))
     assert [(rel, t) for _, rel, _, t in events] == [
         (Relation.READ, 0.0), (Relation.WRITE, 2.0), (Relation.SEND, 5.0),
         (Relation.READ, 15.0),
@@ -399,7 +487,7 @@ def test_late_spawned_session_is_dropped_on_its_own():
                   spawn=child),
         CycleStep(Relation.READ, NodeKind.FILE, "f", gap_s=2.0),
     )
-    events = _scripted(16.0, proc)
+    events = _scripted(16.0, cycles=(proc,))
     assert [(src, rel, dst[1], t) for src, rel, dst, t in events] == [
         ("p", Relation.EXECUTE, "c.0", 0.0),
         ("p", Relation.READ, "f", 2.0),
