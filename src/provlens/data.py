@@ -17,19 +17,31 @@ Log line format::
 The timestamp is ASCII decimal digits with an optional sign, within
 the int64 range.
 
-Dataset file: a single JSON document {version, nodes, events, labels,
-attack_interval}.
+Dataset file, format version 2: one JSON object {version, nodes, events,
+attack_interval}. ``nodes`` holds the node columns in id order: ``id``
+and ``kind`` are base64 columns (see :mod:`provlens.fileformat`) of
+little-endian int64 ids and of one-byte codes into ``NODE_KINDS``, and
+``label`` is a list of strings. ``events`` holds the base64 columns
+``src``, ``dst`` and ``timestamp`` (int64) and ``relation`` and
+``label`` (one-byte codes into ``RELATIONS`` and ``TruthLabel``).
+``attack_interval`` is a plain JSON pair. :func:`load_dataset` decodes
+the columns straight into ``TemporalGraph.from_columns`` and refuses
+anything :func:`save_dataset` would not write, naming the file and the
+field.
 
-Every reader and writer here works on the graph's columns (see
-:mod:`provlens.graph`) and builds no per-event object: the scenario
-generator and the log parser number the nodes and fill the columns in
-bulk, :func:`load_dataset` hands the decoded document's records to
-``TemporalGraph.from_columns`` in bulk, and :func:`save_dataset` and
-:func:`render_log` write from the columns. A document whose records are
-not all well-typed, or that the graph's bulk checks reject, is decoded
-one record at a time instead, so every malformed file raises the error
-of its first bad record, and a node listed twice with one descriptor
-loads as it does record by record.
+Version 1, one JSON document with a dict per node and a list per event,
+is still read, since a dataset, unlike a checkpoint, cannot be rebuilt
+from what the program keeps: a parsed log may be gone. Its records are
+handed to ``TemporalGraph.from_columns`` in bulk; a document whose
+records are not all well-typed, or that the graph's bulk checks reject,
+is decoded one record at a time instead, so every malformed file raises
+the error of its first bad record, and a node listed twice with one
+descriptor loads as it does record by record.
+
+Every reader and writer here fills or reads the graph's columns in bulk
+(see :mod:`provlens.graph`): the scenario generator and the log parser
+number the nodes and fill the columns once their records are sorted,
+and :func:`save_dataset` and :func:`render_log` write from the columns.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileformat import decode_column, encode_column, require_keys
 from .graph import (
     NODE_KINDS,
     RELATIONS,
@@ -55,7 +68,7 @@ from .graph import (
     TruthLabel,
 )
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 #: timestamps and node ids are int64 columns
 _I64 = np.iinfo(np.int64)
@@ -72,6 +85,16 @@ _LABELS = {lab.value: lab for lab in TruthLabel}
 #: the value of each code, for writing
 _KIND_VALUES = [k.value for k in NODE_KINDS]
 _RELATION_VALUES = [r.value for r in RELATIONS]
+#: truth labels in declaration order; a version-2 file's label codes
+#: index this, as its kind and relation codes index NODE_KINDS and RELATIONS
+_TRUTH_LABELS = list(TruthLabel)
+_LABEL_CODES = {lab.value: i for i, lab in enumerate(_TRUTH_LABELS)}
+#: a version-2 file's node and event columns: (dtype, the alphabet a
+#: code column indexes); "nodes" also holds "label", a list of strings
+_NODE_COLUMNS = {"id": ("<i8", None), "kind": ("u1", NODE_KINDS)}
+_EVENT_COLUMNS = {"src": ("<i8", None), "dst": ("<i8", None),
+                  "timestamp": ("<i8", None), "relation": ("u1", RELATIONS),
+                  "label": ("u1", _TRUTH_LABELS)}
 #: an enum member's value, read without the Enum's property (or its hash)
 _VALUE = operator.attrgetter("_value_")
 
@@ -301,13 +324,28 @@ class SessionSpec:
 
 @dataclass(frozen=True)
 class CycleStep:
-    """One position of a long-lived process's fixed duty cycle."""
+    """One position of a long-lived process's fixed duty cycle.
+
+    A ``spawn`` session starts at this position and lap n's session is
+    numbered n, so the spawn's ``period_s`` is unread; an ``offset_s`` or
+    a ``conf`` on it is refused, since nothing would honor them.
+    """
 
     relation: Relation
     dst_kind: NodeKind
     dst: str                   # partner label; "fresh" for a new node per lap
     gap_s: float               # delay after the previous cycle position
     spawn: SessionSpec | None = None  # EXECUTE positions spawn this session
+
+    def __post_init__(self):
+        if self.spawn is None:
+            return
+        for name, unset in (("offset_s", 0.0), ("conf", None)):
+            if getattr(self.spawn, name) != unset:
+                raise ValueError(
+                    f"spawned session {self.spawn.name!r}: {name} is read only "
+                    f"for a session stream, got {getattr(self.spawn, name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -704,27 +742,35 @@ def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: LabeledDataset, path) -> None:
+    """Write a format-version-2 dataset file (see the module docstring)."""
     g = ds.graph
-    labels = g.node_labels
-    by_id = np.argsort(g.node_ids, kind="stable").tolist()
+    by_id = np.argsort(g.node_ids, kind="stable")
+    truth = np.fromiter(map(_LABEL_CODES.__getitem__, map(_VALUE, ds.labels)),
+                        np.uint8, len(ds.labels))
     doc = {
         "version": DATASET_VERSION,
-        "nodes": [
-            {"id": nid, "kind": _KIND_VALUES[kind], "label": labels[row]}
-            for nid, kind, row in zip(g.node_ids[by_id].tolist(),
-                                      g.node_kinds[by_id].tolist(), by_id)
-        ],
-        "events": list(map(list, zip(
-            g.src.tolist(), g.dst.tolist(),
-            map(_RELATION_VALUES.__getitem__, g.rel.tolist()), g.ts.tolist(),
-        ))),
-        "labels": [lab.value for lab in ds.labels],
+        "nodes": {"id": encode_column(g.node_ids[by_id], "<i8"),
+                  "kind": encode_column(g.node_kinds[by_id], "u1"),
+                  "label": list(map(g.node_labels.__getitem__, by_id.tolist()))},
+        "events": {"src": encode_column(g.src, "<i8"),
+                   "dst": encode_column(g.dst, "<i8"),
+                   "timestamp": encode_column(g.ts, "<i8"),
+                   "relation": encode_column(g.rel, "u1"),
+                   "label": encode_column(truth, "u1")},
         "attack_interval": list(ds.attack_interval),
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file of format version 2, or of version 1.
+
+    A missing file raises ``FileNotFoundError``; anything else that is
+    not a dataset raises :class:`DatasetFormatError`. A version-2 file is
+    decoded column by column and must be exactly what
+    :func:`save_dataset` writes: the error names the file and the field.
+    A version-1 file raises the error of its first bad record.
+    """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
@@ -734,11 +780,96 @@ def load_dataset(path) -> LabeledDataset:
         raise DatasetFormatError(f"corrupt dataset file {p}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"dataset file {p} must hold a JSON object")
-    if doc.get("version") != DATASET_VERSION:
+    version = doc.get("version")
+    if type(version) is int and version == DATASET_VERSION:
+        return _column_dataset(doc, p)
+    if version == 1:
+        return _record_dataset(doc, p)
+    raise DatasetFormatError(
+        f"unsupported dataset version {version!r} in {p} (expected "
+        f"{DATASET_VERSION} or 1)"
+    )
+
+
+def _column_dataset(doc: dict, p: Path) -> LabeledDataset:
+    """A version-2 document, decoded column by column into
+    ``TemporalGraph.from_columns``; the checks name each field."""
+    def fault(field: str, problem: str) -> DatasetFormatError:
+        return DatasetFormatError(f"{field} in dataset file {p} {problem}")
+
+    def columns(group: str, spec: dict) -> list[np.ndarray]:
+        """The columns of doc[group] named in spec, one length each."""
+        out: list[np.ndarray] = []
+        for name, (dtype, alphabet) in spec.items():
+            field = f"{group}.{name}"
+            col = decode_column(doc[group][name], dtype, f"{field} in dataset file {p}",
+                                DatasetFormatError)
+            if out and len(col) != len(out[0]):
+                raise fault(field, f"holds {len(col)} items; {group}."
+                                   f"{next(iter(spec))} holds {len(out[0])}")
+            if alphabet is not None and len(col) and col.max() >= len(alphabet):
+                raise fault(field, f"holds code {col.max()}; its codes index "
+                                   f"{len(alphabet)} values")
+            out.append(col)
+        return out
+
+    require_keys(doc, {"version", "nodes", "events", "attack_interval"},
+                 f"dataset file {p}", DatasetFormatError)
+    require_keys(doc["nodes"], {*_NODE_COLUMNS, "label"},
+                 f"nodes in dataset file {p}", DatasetFormatError)
+    require_keys(doc["events"], set(_EVENT_COLUMNS),
+                 f"events in dataset file {p}", DatasetFormatError)
+    ids, kinds = columns("nodes", _NODE_COLUMNS)
+    labels = doc["nodes"]["label"]
+    if not (type(labels) is list and _all_of(type, labels, str) and all(labels)):
+        raise fault("nodes.label", "is not a list of non-empty strings")
+    if len(labels) != len(ids):
+        raise fault("nodes.label", f"holds {len(labels)} items; nodes.id holds {len(ids)}")
+    not_after = ids[1:] <= ids[:-1]
+    if not_after.any():
+        i = int(not_after.argmax()) + 1
+        raise fault("nodes.id", f"lists id {ids[i]} after id {ids[i - 1]}; ids must "
+                                f"be distinct and ascending")
+    src, dst, ts, rel, truth = columns("events", _EVENT_COLUMNS)
+    for field, ends in (("events.src", src), ("events.dst", dst)):
+        unknown = ~np.isin(ends, ids)
+        if unknown.any():
+            i = int(unknown.argmax())
+            raise fault(field, f"names node {ends[i]} at event {i}, which is not "
+                               f"in nodes.id")
+    before = ts[1:] < ts[:-1]
+    if before.any():
+        i = int(before.argmax()) + 1
+        raise fault("events.timestamp", f"decreases at event {i}: {ts[i]} after "
+                                        f"{ts[i - 1]}")
+    interval = _attack_interval(doc["attack_interval"], p)
+    graph = TemporalGraph.from_columns(ids, kinds, labels, src, dst, rel, ts)
+    return LabeledDataset(graph=graph,
+                          labels=list(map(_TRUTH_LABELS.__getitem__, truth.tolist())),
+                          attack_interval=interval)
+
+
+def _attack_interval(value, p: Path) -> tuple[int, int]:
+    """A file's attack_interval: two int64 integers (not bools), the start
+    not after the end, since training runs up to the start."""
+    if not (type(value) is list and len(value) == 2 and _all_of(type, value, int)):
         raise DatasetFormatError(
-            f"unsupported dataset version {doc.get('version')!r} "
-            f"(expected {DATASET_VERSION})"
+            f"attack_interval in dataset file {p} is not a pair of integers")
+    t0, t1 = value
+    if not (_I64.min <= t0 <= _I64.max and _I64.min <= t1 <= _I64.max):
+        raise DatasetFormatError(
+            f"attack_interval in dataset file {p} has a bound outside the int64 range")
+    if t0 > t1:
+        # training would run up to the later bound, over the attack itself
+        raise DatasetFormatError(
+            f"dataset file {p} has attack_interval [{t0}, {t1}], "
+            f"whose start is after its end"
         )
+    return t0, t1
+
+
+def _record_dataset(doc: dict, p: Path) -> LabeledDataset:
+    """A version-1 document: a dict per node and a list per event."""
     # a value that is no member's raises KeyError, an unhashable one
     # TypeError, an integer past int64 OverflowError
     try:
@@ -746,20 +877,15 @@ def load_dataset(path) -> LabeledDataset:
         if graph is None:
             graph = _record_graph(doc)
         labels = list(map(_LABELS.__getitem__, _typed(doc["labels"], list)))
-        t0, t1 = (_typed(t, int) for t in doc["attack_interval"])
+        interval = doc["attack_interval"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetFormatError(f"malformed dataset file {p}: {exc!r}") from exc
+    interval = _attack_interval(interval, p)
     if len(labels) != len(graph):
         raise DatasetFormatError(
             f"dataset file {p} has {len(labels)} labels for {len(graph)} events"
         )
-    if t0 > t1:
-        # training would run up to the later bound, over the attack itself
-        raise DatasetFormatError(
-            f"dataset file {p} has attack_interval [{t0}, {t1}], "
-            f"whose start is after its end"
-        )
-    return LabeledDataset(graph=graph, labels=labels, attack_interval=(t0, t1))
+    return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
 
 
 def _bulk_graph(doc: dict) -> TemporalGraph | None:

@@ -1,0 +1,52 @@
+"""Strict JSON file formats: exact keys and base64 columns.
+
+Checkpoints (:mod:`provlens.model`) and dataset files
+(:mod:`provlens.data`) are JSON objects whose binary fields are base64
+columns: one base64 string of an array's raw little-endian bytes in C
+order, with no shape or dtype field, because the file's version and its
+other fields fix both. A column decodes without building a Python object
+per item. Each reader checks that every object holds exactly the keys its
+writer writes, and raises its own error type naming the file and the
+field.
+"""
+
+from __future__ import annotations
+
+import base64
+
+import numpy as np
+
+
+def encode_column(values, dtype: str) -> str:
+    """``values`` as ``dtype`` (a little-endian or one-byte dtype), base64
+    of the raw bytes in C order."""
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def decode_column(text, dtype: str, what: str, error: type[ValueError]) -> np.ndarray:
+    """The read-only 1-d ``dtype`` array that :func:`encode_column` wrote
+    as ``text``; ``error`` naming ``what`` when ``text`` is not a string,
+    not base64, or not a whole number of items."""
+    if not isinstance(text, str):
+        raise error(f"{what} is not a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error and non-ASCII text
+        raise error(f"{what} is not base64: {exc}") from exc
+    size = np.dtype(dtype).itemsize
+    if len(raw) % size:
+        raise error(f"{what} holds {len(raw)} bytes, not a whole number of "
+                    f"{size}-byte items")
+    return np.frombuffer(raw, dtype)
+
+
+def require_keys(value, keys: set[str], what: str, error: type[ValueError]) -> dict:
+    """``value`` if it is a JSON object with exactly ``keys``; otherwise
+    ``error`` naming ``what`` and the missing or unknown keys."""
+    if not isinstance(value, dict):
+        raise error(f"{what} is not a JSON object")
+    for problem, names in (("missing", keys - value.keys()),
+                           ("unknown", value.keys() - keys)):
+        if names:
+            raise error(f"{what}: {problem} key(s) {', '.join(sorted(names))}")
+    return value

@@ -15,12 +15,13 @@ reads. Those states are read-only rows of the stream's trace, so a
 reference is a snapshot nothing can write through. A checkpoint
 therefore holds the config, the trained head parameters and the benign
 loss statistics. Format version 3 writes each head parameter as one
-base64 string of its raw little-endian float64 bytes in C order, so a
-load gives back the trained values bit for bit; the config and the
-version fix every shape and the dtype. :meth:`TgnModel.load` requires
-the exact keys, the config's and the statistics' type rules, each
-parameter's byte count and finite values, and raises
-:class:`CheckpointError` naming the file and the field otherwise.
+base64 column (:mod:`provlens.fileformat`): its raw little-endian
+float64 bytes in C order, so a load gives back the trained values bit
+for bit; the config and the version fix every shape and the dtype.
+:meth:`TgnModel.load` requires the exact keys, the config's and the
+statistics' type rules, each parameter's byte count and finite values,
+and raises :class:`CheckpointError` naming the file and the field
+otherwise.
 
 Stream scoring is column-wise (:class:`_Stream`). It reads the graph's
 relation and timestamp columns, each event's endpoint rows and the
@@ -99,7 +100,6 @@ A non-finite training loss raises the explainers' ``DivergenceError``.
 
 from __future__ import annotations
 
-import base64
 import bisect
 import itertools
 import json
@@ -111,6 +111,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileformat import decode_column, encode_column, require_keys
 from .graph import (
     Event,
     EventContext,
@@ -298,12 +299,8 @@ class TgnModel:
         doc = {
             "version": CHECKPOINT_VERSION,
             "config": asdict(self.config),
-            "parameters": {
-                name: base64.b64encode(
-                    np.asarray(getattr(self, name), "<f8").tobytes()
-                ).decode("ascii")
-                for name in _head_shapes(self.config)
-            },
+            "parameters": {name: encode_column(getattr(self, name), "<f8")
+                           for name in _head_shapes(self.config)},
             "stats": asdict(self.stats),
         }
         Path(path).write_text(json.dumps(doc))
@@ -335,12 +332,12 @@ class TgnModel:
                 f"unsupported checkpoint version {version!r} in {p} "
                 f"(expected {CHECKPOINT_VERSION}); retrain to write a new one"
             )
-        _require_keys(doc, {"version", "config", "parameters", "stats"},
-                      "checkpoint", p)
+        require_keys(doc, {"version", "config", "parameters", "stats"},
+                     f"checkpoint in {p}", CheckpointError)
         config = _checked_record(ModelConfig, doc["config"], "config", p)
         shapes = _head_shapes(config)
-        params = doc["parameters"]
-        _require_keys(params, set(shapes), "parameters", p)
+        params = require_keys(doc["parameters"], set(shapes), f"parameters in {p}",
+                              CheckpointError)
         # decoded before the model is built, so a corrupt dimension fails
         # on the byte count instead of allocating the fixed weights it implies
         head = {name: _decode_parameter(params[name], shape, name, p)
@@ -360,22 +357,12 @@ def _head_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             "Wo": (N_RELATIONS, emb), "bo": (N_RELATIONS,)}
 
 
-def _require_keys(value, keys: set[str], what: str, p: Path) -> None:
-    """CheckpointError unless ``value`` is a JSON object with exactly ``keys``."""
-    if not isinstance(value, dict):
-        raise CheckpointError(f"{what} in {p} is not a JSON object")
-    for problem, names in (("missing", keys - value.keys()),
-                           ("unknown", value.keys() - keys)):
-        if names:
-            raise CheckpointError(
-                f"{what} in {p}: {problem} key(s) {', '.join(sorted(names))}")
-
-
 def _checked_record(kind, value, what: str, p: Path):
     """The dataclass ``kind`` built from the JSON object ``value``, which
     must hold exactly its init fields; its own checks become
     CheckpointErrors."""
-    _require_keys(value, {f.name for f in fields(kind) if f.init}, what, p)
+    require_keys(value, {f.name for f in fields(kind) if f.init}, f"{what} in {p}",
+                 CheckpointError)
     try:
         return kind(**value)
     except ValueError as exc:
@@ -383,21 +370,15 @@ def _checked_record(kind, value, what: str, p: Path):
 
 
 def _decode_parameter(text, shape: tuple[int, ...], name: str, p: Path) -> np.ndarray:
-    """The float64 array of ``shape`` that ``text`` encodes as base64 of
-    its little-endian bytes in C order."""
-    if not isinstance(text, str):
-        raise CheckpointError(f"parameter {name} in {p} is not a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:   # binascii.Error and non-ASCII text
-        raise CheckpointError(f"parameter {name} in {p} is not base64: {exc}") from exc
-    expected = 8 * math.prod(shape)
-    if len(raw) != expected:
+    """The float64 array of ``shape`` that ``text`` encodes as a base64
+    column."""
+    value = decode_column(text, "<f8", f"parameter {name} in {p}", CheckpointError)
+    if value.size != math.prod(shape):
         raise CheckpointError(
-            f"parameter {name} in {p} holds {len(raw)} bytes; its config "
-            f"implies shape {shape}, {expected} bytes"
+            f"parameter {name} in {p} holds {value.nbytes} bytes; its config "
+            f"implies shape {shape}, {8 * math.prod(shape)} bytes"
         )
-    value = np.frombuffer(raw, "<f8").astype(float).reshape(shape)
+    value = value.astype(float).reshape(shape)
     if not np.isfinite(value).all():
         raise CheckpointError(f"parameter {name} in {p} is not finite")
     return value

@@ -3,6 +3,9 @@ detector products, built once per session."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,32 @@ def attack_indexes(dataset):
         for i, lbl in enumerate(dataset.labels)
         if lbl is TruthLabel.MALICIOUS
     ]
+
+
+def v1_document(ds) -> dict:
+    """The dataset file of format version 1 that ``save_dataset`` wrote
+    before version 2, as a JSON-ready dict: a dict per node (in id order)
+    and a list per event, enum fields by value. The reference for
+    version-1 reads."""
+    g = ds.graph
+    labels = g.node_labels
+    by_id = np.argsort(g.node_ids, kind="stable").tolist()
+    return {
+        "version": 1,
+        "nodes": [
+            {"id": nid, "kind": list(NodeKind)[kind].value, "label": labels[row]}
+            for nid, kind, row in zip(g.node_ids[by_id].tolist(),
+                                      g.node_kinds[by_id].tolist(), by_id)
+        ],
+        "events": [[e.src, e.dst, e.relation.value, e.timestamp] for e in g.events],
+        "labels": [lab.value for lab in ds.labels],
+        "attack_interval": list(ds.attack_interval),
+    }
+
+
+def save_v1_dataset(ds, path) -> None:
+    """Write ``v1_document(ds)`` as the version-1 writer did."""
+    Path(path).write_text(json.dumps(v1_document(ds), separators=(",", ":")) + "\n")
 
 
 def build_graph(spec):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, outputs, and exit codes."""
 
 import base64
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,8 @@ import provlens
 from provlens.cli import EXIT_ARGUMENT, EXIT_OK, EXIT_RESOURCE, main
 from provlens.data import load_dataset, parse_log, save_dataset
 from provlens.report import parse_report_json, validate_document
+
+from conftest import v1_document
 
 QUICK_CONFIG = {
     "pipeline": {"top_k_events": 5, "top_m_nodes": 3},
@@ -139,10 +143,10 @@ def test_report_reproduces_explain_outputs(cli_dir, explain_dir, tmp_path):
         assert (out / name).read_bytes() == (explain_dir / name).read_bytes(), name
 
 
-def test_report_reads_explain_outputs_with_negative_windows(cli_dir, tmp_path):
+def test_report_reads_explain_outputs_with_negative_windows(cli_dir, dataset, tmp_path):
     """On a stream whose timestamps are all negative, report and ablate
     read the documents explain wrote, and report reproduces its files."""
-    doc = json.loads((cli_dir / "ds.json").read_text())
+    doc = v1_document(dataset)
     shift = -4 * 3600 * 10**9
     for event in doc["events"]:
         event[3] += shift
@@ -480,8 +484,8 @@ def test_non_object_dataset_is_argument_error(tmp_path):
     assert rc == EXIT_ARGUMENT
 
 
-def test_short_labels_dataset_is_argument_error(cli_dir, tmp_path):
-    doc = json.loads((cli_dir / "ds.json").read_text())
+def test_short_labels_dataset_is_argument_error(cli_dir, dataset, tmp_path):
+    doc = v1_document(dataset)
     doc["labels"] = doc["labels"][:-1]
     bad = tmp_path / "ds.json"
     bad.write_text(json.dumps(doc))
@@ -635,6 +639,144 @@ def test_fuzzed_dataset_files_exit_2(cli_dir, tmp_path_factory, doc, command):
     if command == "detect":
         args += ["--model", str(cli_dir / "model.json")]
     assert main(args) == EXIT_ARGUMENT
+    assert not out.exists()
+
+
+def _b64(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def _base_v2_doc():
+    """_base_doc in format version 2."""
+    return {
+        "version": 2,
+        "nodes": {"id": _b64([0, 1, 2], "<i8"), "kind": _b64([0, 1, 2], "u1"),
+                  "label": ["sh", "/x", "10.0.0.1:80"]},
+        "events": {"src": _b64([0, 0, 0], "<i8"), "dst": _b64([1, 1, 2], "<i8"),
+                   "timestamp": _b64([1000, 2000, 3000], "<i8"),
+                   "relation": _b64([3, 0, 6], "u1"), "label": _b64([0, 0, 1], "u1")},
+        "attack_interval": [3000, 3000],
+    }
+
+
+#: (group, column) -> (dtype, the largest valid code, or None)
+_V2_COLUMNS = {("nodes", "id"): ("<i8", None), ("nodes", "kind"): ("u1", 2),
+               ("events", "src"): ("<i8", None), ("events", "dst"): ("<i8", None),
+               ("events", "timestamp"): ("<i8", None),
+               ("events", "relation"): ("u1", 8), ("events", "label"): ("u1", 2)}
+
+
+def test_base_documents_load_equal(tmp_path):
+    """The fuzzers' version-1 and version-2 bases are one valid dataset."""
+    paths = tmp_path / "v1.json", tmp_path / "v2.json"
+    for path, doc in zip(paths, (_base_doc(), _base_v2_doc())):
+        path.write_text(json.dumps(doc))
+    assert load_dataset(paths[0]) == load_dataset(paths[1])
+
+
+@st.composite
+def _malformed_v2_doc(draw):
+    """A version-2 document with one field broken."""
+    doc = _base_v2_doc()
+    kind = draw(st.sampled_from([
+        "drop-key", "extra-key", "not-string", "not-base64", "partial-item", "count",
+        "code", "label", "interval", "endpoint", "decreasing", "repeated-id", "version",
+    ]))
+    group, name = draw(st.sampled_from(sorted(_V2_COLUMNS)))
+    dtype, top_code = _V2_COLUMNS[group, name]
+    values = np.frombuffer(base64.b64decode(doc[group][name]), dtype).tolist()
+    at = draw(st.integers(0, 2))
+    if kind in ("drop-key", "extra-key"):
+        target = draw(st.sampled_from([doc, doc["nodes"], doc["events"]]))
+        if kind == "drop-key":
+            del target[draw(st.sampled_from(sorted(target)))]
+        else:
+            target[draw(st.text(max_size=6).filter(lambda k: k not in target))] = \
+                draw(_json)
+    elif kind == "not-string":
+        if draw(st.booleans()):
+            doc[group][name] = draw(_json.filter(lambda v: not isinstance(v, str)))
+        else:
+            doc["nodes"]["label"] = draw(_json.filter(
+                lambda v: not (isinstance(v, list) and len(v) == 3)))
+    elif kind == "not-base64":
+        text = draw(st.text(max_size=8))
+        doc[group][name] = text[:4] + draw(st.sampled_from("!.-_ \n\u00e9")) + text[4:]
+    elif kind == "partial-item":
+        # an int64 column whose byte count is not a multiple of 8
+        group, name = draw(st.sampled_from([k for k, v in _V2_COLUMNS.items()
+                                            if v[0] == "<i8"]))
+        doc[group][name] = base64.b64encode(draw(st.binary(min_size=1, max_size=23).filter(
+            lambda b: len(b) % 8))).decode("ascii")
+    elif kind == "count":
+        values = values[:at] if draw(st.booleans()) else values + values[:1]
+        doc[group][name] = _b64(values, dtype)
+    elif kind == "code":
+        group, name = draw(st.sampled_from([k for k, v in _V2_COLUMNS.items() if v[1]]))
+        values = np.frombuffer(base64.b64decode(doc[group][name]), "u1").tolist()
+        values[at] = draw(st.integers(_V2_COLUMNS[group, name][1] + 1, 255))
+        doc[group][name] = _b64(values, "u1")
+    elif kind == "label":
+        doc["nodes"]["label"][at] = draw(st.just("") | _json.filter(
+            lambda v: not isinstance(v, str)))
+    elif kind == "interval":
+        doc["attack_interval"] = draw(
+            st.lists(st.integers(), max_size=4).filter(lambda v: len(v) != 2)
+            | st.tuples(_not_int, st.integers()).map(list)
+            | st.tuples(st.integers(3001, 2**63 - 1), st.just(3000)).map(list)
+            | st.tuples(st.just(0), st.integers(2**63, 2**80)).map(list)
+            | st.tuples(st.integers(-2**80, -2**63 - 1), st.just(0)).map(list))
+    elif kind == "endpoint":
+        name = draw(st.sampled_from(["src", "dst"]))
+        values = np.frombuffer(base64.b64decode(doc["events"][name]), "<i8").tolist()
+        values[at] = draw(st.integers(-2**63, 2**63 - 1).filter(lambda v: v not in (0, 1, 2)))
+        doc["events"][name] = _b64(values, "<i8")
+    elif kind == "decreasing":
+        doc["events"]["timestamp"] = _b64(
+            [1000, 2000, draw(st.integers(-2**63, 1999))], "<i8")
+    elif kind == "repeated-id":
+        doc["nodes"]["id"] = _b64([0, 1, draw(st.integers(0, 1))], "<i8")
+    else:
+        doc["version"] = draw(_json.filter(lambda v: v != 2))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_malformed_v2_doc(), st.sampled_from(["train", "detect"]))
+def test_fuzzed_version_2_files_exit_2(cli_dir, tmp_path_factory, doc, command):
+    """One broken field of a version-2 file: exit 2, no output, and the
+    message names the file."""
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "ds.json"
+    path.write_text(json.dumps(doc))
+    out = work / "out.json"
+    args = [command, "--dataset", str(path), "--out", str(out)]
+    if command == "detect":
+        args += ["--model", str(cli_dir / "model.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(args) == EXIT_ARGUMENT
+    assert not out.exists()
+    assert str(path) in err.getvalue()
+
+
+@pytest.mark.parametrize("command", ["train", "detect"])
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("interval", [[2**70, 2**71], [-2**63 - 1, 0]])
+def test_attack_interval_outside_int64_is_argument_error(cli_dir, tmp_path, capsys,
+                                                         command, version, interval):
+    """Training runs up to the interval's start; a bound no timestamp can
+    reach would fit the head on every event, the attack's too."""
+    doc = {**(_base_doc() if version == 1 else _base_v2_doc()),
+           "attack_interval": interval}
+    bad = tmp_path / "ds.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    args = [command, "--dataset", str(bad), "--out", str(out)]
+    if command == "detect":
+        args += ["--model", str(cli_dir / "model.json")]
+    assert main(args) == EXIT_ARGUMENT
+    assert "attack_interval" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -28,6 +28,8 @@ from provlens.data import (
     save_dataset,
 )
 from provlens.graph import (
+    NODE_KINDS,
+    RELATIONS,
     Event,
     NodeDescriptor,
     NodeKind,
@@ -35,6 +37,8 @@ from provlens.graph import (
     TemporalGraph,
     TruthLabel,
 )
+
+from conftest import save_v1_dataset
 
 
 def test_generation_is_deterministic():
@@ -322,20 +326,59 @@ def test_attack_offsets_must_increase():
 
 
 #: sha256 of save_dataset's bytes for default_scenario(7) at 1 h and at
-#: the 4 h duration the benchmark generates; a change to either digest
-#: changes the stream every measurement starts from
+#: 16 h, the two durations the benchmark generates; a change to either
+#: digest changes the stream every measurement starts from.
+#: Contract note: re-pinned when save_dataset went from format version 1
+#: to version 2 with the stream unchanged (the version-1 bytes stay pinned
+#: in _V1_STREAM_SHA256). In version 1 the 1 h digest was
+#: 1a55739eb5286f35111684a32ca9692884d40b3e53d8f03271b8bffd44f34e2d and
+#: the 16 h one 6b3f502f95fd04781254c40e62f6f1b65854aaaf4980877c676852dc29e30549.
 _STREAM_SHA256 = {
+    3600.0: "0e03a989564455cce6a4fe1a21cc2e1afd15654a1339a13f4041f624b5d12a75",
+    57600.0: "839846af06b1eeb499eb88d2679692d88e387d3435dcfc860fb714521e62bce1",
+}
+#: sha256 of the version-1 reference writer's bytes (tests/conftest.py)
+#: at 1 h and 4 h: the digests save_dataset pinned while it wrote version 1
+_V1_STREAM_SHA256 = {
     3600.0: "1a55739eb5286f35111684a32ca9692884d40b3e53d8f03271b8bffd44f34e2d",
     14400.0: "3fccc288084b6cebdd4686d89522be93dc08df12008498f89d05819ca7147ad0",
 }
 
 
+def _default_stream(duration_s):
+    return generate_scenario(dataclasses.replace(default_scenario(7),
+                                                 duration_s=duration_s))
+
+
 @pytest.mark.parametrize("duration_s", sorted(_STREAM_SHA256))
 def test_default_scenario_bytes_are_pinned(duration_s, tmp_path):
-    spec = dataclasses.replace(default_scenario(7), duration_s=duration_s)
+    ds = _default_stream(duration_s)
     path = tmp_path / "ds.json"
-    save_dataset(generate_scenario(spec), path)
+    save_dataset(ds, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _STREAM_SHA256[duration_s]
+    assert load_dataset(path) == ds
+
+
+@pytest.mark.parametrize("duration_s", sorted(_V1_STREAM_SHA256))
+def test_version_1_file_loads_as_version_2(duration_s, tmp_path):
+    """The reference writer is the old version-1 writer byte for byte,
+    and its file loads equal to the stream and to its version-2 file."""
+    ds = _default_stream(duration_s)
+    v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+    save_v1_dataset(ds, v1)
+    save_dataset(ds, v2)
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == _V1_STREAM_SHA256[duration_s]
+    assert load_dataset(v1) == ds == load_dataset(v2)
+
+
+def test_code_alphabets_are_pinned():
+    """A version-2 file stores kinds, relations and truth labels as codes
+    into these orders; reordering a member would change what every saved
+    file means."""
+    assert [k.value for k in NODE_KINDS] == ["PROCESS", "FILE", "SOCKET"]
+    assert [r.value for r in RELATIONS] == [
+        "READ", "WRITE", "EXECUTE", "OPEN", "CLOSE", "CONNECT", "SEND", "RECV", "CLONE"]
+    assert [lab.value for lab in TruthLabel] == ["BENIGN", "MALICIOUS", "UNKNOWN"]
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +429,23 @@ def test_specs_that_would_never_finish_are_rejected(make):
     mid-stream, so it is refused when built; none is generated here."""
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("field, value", [("offset_s", 5.0), ("conf", "c.conf")])
+def test_spawn_refuses_fields_nothing_reads(field, value):
+    child = SessionSpec("c", steps=(_READ,), parent="p", **{field: value})
+    with pytest.raises(ValueError, match=field):
+        CycleStep(Relation.EXECUTE, NodeKind.PROCESS, "fresh", gap_s=1.0, spawn=child)
+
+
+def test_spawn_period_is_unread():
+    """A spawned session starts at its cycle position, whatever its period."""
+    def stream(period_s):
+        child = SessionSpec("c", steps=(_READ,), parent="p", period_s=period_s)
+        return _scripted(50.0, cycles=(_cycle(CycleStep(
+            Relation.EXECUTE, NodeKind.PROCESS, "fresh", gap_s=10.0, spawn=child)),))
+
+    assert stream(60.0) == stream(7.0) != []
 
 
 def test_session_with_a_parent_may_have_no_steps():

@@ -3,10 +3,13 @@ scenario generator and the log parser, or masked by ablation) is the
 graph that one ``append_event`` per event builds, and a malformed
 dataset file fails with the error of its first bad record."""
 
+import base64
 import copy
 import gc
 import json
 import weakref
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +32,7 @@ from provlens.graph import (
 from provlens.graphmask import CanonicalEdge
 from provlens.harness import remove_edge
 
-from conftest import build_graph
+from conftest import build_graph, save_v1_dataset, v1_document
 
 QUARTER = 250_000_000
 
@@ -283,9 +286,8 @@ def test_first_bad_record_names_the_error(tmp_path_factory, stream, faults):
     the record-by-record decode's, so the first bad record wins."""
     nodes, events = _records(stream)
     path = tmp_path_factory.mktemp("ds") / "ds.json"
-    save_dataset(LabeledDataset(_appended(nodes, events),
-                                [TruthLabel.BENIGN] * len(events), (0, 0)), path)
-    doc = json.loads(path.read_text())
+    doc = v1_document(LabeledDataset(_appended(nodes, events),
+                                     [TruthLabel.BENIGN] * len(events), (0, 0)))
     bad = copy.deepcopy(doc)
     for fault, at in faults:
         events = bad["events"]
@@ -308,6 +310,152 @@ def test_first_bad_record_names_the_error(tmp_path_factory, stream, faults):
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert str(err.value) == f"malformed dataset file {path}: {message}"
+
+
+# -- version 2 -------------------------------------------------------------
+
+_I64 = (-2**63, 2**63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams, st.data())
+def test_version_1_and_version_2_files_load_equal(tmp_path_factory, stream, data):
+    nodes, events = _records(stream)
+    labels = data.draw(st.lists(st.sampled_from(list(TruthLabel)),
+                                min_size=len(events), max_size=len(events)))
+    interval = tuple(sorted(data.draw(st.lists(st.integers(*_I64), min_size=2,
+                                               max_size=2))))
+    ds = LabeledDataset(_appended(nodes, events), labels, interval)
+    work = tmp_path_factory.mktemp("ds")
+    save_v1_dataset(ds, work / "v1.json")
+    save_dataset(ds, work / "v2.json")
+    v1, v2 = load_dataset(work / "v1.json"), load_dataset(work / "v2.json")
+    assert v1 == v2 == ds
+    assert list(v1.graph.nodes) == list(v2.graph.nodes) == sorted(ds.graph.nodes)
+
+
+def v2_doc(work) -> dict:
+    """The version-2 document of the tiny stream (nodes 0 and 1, events at
+    1000 and 2000, the second malicious), saved under ``work``."""
+    g = _appended([(0, NodeKind.PROCESS, "sh"), (1, NodeKind.FILE, "/x")],
+                  [Event(0, 1, Relation.OPEN, 1000), Event(0, 1, Relation.READ, 2000)])
+    path = work / "v2.json"
+    save_dataset(LabeledDataset(g, [TruthLabel.BENIGN, TruthLabel.MALICIOUS],
+                                (2000, 2000)), path)
+    return json.loads(path.read_text())
+
+
+#: each column's dtype, for editing one
+_DTYPES = {("nodes", "id"): "<i8", ("nodes", "kind"): "u1", ("events", "src"): "<i8",
+           ("events", "dst"): "<i8", ("events", "timestamp"): "<i8",
+           ("events", "relation"): "u1", ("events", "label"): "u1"}
+
+
+def _column(group, name, values):
+    """Edit: the column holds ``values`` (a function of its decoded list)."""
+    dtype = _DTYPES[group, name]
+
+    def edit(doc):
+        old = np.frombuffer(base64.b64decode(doc[group][name]), dtype).tolist()
+        doc[group][name] = base64.b64encode(
+            np.asarray(values(old), dtype).tobytes()).decode("ascii")
+    return edit
+
+
+def _raw(group, name, value):
+    def edit(doc):
+        doc[group][name] = value(doc[group][name]) if callable(value) else value
+    return edit
+
+
+def _top(key, value=None):
+    def edit(doc):
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return edit
+
+
+#: malformed version-2 documents and the field the error must name
+MALFORMED_V2 = [
+    pytest.param(_top("events"), "missing key(s) events", id="no-events"),
+    pytest.param(_top("labels", []), "unknown key(s) labels", id="extra-top-key"),
+    pytest.param(_top("nodes", []), "nodes in dataset file", id="nodes-not-object"),
+    pytest.param(lambda d: d["nodes"].pop("kind"), "missing key(s) kind", id="no-kind"),
+    pytest.param(_raw("events", "weight", ""), "unknown key(s) weight",
+                 id="extra-event-key"),
+    pytest.param(_raw("events", "src", [0, 0]), "events.src", id="list-src"),
+    pytest.param(_raw("events", "timestamp", "!!!!"), "events.timestamp",
+                 id="bad64-timestamp"),
+    pytest.param(_raw("nodes", "id", lambda t: "\u00e9" + t[1:]), "nodes.id",
+                 id="non-ascii-id"),
+    pytest.param(_raw("nodes", "id", lambda t: t[:-1]), "nodes.id", id="unpadded-id"),
+    pytest.param(_raw("events", "dst", base64.b64encode(bytes(12)).decode()),
+                 "events.dst", id="partial-item-dst"),
+    pytest.param(_column("events", "dst", lambda v: v[:1]), "events.dst", id="short-dst"),
+    pytest.param(_column("events", "label", lambda v: v + [0]), "events.label",
+                 id="long-truth"),
+    pytest.param(_column("nodes", "kind", lambda v: v[:1]), "nodes.kind", id="short-kind"),
+    pytest.param(_raw("nodes", "label", ["sh"]), "nodes.label", id="short-labels"),
+    pytest.param(_column("nodes", "kind", lambda v: [0, 3]), "nodes.kind", id="kind-code"),
+    pytest.param(_column("events", "relation", lambda v: [9, 0]), "events.relation",
+                 id="relation-code"),
+    pytest.param(_column("events", "label", lambda v: [0, 255]), "events.label",
+                 id="truth-code"),
+    pytest.param(_raw("nodes", "label", ["sh", ""]), "nodes.label", id="empty-label"),
+    pytest.param(_raw("nodes", "label", ["sh", 1]), "nodes.label", id="int-label"),
+    pytest.param(_raw("nodes", "label", "sh"), "nodes.label", id="string-labels"),
+    pytest.param(_top("attack_interval", [True, 2000]), "attack_interval",
+                 id="bool-bound"),
+    pytest.param(_top("attack_interval", [2**63, 2**64]), "attack_interval",
+                 id="past-int64"),
+    pytest.param(_top("attack_interval", [-2**63 - 1, 0]), "attack_interval",
+                 id="before-int64"),
+    pytest.param(_top("attack_interval", [2000, 1000]), "attack_interval",
+                 id="reversed"),
+    pytest.param(_top("attack_interval", [1000]), "attack_interval", id="one-bound"),
+    pytest.param(_column("events", "src", lambda v: [0, 7]), "events.src",
+                 id="unknown-src"),
+    pytest.param(_column("events", "dst", lambda v: [-1, 1]), "events.dst",
+                 id="unknown-dst"),
+    pytest.param(_column("events", "timestamp", lambda v: [2000, 1000]),
+                 "events.timestamp", id="decreasing"),
+    pytest.param(_column("nodes", "id", lambda v: [0, 0]), "nodes.id", id="repeated-id"),
+    pytest.param(_column("nodes", "id", lambda v: [1, 0]), "nodes.id", id="unordered-ids"),
+    pytest.param(_top("version", "2"), "version", id="text-version"),
+]
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED_V2)
+def test_version_2_load_names_the_file_and_the_field(tmp_path, edit, field):
+    doc = v2_doc(tmp_path)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(path) in str(err.value) and field in str(err.value), str(err.value)
+
+
+def test_version_2_document_layout(tmp_path):
+    """Columns are base64 of little-endian int64 ids, endpoints and
+    timestamps and of one-byte codes; labels and the interval are plain
+    JSON."""
+    doc = v2_doc(tmp_path)
+    assert doc["version"] == 2
+    assert doc["nodes"]["label"] == ["sh", "/x"]
+    assert doc["attack_interval"] == [2000, 2000]
+    assert base64.b64decode(doc["nodes"]["id"]) == bytes(8) + b"\x01" + bytes(7)
+    assert base64.b64decode(doc["events"]["relation"]) == b"\x03\x00"
+    decoded = {key: np.frombuffer(base64.b64decode(doc[key[0]][key[1]]), dtype).tolist()
+               for key, dtype in _DTYPES.items()}
+    assert decoded == {
+        ("nodes", "id"): [0, 1], ("nodes", "kind"): [0, 1],
+        ("events", "src"): [0, 0], ("events", "dst"): [1, 1],
+        ("events", "timestamp"): [1000, 2000], ("events", "relation"): [3, 0],
+        ("events", "label"): [0, 1],
+    }
 
 
 # -- read views ------------------------------------------------------------
