@@ -417,11 +417,15 @@ def extract_context(
     hops: int = 1,
     horizon: int = 10,
 ) -> EventContext:
-    """Build the EventContext for one event.
+    """Build the EventContext for one event, from the neighborhood builder
+    that stream scoring runs (:meth:`_Incidences.neighborhoods`).
 
     Deterministic: neighborhood ordered by descending timestamp, ties by
     ascending event index. Only events at a lower index than the target
     are eligible: a later event at the target's timestamp is its future.
+    Each call cuts the graph's incidence list to the events up to the
+    target, so its cost grows with the graph; a whole stream's
+    neighborhoods come from one build (:func:`provlens.model.score_stream`).
     """
     if not (0 <= event_index < len(graph)):
         raise IndexError(f"event index {event_index} out of range")
@@ -430,46 +434,125 @@ def extract_context(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
 
-    target = graph.events[event_index]
-    src, dst, ts = graph.src, graph.dst, graph.ts
-    seen: set[int] = set()
-    frontier = {target.src, target.dst}
-    visited_nodes: set[int] = set()
-
-    for _ in range(hops):
-        next_frontier: set[int] = set()
-        for node_id in frontier:
-            if node_id in visited_nodes:
-                continue
-            visited_nodes.add(node_id)
-            for idx in _recent_incident(graph, node_id, event_index, horizon):
-                if idx not in seen:
-                    seen.add(idx)
-                    next_frontier.add(src.item(idx))
-                    next_frontier.add(dst.item(idx))
-        frontier = next_frontier - visited_nodes
-        if not frontier:
-            break
-
-    ordered = sorted(seen, key=lambda i: (-ts.item(i), i))
+    inc = _Incidences(graph, event_index + 1)
+    target = np.array([event_index])
+    pos, first = inc.search(inc.ends[:, target], target)
+    nb, _ = inc.neighborhoods(target, pos, first, hops, horizon)
+    ordered = nb.tolist()
     return EventContext(
-        target=target,
+        target=graph.events[event_index],
         target_index=event_index,
         neighborhood=ordered,
         neighborhood_events=[graph.events[i] for i in ordered],
     )
 
 
-def _recent_incident(
-    graph: TemporalGraph, node_id: int, exclude: int, horizon: int
-) -> list[int]:
-    """Up to `horizon` most recent events on node_id before event index
-    `exclude`, in index order, read from the graph's CSR incidence. Ties
-    in timestamp are broken by insertion index, so anything at or past
-    the target's own index is the future; every earlier index is
-    at-or-before its timestamp."""
-    offsets, events, _ = graph._incidence()
-    row = graph._row[node_id]
-    lo = offsets[row]
-    end = lo + int(np.searchsorted(events[lo : offsets[row + 1]], exclude))
-    return events[max(lo, end - horizon) : end].tolist()
+#: targets per block of the neighborhood builder; bounds its temporaries
+_BLOCK = 512
+
+
+class _Incidences:
+    """The (node, event) incidences of a graph's first ``n`` events, and
+    the one neighborhood builder over them.
+
+    The incidences are the graph's CSR list cut to those events, so they
+    stay node-major and in event order, and each has the sort key
+    ``node row * (n + 1) + event``: the keys ascend, and one searchsorted
+    finds where any node's incidences before any event end. Node rows and
+    event indexes stay below 2^19 up to a 64 h stream (about 369k events
+    and 375k nodes), so every combined key stays far below 2^63.
+    """
+
+    def __init__(self, graph: TemporalGraph, n: int):
+        offsets, events, ends = graph._incidence()
+        self.n = n
+        self.ts = graph.ts[:n]
+        #: (2, n) node rows of each event's src and dst
+        self.ends = ends[:, :n]
+        cut = events < n
+        self.inc_ev = events[cut]
+        inc_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[cut]
+        self.key = inc_node * (n + 1) + self.inc_ev
+        #: each incidence's slot ``2 * event + side``, side 1 for the
+        #: event's dst; a self-loop is listed once, in its dst slot
+        self.inc_row = 2 * self.inc_ev + (inc_node == self.ends[1, self.inc_ev])
+
+    def search(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
+        """Positions in ``key`` of each node row's first incidence at or
+        after event ``before`` and of its first incidence: the node's
+        incidences before ``before`` lie between the two."""
+        at = nodes * (self.n + 1)
+        return np.searchsorted(self.key, at + before), np.searchsorted(self.key, at)
+
+    def neighborhoods(self, targets, pos, first, hops: int, horizon: int):
+        """Neighborhoods of ``targets`` as one flat array of event indexes,
+        and each target's size.
+
+        A neighborhood is a breadth-first walk of ``hops`` hops from the
+        target's endpoints: each hop takes every frontier node's last
+        ``horizon`` incidences before the target, and the next frontier is
+        those events' endpoints, less the nodes already expanded for that
+        target. The walk stops early when a frontier is empty. The events
+        are deduplicated and ordered by descending timestamp, then
+        ascending index. ``pos`` and ``first`` are the (2, k)
+        :meth:`search` positions of the targets' endpoints before them.
+
+        Blocks of ``_BLOCK`` targets walk together as flat arrays with one
+        owner (the target's slot in its block) per entry: a (target, node)
+        pair is the key ``node * k + owner`` and a found event
+        ``owner * n + rank``, its rank in (-timestamp, index) order."""
+        n = self.n
+        ev = np.arange(n)
+        # timestamps never decrease, so the events of one timestamp form a
+        # run, and an event's rank is the count of events after its run
+        # plus its place in the run
+        new_run = np.ones(n, bool)
+        new_run[1:] = self.ts[1:] != self.ts[:-1]
+        run_start = np.flatnonzero(new_run)
+        run = np.cumsum(new_run) - 1
+        rank = n - np.append(run_start[1:], n)[run] + ev - run_start[run]
+        by_rank = np.empty_like(ev)
+        by_rank[rank] = ev
+        horizon = min(horizon, n)  # no node has more earlier incidences
+        parts, sizes = [], np.empty(len(targets), ev.dtype)
+        for start in range(0, len(targets), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            t = targets[block]
+            k = len(t)
+            owner = np.tile(np.arange(k), 2)
+            expanded = self.ends[:, t].ravel() * k + owner
+            p, f = pos[:, block].ravel(), first[:, block].ravel()
+            found = []
+            for hop in range(hops):
+                lo = np.maximum(f, p - horizon)
+                count = p - lo
+                # the incidences lo to p - 1 of each pair, flattened
+                at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                                        count)
+                owner = np.repeat(owner, count)
+                edges = self.inc_ev[at]
+                found.append(owner * n + rank[edges])
+                if hop == hops - 1:
+                    break
+                pairs = self.ends[:, edges].ravel() * k + np.tile(owner, 2)
+                pairs = _sorted_distinct(pairs)
+                pairs = pairs[~np.isin(pairs, expanded)]
+                if not len(pairs):
+                    break
+                expanded = np.concatenate([expanded, pairs])
+                nodes, owner = np.divmod(pairs, k)
+                p, f = self.search(nodes, t[owner])
+            r = _sorted_distinct(np.concatenate(found))
+            parts.append(by_rank[r % n])
+            sizes[block] = np.bincount(r // n, minlength=k)
+        return np.concatenate([ev[:0], *parts]), sizes
+
+
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending, from one sort and one
+    comparison of neighbours; ``np.unique`` hashes before it sorts, which
+    takes longer on these small integer keys."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    return keys[keep]

@@ -53,12 +53,12 @@ not merged into one row: OpenBLAS can give a row other bits when it is
 computed in a product with fewer rows, so changing a memory-reading
 product's row count would change the trace. A node's state before event
 i is the trace row of its last incidence before i, found by one
-searchsorted; the level loop and the one-hop neighborhoods visit only
+searchsorted; the level loop and the neighborhood builder visit only
 the events that have such an incidence.
-At ``hops=1`` every neighborhood is the last ``horizon`` incidences of
-each endpoint, deduplicated, built as arrays; at ``hops > 1`` the same
-arrays are filled from :func:`extract_context`, whose breadth-first walk
-has no simple array form. Scoring featurizes blocks of ``_BLOCK``
+Every neighborhood, at every hop count, comes from the one builder of
+:class:`provlens.graph._Incidences`, which :class:`_Stream` extends: a
+breadth-first walk run as flat arrays over blocks of targets, starting
+from the searches that also find each update's read rows. Scoring featurizes blocks of ``_BLOCK``
 targets, computing all edge messages of a block with one product and
 summing them per target with ``np.add.reduceat``.
 :func:`score_stream` returns a :class:`StreamContexts`: the loss array,
@@ -120,6 +120,9 @@ from .graph import (
     RELATIONS,
     TemporalGraph,
     TruthLabel,
+    _Incidences,
+    # not called here: the benchmark's tracer counts calls through
+    # provlens.model.extract_context, until it reads the stream's own counts
     extract_context,
 )
 from .masks import DivergenceError, check_fields, sigmoid
@@ -697,15 +700,17 @@ def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return x0
 
 
-class _Stream:
+class _Stream(_Incidences):
     """The first ``n`` events of a graph in column form, replayed.
 
-    Holds the event columns, each event's endpoint rows in the graph's
-    node columns, the graph's (node, event) incidences of those events in
-    node-major, event order with one sort key each, the replay's trace,
-    and every event's neighborhood as one flat array of event indexes
-    with offsets. Only :meth:`context` builds :class:`Event` objects,
-    through the graph's ``events`` view, for the one context it builds.
+    Extends the graph's :class:`~provlens.graph._Incidences` of those
+    events (each event's endpoint rows, and the (node, event) incidences
+    in node-major, event order with one sort key each) with the relation
+    column, the replay's trace, and every event's neighborhood from the
+    incidences' one builder, at the config's hops and horizon, as one
+    flat array of event indexes with offsets. Only :meth:`context` builds
+    :class:`Event` objects, through the graph's ``events`` view, for the
+    one context it builds.
 
     The replay writes the fresh pairs (level 0) from one per-relation
     table, computes each later segment's read and write rows and drive
@@ -721,25 +726,13 @@ class _Stream:
     """
 
     def __init__(self, model: TgnModel, graph: TemporalGraph, n: int):
-        self.graph, self.n = graph, n
-        ev = np.arange(n)
+        super().__init__(graph, n)
+        self.graph = graph
         self.rel = graph.rel[:n].astype(np.intp)
-        self.ts = graph.ts[:n]
-        offsets, events, ends = graph._incidence()
-        #: (2, n) node rows of each event's src and dst
-        self.ends = ends[:, :n]
-        # the graph's incidences of the first n events, still by node row
-        # and then event, so their keys ascend
-        cut = events < n
-        self.inc_ev = events[cut]
-        inc_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[cut]
-        self.key = inc_node * (n + 1) + self.inc_ev
-        self.inc_row = 2 * self.inc_ev + (inc_node == self.ends[1, self.inc_ev])
 
         # each event's own src-side and dst-side incidence, and the first
         # incidence of that node: the ones between are its earlier events
-        pos = np.searchsorted(self.key, self.ends * (n + 1) + ev)
-        first = np.searchsorted(self.key, self.ends * (n + 1))
+        pos, first = self.search(self.ends, np.arange(n))
         has_prev = pos > first
         before = self.inc_ev[pos - 1]
         #: (2, n) trace row each event's src-side and dst-side update reads
@@ -748,10 +741,13 @@ class _Stream:
         self.dt = np.where(has_prev, self.ts - self.ts[before], 0)
 
         self.trace = self._replay(model, _levels(np.where(has_prev, before, n)))
-        if model.config.hops == 1:
-            self.nb, sizes = self._one_hop(pos, first, model.config.horizon)
-        else:
-            self.nb, sizes = _extracted_neighborhoods(graph, n, model.config)
+        # an event neither of whose endpoints has an earlier incidence has
+        # an empty neighborhood at every hop count
+        later = np.flatnonzero(has_prev.any(axis=0))
+        self.nb, nb_sizes = self.neighborhoods(later, pos[:, later], first[:, later],
+                                               model.config.hops, model.config.horizon)
+        sizes = np.zeros(n, np.intp)
+        sizes[later] = nb_sizes
         self.nb_off = np.concatenate([[0], np.cumsum(sizes)])
 
     def _replay(self, model: TgnModel, level: np.ndarray) -> np.ndarray:
@@ -801,36 +797,6 @@ class _Stream:
             first = last
         trace.flags.writeable = False
         return trace
-
-    def _one_hop(self, pos, first, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-        """One-hop neighborhoods, in blocks of ``_BLOCK`` events: the last
-        ``horizon`` earlier incidences of each endpoint, deduplicated and
-        ordered by descending timestamp, then ascending index. An event
-        whose endpoints have no earlier incidence has none, so the blocks
-        hold only the events that have one."""
-        n = self.n
-        ev = np.arange(n)
-        # each event's position in (-timestamp, index) order; timestamps
-        # never decrease, so ties keep their index order
-        rank = (n - np.searchsorted(self.ts, self.ts, "right")
-                + ev - np.searchsorted(self.ts, self.ts, "left"))
-        by_rank = np.empty_like(ev)
-        by_rank[rank] = ev
-        later = np.flatnonzero((pos > first).any(axis=0))
-        pos, first = pos[:, later], first[:, later]
-        parts, sizes = [], np.zeros(n, dtype=ev.dtype)
-        for start in range(0, len(later), _BLOCK):
-            p, f = pos[:, start : start + _BLOCK], first[:, start : start + _BLOCK]
-            width = min(horizon, int((p - f).max()))
-            cand = p[..., None] - width + np.arange(width)
-            ok = cand >= f[..., None]
-            r = np.where(ok, rank[self.inc_ev[np.where(ok, cand, 0)]], n)
-            r = np.sort(np.concatenate(r, axis=1), axis=1)
-            keep = r < n
-            keep[:, 1:] &= r[:, 1:] != r[:, :-1]
-            parts.append(by_rank[r[keep]])
-            sizes[later[start : start + _BLOCK]] = keep.sum(axis=1)
-        return np.concatenate([ev[:0], *parts]), sizes
 
     def _rows_before(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
         """Trace row and event of each node row's last incidence before
@@ -893,15 +859,6 @@ def _levels(prev_ev: np.ndarray) -> np.ndarray:
         la, lb = level[a], level[b]
         level[i] = (la if la > lb else lb) + 1
     return np.array(level[:n], dtype=np.intp)
-
-
-def _extracted_neighborhoods(graph: TemporalGraph, n: int, config: ModelConfig):
-    """Flat neighborhoods and their sizes from :func:`extract_context`, for
-    walks past one hop."""
-    nbs = [extract_context(graph, i, hops=config.hops, horizon=config.horizon)
-           .neighborhood for i in range(n)]
-    flat = np.fromiter(itertools.chain.from_iterable(nbs), np.intp)
-    return flat, np.array([len(nb) for nb in nbs], dtype=np.intp)
 
 
 class StreamContexts(Sequence):

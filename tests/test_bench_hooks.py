@@ -47,19 +47,19 @@ def test_tracer_installs_counts_and_uninstalls(tiny_graph):
                for (owner, attr), raw in zip(targets, originals))
     assert len(contexts) == len(tiny_graph)
     assert len(tracer.named("model.score_stream")) == 1
-    # the column-wise replay makes no per-event update call, and one-hop
+    # the column-wise replay makes no per-event update call, and
     # neighborhoods are built as arrays
     assert tracer.count("model.replay_update") == 0
     assert len(tracer.named("graph.extract_context")) == 0
 
-    # walks past one hop fill the neighborhoods from extract_context
+    # at every hop count: walks past one hop come from the same builder
     tracer = spans.Tracer()
     tracer.install()
     try:
         provlens.model.score_stream(TgnModel(ModelConfig(hops=2)), dataset)
     finally:
         tracer.uninstall()
-    assert len(tracer.named("graph.extract_context")) == len(tiny_graph)
+    assert len(tracer.named("graph.extract_context")) == 0
 
 
 def test_run_environment_reads_pipeline_config():

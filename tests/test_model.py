@@ -2,6 +2,7 @@
 
 import base64
 import dataclasses
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import provlens.graph
 import provlens.model
 from provlens.data import LabeledDataset
 from provlens.graph import (
@@ -73,7 +75,7 @@ def test_config_validation():
 
 def test_config_rejects_walks_without_edges():
     """hops and horizon are checked when the config is built: the
-    column-wise stream does not call extract_context at one hop, so an
+    column-wise stream's neighborhood builder does not check them, so an
     unchecked horizon of 0 would score every event on an empty
     neighborhood."""
     for bad in ({"hops": 0}, {"horizon": 0}, {"horizon": -3}):
@@ -421,13 +423,50 @@ def test_block_replay_and_featurize_match_reference(case):
         assert label == RELATION_INDEX[ctx.target.relation]
 
 
+def _set_walk(graph, i, hops, horizon):
+    """Reference neighborhood of event i: a breadth-first walk over Python
+    sets, one node at a time, as event indexes in (-timestamp, index)
+    order."""
+    src, dst, ts = graph.src, graph.dst, graph.ts
+    seen: set[int] = set()
+    frontier = {src.item(i), dst.item(i)}
+    visited_nodes: set[int] = set()
+
+    for _ in range(hops):
+        next_frontier: set[int] = set()
+        for node_id in frontier:
+            if node_id in visited_nodes:
+                continue
+            visited_nodes.add(node_id)
+            for idx in _recent_incident(graph, node_id, i, horizon):
+                if idx not in seen:
+                    seen.add(idx)
+                    next_frontier.add(src.item(idx))
+                    next_frontier.add(dst.item(idx))
+        frontier = next_frontier - visited_nodes
+        if not frontier:
+            break
+
+    return sorted(seen, key=lambda j: (-ts.item(j), j))
+
+
+def _recent_incident(graph, node_id, exclude, horizon):
+    """Up to `horizon` most recent events on node_id before event index
+    `exclude`, in index order, read from the graph's CSR incidence."""
+    offsets, events, _ = graph._incidence()
+    row = graph._row[node_id]
+    lo = offsets[row]
+    end = lo + int(np.searchsorted(events[lo : offsets[row + 1]], exclude))
+    return events[max(lo, end - horizon) : end].tolist()
+
+
 @st.composite
-def _stream_cases(draw):
-    """An untrained model at one of the (hops, horizon) settings, a random
-    small graph with a hub (the first node on every other event), a
-    self-loop and timestamp ties, and a prefix length k. The node ids are
-    distinct, unsorted and never dense (negative to past 2^40), and one
-    node, at a random place in the node columns, is on no event."""
+def _stream_cases(draw, walks=((1, 1), (1, 10), (2, 3), (3, 2))):
+    """An untrained model at one of the (hops, horizon) settings ``walks``,
+    a random small graph with a hub (the first node on every other event),
+    a self-loop and timestamp ties, and a prefix length k. The node ids
+    are distinct, unsorted and never dense (negative to past 2^40), and
+    one node, at a random place in the node columns, is on no event."""
     n_nodes = draw(st.integers(2, 6))
     ids = draw(st.lists(st.integers(-2**45, 2**45), min_size=n_nodes + 1,
                         max_size=n_nodes + 1, unique=True))
@@ -444,7 +483,7 @@ def _stream_cases(draw):
         t += gap
         src = ids[0] if i % 2 == 0 else src
         events.append((src, src if i == loop_at else dst, rel, t))
-    hops, horizon = draw(st.sampled_from([(1, 1), (1, 10), (2, 3)]))
+    hops, horizon = draw(st.sampled_from(walks))
     config = ModelConfig(seed=draw(st.integers(0, 3)), hops=hops, horizon=horizon)
     graph = build_graph((nodes, events))
     assert not graph.incident(isolated)
@@ -454,7 +493,7 @@ def _stream_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_stream_cases())
 def test_stream_contexts_match_per_event_reference(case):
-    """Every context read from the column-wise stream has extract_context's
+    """Every context read from the column-wise stream has the set walk's
     neighborhood in its order, the reference replay's state and update
     time for exactly the involved nodes, and its score_event loss."""
     model, graph, _ = case
@@ -465,13 +504,12 @@ def test_stream_contexts_match_per_event_reference(case):
 
     assert len(stream) == len(graph)
     for i, (ctx, (ref_memory, ref_last)) in enumerate(zip(stream, before)):
-        ref = extract_context(graph, i, hops=model.config.hops,
-                              horizon=model.config.horizon)
+        ref = _set_walk(graph, i, model.config.hops, model.config.horizon)
         assert ctx.target_index == i and ctx.target == graph.events[i]
-        assert ctx.neighborhood == ref.neighborhood
-        assert ctx.neighborhood_events == ref.neighborhood_events
+        assert ctx.neighborhood == ref
+        assert ctx.neighborhood_events == [graph.events[j] for j in ref]
         involved = {ctx.target.src, ctx.target.dst}
-        involved.update(n for ev in ref.neighborhood_events for n in (ev.src, ev.dst))
+        involved.update(n for ev in ctx.neighborhood_events for n in (ev.src, ev.dst))
         assert ctx.node_states.keys() == involved
         for nid, (h, lu) in ctx.node_states.items():
             assert lu == ref_last.get(nid)
@@ -479,6 +517,32 @@ def test_stream_contexts_match_per_event_reference(case):
         assert ctx.loss == stream.losses[i]
         assert abs(ctx.loss - model.score_event(ctx)) <= 1e-12
         assert ctx.truth_label is TruthLabel.BENIGN
+
+
+@settings(max_examples=80, deadline=None)
+@given(_stream_cases(walks=list(itertools.product([1, 2, 3], [1, 2, 10]))))
+def test_neighborhoods_match_set_walk(case):
+    """extract_context and the stream's contexts give the set walk's
+    neighborhood, in its order, for every event, at hops 1 to 3 and
+    horizons 1, 2 and 10."""
+    model, graph, _ = case
+    hops, horizon = model.config.hops, model.config.horizon
+    stream = score_stream(model, LabeledDataset(graph, [TruthLabel.BENIGN] * len(graph),
+                                                (0, 0)))
+    for i, ctx in enumerate(stream):
+        ref = _set_walk(graph, i, hops, horizon)
+        assert extract_context(graph, i, hops=hops, horizon=horizon).neighborhood == ref
+        assert ctx.neighborhood == ref
+
+
+def test_two_hop_stream_neighborhoods_match_set_walk(dataset):
+    """On the seed-7 1 h stream, every event's two-hop neighborhood is the
+    set walk's."""
+    graph = dataset.graph
+    stream = _Stream(TgnModel(ModelConfig(hops=2)), graph, len(graph))
+    for i in range(len(graph)):
+        ref = _set_walk(graph, i, 2, 10)
+        assert stream.nb[stream.nb_off[i] : stream.nb_off[i + 1]].tolist() == ref, i
 
 
 @settings(max_examples=80, deadline=None)
@@ -596,58 +660,37 @@ def _full_levels(prev_ev):
     return np.array(level[:n], dtype=np.intp)
 
 
-def _all_events_one_hop(stream, pos, first, horizon):
-    """``_Stream._one_hop`` with blocks over every event, fresh ones
-    included."""
-    n = stream.n
-    ev = np.arange(n)
-    rank = (n - np.searchsorted(stream.ts, stream.ts, "right")
-            + ev - np.searchsorted(stream.ts, stream.ts, "left"))
-    by_rank = np.empty_like(ev)
-    by_rank[rank] = ev
-    parts, sizes, block = [], [], provlens.model._BLOCK
-    for start in range(0, n, block):
-        p, f = pos[:, start : start + block], first[:, start : start + block]
-        width = min(horizon, int((p - f).max()))
-        cand = p[..., None] - width + np.arange(width)
-        ok = cand >= f[..., None]
-        r = np.where(ok, rank[stream.inc_ev[np.where(ok, cand, 0)]], n)
-        r = np.sort(np.concatenate(r, axis=1), axis=1)
-        keep = r < n
-        keep[:, 1:] &= r[:, 1:] != r[:, :-1]
-        parts.append(by_rank[r[keep]])
-        sizes.append(keep.sum(axis=1))
-    return np.concatenate([ev[:0], *parts]), np.concatenate([ev[:0], *sizes])
-
-
 @settings(max_examples=80, deadline=None)
 @given(_stream_cases(), st.sampled_from([1, 2, 3, 512]), st.integers(1, 12))
 def test_fresh_pairs_skip_the_replay(case, block, horizon):
     """An event neither of whose endpoints has an earlier incidence gets
     both trace rows from the per-relation table, equal to a one-event
-    replay from empty memory; the levels and one-hop neighborhoods that
-    skip such events equal the loops over every event."""
+    replay from empty memory; the levels and neighborhoods that skip such
+    events equal the loop and the builder over every event, which give
+    them an empty neighborhood."""
     model, graph, _ = case
+    model = TgnModel(dataclasses.replace(model.config, horizon=horizon))
+    hops = model.config.hops
     fresh, seen = [], set()
     for i, e in enumerate(graph.events):
         if not seen & {e.src, e.dst}:
             fresh.append(i)
         seen |= {e.src, e.dst}
-    with mock.patch.object(provlens.model, "_BLOCK", block):
+    with (mock.patch.object(provlens.model, "_BLOCK", block),
+          mock.patch.object(provlens.graph, "_BLOCK", block)):
         stream = _Stream(model, graph, len(graph))
         n = stream.n
-        pos = np.searchsorted(stream.key, stream.ends * (n + 1) + np.arange(n))
-        first = np.searchsorted(stream.key, stream.ends * (n + 1))
-        nb, sizes = stream._one_hop(pos, first, horizon)
-        ref_nb, ref_sizes = _all_events_one_hop(stream, pos, first, horizon)
+        pos, first = stream.search(stream.ends, np.arange(n))
+        ref_nb, ref_sizes = stream.neighborhoods(np.arange(n), pos, first, hops, horizon)
     for i in fresh:
         memory = ReplayMemory(model.config.memory_dim)
         e = graph.events[i]
         model.replay_update(memory, Event(0, 1, e.relation, e.timestamp))
         assert np.array_equal(stream.trace[2 * i], memory.memory[0])
         assert np.array_equal(stream.trace[2 * i + 1], memory.memory[1])
-    assert np.array_equal(nb, ref_nb) and nb.dtype == ref_nb.dtype
-    assert np.array_equal(sizes, ref_sizes) and sizes.dtype == ref_sizes.dtype
+    assert np.array_equal(stream.nb, ref_nb) and stream.nb.dtype == ref_nb.dtype
+    sizes = np.diff(stream.nb_off)
+    assert np.array_equal(sizes, ref_sizes) and ref_sizes.dtype == np.intp
     assert not sizes[fresh].any()
 
     prev_ev = np.where(pos > first, stream.inc_ev[pos - 1], n)
