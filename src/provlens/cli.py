@@ -196,11 +196,7 @@ def _cmd_ablate(args) -> int:
 
     _, stats, alerts = _detect(model, dataset, det_cfg)
     t0, t1 = report.window
-    raised = [
-        a
-        for a in alerts
-        if a.raised and not (a.t_end < t0 or a.t_start > t1)
-    ]
+    raised = [a for a in alerts if a.raised and a.overlaps(t0, t1)]
     if not raised:
         raise ValueError(
             "no raised alert overlaps the report window; nothing to ablate"

@@ -31,17 +31,20 @@ field.
 
 Version 1, one JSON document with a dict per node and a list per event,
 is still read, since a dataset, unlike a checkpoint, cannot be rebuilt
-from what the program keeps: a parsed log may be gone. Its records are
-handed to ``TemporalGraph.from_columns`` in bulk; a document whose
-records are not all well-typed, or that the graph's bulk checks reject,
-is decoded one record at a time instead, so every malformed file raises
-the error of its first bad record, and a node listed twice with one
-descriptor loads as it does record by record.
+from what the program keeps: a parsed log may be gone. It is decoded one
+record at a time, in file order, through the graph's validated
+one-record write paths, so a malformed file raises the error of its
+first bad record. That is slower than a version-2 load;
+:func:`save_dataset` writes any loaded dataset as version 2.
 
-Every reader and writer here fills or reads the graph's columns in bulk
-(see :mod:`provlens.graph`): the scenario generator and the log parser
-number the nodes and fill the columns once their records are sorted,
-and :func:`save_dataset` and :func:`render_log` write from the columns.
+The log parser and the scenario generator build one record shape, the
+plain tuple ``(ts_ns, order, src_key, dst_key, relation)``, where a key
+is ``(kind, label)``. ``order`` breaks timestamp ties: a log line's
+number, or the generator's ``(class, position...)`` key, whose class 2
+is the attack chain. Both sort their records once, by (ts_ns, order),
+then number the nodes and fill the graph's columns in bulk (see
+:mod:`provlens.graph`); :func:`save_dataset` and :func:`render_log`
+write from the columns.
 """
 
 from __future__ import annotations
@@ -58,7 +61,9 @@ import numpy as np
 
 from .fileformat import decode_column, encode_column, require_keys
 from .graph import (
+    _I64,
     NODE_KINDS,
+    NS_PER_S,
     RELATIONS,
     Event,
     NodeDescriptor,
@@ -69,11 +74,6 @@ from .graph import (
 )
 
 DATASET_VERSION = 2
-
-#: timestamps and node ids are int64 columns
-_I64 = np.iinfo(np.int64)
-
-NS_PER_S = 1_000_000_000
 
 
 #: by value, each kind's and relation's code in the graph's columns and
@@ -97,6 +97,12 @@ _EVENT_COLUMNS = {"src": ("<i8", None), "dst": ("<i8", None),
                   "label": ("u1", _TRUTH_LABELS)}
 #: an enum member's value, read without the Enum's property (or its hash)
 _VALUE = operator.attrgetter("_value_")
+#: a record's sort key, (ts_ns, order); records are
+#: (ts_ns, order, src_key, dst_key, relation)
+_TIME_ORDER = operator.itemgetter(0, 1)
+#: the generator's order class of the attack chain; duty cycles are 0 and
+#: session streams 1
+_ATTACK = 2
 
 
 class ParseError(ValueError):
@@ -167,23 +173,23 @@ def parse_log(lines) -> LabeledDataset:
         rel = _parse_relation(parts[2], lineno)
         dst_kind = _parse_kind(parts[3], lineno, "dst_kind")
         ts = _parse_timestamp(parts[5], lineno)
-        records.append(((src_kind, parts[1]), (dst_kind, parts[4]), rel, ts))
+        records.append((ts, lineno, (src_kind, parts[1]), (dst_kind, parts[4]), rel))
 
-    records.sort(key=lambda r: r[3])
+    records.sort(key=_TIME_ORDER)
     graph = _keyed_graph(records)
     labels = [TruthLabel.UNKNOWN] * len(graph)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=(0, 0))
 
 
 def _keyed_graph(records) -> TemporalGraph:
-    """Graph of (src_key, dst_key, relation, timestamp_ns) records in
+    """Graph of (ts_ns, order, src_key, dst_key, relation) records in
     order, where a key is (kind, label); node ids are dense integers in
     first-appearance order of the keys (a record's src before its dst),
     and the columns are filled in bulk."""
     columns = list(zip(*records))
     if not columns:
         return TemporalGraph()
-    src_keys, dst_keys, rels, ts = columns
+    ts, _, src_keys, dst_keys, rels = columns
     ids: dict[tuple[NodeKind, str], int] = {}
     ends = np.array([ids.setdefault(key, len(ids)) for key in
                      itertools.chain.from_iterable(zip(src_keys, dst_keys))], np.int64)
@@ -589,25 +595,14 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
 # generation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PendingEvent:
-    ts_ns: int
-    order: tuple  # deterministic tie-break
-    src_key: tuple[NodeKind, str]
-    dst_key: tuple[NodeKind, str]
-    relation: Relation
-    malicious: bool
-
-
 def _event(t_s: float, order: tuple, src_key: tuple[NodeKind, str],
-           dst_key: tuple[NodeKind, str], relation: Relation) -> _PendingEvent:
-    """A benign event at t_s seconds into the capture."""
-    return _PendingEvent(int(t_s * NS_PER_S), order, src_key, dst_key,
-                         relation, malicious=False)
+           dst_key: tuple[NodeKind, str], relation: Relation) -> tuple:
+    """The record of an event at t_s seconds into the capture."""
+    return (int(t_s * NS_PER_S), order, src_key, dst_key, relation)
 
 
 def _conf_open(actor: tuple[NodeKind, str], conf: str, first_s: float,
-               order: tuple) -> _PendingEvent:
+               order: tuple) -> tuple:
     """The actor opens its config file 2 s before its first action, but
     not before the capture starts: a daemon reads its config before
     serving, so its first-ever event is in line with other fresh
@@ -619,46 +614,38 @@ def _conf_open(actor: tuple[NodeKind, str], conf: str, first_s: float,
 def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
     """Deterministic pure function of the spec. Ties in time break by
     class (duty cycles, then sessions, then the attack), then by
-    position in the spec."""
+    position in the spec; the attack's events are the malicious ones."""
     for step in spec.attack_chain:
         if step.offset_s > spec.duration_s:
             raise ValueError(
                 f"attack offset {step.offset_s}s exceeds duration {spec.duration_s}s"
             )
 
-    pending: list[_PendingEvent] = []
+    records: list[tuple] = []
     for idx, cycle in enumerate(spec.cycles):
-        pending.extend(_emit_duty_cycle(cycle, (0, idx), spec.duration_s))
+        records.extend(_emit_duty_cycle(cycle, (0, idx), spec.duration_s))
     for idx, sess in enumerate(spec.sessions):
-        pending.extend(_emit_session_stream(sess, (1, idx), spec.duration_s))
-    for step_idx, step in enumerate(spec.attack_chain):
-        pending.append(
-            _PendingEvent(
-                ts_ns=int(step.offset_s * NS_PER_S),
-                order=(2, step_idx),
-                src_key=(step.src_kind, step.src_label),
-                dst_key=(step.dst_kind, step.dst_label),
-                relation=step.relation,
-                malicious=True,
-            )
-        )
+        records.extend(_emit_session_stream(sess, (1, idx), spec.duration_s))
+    for idx, step in enumerate(spec.attack_chain):
+        records.append(_event(step.offset_s, (_ATTACK, idx),
+                              (step.src_kind, step.src_label),
+                              (step.dst_kind, step.dst_label), step.relation))
+    records.sort(key=_TIME_ORDER)
 
-    pending.sort(key=lambda p: (p.ts_ns, p.order))
-
-    graph = _keyed_graph((p.src_key, p.dst_key, p.relation, p.ts_ns) for p in pending)
-    labels = [TruthLabel.MALICIOUS if p.malicious else TruthLabel.BENIGN
-              for p in pending]
-    attack_ts = [p.ts_ns for p in pending if p.malicious]
+    graph = _keyed_graph(records)
+    labels = [TruthLabel.MALICIOUS if r[1][0] == _ATTACK else TruthLabel.BENIGN
+              for r in records]
+    attack_ts = [r[0] for r in records if r[1][0] == _ATTACK]
     interval = (min(attack_ts), max(attack_ts)) if attack_ts else (0, 0)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
 
 
 def _session_events(sess: SessionSpec, session_no: int, start_s: float,
-                    order_key: tuple) -> list[_PendingEvent]:
+                    order_key: tuple) -> list[tuple]:
     """One session instance: optional parent EXECUTE plus the actor steps;
     coin steps follow the bits of session_no (see SessionStep)."""
     actor = (NodeKind.PROCESS, f"{sess.name}.{session_no}")
-    batch: list[_PendingEvent] = []
+    batch: list[tuple] = []
     t = start_s
     if sess.parent:
         batch.append(_event(t, (*order_key, session_no, 0),
@@ -688,10 +675,10 @@ def _session_events(sess: SessionSpec, session_no: int, start_s: float,
 
 
 def _emit_session_stream(sess: SessionSpec, order_key: tuple,
-                         duration_s: float) -> list[_PendingEvent]:
+                         duration_s: float) -> list[tuple]:
     """The parent's config read, then one session per period until the
     first session that ends past the capture."""
-    out: list[_PendingEvent] = []
+    out: list[tuple] = []
     if sess.parent and sess.conf:
         out.append(_conf_open((NodeKind.PROCESS, sess.parent), sess.conf,
                               sess.offset_s, (*order_key, 0, -1)))
@@ -699,19 +686,19 @@ def _emit_session_stream(sess: SessionSpec, order_key: tuple,
         batch = _session_events(sess, session_no,
                                 sess.offset_s + session_no * sess.period_s,
                                 order_key)
-        if batch[-1].ts_ns >= duration_s * NS_PER_S:
+        if batch[-1][0] >= duration_s * NS_PER_S:
             return out
         out.extend(batch)
 
 
 def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
-                     duration_s: float) -> list[_PendingEvent]:
+                     duration_s: float) -> list[tuple]:
     """A long-lived process repeating a fixed duty cycle; EXECUTE
     positions spawn scripted child sessions. The stream ends at the
     first position past the capture; a spawned session that ends past
     it is dropped on its own."""
     proc = (NodeKind.PROCESS, cycle.label)
-    out: list[_PendingEvent] = []
+    out: list[tuple] = []
     if cycle.conf:
         out.append(_conf_open(proc, cycle.conf, cycle.offset_s, (*order_key, -1)))
     for lap in itertools.count():
@@ -723,7 +710,7 @@ def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
                 return out
             if step.spawn is not None:
                 child = _session_events(step.spawn, lap, t, (*order_key, lap))
-                if child[-1].ts_ns < duration_s * NS_PER_S:
+                if child[-1][0] < duration_s * NS_PER_S:
                     out.extend(child)
                 continue
             if step.dst == "fresh":
@@ -873,9 +860,7 @@ def _record_dataset(doc: dict, p: Path) -> LabeledDataset:
     # a value that is no member's raises KeyError, an unhashable one
     # TypeError, an integer past int64 OverflowError
     try:
-        graph = _bulk_graph(doc)
-        if graph is None:
-            graph = _record_graph(doc)
+        graph = _record_graph(doc)
         labels = list(map(_LABELS.__getitem__, _typed(doc["labels"], list)))
         interval = doc["attack_interval"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -886,30 +871,6 @@ def _record_dataset(doc: dict, p: Path) -> LabeledDataset:
             f"dataset file {p} has {len(labels)} labels for {len(graph)} events"
         )
     return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
-
-
-def _bulk_graph(doc: dict) -> TemporalGraph | None:
-    """The graph of a document whose node and event records are all
-    well-typed and pass ``TemporalGraph.from_columns``' checks (known
-    endpoints, timestamp order, distinct node ids), filled column by
-    column; None for any other document."""
-    nodes, events = doc.get("nodes"), doc.get("events")
-    if not (_all_of(type, [nodes, events], list) and _all_of(type, nodes, dict)
-            and _all_of(type, events, list) and _all_of(len, events, 4)):
-        return None
-    src, dst, rels, ts = zip(*events) if events else ((),) * 4
-    try:
-        ids, kinds, labels = (list(map(operator.itemgetter(key), nodes))
-                              for key in ("id", "kind", "label"))
-        if not (all(_all_of(type, col, int) for col in (ids, src, dst, ts))
-                and _all_of(type, labels, str)):
-            return None
-        ids, src, dst, ts = (np.array(col, np.int64) for col in (ids, src, dst, ts))
-        kinds = list(map(_KIND_CODES.__getitem__, kinds))
-        rels = list(map(_RELATION_CODES.__getitem__, rels))
-        return TemporalGraph.from_columns(ids, kinds, labels, src, dst, rels, ts)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
 
 
 def _all_of(fn, values, expected) -> bool:

@@ -57,6 +57,11 @@ class Alert:
     entities: set[int]
     raised: bool
 
+    def overlaps(self, t0: int, t1: int) -> bool:
+        """Whether the alert's half-open span [t_start, t_end) shares time
+        with the half-open span [t0, t1); spans that only touch do not."""
+        return self.t_start < t1 and t0 < self.t_end
+
     def to_json(self) -> dict:
         return {
             "t_start": self.t_start,
@@ -189,10 +194,15 @@ def score_all_windows(
     contexts: Sequence[EventContext],
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
+    span: tuple[int, int] | None = None,
 ) -> list[WindowVerdict]:
+    """Every window of the grid over ``span``, by default the graph's own;
+    an edited stream is scored on its original stream's span, so that
+    both share one grid."""
     return [
         score_window(graph, contexts, w, stats, config)
-        for w in iter_windows(graph.span(), config.window_ns)
+        for w in iter_windows(graph.span() if span is None else span,
+                              config.window_ns)
     ]
 
 

@@ -56,7 +56,9 @@ RELATION_INDEX = {r: i for i, r in enumerate(RELATIONS)}
 #: node kinds in declaration order; a graph's kind column indexes this
 NODE_KINDS = list(NodeKind)
 _KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
+#: timestamps and node ids are int64 columns; timestamps count nanoseconds
 _I64 = np.iinfo(np.int64)
+NS_PER_S = 1_000_000_000
 
 
 class TruthLabel(Enum):

@@ -2,8 +2,9 @@
 
 Ablation removes every occurrence of one canonical edge from the event
 stream and replays it through the already-trained model with the frozen
-detector statistics. The anomaly delta is taken over the original
-alert's window spans, and the alert decision is recomputed from scratch.
+detector statistics, on the original stream's window grid (the removal
+may move the first event). The anomaly delta is taken over the original
+alert's windows, and the alert decision is recomputed from scratch.
 """
 
 from __future__ import annotations
@@ -96,26 +97,24 @@ def ablate_edge(
 ) -> AblationResult:
     """Replay the stream without one edge, same weights and thresholds.
 
+    The ablated stream is scored on the original stream's window grid.
     delta_anomaly_pct is the percent change of summed flagged loss over
-    the original alert's window spans; alert_still_raised is whether
+    the original alert's windows; alert_still_raised is whether
     re-detection on the ablated stream still yields a raised alert whose
-    span overlaps the original alert's span. Unrelated alerts elsewhere
-    in the stream do not count.
+    half-open span overlaps the original alert's. Unrelated alerts
+    elsewhere in the stream do not count.
     """
     before = ordered_sum(v.flagged_loss for v in alert.windows)
     if before <= 0:
         raise ValueError("alert carries no flagged loss; nothing to compare")
     ablated = remove_edge(dataset, edge)
     contexts = score_stream(model, ablated)
-    verdicts = score_all_windows(ablated.graph, contexts, stats, config)
+    verdicts = score_all_windows(ablated.graph, contexts, stats, config,
+                                 span=dataset.graph.span())
     spans = {v.window for v in alert.windows}
     after = ordered_sum(v.flagged_loss for v in verdicts if v.window in spans)
     alerts = link_queues(verdicts, stats, config)
-    still = any(
-        a.raised
-        and not (a.t_end < alert.t_start or a.t_start > alert.t_end)
-        for a in alerts
-    )
+    still = any(a.raised and a.overlaps(alert.t_start, alert.t_end) for a in alerts)
     return AblationResult(
         removed_edge=format_edge(dataset, edge),
         graphmask_score=graphmask_score,

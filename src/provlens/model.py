@@ -113,6 +113,7 @@ import numpy as np
 
 from .fileformat import decode_column, encode_column, require_keys
 from .graph import (
+    NS_PER_S,
     Event,
     EventContext,
     OrderingError,
@@ -130,7 +131,6 @@ from .masks import DivergenceError, check_fields, sigmoid
 CHECKPOINT_VERSION = 3
 
 N_RELATIONS = len(RELATIONS)
-NS_PER_S = 1_000_000_000
 
 #: fixed scale applied to the mask-weighted message sum; a constant (rather
 #: than a mask-dependent normalizer) keeps the forward pass linear in the

@@ -251,6 +251,22 @@ def test_link_queues_splits_disjoint_adjacent_windows():
     assert len(alerts) == 2
 
 
+@pytest.mark.parametrize("span, overlaps", [
+    ((0, 100), False),     # ends where the alert starts
+    ((200, 300), False),   # starts where the alert ends
+    ((0, 50), False),      # before
+    ((250, 300), False),   # after
+    ((0, 101), True),      # its last nanosecond is the alert's first
+    ((199, 300), True),    # its first nanosecond is the alert's last
+    ((120, 150), True),    # inside
+    ((0, 300), True),      # around
+])
+def test_alert_overlaps_half_open_spans(span, overlaps):
+    alert = Alert(windows=[], t_start=100, t_end=200, queue_score=0.0,
+                  entities=set(), raised=True)
+    assert alert.overlaps(*span) is overlaps
+
+
 def test_default_scenario_alert(attack_alert, dataset):
     t0, t1 = dataset.attack_interval
     assert attack_alert.raised

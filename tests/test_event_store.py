@@ -128,9 +128,10 @@ def test_keyed_graph_equals_appended_graph(stream):
     keys against numbering them one event at a time."""
     nodes, events = _records(stream)
     key = {nid: (kind, label) for nid, kind, label in nodes}
-    records = [(key[e.src], key[e.dst], e.relation, e.timestamp) for e in events]
+    records = [(e.timestamp, i, key[e.src], key[e.dst], e.relation)
+               for i, e in enumerate(events)]
     ref, ids = TemporalGraph(), {}
-    for src_key, dst_key, rel, ts in records:
+    for ts, _, src_key, dst_key, rel in records:
         for k in (src_key, dst_key):
             if k not in ids:
                 ids[k] = len(ids)

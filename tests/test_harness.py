@@ -20,6 +20,7 @@ from provlens.harness import (
     measure_runtime,
     remove_edge,
 )
+from provlens.model import score_stream
 
 from conftest import random_contexts
 
@@ -81,8 +82,6 @@ def test_ablation_delta_matches_manual_replay(model, dataset, stats,
                                               attack_alert, attack_indexes):
     """Oracle: recompute the flagged-loss delta with a from-scratch replay
     of the ablated stream."""
-    from provlens.model import score_stream
-
     edge = _attack_edge(dataset, attack_indexes, 3)  # the attack SEND
     res = ablate_edge(model, dataset, stats, attack_alert, edge)
 
@@ -95,6 +94,27 @@ def test_ablation_delta_matches_manual_replay(model, dataset, stats,
         for i in ablated.graph.window_slice(t0, t1):
             if ctxs[i].loss > stats.threshold:
                 after += ctxs[i].loss
+    expected = 100.0 * (after - before) / before
+    assert res.delta_anomaly_pct == pytest.approx(expected, abs=1e-9)
+
+
+def test_ablation_that_moves_the_first_event_keeps_the_window_grid(
+        model, dataset, stats, attack_alert):
+    """Removing the stream's first edge moves the ablated stream's first
+    event; its windows must still be the original grid, so the delta is
+    over the alert's own windows and not -100% by a missed match."""
+    first = dataset.graph.events[0]
+    edge = CanonicalEdge(first.src, first.dst, first.relation)
+    ablated = remove_edge(dataset, edge)
+    assert ablated.graph.span()[0] > dataset.graph.span()[0]
+    res = ablate_edge(model, dataset, stats, attack_alert, edge)
+
+    losses = score_stream(model, ablated).losses
+    before = sum(w.flagged_loss for w in attack_alert.windows)
+    after = sum(losses[i] for w in attack_alert.windows
+                for i in ablated.graph.window_slice(*w.window)
+                if losses[i] > stats.threshold)
+    assert after > 0
     expected = 100.0 * (after - before) / before
     assert res.delta_anomaly_pct == pytest.approx(expected, abs=1e-9)
 
