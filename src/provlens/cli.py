@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -33,7 +34,7 @@ from .graph import Relation
 from .graphmask import CanonicalEdge, GraphMaskConfig
 from .harness import ablate_edge, ablation_csv, baseline_row
 from .model import DivergenceError, ModelConfig, TgnModel, score_stream, train
-from .pipeline import PipelineConfig, ResourceError, run_pipeline
+from .pipeline import PipelineConfig, ResourceError, _memory_budget, run_pipeline
 from .report import (
     ExplanationReport,
     emit_graph_description,
@@ -163,6 +164,8 @@ def _cmd_explain(args) -> int:
     model = TgnModel.load(args.model)
     det_cfg = _section(cfg, "detector", DetectorConfig)
     pipe_cfg = _pipeline_config(cfg)
+    # a bad PROVLENS_MEMORY_BUDGET fails here, before any output
+    pipe_cfg = replace(pipe_cfg, memory_budget=_memory_budget(pipe_cfg))
     contexts, stats, alerts = _detect(model, dataset, det_cfg)
     raised = [a for a in alerts if a.raised]
 

@@ -1,8 +1,10 @@
 """Windowed anomaly aggregation, alert-queue linking, and attack-subgraph
 reconstruction.
 
-An event is flagged when its loss strictly exceeds mu + 1.5*sigma of the
-held-out benign losses. Windows become anomalous via suspicious nodes
+Detection reads a scored stream's loss array only. An event is flagged
+when its loss strictly exceeds mu + 1.5*sigma of the held-out benign
+losses; a window's :class:`WindowVerdict` lists its flagged events, and
+explanation reads exactly those. Windows become anomalous via suspicious nodes
 (or a total flagged-loss budget), maximal runs of anomalous windows
 sharing entities merge into alerts, and a raised alert yields the attack
 subgraph handed to the explainers.
@@ -12,14 +14,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Event, EventContext, TemporalGraph
+from .graph import NS_PER_S, Event, TemporalGraph
 from .masks import check_fields, ordered_sum
-from .model import NS_PER_S, StreamContexts
 
 THRESHOLD_SIGMA_FACTOR = 1.5
 
@@ -40,7 +40,6 @@ class WindowStats:
 class WindowVerdict:
     window: tuple[int, int]                  # (t0, t1) half-open, ns
     event_count: int
-    event_indexes: list[int]
     high_loss_events: list[int]              # event indexes with loss > threshold
     node_scores: dict[int, float]            # cumulative loss per incident node
     suspicious_nodes: set[int]               # node_score > threshold
@@ -111,36 +110,21 @@ def compute_threshold(benign_losses) -> WindowStats:
     return WindowStats.from_benign(mu, var**0.5)
 
 
-def event_losses(contexts: Sequence[EventContext], idxs: list[int]) -> list[float]:
-    """Losses of the events at ``idxs``: read from the loss array of a
-    scored stream (building no context), or from each context's ``loss``
-    in any other sequence, such as a hand-built or edited list."""
-    if isinstance(contexts, StreamContexts):
-        return contexts.losses[idxs].tolist()
-    return [contexts[i].loss for i in idxs]
-
-
 def score_window(
     graph: TemporalGraph,
-    contexts: Sequence[EventContext],
+    losses: np.ndarray,
     window: tuple[int, int],
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
 ) -> WindowVerdict:
     """Aggregate per-event losses over one half-open window.
 
-    ``contexts`` is the scored full-stream context sequence. A
-    :class:`StreamContexts` gives the window's losses as one slice of its
-    loss array; any other sequence gives them through
-    :func:`event_losses`. Flagging uses strict inequality at the
-    threshold, and the flagged loss adds left to right.
+    ``losses`` is every event's loss in event order, a scored stream's
+    ``losses``; the window reads one slice of it. Flagging uses strict
+    inequality at the threshold, and the flagged loss adds left to right.
     """
     lo, hi = graph.window_bounds(*window)
-    idxs = list(range(lo, hi))
-    if isinstance(contexts, StreamContexts):
-        losses = contexts.losses[lo:hi]
-    else:
-        losses = np.array(event_losses(contexts, idxs), dtype=float)
+    losses = losses[lo:hi]
     hot = losses > stats.threshold
     flagged = (np.flatnonzero(hot) + lo).tolist()
     node_scores = _node_scores(graph.src[lo:hi], graph.dst[lo:hi], losses)
@@ -153,8 +137,7 @@ def score_window(
 
     return WindowVerdict(
         window=window,
-        event_count=len(idxs),
-        event_indexes=idxs,
+        event_count=hi - lo,
         high_loss_events=flagged,
         node_scores=node_scores,
         suspicious_nodes=suspicious,
@@ -191,16 +174,17 @@ def iter_windows(span: tuple[int, int], window_ns: int):
 
 def score_all_windows(
     graph: TemporalGraph,
-    contexts: Sequence[EventContext],
+    contexts,
     stats: WindowStats,
     config: DetectorConfig = DetectorConfig(),
     span: tuple[int, int] | None = None,
 ) -> list[WindowVerdict]:
-    """Every window of the grid over ``span``, by default the graph's own;
-    an edited stream is scored on its original stream's span, so that
-    both share one grid."""
+    """Every window of the grid over ``span``, by default the graph's own,
+    from the ``losses`` of the scored stream ``contexts``; an edited
+    stream is scored on its original stream's span, so both share one grid."""
+    losses = contexts.losses
     return [
-        score_window(graph, contexts, w, stats, config)
+        score_window(graph, losses, w, stats, config)
         for w in iter_windows(graph.span() if span is None else span,
                               config.window_ns)
     ]
@@ -240,20 +224,17 @@ def link_queues(
         )
         run.clear()
 
-    prev: WindowVerdict | None = None
     for v in verdicts:
         if not v.anomalous:
             close_run()
-            prev = None
             continue
-        if run and prev is not None:
+        if run:
             shared = {
                 n for n, s in v.node_scores.items() if s > 0
-            } & {n for n, s in prev.node_scores.items() if s > 0}
+            } & {n for n, s in run[-1].node_scores.items() if s > 0}
             if not shared:
                 close_run()
         run.append(v)
-        prev = v
     close_run()
     return alerts
 

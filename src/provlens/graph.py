@@ -1,8 +1,8 @@
 """Typed temporal provenance graph.
 
 Entities (processes, files, sockets) connected by timestamped system
-events, plus the window slicing and neighborhood extraction everything
-downstream (scoring, explanation) is built on.
+events, plus the window bounds (each window one index range) and neighborhood
+extraction everything downstream (scoring, explanation) is built on.
 
 :class:`TemporalGraph` is a column store. Events are int64 ``src``,
 ``dst`` and ``ts`` columns and a relation-code column ``rel`` (indexes
@@ -293,10 +293,6 @@ class TemporalGraph:
         if t <= _I64.min:
             return 0
         return int(np.searchsorted(self._ts[: self._n], math.ceil(t)))
-
-    def window_slice(self, t0: int, t1: int) -> list[int]:
-        """Event indexes with t0 <= timestamp < t1 (half-open), in order."""
-        return list(range(*self.window_bounds(t0, t1)))
 
     def span(self) -> tuple[int, int]:
         if not self._n:

@@ -1,14 +1,14 @@
 """Explanation pipeline orchestration.
 
-For every window of a raised alert, the window's losses are read from
-the detector's scored stream, and only its flagged contexts (those
-whose loss exceeds the threshold) are built. One pass over them scores
-each endpoint node and collects its flagged contexts. The top-K flagged
-events get the window-level mask explainer and its aggregate; the top-M
-nodes get both per-event explainers over their flagged contexts, once
-per event even when an event touches two of those nodes. Strictly
-post-hoc: the model holds parameters only, and the flagged set is the
-detector's by construction.
+Each window of a raised alert is explained from its detector verdict:
+the verdict's ``high_loss_events`` are the window's flagged events, and
+only their contexts are built from the detector's scored stream, so the
+explained set is the detector's by construction. One pass over them
+scores each endpoint node and collects its flagged contexts. The top-K
+flagged events get the window-level mask explainer and its aggregate;
+the top-M nodes get both per-event explainers over their flagged
+contexts, once per event even when an event touches two of those nodes.
+Strictly post-hoc: the model holds parameters only.
 
 Window-level work can run in parallel; VA-TG's randomness is derived
 per event from (VA-TG seed, window, event) so scheduling cannot change
@@ -18,13 +18,14 @@ results.
 from __future__ import annotations
 
 import os
+import re
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import Alert, WindowStats, event_losses
+from .detect import Alert, WindowStats
 from .graph import Event, EventContext
 from .gnnexplainer import GnnExplainerConfig, gnn_explain_event
 from .graphmask import GraphMaskConfig, graphmask_aggregate, graphmask_explain_event
@@ -73,6 +74,18 @@ def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
     return order[:k]
 
 
+def _memory_budget(config: PipelineConfig) -> int:
+    """The config's memory budget in bytes, else PROVLENS_MEMORY_BUDGET's
+    (ASCII decimal digits only), else the default."""
+    if config.memory_budget is not None:
+        return config.memory_budget
+    raw = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET))
+    if re.fullmatch(r"[0-9]+", raw) is None:
+        raise ValueError(f"{MEMORY_BUDGET_ENV} must be a whole number of bytes "
+                         f">= 0 in ASCII digits, got {raw!r}")
+    return int(raw)
+
+
 def ensure_memory(budget: int, estimated_need: int) -> tuple[str, list[str]]:
     """Proceed/degrade decision. Degradation disables window parallelism;
     it never changes numeric results."""
@@ -110,22 +123,18 @@ def run_pipeline(
 ) -> ExplanationReport:
     """Explain every window of a raised alert.
 
-    ``contexts`` may carry the detector's scored full-stream contexts;
-    otherwise they are scored here. Only each window's flagged contexts
-    are read from it. Explainer skip signals are recorded once per
-    event and window, never fatal. Each window report carries the
-    alert's sorted entities, the nodes its attack subgraph is drawn over.
+    ``stats`` and ``contexts`` (else scored here) are the ones that gave
+    the alert's verdicts; a window builds the contexts of its verdict's
+    ``high_loss_events`` and thresholds nothing again. Explainer skip
+    signals are recorded once per event and window, never fatal. Each
+    window report carries the alert's sorted entities, the nodes its
+    attack subgraph is drawn over.
     """
     if not alert.windows:
         raise ValueError("alert has zero windows; nothing to explain")
 
-    budget = config.memory_budget
-    if budget is None:
-        budget = int(os.environ.get(MEMORY_BUDGET_ENV, DEFAULT_MEMORY_BUDGET))
-        if budget < 0:
-            raise ValueError(f"{MEMORY_BUDGET_ENV} must be >= 0, got {budget}")
     need = estimate_need(alert, model.config.horizon, model.config.memory_dim)
-    decision, warnings = ensure_memory(budget, need)
+    decision, warnings = ensure_memory(_memory_budget(config), need)
     parallel = config.parallel_windows if decision == "proceed" else 1
 
     if contexts is None:
@@ -134,9 +143,7 @@ def run_pipeline(
 
     def process(args) -> WindowReport:
         w_idx, verdict = args
-        idxs = verdict.event_indexes
-        flagged = [contexts[i] for i, loss in zip(idxs, event_losses(contexts, idxs))
-                   if loss > stats.threshold]
+        flagged = [contexts[i] for i in verdict.high_loss_events]
         return _explain_window(model, w_idx, verdict, flagged, stats, config,
                                entities)
 

@@ -463,18 +463,24 @@ def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
     assert rc == EXIT_RESOURCE
 
 
-def test_negative_memory_budget_env_is_argument_error(cli_dir, tmp_path,
-                                                     monkeypatch):
-    """A negative budget is bad input (exit 2), where a budget too small
-    for the alert is a resource error (exit 3)."""
+@pytest.mark.parametrize("value", ["abc", "1e9", "\uff11\uff12", "-5"])
+def test_bad_memory_budget_env_fails_before_any_output(cli_dir, tmp_path,
+                                                       capsys, monkeypatch,
+                                                       value):
+    """A budget that is not ASCII decimal digits (full-width digits
+    included) or is negative is bad input: exit 2, the variable named,
+    and no output directory made. A budget too small for the alert is a
+    resource error (exit 3) instead."""
     from provlens.pipeline import MEMORY_BUDGET_ENV
 
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "-5")
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
+    out = tmp_path / "x"
     rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
                "--model", str(cli_dir / "model.json"),
-               "--out-dir", str(tmp_path / "x")])
+               "--out-dir", str(out)])
     assert rc == EXIT_ARGUMENT
-    assert not list((tmp_path / "x").glob("explanations_*.json"))
+    assert MEMORY_BUDGET_ENV in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_non_object_dataset_is_argument_error(tmp_path):

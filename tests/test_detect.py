@@ -13,16 +13,15 @@ from provlens.detect import (
     WindowStats,
     WindowVerdict,
     compute_threshold,
-    event_losses,
     iter_windows,
     link_queues,
     reconstruct_subgraph,
     score_window,
     _node_scores,
 )
-from provlens.graph import EventContext, NodeKind, Relation, TruthLabel
+from provlens.graph import NodeKind, Relation
 from provlens.masks import ordered_sum
-from provlens.model import ModelConfig, StreamContexts, TgnModel, _Stream, score_stream
+from provlens.model import score_stream
 
 from conftest import NS, build_graph
 
@@ -31,7 +30,6 @@ def _verdict(window, flagged, node_scores, flagged_loss, anomalous):
     return WindowVerdict(
         window=window,
         event_count=len(flagged),
-        event_indexes=list(flagged),
         high_loss_events=list(flagged),
         node_scores=dict(node_scores),
         suspicious_nodes={n for n, s in node_scores.items() if s > 1.0},
@@ -64,25 +62,21 @@ def test_threshold_matches_brute_force():
 
 
 def test_score_window_flags_strictly_above(tiny_graph):
-    from provlens.graph import EventContext
-
     stats = WindowStats(mu=0.0, sigma=0.0, threshold=1.0)
-    ctxs = []
-    for i, ev in enumerate(tiny_graph.events):
-        ctxs.append(EventContext(ev, i, [], [], loss=float(i)))
-    v = score_window(tiny_graph, ctxs, (0, 10 * NS), stats)
+    losses = np.arange(len(tiny_graph), dtype=float)
+    v = score_window(tiny_graph, losses, (0, 10 * NS), stats)
     # losses 0..6; strictly above 1.0 means indexes 2..6
     assert v.high_loss_events == [2, 3, 4, 5, 6]
     assert v.flagged_loss == pytest.approx(sum(range(2, 7)))
     assert v.event_count == 7
 
 
-def _score_window_reference(graph, contexts, window, stats, config=DetectorConfig()):
-    """The per-event loop ``score_window`` ran before it read a scored
-    stream's losses as one slice: the oracle of the array form."""
+def _score_window_reference(graph, losses, window, stats, config=DetectorConfig()):
+    """The per-event loop ``score_window`` ran before it read the loss
+    array as one slice: the oracle of the array form."""
     lo, hi = graph.window_bounds(*window)
     idxs = list(range(lo, hi))
-    losses = event_losses(contexts, idxs)
+    losses = [float(losses[i]) for i in idxs]
     flagged = [i for i, loss in zip(idxs, losses) if loss > stats.threshold]
     node_scores = _node_scores(graph.src[lo:hi], graph.dst[lo:hi], losses)
     suspicious = {n for n, s in node_scores.items() if s > stats.threshold}
@@ -90,7 +84,7 @@ def _score_window_reference(graph, contexts, window, stats, config=DetectorConfi
     anomalous = bool(flagged) and len(suspicious) >= config.min_suspicious_nodes
     if config.window_loss_budget is not None:
         anomalous = anomalous or flagged_loss > config.window_loss_budget
-    return WindowVerdict(window, len(idxs), idxs, flagged, node_scores,
+    return WindowVerdict(window, len(idxs), flagged, node_scores,
                          suspicious, flagged_loss, anomalous)
 
 
@@ -107,14 +101,14 @@ def test_score_window_matches_the_event_loop(model, stats, hours):
     the per-event loop, under the default and a loss-budget config."""
     spec = dataclasses.replace(default_scenario(seed=7), duration_s=hours * 3600.0)
     dataset = generate_scenario(spec)
-    contexts = score_stream(model, dataset)
+    losses = score_stream(model, dataset).losses
     graph = dataset.graph
     for config in (DetectorConfig(), DetectorConfig(window_loss_budget=5.0)):
         windows = list(iter_windows(graph.span(), config.window_ns))
         assert len(windows) == 4 * hours
         for w in windows:
-            _assert_same_verdict(score_window(graph, contexts, w, stats, config),
-                                 _score_window_reference(graph, contexts, w, stats,
+            _assert_same_verdict(score_window(graph, losses, w, stats, config),
+                                 _score_window_reference(graph, losses, w, stats,
                                                          config))
 
 
@@ -122,9 +116,9 @@ def test_score_window_matches_the_event_loop(model, stats, hours):
 @given(st.data())
 def test_score_window_matches_the_event_loop_on_random_streams(data):
     """Random streams with timestamp ties, self-loops and losses exactly
-    at the threshold or one ulp either side: a scored stream's verdict is
-    the per-event loop's, a plain context list gets the same verdict, and
-    a loss equal to the threshold is never flagged."""
+    at the threshold or one ulp either side: the loss array's verdict is
+    the per-event loop's, and a loss equal to the threshold is never
+    flagged."""
     threshold = data.draw(st.sampled_from([0.75, 1.0, 2.5]))
     near = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
     loss = st.one_of(st.sampled_from(near), st.floats(0.0, 3.0))
@@ -139,38 +133,27 @@ def test_score_window_matches_the_event_loop_on_random_streams(data):
     graph = build_graph(([(n, NodeKind.PROCESS, f"p{n}") for n in range(4)], events))
     losses = np.array([r[3] for r in rows])
     losses.flags.writeable = False
-    labels = [TruthLabel.UNKNOWN] * len(rows)
-    n = len(rows)
-    scored = StreamContexts(_Stream(TgnModel(ModelConfig()), graph, n), losses, labels)
-    plain = [EventContext(ev, i, [], [], loss=float(losses[i]))
-             for i, ev in enumerate(graph.events)]
     t0 = data.draw(st.integers(-1, t)) * NS
     t1 = t0 + data.draw(st.integers(1, t + 2)) * NS
     stats = WindowStats(mu=0.0, sigma=0.0, threshold=threshold)
     budget = data.draw(st.sampled_from([None, threshold, 2.0]))
     config = DetectorConfig(window_loss_budget=budget)
 
-    want = _score_window_reference(graph, scored, (t0, t1), stats, config)
-    _assert_same_verdict(score_window(graph, scored, (t0, t1), stats, config), want)
-    _assert_same_verdict(score_window(graph, plain, (t0, t1), stats, config), want)
+    want = _score_window_reference(graph, losses, (t0, t1), stats, config)
+    _assert_same_verdict(score_window(graph, losses, (t0, t1), stats, config), want)
     assert all(losses[i] > threshold for i in want.high_loss_events)
 
 
 def test_anomalous_needs_flag_and_suspicious_node(tiny_graph):
-    from provlens.graph import EventContext
-
     # high threshold: nothing flagged, no suspicious nodes
     stats = WindowStats(mu=0.0, sigma=0.0, threshold=100.0)
-    ctxs = [
-        EventContext(ev, i, [], [], loss=0.5)
-        for i, ev in enumerate(tiny_graph.events)
-    ]
-    v = score_window(tiny_graph, ctxs, (0, 10 * NS), stats)
+    losses = np.full(len(tiny_graph), 0.5)
+    v = score_window(tiny_graph, losses, (0, 10 * NS), stats)
     assert not v.anomalous and not v.high_loss_events
 
     # the loss budget is an OR-route to anomalous even with nothing flagged
     cfg = DetectorConfig(window_loss_budget=-1.0)
-    v2 = score_window(tiny_graph, ctxs, (0, 10 * NS), stats, cfg)
+    v2 = score_window(tiny_graph, losses, (0, 10 * NS), stats, cfg)
     assert v2.high_loss_events == []
     assert v2.anomalous
 

@@ -102,7 +102,8 @@ def _assert_same(g: TemporalGraph, ref: TemporalGraph, same_node_order=True):
         assert g.incident(nid) == ref.incident(nid) == expected
     for t0, t1 in (_windows(ref) if events else []):
         expected = [i for i, e in enumerate(events) if t0 <= e.timestamp < t1]
-        assert g.window_slice(t0, t1) == ref.window_slice(t0, t1) == expected
+        assert (list(range(*g.window_bounds(t0, t1)))
+                == list(range(*ref.window_bounds(t0, t1))) == expected)
     assert g.span() == ref.span()
 
 
@@ -541,7 +542,7 @@ def test_window_bounds_past_int64(tiny_graph):
     """Window bounds are Python numbers, not int64: a window longer than
     the int64 range (a valid, if huge, window_minutes) still slices."""
     n = len(tiny_graph)
-    assert tiny_graph.window_slice(0, 2**70) == list(range(n))
-    assert tiny_graph.window_slice(-2**70, 2.5e9) == [0, 1]
+    assert tiny_graph.window_bounds(0, 2**70) == (0, n)
+    assert tiny_graph.window_bounds(-2**70, 2.5e9) == (0, 2)
     assert tiny_graph.count_before(float("inf")) == n
     assert tiny_graph.count_before(-float("inf")) == 0

@@ -58,16 +58,16 @@ def test_add_node_rejects_rebinding():
         g.add_node(NodeDescriptor(1, NodeKind.FILE, "b"))
 
 
-def test_window_slice_half_open(tiny_graph):
+def test_window_bounds_half_open(tiny_graph):
     # events at t=1..7 s; [2, 5) must include 2, 3, 4 and exclude 5
-    idxs = tiny_graph.window_slice(2 * NS, 5 * NS)
+    idxs = range(*tiny_graph.window_bounds(2 * NS, 5 * NS))
     times = [tiny_graph.events[i].timestamp for i in idxs]
     assert times == [2 * NS, 3 * NS, 4 * NS]
 
 
-def test_window_slice_rejects_empty_window(tiny_graph):
+def test_window_bounds_rejects_empty_window(tiny_graph):
     with pytest.raises(ValueError):
-        tiny_graph.window_slice(5 * NS, 5 * NS)
+        tiny_graph.window_bounds(5 * NS, 5 * NS)
 
 
 def test_every_event_in_exactly_one_window(dataset):
@@ -77,7 +77,7 @@ def test_every_event_in_exactly_one_window(dataset):
     window_ns = 15 * 60 * NS
     counts = [0] * len(g)
     for w in iter_windows(g.span(), window_ns):
-        for i in g.window_slice(*w):
+        for i in range(*g.window_bounds(*w)):
             counts[i] += 1
     assert all(c == 1 for c in counts)
 
@@ -111,7 +111,7 @@ def test_windows_partition_events(n_nodes, edges, window_ns):
     g = _random_graph(n_nodes, edges)
     counts = [0] * len(g)
     for w in iter_windows(g.span(), window_ns):
-        for i in g.window_slice(*w):
+        for i in range(*g.window_bounds(*w)):
             counts[i] += 1
     assert counts == [1] * len(g)
 

@@ -91,7 +91,7 @@ def test_ablation_delta_matches_manual_replay(model, dataset, stats,
     after = 0.0
     for w in attack_alert.windows:
         t0, t1 = w.window
-        for i in ablated.graph.window_slice(t0, t1):
+        for i in range(*ablated.graph.window_bounds(t0, t1)):
             if ctxs[i].loss > stats.threshold:
                 after += ctxs[i].loss
     expected = 100.0 * (after - before) / before
@@ -112,7 +112,7 @@ def test_ablation_that_moves_the_first_event_keeps_the_window_grid(
     losses = score_stream(model, ablated).losses
     before = sum(w.flagged_loss for w in attack_alert.windows)
     after = sum(losses[i] for w in attack_alert.windows
-                for i in ablated.graph.window_slice(*w.window)
+                for i in range(*ablated.graph.window_bounds(*w.window))
                 if losses[i] > stats.threshold)
     assert after > 0
     expected = 100.0 * (after - before) / before

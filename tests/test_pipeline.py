@@ -2,14 +2,23 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from provlens.detect import Alert, WindowStats, WindowVerdict
+from provlens.detect import (
+    Alert,
+    DetectorConfig,
+    WindowStats,
+    WindowVerdict,
+    link_queues,
+    score_all_windows,
+)
 from provlens.gnnexplainer import GnnExplainerConfig
 from provlens.graph import Event, Relation
 from provlens.graphmask import GraphMaskConfig
+from provlens.model import _Stream, score_stream
 from provlens.pipeline import (
     MEMORY_BUDGET_ENV,
     PipelineConfig,
@@ -126,26 +135,81 @@ def test_run_pipeline_leaves_model_memory_untouched(model, dataset, stats,
 
 def test_node_scores_follow_context_losses(model, dataset, stats, attack_alert,
                                            contexts):
-    """The pipeline flags and scores with the losses the contexts carry,
-    so an edited loss moves the report's node scores with it."""
+    """The pipeline scores nodes with the losses the flagged contexts
+    carry, so an edited loss moves the report's node scores with it."""
     verdict = attack_alert.windows[0]
-    pos = next(i for i in verdict.event_indexes
-               if contexts[i].loss <= stats.threshold)
+    pos = verdict.high_loss_events[0]
     edited = list(contexts)
     edited[pos] = dataclasses.replace(contexts[pos],
                                       loss=stats.threshold + 100.0)
     report = run_pipeline(model, dataset, attack_alert, stats, quick_config(),
                           contexts=edited)
     expected: dict[int, float] = {}
-    for i in verdict.event_indexes:
-        if edited[i].loss > stats.threshold:
-            e = edited[i].target
-            for nid in {e.src, e.dst}:
-                expected[nid] = expected.get(nid, 0.0) + edited[i].loss
+    for i in verdict.high_loss_events:
+        e = edited[i].target
+        for nid in {e.src, e.dst}:
+            expected[nid] = expected.get(nid, 0.0) + edited[i].loss
     nodes = report.windows[0].nodes
     assert nodes[0]["node_id"] in (edited[pos].target.src, edited[pos].target.dst)
     for block in nodes:
         assert block["score"] == expected[block["node_id"]]
+
+
+def _explained_indexes(report) -> list[int]:
+    """Every event index a report explains or skips."""
+    idxs = []
+    for w in report.windows:
+        idxs += [skip["event_index"] for skip in w.skipped]
+        for node in w.nodes:
+            idxs += [entry["event_index"] for entry in node["gnn"]]
+            idxs += [entry["event_index"] for entry in node["va_tg"]["events"]]
+    return idxs
+
+
+def test_pipeline_explains_exactly_the_verdicts_flagged_events(
+        model, dataset, stats, attack_alert, contexts):
+    """A verdict whose flagged list is a strict subset of its window's
+    above-threshold events: the pipeline explains that list only and
+    does not threshold the window's losses again."""
+    verdict = attack_alert.windows[0]
+    above = verdict.high_loss_events
+    assert len(above) >= 2
+    assert all(contexts.losses[i] > stats.threshold for i in above)
+    subset = above[-1:]
+    alert = dataclasses.replace(
+        attack_alert,
+        windows=[dataclasses.replace(verdict, high_loss_events=subset)],
+    )
+    report = run_pipeline(model, dataset, alert, stats,
+                          quick_config(top_k_events=25, top_m_nodes=20),
+                          contexts=contexts)
+    explained = _explained_indexes(report)
+    assert explained and set(explained) <= set(subset)
+    ends = {n for i in subset for n in (contexts[i].target.src,
+                                        contexts[i].target.dst)}
+    assert {node["node_id"] for node in report.windows[0].nodes} == ends
+
+
+def test_contexts_are_built_for_flagged_events_only(model, dataset, stats,
+                                                    attack_alert, monkeypatch):
+    """Detection reads the loss array and builds no context; the pipeline
+    builds the context of each flagged event of the alert once."""
+    built: Counter = Counter()
+    context = _Stream.context
+
+    def counting(self, i, *args):
+        built[i] += 1
+        return context(self, i, *args)
+
+    monkeypatch.setattr(_Stream, "context", counting)
+    scored = score_stream(model, dataset)
+    verdicts = score_all_windows(dataset.graph, scored, stats, DetectorConfig())
+    link_queues(verdicts, stats, DetectorConfig())
+    assert not built
+    run_pipeline(model, dataset, attack_alert, stats, quick_config(),
+                 contexts=scored)
+    assert built == Counter(i for v in attack_alert.windows
+                            for i in v.high_loss_events)
 
 
 def test_run_pipeline_contexts_optional(model, dataset, stats, attack_alert,
@@ -235,16 +299,18 @@ def test_config_rejects_fewer_than_one_parallel_window(workers):
 
 def test_negative_memory_budget_is_rejected(model, dataset, stats, attack_alert,
                                             monkeypatch):
-    """A negative budget is bad input, from the config or the environment;
-    a budget of 0 is a valid one that nothing fits in."""
+    """A negative budget is bad input, from the config or the environment,
+    and so is an environment value that is not ASCII decimal digits; a
+    budget of 0 is a valid one that nothing fits in."""
     with pytest.raises(ValueError, match="memory_budget"):
         PipelineConfig(memory_budget=-5)
     with pytest.raises(ResourceError):
         run_pipeline(model, dataset, attack_alert, stats,
                      quick_config(memory_budget=0))
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "-5")
-    with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
-        run_pipeline(model, dataset, attack_alert, stats, quick_config())
+    for value in ("-5", "abc", "1e9", "\uff11\uff12", " 12", ""):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
+        with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
+            run_pipeline(model, dataset, attack_alert, stats, quick_config())
 
 
 def test_vatg_seed_sets_the_pipeline_noise(model, dataset, stats, attack_alert,
@@ -284,7 +350,7 @@ def test_skipped_event_is_recorded_once_per_window(tiny_graph):
     flagged = dataclasses.replace(ctx, loss=5.0)
     t = ctx.target.timestamp
     verdict = WindowVerdict(
-        window=(t, t + 1), event_count=1, event_indexes=[0],
+        window=(t, t + 1), event_count=1,
         high_loss_events=[0], node_scores={}, suspicious_nodes=set(),
         flagged_loss=5.0, anomalous=True,
     )
