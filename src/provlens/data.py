@@ -18,12 +18,13 @@ The timestamp is ASCII decimal digits with an optional sign, within
 the int64 range.
 
 Dataset file, format version 2: one JSON object {version, nodes, events,
-attack_interval}. ``nodes`` holds the node columns in id order: ``id``
-and ``kind`` are base64 columns (see :mod:`provlens.fileformat`) of
-little-endian int64 ids and of one-byte codes into ``NODE_KINDS``, and
-``label`` is a list of strings. ``events`` holds the base64 columns
-``src``, ``dst`` and ``timestamp`` (int64) and ``relation`` and
-``label`` (one-byte codes into ``RELATIONS`` and ``TruthLabel``).
+attack_interval}. ``nodes`` holds the graph's node columns as they are,
+in id order: ``id`` and ``kind`` are base64 columns (see
+:mod:`provlens.fileformat`) of little-endian int64 ids and of one-byte
+codes into ``NODE_KINDS``, and ``label`` is a list of strings.
+``events`` holds the base64 columns ``src``, ``dst`` and ``timestamp``
+(int64) and ``relation`` and ``label`` (one-byte codes into
+``RELATIONS`` and ``TruthLabel``).
 ``attack_interval`` is a plain JSON pair. :func:`load_dataset` decodes
 the columns straight into ``TemporalGraph.from_columns`` and refuses
 anything :func:`save_dataset` would not write, naming the file and the
@@ -34,8 +35,9 @@ is still read, since a dataset, unlike a checkpoint, cannot be rebuilt
 from what the program keeps: a parsed log may be gone. It is decoded one
 record at a time, in file order, through the graph's validated
 one-record write paths, so a malformed file raises the error of its
-first bad record. That is slower than a version-2 load;
-:func:`save_dataset` writes any loaded dataset as version 2.
+first bad record; its nodes may come in any order. That is slower than
+a version-2 load; :func:`save_dataset` writes any loaded dataset as
+version 2.
 
 The log parser and the scenario generator build one record shape, the
 plain tuple ``(ts_ns, order, src_key, dst_key, relation)``, where a key
@@ -123,19 +125,10 @@ class LabeledDataset:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
         a, b = self.graph, other.graph
-        return (
-            _node_table(a) == _node_table(b)
-            and all(np.array_equal(x, y) for x, y in
-                    ((a.src, b.src), (a.dst, b.dst), (a.rel, b.rel), (a.ts, b.ts)))
-            and self.labels == other.labels
-            and self.attack_interval == other.attack_interval
-        )
-
-
-def _node_table(graph: TemporalGraph) -> dict:
-    """node id -> (kind code, label); equal tables mean equal nodes."""
-    return dict(zip(graph.node_ids.tolist(),
-                    zip(graph.node_kinds.tolist(), graph.node_labels)))
+        return (all(np.array_equal(getattr(a, col), getattr(b, col))
+                    for col in ("node_ids", "node_kinds", "src", "dst", "rel", "ts"))
+                and (a.node_labels, self.labels, self.attack_interval)
+                == (b.node_labels, other.labels, other.attack_interval))
 
 
 # ---------------------------------------------------------------------------
@@ -731,14 +724,13 @@ def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
 def save_dataset(ds: LabeledDataset, path) -> None:
     """Write a format-version-2 dataset file (see the module docstring)."""
     g = ds.graph
-    by_id = np.argsort(g.node_ids, kind="stable")
     truth = np.fromiter(map(_LABEL_CODES.__getitem__, map(_VALUE, ds.labels)),
                         np.uint8, len(ds.labels))
     doc = {
         "version": DATASET_VERSION,
-        "nodes": {"id": encode_column(g.node_ids[by_id], "<i8"),
-                  "kind": encode_column(g.node_kinds[by_id], "u1"),
-                  "label": list(map(g.node_labels.__getitem__, by_id.tolist()))},
+        "nodes": {"id": encode_column(g.node_ids, "<i8"),
+                  "kind": encode_column(g.node_kinds, "u1"),
+                  "label": g.node_labels},
         "events": {"src": encode_column(g.src, "<i8"),
                    "dst": encode_column(g.dst, "<i8"),
                    "timestamp": encode_column(g.ts, "<i8"),

@@ -7,12 +7,12 @@ extraction everything downstream (scoring, explanation) is built on.
 :class:`TemporalGraph` is a column store. Events are int64 ``src``,
 ``dst`` and ``ts`` columns and a relation-code column ``rel`` (indexes
 into :data:`RELATIONS`); nodes are id, kind-code (indexes into
-:data:`NODE_KINDS`) and label columns in insertion order. The events
-touching each node are one CSR incidence list: per-node offsets into one
-array of event indexes, node-major and in event order, built when it is
-first read together with each event's endpoint rows. Node ids are mapped
-to rows by one lookup over the ids in sorted order (an argsort, then a
-searchsorted). ``graph.events`` and ``graph.nodes`` are read-only views
+:data:`NODE_KINDS`) and label columns in ascending id order, however
+they were added. The events touching each node are one CSR incidence
+list: per-node offsets into one array of event indexes, node-major and
+in event order, built when it is first read together with each event's
+endpoint rows. A node id's row is one searchsorted on the id column.
+``graph.events`` and ``graph.nodes`` are read-only views
 that build an :class:`Event` or a :class:`NodeDescriptor` when one is
 read, so no per-event object is kept; the hot readers (stream scoring,
 window scoring, ablation) read the columns. :meth:`TemporalGraph.add_node`
@@ -101,14 +101,14 @@ class TemporalGraph:
     Single-writer during construction; immutable and safe for concurrent
     reads afterwards. Timestamps must be non-decreasing; ties are broken
     by insertion index. The column properties are read-only views of the
-    first ``len(graph)`` events (or of every node).
+    first ``len(graph)`` events (or of every node); nodes are in id
+    order, so adding a node below the largest id moves rows in place.
     """
 
     def __init__(self):
         self._node_id = np.empty(0, np.int64)
         self._node_kind = np.empty(0, np.int8)
         self._labels: list[str] = []
-        self._row: dict[int, int] = {}  # node_id -> row of the node columns
         self._src = np.empty(0, np.int64)
         self._dst = np.empty(0, np.int64)
         self._ts = np.empty(0, np.int64)
@@ -116,8 +116,6 @@ class TemporalGraph:
         self._n = 0
         # (offsets, event indexes, (2, n) endpoint rows); see _incidence
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # (node rows in id order, the sorted node ids); see _rows
-        self._index: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_columns(cls, node_ids, node_kinds, node_labels,
@@ -126,6 +124,7 @@ class TemporalGraph:
         :meth:`append_event` of each event, in order, would build; filled
         in bulk.
 
+        Nodes may come in any order; the graph holds them in id order.
         ``node_kinds`` and ``rel`` are codes into :data:`NODE_KINDS` and
         :data:`RELATIONS`. Columns that the one-record paths would reject
         or that repeat a node id raise ``ValueError``."""
@@ -140,12 +139,14 @@ class TemporalGraph:
         if not (_codes_in_range(kinds, NODE_KINDS) and _codes_in_range(rel, RELATIONS)):
             raise ValueError(
                 "kind and relation codes must index NODE_KINDS and RELATIONS")
+        if (ids[1:] <= ids[:-1]).any():
+            order = np.argsort(ids)
+            ids, kinds, labels = ids[order], kinds[order], [labels[i] for i in order]
+        if (ids[1:] == ids[:-1]).any() or not all(labels):
+            raise ValueError("node ids must be distinct and labels non-empty")
         graph = cls()
         graph._node_id, graph._node_kind, graph._labels = ids, kinds, labels
-        graph._row = dict(zip(ids.tolist(), range(m)))
         graph._src, graph._dst, graph._rel, graph._ts, graph._n = src, dst, rel, ts, n
-        if len(graph._row) < m or not all(labels):
-            raise ValueError("node ids must be distinct and labels non-empty")
         if (graph._rows(np.concatenate([src, dst])) < 0).any():
             raise ValueError("every event endpoint must be a node")
         if (ts[1:] < ts[:-1]).any():
@@ -153,26 +154,28 @@ class TemporalGraph:
         return graph
 
     def add_node(self, node: NodeDescriptor) -> None:
-        if node.node_id in self._row:
+        """Insert the node at its id's row (an ascending id appends); an id
+        that is not an int64 integer raises before any row moves."""
+        node_id, kind = np.int64(operator.index(node.node_id)), _KIND_INDEX[node.kind]
+        m = len(self._labels)
+        row = self._node_id[:m].searchsorted(node_id)
+        if row < m and self._node_id[row] == node_id:
             existing = self.nodes[node.node_id]
             if existing != node:
                 raise ValueError(f"node_id {node.node_id} already bound to {existing}")
             return
-        row = len(self._row)
-        kind = _KIND_INDEX[node.kind]
-        self._node_id = _grown(self._node_id, row + 1)
-        self._node_kind = _grown(self._node_kind, row + 1)
-        self._node_id[row] = node.node_id
-        self._node_kind[row] = kind
-        self._labels.append(node.label)
-        self._row[node.node_id] = row
-        self._csr = self._index = None
+        self._node_id, self._node_kind = (
+            _grown(c, m + 1) for c in (self._node_id, self._node_kind))
+        for col, value in ((self._node_id, node_id), (self._node_kind, kind)):
+            col[row + 1 : m + 1] = col[row:m]
+            col[row] = value
+        self._labels.insert(row, node.label)
+        self._csr = None
 
     def append_event(self, e: Event) -> None:
-        if e.src not in self._row:
-            raise UnknownNodeError(f"unknown src node {e.src}")
-        if e.dst not in self._row:
-            raise UnknownNodeError(f"unknown dst node {e.dst}")
+        for end, node_id in (("src", e.src), ("dst", e.dst)):
+            if self._node_row(node_id) < 0:
+                raise UnknownNodeError(f"unknown {end} node {node_id}")
         i = self._n
         if i and e.timestamp < self._ts.item(i - 1):
             raise OrderingError(
@@ -199,7 +202,7 @@ class TemporalGraph:
     @property
     def nodes(self) -> Mapping[int, NodeDescriptor]:
         """Read-only mapping view from node id to a new NodeDescriptor,
-        in insertion order."""
+        in ascending id order."""
         return _NodeView(self)
 
     @property
@@ -222,12 +225,12 @@ class TemporalGraph:
 
     @property
     def node_ids(self) -> np.ndarray:
-        return _read_only(self._node_id[: len(self._row)])
+        return _read_only(self._node_id[: len(self._labels)])
 
     @property
     def node_kinds(self) -> np.ndarray:
         """Kind codes: indexes into :data:`NODE_KINDS`."""
-        return _read_only(self._node_kind[: len(self._row)])
+        return _read_only(self._node_kind[: len(self._labels)])
 
     @property
     def node_labels(self) -> tuple[str, ...]:
@@ -239,17 +242,22 @@ class TemporalGraph:
 
     def _rows(self, node_ids) -> np.ndarray:
         """Row of each of ``node_ids`` in the node columns, -1 for an id
-        that is not a node: one searchsorted over the sorted node ids,
-        which are kept until a node is added."""
-        if self._index is None:
-            order = np.argsort(self.node_ids)
-            self._index = order, self.node_ids[order]
-        order, ids = self._index
-        node_ids = np.asarray(node_ids, np.int64)
+        that is not a node: one searchsorted on the id column, which
+        ascends."""
+        ids = self._node_id[: len(self._labels)]
+        node_ids = np.int64(node_ids)  # one key stays a scalar: its compare is fast
         if not len(ids):
-            return np.full(node_ids.shape, -1, np.intp)
-        pos = np.minimum(np.searchsorted(ids, node_ids), len(ids) - 1)
-        return np.where(ids[pos] == node_ids, order[pos], -1)
+            return np.full(np.shape(node_ids), -1, np.intp)
+        # ids[count - 1] is the last id <= each key; at count 0, the largest
+        count = ids.searchsorted(node_ids, "right")
+        return count * (ids[count - 1] == node_ids) - 1
+
+    def _node_row(self, node_id) -> int:
+        """:meth:`_rows` of one key; one that is not an int64 integer is -1."""
+        try:
+            return int(self._rows(operator.index(node_id)))
+        except (TypeError, OverflowError):
+            return -1
 
     def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR incidence and endpoint rows: node row r's incident event
@@ -258,7 +266,7 @@ class TemporalGraph:
         listed once. Built on the first read after a write."""
         csr = self._csr
         if csr is None:
-            n, m = self._n, len(self._row)
+            n, m = self._n, len(self._labels)
             ends = self._rows(np.stack([self._src[:n], self._dst[:n]]))
             # each event under its src row, then its dst row unless it is a
             # self-loop
@@ -274,8 +282,10 @@ class TemporalGraph:
 
     def incident(self, node_id: int) -> list[int]:
         """Sorted event indexes touching node_id, as a new list."""
+        row = self._node_row(node_id)
+        if row < 0:
+            raise KeyError(node_id)
         offsets, events, _ = self._incidence()
-        row = self._row[node_id]
         return events[offsets[row] : offsets[row + 1]].tolist()
 
     def window_bounds(self, t0: int, t1: int) -> tuple[int, int]:
@@ -350,18 +360,20 @@ class _NodeView(Mapping):
 
     def __getitem__(self, node_id) -> NodeDescriptor:
         g = self._graph
-        row = g._row[node_id]
+        row = g._node_row(node_id)
+        if row < 0:
+            raise KeyError(node_id)
         return NodeDescriptor(g._node_id.item(row), NODE_KINDS[g._node_kind.item(row)],
                               g._labels[row])
 
     def __contains__(self, node_id) -> bool:
-        return node_id in self._graph._row
+        return self._graph._node_row(node_id) >= 0
 
     def __iter__(self):
-        return iter(self._graph._row)
+        return iter(self._graph.node_ids.tolist())
 
     def __len__(self) -> int:
-        return len(self._graph._row)
+        return len(self._graph._labels)
 
 
 def _grown(col: np.ndarray, need: int) -> np.ndarray:

@@ -16,8 +16,6 @@ import time
 import tracemalloc
 from dataclasses import dataclass
 
-import numpy as np
-
 from .data import LabeledDataset
 from .detect import Alert, DetectorConfig, WindowStats, link_queues, score_all_windows
 from .gnnexplainer import FidelityMetrics
@@ -69,21 +67,16 @@ def baseline_row() -> AblationResult:
 
 def remove_edge(dataset: LabeledDataset, edge: CanonicalEdge) -> LabeledDataset:
     """Dataset with every occurrence of one canonical edge dropped: the
-    graph's event columns masked, its nodes kept, in node-id order."""
+    graph's event columns masked, its node columns kept as they are."""
     g = dataset.graph
     keep = ~((g.src == edge.src) & (g.dst == edge.dst)
              & (g.rel == RELATION_INDEX[edge.relation]))
     if keep.all():
         raise ValueError(f"edge not present in stream: {edge}")
-    by_id = np.argsort(g.node_ids, kind="stable")
-    labels = g.node_labels
-    graph = TemporalGraph.from_columns(
-        g.node_ids[by_id], g.node_kinds[by_id], [labels[r] for r in by_id.tolist()],
-        g.src[keep], g.dst[keep], g.rel[keep], g.ts[keep],
-    )
-    kept = np.flatnonzero(keep).tolist()
-    return LabeledDataset(graph, [dataset.labels[i] for i in kept],
-                          dataset.attack_interval)
+    graph = TemporalGraph.from_columns(g.node_ids, g.node_kinds, g.node_labels,
+                                       g.src[keep], g.dst[keep], g.rel[keep], g.ts[keep])
+    labels = [lab for lab, k in zip(dataset.labels, keep.tolist()) if k]
+    return LabeledDataset(graph, labels, dataset.attack_interval)
 
 
 def ablate_edge(

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from provlens import (
@@ -85,14 +84,12 @@ def v1_document(ds) -> dict:
     and a list per event, enum fields by value. The reference for
     version-1 reads."""
     g = ds.graph
-    labels = g.node_labels
-    by_id = np.argsort(g.node_ids, kind="stable").tolist()
     return {
         "version": 1,
         "nodes": [
-            {"id": nid, "kind": list(NodeKind)[kind].value, "label": labels[row]}
-            for nid, kind, row in zip(g.node_ids[by_id].tolist(),
-                                      g.node_kinds[by_id].tolist(), by_id)
+            {"id": nid, "kind": list(NodeKind)[kind].value, "label": label}
+            for nid, kind, label in zip(g.node_ids.tolist(), g.node_kinds.tolist(),
+                                        g.node_labels)
         ],
         "events": [[e.src, e.dst, e.relation.value, e.timestamp] for e in g.events],
         "labels": [lab.value for lab in ds.labels],

@@ -28,6 +28,7 @@ from provlens.graph import (
     Relation,
     TemporalGraph,
     TruthLabel,
+    UnknownNodeError,
 )
 from provlens.graphmask import CanonicalEdge
 from provlens.harness import remove_edge
@@ -86,8 +87,9 @@ def _windows(graph):
     return [(a, b) for a in ts[:4] for b in ts[-4:] + [ts[-1] + 1] if a < b]
 
 
-def _assert_same(g: TemporalGraph, ref: TemporalGraph, same_node_order=True):
-    """g agrees with ref on every read; ref is checked against brute force."""
+def _assert_same(g: TemporalGraph, ref: TemporalGraph):
+    """g agrees with ref on every read, nodes in id order; ref is checked
+    against brute force."""
     events = list(ref.events)
     assert len(g) == len(ref) == len(events)
     assert list(g.events) == events
@@ -95,8 +97,8 @@ def _assert_same(g: TemporalGraph, ref: TemporalGraph, same_node_order=True):
     assert [g.events[i] for i in range(-len(g), len(g))] == events + events
     assert g.events[1:-1] == events[1:-1]
     assert dict(g.nodes.items()) == dict(ref.nodes.items())
-    if same_node_order:
-        assert list(g.nodes) == list(ref.nodes)
+    assert list(g.nodes) == list(ref.nodes) == sorted(ref.nodes)
+    assert list(g.nodes.values()) == list(ref.nodes.values())
     for nid in ref.nodes:
         expected = [i for i, e in enumerate(events) if nid in (e.src, e.dst)]
         assert g.incident(nid) == ref.incident(nid) == expected
@@ -116,9 +118,7 @@ def test_loaded_graph_equals_appended_graph(tmp_path_factory, stream):
     labels = [TruthLabel.BENIGN] * len(events)
     save_dataset(LabeledDataset(ref, labels, (0, 0)), path)
     loaded = load_dataset(path)
-    # the file lists nodes by id
-    _assert_same(loaded.graph, ref, same_node_order=False)
-    assert list(loaded.graph.nodes) == sorted(ref.nodes)
+    _assert_same(loaded.graph, ref)
     assert loaded == LabeledDataset(ref, labels, (0, 0))
 
 
@@ -162,6 +162,45 @@ def test_remove_edge_equals_rebuild(stream, data):
     assert ablated.labels == [labels[i] for i in keep]
     assert ablated == LabeledDataset(rebuilt, [labels[i] for i in keep], (0, 0))
     assert len(ds.graph) == len(events)  # the input is untouched
+
+
+@settings(max_examples=60, deadline=None)
+@given(_streams, st.data())
+def test_every_build_holds_nodes_in_id_order(tmp_path_factory, stream, data):
+    """Nodes added in any order, node columns in any order, a version-1
+    file listing its nodes in any order, a version-2 file and an ablation
+    all give a graph with its nodes in ascending id order that agrees with
+    the appended graph on every read."""
+    nodes, events = _records(stream)
+    ref = _appended(nodes, events)
+    shuffled = data.draw(st.permutations(nodes))
+    ids, kinds, node_labels = zip(*shuffled)
+    labels = [TruthLabel.BENIGN] * len(events)
+    work = tmp_path_factory.mktemp("ds")
+    doc = v1_document(LabeledDataset(ref, labels, (0, 0)))
+    doc["nodes"] = data.draw(st.permutations(doc["nodes"]))
+    (work / "v1.json").write_text(json.dumps(doc))
+    save_dataset(LabeledDataset(ref, labels, (0, 0)), work / "v2.json")
+    built = [
+        _appended(shuffled, events),
+        TemporalGraph.from_columns(
+            ids, [list(NodeKind).index(k) for k in kinds], node_labels,
+            [e.src for e in events], [e.dst for e in events],
+            [list(Relation).index(e.relation) for e in events],
+            [e.timestamp for e in events]),
+        load_dataset(work / "v1.json").graph,
+        load_dataset(work / "v2.json").graph,
+    ]
+    if events:
+        e = data.draw(st.sampled_from(events))
+        kept = [ev for ev in events if (ev.src, ev.dst, ev.relation)
+                != (e.src, e.dst, e.relation)]
+        ablated = remove_edge(LabeledDataset(built[0], labels, (0, 0)),
+                              CanonicalEdge(e.src, e.dst, e.relation))
+        _assert_same(ablated.graph, _appended(shuffled, kept))
+    assert list(ref.nodes) == sorted(ids)
+    for g in built:
+        _assert_same(g, ref)
 
 
 # -- malformed files -----------------------------------------------------
@@ -333,7 +372,6 @@ def test_version_1_and_version_2_files_load_equal(tmp_path_factory, stream, data
     save_dataset(ds, work / "v2.json")
     v1, v2 = load_dataset(work / "v1.json"), load_dataset(work / "v2.json")
     assert v1 == v2 == ds
-    assert list(v1.graph.nodes) == list(v2.graph.nodes) == sorted(ds.graph.nodes)
 
 
 def v2_doc(work) -> dict:
@@ -481,6 +519,60 @@ def test_views_are_read_only(tiny_graph):
         tiny_graph.events[len(tiny_graph)]
     with pytest.raises(KeyError):
         tiny_graph.nodes[99]
+
+
+# node ids at both ends of int64, added out of order, and ids between them
+_SPARSE_IDS = [2**63 - 1, 5, -2**63, 40, -7]
+
+
+def _sparse_graph(ids=_SPARSE_IDS) -> TemporalGraph:
+    g = _appended([(nid, NodeKind.FILE, f"n{nid}") for nid in ids], [])
+    g.append_event(Event(min(ids), max(ids), Relation.READ, 1))
+    g.append_event(Event(5, min(ids), Relation.WRITE, 2))
+    return g
+
+
+def test_lookup_finds_every_id_through_int64_min_and_max():
+    g = _sparse_graph()
+    assert list(g.nodes) == sorted(_SPARSE_IDS) and len(g.nodes) == 5
+    for nid in _SPARSE_IDS:
+        assert nid in g.nodes and np.int64(nid) in g.nodes
+        assert g.nodes[np.int64(nid)] == NodeDescriptor(nid, NodeKind.FILE, f"n{nid}")
+    assert g.incident(-2**63) == [0, 1] and g.incident(2**63 - 1) == [0]
+    assert g.incident(5) == [1] and g.incident(40) == g.incident(-7) == []
+
+
+@pytest.mark.parametrize("ids", [_SPARSE_IDS, [40, -7, 5]], ids=["int64-ends", "inner"])
+@pytest.mark.parametrize("key", [
+    1.5, 5.0, np.float64(5.0), "5", None, (5,),  # not integers
+    -8, 0, 6, 39, 41,                             # below, between, above
+    2**63, -2**63 - 1, 2**70,                     # past int64
+])
+def test_a_key_that_is_no_node_id_is_absent(ids, key):
+    """Ids that fall between, below or above the stored ids are absent,
+    and so is a key that is not an int64 integer, even where an int64
+    cast would hit a node (5.0 -> 5)."""
+    g = _sparse_graph(ids)
+    assert key not in g.nodes
+    with pytest.raises(KeyError):
+        g.nodes[key]
+    with pytest.raises(KeyError):
+        g.incident(key)
+    with pytest.raises(UnknownNodeError, match="src"):
+        g.append_event(Event(key, 5, Relation.READ, 3))
+    with pytest.raises(UnknownNodeError, match="dst"):
+        g.append_event(Event(5, key, Relation.READ, 3))
+    assert len(g) == 2
+
+
+@pytest.mark.parametrize("node_id, error", [
+    (2**63, OverflowError), (-2**63 - 1, OverflowError), (2.0, TypeError),
+])
+def test_add_node_checks_the_id_before_it_moves_a_row(node_id, error):
+    g = _sparse_graph()
+    with pytest.raises(error):
+        g.add_node(NodeDescriptor(node_id, NodeKind.FILE, "x"))
+    _assert_same(g, _sparse_graph())
 
 
 def test_appends_after_a_read_are_seen(tiny_graph):

@@ -454,7 +454,7 @@ def _recent_incident(graph, node_id, exclude, horizon):
     """Up to `horizon` most recent events on node_id before event index
     `exclude`, in index order, read from the graph's CSR incidence."""
     offsets, events, _ = graph._incidence()
-    row = graph._row[node_id]
+    row = int(graph._rows(node_id))
     lo = offsets[row]
     end = lo + int(np.searchsorted(events[lo : offsets[row + 1]], exclude))
     return events[max(lo, end - horizon) : end].tolist()
