@@ -55,13 +55,18 @@ import itertools
 import json
 import math
 import operator
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fileformat import decode_column, encode_column, require_keys
+from .fileformat import (
+    _excerpt,
+    _read_decimal,
+    decode_column,
+    encode_column,
+    require_keys,
+)
 from .graph import (
     _I64,
     NODE_KINDS,
@@ -136,13 +141,6 @@ class LabeledDataset:
 # ---------------------------------------------------------------------------
 
 _FIELDS = ("src_kind", "src_label", "relation", "dst_kind", "dst_label", "timestamp_ns")
-#: a timestamp field: ASCII digits only (``int`` also takes other
-#: scripts' digits and underscores)
-_DECIMAL = re.compile(r"[+-]?[0-9]+")
-#: digits of the int64 bounds, leading zeros aside
-_I64_DIGITS = len(str(_I64.max))
-#: characters of a bad token quoted in a ParseError
-_EXCERPT = 40
 
 
 def parse_log(lines) -> LabeledDataset:
@@ -213,29 +211,18 @@ def render_log(ds: LabeledDataset) -> str:
 
 
 def _parse_timestamp(token: str, lineno: int) -> int:
-    """ASCII decimal digits with an optional sign, in the int64 range.
-    Leading zeros are dropped before ``int`` reads the digits, which it
-    refuses past 4,300 of them."""
-    if _DECIMAL.fullmatch(token) is None:
+    """ASCII decimal digits with an optional sign, in the int64 range."""
+    ts = _read_decimal(token)
+    if ts is None:
         raise ParseError(
             f"line {lineno}: field timestamp_ns is not an integer: {_excerpt(token)}"
         )
-    digits = token.lstrip("+-").lstrip("0") or "0"
-    if len(digits) <= _I64_DIGITS:
-        ts = -int(digits) if token[0] == "-" else int(digits)
-        if _I64.min <= ts <= _I64.max:
-            return ts
-    raise ParseError(
-        f"line {lineno}: field timestamp_ns is outside the int64 range: "
-        f"{_excerpt(token)}"
-    )
-
-
-def _excerpt(token: str) -> str:
-    """The token quoted, cut to its first _EXCERPT characters."""
-    if len(token) <= _EXCERPT:
-        return repr(token)
-    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"
+    if not _I64.min <= ts <= _I64.max:
+        raise ParseError(
+            f"line {lineno}: field timestamp_ns is outside the int64 range: "
+            f"{_excerpt(token)}"
+        )
+    return ts
 
 
 def _parse_kind(token: str, lineno: int, fieldname: str) -> NodeKind:

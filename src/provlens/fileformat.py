@@ -7,14 +7,25 @@ order, with no shape or dtype field, because the file's version and its
 other fields fix both. A column decodes without building a Python object
 per item. Each reader checks that every object holds exactly the keys its
 writer writes, and raises its own error type naming the file and the
-field.
+field. The text readers share one decimal reader (:func:`_read_decimal`)
+and quote a bad token cut to its first ``_EXCERPT`` characters
+(:func:`_excerpt`).
 """
 
 from __future__ import annotations
 
 import base64
+import re
 
 import numpy as np
+
+#: ASCII decimal digits with an optional sign, leading zeros apart
+#: (``int`` also takes other scripts' digits and underscores)
+_DECIMAL = re.compile(r"([+-]?)0*([0-9]+)")
+#: digits of the int64 bounds
+_I64_DIGITS = len(str(np.iinfo(np.int64).max))
+#: characters of a bad token quoted in an error
+_EXCERPT = 40
 
 
 def encode_column(values, dtype: str) -> str:
@@ -50,3 +61,24 @@ def require_keys(value, keys: set[str], what: str, error: type[ValueError]) -> d
         if names:
             raise error(f"{what}: {problem} key(s) {', '.join(sorted(names))}")
     return value
+
+
+def _read_decimal(text: str, signed: bool = True) -> int | None:
+    """The integer that ``text`` writes in ASCII decimal digits, after an
+    optional sign when ``signed``; None for any other text. Past 19 digits
+    the value reads as 2^64 with its sign, outside the int64 range as the
+    value itself is, so ``int`` (which refuses past 4,300 digits) never
+    reads more than 19."""
+    match = _DECIMAL.fullmatch(text)
+    if match is None or (match[1] and not signed):
+        return None
+    digits = match[2]
+    value = int(digits) if len(digits) <= _I64_DIGITS else 1 << 64
+    return -value if match[1] == "-" else value
+
+
+def _excerpt(token: str) -> str:
+    """The token quoted, cut to its first _EXCERPT characters."""
+    if len(token) <= _EXCERPT:
+        return repr(token)
+    return f"{token[:_EXCERPT]!r}... ({len(token)} characters)"

@@ -8,10 +8,13 @@ extraction everything downstream (scoring, explanation) is built on.
 ``dst`` and ``ts`` columns and a relation-code column ``rel`` (indexes
 into :data:`RELATIONS`); nodes are id, kind-code (indexes into
 :data:`NODE_KINDS`) and label columns in ascending id order, however
-they were added. The events touching each node are one CSR incidence
-list: per-node offsets into one array of event indexes, node-major and
-in event order, built when it is first read together with each event's
-endpoint rows. A node id's row is one searchsorted on the id column.
+they were added. A node id's row is one searchsorted on the id column.
+The graph caches one incidence index over all of its events
+(:class:`_Incidences`): each event's endpoint rows, the (node, event)
+incidences node-major and in event order, and each event's rank in
+(-timestamp, index) order. It is built on the first read after a write,
+and :func:`extract_context`, :meth:`TemporalGraph.incident` and stream
+scoring all read it.
 ``graph.events`` and ``graph.nodes`` are read-only views
 that build an :class:`Event` or a :class:`NodeDescriptor` when one is
 read, so no per-event object is kept; the hot readers (stream scoring,
@@ -114,8 +117,8 @@ class TemporalGraph:
         self._ts = np.empty(0, np.int64)
         self._rel = np.empty(0, np.int8)
         self._n = 0
-        # (offsets, event indexes, (2, n) endpoint rows); see _incidence
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # the incidence index; see _incidences
+        self._inc: _Incidences | None = None
 
     @classmethod
     def from_columns(cls, node_ids, node_kinds, node_labels,
@@ -170,7 +173,7 @@ class TemporalGraph:
             col[row + 1 : m + 1] = col[row:m]
             col[row] = value
         self._labels.insert(row, node.label)
-        self._csr = None
+        self._inc = None
 
     def append_event(self, e: Event) -> None:
         for end, node_id in (("src", e.src), ("dst", e.dst)):
@@ -187,7 +190,7 @@ class TemporalGraph:
             _grown(c, i + 1) for c in (self._src, self._dst, self._ts, self._rel))
         self._src[i], self._dst[i], self._ts[i], self._rel[i] = e.src, e.dst, ts, rel
         self._n = i + 1
-        self._csr = None
+        self._inc = None
 
     # -- read views and columns ------------------------------------------
 
@@ -259,24 +262,13 @@ class TemporalGraph:
         except (TypeError, OverflowError):
             return -1
 
-    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR incidence and endpoint rows: node row r's incident event
-        indexes, ascending, are ``events[offsets[r]:offsets[r + 1]]``, and
-        event i's src and dst rows are ``ends[:, i]``; a self-loop is
-        listed once. Built on the first read after a write."""
-        csr = self._csr
-        if csr is None:
-            n, m = self._n, len(self._labels)
-            ends = self._rows(np.stack([self._src[:n], self._dst[:n]]))
-            # each event under its src row, then its dst row unless it is a
-            # self-loop
-            keep = np.ones((n, 2), bool)
-            keep[:, 1] = ends[0] != ends[1]
-            inc, ev = ends.T[keep], np.repeat(np.arange(n), 2)[keep.ravel()]
-            offsets = np.zeros(m + 1, np.intp)
-            np.cumsum(np.bincount(inc, minlength=m), out=offsets[1:])
-            csr = self._csr = (offsets, ev[np.argsort(inc, kind="stable")], ends)
-        return csr
+    def _incidences(self) -> "_Incidences":
+        """The incidence index over every event, built on the first read
+        after a write (two first reads at once may each build an equal
+        one; either serves)."""
+        if self._inc is None:
+            self._inc = _Incidences(self)
+        return self._inc
 
     # -- queries ------------------------------------------------------------
 
@@ -285,8 +277,9 @@ class TemporalGraph:
         row = self._node_row(node_id)
         if row < 0:
             raise KeyError(node_id)
-        offsets, events, _ = self._incidence()
-        return events[offsets[row] : offsets[row + 1]].tolist()
+        inc = self._incidences()
+        end, first = inc.search(row, self._n)
+        return inc.inc_ev[first:end].tolist()
 
     def window_bounds(self, t0: int, t1: int) -> tuple[int, int]:
         """(lo, hi): the events with t0 <= timestamp < t1 (half-open) are
@@ -433,9 +426,9 @@ def extract_context(
     Deterministic: neighborhood ordered by descending timestamp, ties by
     ascending event index. Only events at a lower index than the target
     are eligible: a later event at the target's timestamp is its future.
-    Each call cuts the graph's incidence list to the events up to the
-    target, so its cost grows with the graph; a whole stream's
-    neighborhoods come from one build (:func:`provlens.model.score_stream`).
+    Every call reads the graph's one incidence index, built on the first
+    read after a write; a whole stream's neighborhoods come from one call
+    of the builder (:func:`provlens.model.score_stream`).
     """
     if not (0 <= event_index < len(graph)):
         raise IndexError(f"event index {event_index} out of range")
@@ -444,7 +437,7 @@ def extract_context(
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
 
-    inc = _Incidences(graph, event_index + 1)
+    inc = graph._incidences()
     target = np.array([event_index])
     pos, first = inc.search(inc.ends[:, target], target)
     nb, _ = inc.neighborhoods(target, pos, first, hops, horizon)
@@ -462,30 +455,43 @@ _BLOCK = 512
 
 
 class _Incidences:
-    """The (node, event) incidences of a graph's first ``n`` events, and
-    the one neighborhood builder over them.
+    """The (node, event) incidences of a graph, and the one neighborhood
+    builder over them.
 
-    The incidences are the graph's CSR list cut to those events, so they
-    stay node-major and in event order, and each has the sort key
-    ``node row * (n + 1) + event``: the keys ascend, and one searchsorted
-    finds where any node's incidences before any event end. Node rows and
-    event indexes stay below 2^19 up to a 64 h stream (about 369k events
-    and 375k nodes), so every combined key stays far below 2^63.
+    The incidences are node-major and in event order, and each has the
+    sort key ``node row * (n + 1) + event``: the keys ascend, and one
+    searchsorted finds where any node's incidences before any event end.
+    A reader of a graph's first events (training's prefix stream) searches
+    only before them, so it reads no later incidence. Node rows and event
+    indexes stay below 2^19 up to a 64 h stream (about 369k events and
+    375k nodes), so every combined key stays far below 2^63.
     """
 
-    def __init__(self, graph: TemporalGraph, n: int):
-        offsets, events, ends = graph._incidence()
-        self.n = n
-        self.ts = graph.ts[:n]
+    def __init__(self, graph: TemporalGraph):
+        n = self.n = len(graph)
+        self.ts = graph.ts
         #: (2, n) node rows of each event's src and dst
-        self.ends = ends[:, :n]
-        cut = events < n
-        self.inc_ev = events[cut]
-        inc_node = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))[cut]
-        self.key = inc_node * (n + 1) + self.inc_ev
+        self.ends = graph._rows(np.stack([graph.src, graph.dst]))
+        # each event under its src row, then its dst row unless it is a
+        # self-loop; the keys are distinct, so one sort orders them
+        ev = np.arange(n)
+        keys = self.ends * (n + 1) + ev
+        loop = self.ends[0] == self.ends[1]
+        self.key = np.sort(np.concatenate([keys[0], keys[1, ~loop]]))
+        inc_node, self.inc_ev = np.divmod(self.key, n + 1)
         #: each incidence's slot ``2 * event + side``, side 1 for the
         #: event's dst; a self-loop is listed once, in its dst slot
         self.inc_row = 2 * self.inc_ev + (inc_node == self.ends[1, self.inc_ev])
+        # timestamps never decrease, so the events of one timestamp form a
+        # run, and an event's rank in (-timestamp, index) order is the
+        # count of events after its run plus its place in the run
+        new_run = np.ones(n, bool)
+        new_run[1:] = self.ts[1:] != self.ts[:-1]
+        run_start = np.flatnonzero(new_run)
+        run = np.cumsum(new_run) - 1
+        self.rank = n - np.append(run_start[1:], n)[run] + ev - run_start[run]
+        self.by_rank = np.empty_like(ev)
+        self.by_rank[self.rank] = ev
 
     def search(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
         """Positions in ``key`` of each node row's first incidence at or
@@ -511,20 +517,9 @@ class _Incidences:
         owner (the target's slot in its block) per entry: a (target, node)
         pair is the key ``node * k + owner`` and a found event
         ``owner * n + rank``, its rank in (-timestamp, index) order."""
-        n = self.n
-        ev = np.arange(n)
-        # timestamps never decrease, so the events of one timestamp form a
-        # run, and an event's rank is the count of events after its run
-        # plus its place in the run
-        new_run = np.ones(n, bool)
-        new_run[1:] = self.ts[1:] != self.ts[:-1]
-        run_start = np.flatnonzero(new_run)
-        run = np.cumsum(new_run) - 1
-        rank = n - np.append(run_start[1:], n)[run] + ev - run_start[run]
-        by_rank = np.empty_like(ev)
-        by_rank[rank] = ev
+        n, rank = self.n, self.rank
         horizon = min(horizon, n)  # no node has more earlier incidences
-        parts, sizes = [], np.empty(len(targets), ev.dtype)
+        parts, sizes = [], np.empty(len(targets), np.intp)
         for start in range(0, len(targets), _BLOCK):
             block = slice(start, start + _BLOCK)
             t = targets[block]
@@ -553,9 +548,9 @@ class _Incidences:
                 nodes, owner = np.divmod(pairs, k)
                 p, f = self.search(nodes, t[owner])
             r = _sorted_distinct(np.concatenate(found))
-            parts.append(by_rank[r % n])
+            parts.append(self.by_rank[r % n])
             sizes[block] = np.bincount(r // n, minlength=k)
-        return np.concatenate([ev[:0], *parts]), sizes
+        return np.concatenate([self.by_rank[:0], *parts]), sizes
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:

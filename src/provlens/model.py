@@ -24,9 +24,10 @@ and raises :class:`CheckpointError` naming the file and the field
 otherwise.
 
 Stream scoring is column-wise (:class:`_Stream`). It reads the graph's
-relation and timestamp columns, each event's endpoint rows and the
-graph's CSR incidence list (see :mod:`provlens.graph`), cut to the
-stream's events, and sorts nothing of its own. An event's dependency
+relation and timestamp columns and the graph's one cached incidence
+index (each event's endpoint rows and its (node, event) incidences; see
+:mod:`provlens.graph`), searched only before the stream's events, and
+sorts nothing of its own. An event's dependency
 level is one more than the higher level of its endpoints' previous
 events, so the events of one level touch distinct nodes. Level 0 holds
 the fresh pairs, events neither of whose endpoints has an earlier
@@ -56,9 +57,10 @@ i is the trace row of its last incidence before i, found by one
 searchsorted; the level loop and the neighborhood builder visit only
 the events that have such an incidence.
 Every neighborhood, at every hop count, comes from the one builder of
-:class:`provlens.graph._Incidences`, which :class:`_Stream` extends: a
-breadth-first walk run as flat arrays over blocks of targets, starting
-from the searches that also find each update's read rows. Scoring featurizes blocks of ``_BLOCK``
+:class:`provlens.graph._Incidences`, the graph's index that
+:class:`_Stream` reads: a breadth-first walk run as flat arrays over
+blocks of targets, starting from the searches that also find each
+update's read rows. Scoring featurizes blocks of ``_BLOCK``
 targets, computing all edge messages of a block with one product and
 summing them per target with ``np.add.reduceat``.
 :func:`score_stream` returns a :class:`StreamContexts`: the loss array,
@@ -121,7 +123,6 @@ from .graph import (
     RELATIONS,
     TemporalGraph,
     TruthLabel,
-    _Incidences,
     # not called here: the benchmark's tracer counts calls through
     # provlens.model.extract_context, until it reads the stream's own counts
     extract_context,
@@ -700,14 +701,15 @@ def _aggregate(x0: np.ndarray, msgs: np.ndarray, sizes: np.ndarray) -> np.ndarra
     return x0
 
 
-class _Stream(_Incidences):
+class _Stream:
     """The first ``n`` events of a graph in column form, replayed.
 
-    Extends the graph's :class:`~provlens.graph._Incidences` of those
-    events (each event's endpoint rows, and the (node, event) incidences
-    in node-major, event order with one sort key each) with the relation
-    column, the replay's trace, and every event's neighborhood from the
-    incidences' one builder, at the config's hops and horizon, as one
+    Reads the graph's one incidence index (``inc``, a
+    :class:`~provlens.graph._Incidences`: each event's endpoint rows, and
+    the (node, event) incidences in node-major, event order with one sort
+    key each), searching it only before its own events, and holds the
+    relation column, the replay's trace, and every event's neighborhood
+    from the index's one builder, at the config's hops and horizon, as one
     flat array of event indexes with offsets. Only :meth:`context` builds
     :class:`Event` objects, through the graph's ``events`` view, for the
     one context it builds.
@@ -726,26 +728,27 @@ class _Stream(_Incidences):
     """
 
     def __init__(self, model: TgnModel, graph: TemporalGraph, n: int):
-        super().__init__(graph, n)
-        self.graph = graph
+        self.graph, self.n = graph, n
+        inc = self.inc = graph._incidences()
         self.rel = graph.rel[:n].astype(np.intp)
 
         # each event's own src-side and dst-side incidence, and the first
         # incidence of that node: the ones between are its earlier events
-        pos, first = self.search(self.ends, np.arange(n))
+        pos, first = inc.search(inc.ends[:, :n], np.arange(n))
         has_prev = pos > first
-        before = self.inc_ev[pos - 1]
+        # where has_prev is False, pos - 1 may name a later event's incidence
+        before = inc.inc_ev[pos - 1]
         #: (2, n) trace row each event's src-side and dst-side update reads
-        self.prev_row = np.where(has_prev, self.inc_row[pos - 1], 2 * n)
+        self.prev_row = np.where(has_prev, inc.inc_row[pos - 1], 2 * n)
         #: (2, n) delta since each endpoint's last update, 0 for a first update
-        self.dt = np.where(has_prev, self.ts - self.ts[before], 0)
+        self.dt = np.where(has_prev, inc.ts[:n] - inc.ts[before], 0)
 
         self.trace = self._replay(model, _levels(np.where(has_prev, before, n)))
         # an event neither of whose endpoints has an earlier incidence has
         # an empty neighborhood at every hop count
         later = np.flatnonzero(has_prev.any(axis=0))
-        self.nb, nb_sizes = self.neighborhoods(later, pos[:, later], first[:, later],
-                                               model.config.hops, model.config.horizon)
+        self.nb, nb_sizes = inc.neighborhoods(later, pos[:, later], first[:, later],
+                                              model.config.hops, model.config.horizon)
         sizes = np.zeros(n, np.intp)
         sizes[later] = nb_sizes
         self.nb_off = np.concatenate([[0], np.cumsum(sizes)])
@@ -801,29 +804,30 @@ class _Stream(_Incidences):
     def _rows_before(self, nodes, before) -> tuple[np.ndarray, np.ndarray]:
         """Trace row and event of each node row's last incidence before
         event ``before``; the zero row and -1 for a node with none."""
-        stride = self.n + 1
-        p = np.searchsorted(self.key, nodes * stride + before) - 1
-        found = (p >= 0) & (self.key[p] >= nodes * stride)
-        return (np.where(found, self.inc_row[p], 2 * self.n),
-                np.where(found, self.inc_ev[p], -1))
+        inc = self.inc
+        stride = inc.n + 1
+        p = np.searchsorted(inc.key, nodes * stride + before) - 1
+        found = (p >= 0) & (inc.key[p] >= nodes * stride)
+        return (np.where(found, inc.inc_row[p], 2 * self.n),
+                np.where(found, inc.inc_ev[p], -1))
 
     def feature_blocks(self, model: TgnModel):
         """Yield (start, stop, X) for each block of ``_BLOCK`` targets: the
         unmasked head inputs of events start to stop."""
-        mem, trace = model.config.memory_dim, self.trace
+        mem, trace, inc = model.config.memory_dim, self.trace, self.inc
         for start in range(0, self.n, _BLOCK):
             stop = min(start + _BLOCK, self.n)
             sizes = np.diff(self.nb_off[start : stop + 1])
             edges = self.nb[self.nb_off[start] : self.nb_off[stop]]
             owner = np.repeat(np.arange(start, stop), sizes)
-            rows, _ = self._rows_before(self.ends[:, edges].ravel(), np.tile(owner, 2))
+            rows, _ = self._rows_before(inc.ends[:, edges].ravel(), np.tile(owner, 2))
             x0, msgs = _input_terms(
                 model,
                 trace[self.prev_row[:, start:stop].T].reshape(stop - start, 2 * mem),
                 self.dt[0, start:stop],
                 trace[rows.reshape(2, -1).T].reshape(len(edges), 2 * mem),
                 self.rel[edges],
-                self.ts[owner] - self.ts[edges],
+                inc.ts[owner] - inc.ts[edges],
             )
             yield start, stop, _aggregate(x0, msgs, sizes)
 
@@ -842,7 +846,7 @@ class _Stream(_Incidences):
         states = {
             nid: (self.trace[row], t if at >= 0 else None)
             for nid, row, at, t in zip(ids, rows.tolist(), last.tolist(),
-                                       self.ts[last].tolist())
+                                       self.inc.ts[last].tolist())
         }
         return EventContext(target, i, nb, nb_events, states, loss, label)
 

@@ -18,7 +18,6 @@ results.
 from __future__ import annotations
 
 import os
-import re
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -26,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detect import Alert, WindowStats
+from .fileformat import _excerpt, _read_decimal
 from .graph import Event, EventContext
 from .gnnexplainer import GnnExplainerConfig, gnn_explain_event
 from .graphmask import GraphMaskConfig, graphmask_aggregate, graphmask_explain_event
@@ -76,14 +76,16 @@ def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
 
 def _memory_budget(config: PipelineConfig) -> int:
     """The config's memory budget in bytes, else PROVLENS_MEMORY_BUDGET's
-    (ASCII decimal digits only), else the default."""
+    (ASCII decimal digits only, however many: a value past int64 exceeds
+    every estimate), else the default."""
     if config.memory_budget is not None:
         return config.memory_budget
     raw = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET))
-    if re.fullmatch(r"[0-9]+", raw) is None:
+    budget = _read_decimal(raw, signed=False)
+    if budget is None:
         raise ValueError(f"{MEMORY_BUDGET_ENV} must be a whole number of bytes "
-                         f">= 0 in ASCII digits, got {raw!r}")
-    return int(raw)
+                         f">= 0 in ASCII digits, got {_excerpt(raw)}")
+    return budget
 
 
 def ensure_memory(budget: int, estimated_need: int) -> tuple[str, list[str]]:

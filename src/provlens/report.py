@@ -8,13 +8,13 @@ Importance bands over [0, 1]: critical above 0.7, moderate in
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
 from .detect import AttackSubgraph
-from .graph import NodeDescriptor, Relation
+from .fileformat import _excerpt, _read_decimal
+from .graph import _I64, NodeDescriptor, Relation
 
 CRITICAL_BOUND = 0.7
 MODERATE_BOUND = 0.3
@@ -85,11 +85,14 @@ def _fmt_window(window: tuple[int, int]) -> str:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    """Inverse of _fmt_window; either bound may be negative."""
-    match = re.fullmatch(r"([+-]?[0-9]+)-([+-]?[0-9]+)", text)
-    if match is None:
-        raise ValueError(f"malformed window {text!r}; expected <t0>-<t1>")
-    return int(match[1]), int(match[2])
+    """Inverse of _fmt_window; either bound may be negative, and each is
+    in the int64 range."""
+    # the bounds part at the first "-" after t0's first character, its sign
+    head, sep, tail = text[1:].partition("-")
+    bounds = _read_decimal(text[:1] + head), _read_decimal(tail)
+    if not sep or not all(b is not None and _I64.min <= b <= _I64.max for b in bounds):
+        raise ValueError(f"malformed window {_excerpt(text)}; expected <t0>-<t1>")
+    return bounds
 
 
 def emit_json(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> dict:

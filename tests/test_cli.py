@@ -463,7 +463,8 @@ def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
     assert rc == EXIT_RESOURCE
 
 
-@pytest.mark.parametrize("value", ["abc", "1e9", "\uff11\uff12", "-5"])
+@pytest.mark.parametrize("value", ["abc", "1e9", "\uff11\uff12", "-5",
+                                   "1" * 5000 + "x", "-" + "1" * 5000])
 def test_bad_memory_budget_env_fails_before_any_output(cli_dir, tmp_path,
                                                        capsys, monkeypatch,
                                                        value):

@@ -29,9 +29,11 @@ from provlens.graph import (
     TemporalGraph,
     TruthLabel,
     UnknownNodeError,
+    extract_context,
 )
 from provlens.graphmask import CanonicalEdge
 from provlens.harness import remove_edge
+from provlens.model import ModelConfig, TgnModel, score_stream
 
 from conftest import build_graph, save_v1_dataset, v1_document
 
@@ -576,13 +578,41 @@ def test_add_node_checks_the_id_before_it_moves_a_row(node_id, error):
 
 
 def test_appends_after_a_read_are_seen(tiny_graph):
-    """The incidence list is rebuilt after a write, and a column read
-    before the write keeps its length."""
-    ts = tiny_graph.ts
-    assert tiny_graph.incident(3) == [0, 1, 4]
-    tiny_graph.append_event(Event(2, 3, Relation.READ, tiny_graph.span()[1]))
-    assert tiny_graph.incident(3) == [0, 1, 4, 7]
-    assert len(ts) == 7 and len(tiny_graph.ts) == 8
+    """A write drops the cached incidence index: after an append_event,
+    and after an add_node that moves every node row and an event on the
+    new node, extract_context, incident and score_stream's losses and
+    contexts read what a fresh graph of the same columns gives. Reads
+    with no write between them share one index, and a column read before
+    a write keeps its length."""
+    g, model = tiny_graph, TgnModel(ModelConfig(hops=2))
+
+    def reads(graph):
+        n = len(graph)
+        scored = score_stream(model, LabeledDataset(graph, [TruthLabel.BENIGN] * n,
+                                                    (0, 0)))
+        assert scored._stream.inc is graph._incidences()
+        return ([extract_context(graph, i, hops=2).neighborhood for i in range(n)],
+                [graph.incident(v) for v in graph.nodes], scored.losses.tolist(),
+                [{v: at for v, (_, at) in c.node_states.items()} for c in scored])
+
+    def fresh(graph):
+        return TemporalGraph.from_columns(graph.node_ids, graph.node_kinds,
+                                          graph.node_labels, graph.src, graph.dst,
+                                          graph.rel, graph.ts)
+
+    ts = g.ts
+    assert g.incident(3) == [0, 1, 4]
+    reads(g)
+    assert g._incidences() is g._incidences()
+    g.append_event(Event(2, 3, Relation.READ, g.span()[1]))
+    assert g.incident(3) == [0, 1, 4, 7]
+    assert len(ts) == 7 and len(g.ts) == 8
+    assert reads(g) == reads(fresh(g))
+    g.add_node(NodeDescriptor(-1, NodeKind.SOCKET, "s"))
+    assert reads(g) == reads(fresh(g))
+    g.append_event(Event(-1, 3, Relation.SEND, g.span()[1]))
+    assert g.incident(-1) == [8] and g.incident(3) == [0, 1, 4, 7, 8]
+    assert reads(g) == reads(fresh(g))
 
 
 def test_graph_is_freed_by_reference_counting(tmp_path):

@@ -1,7 +1,9 @@
 """Model behavior: masked forward pass, gradients, training, checkpoints."""
 
 import base64
+import bisect
 import dataclasses
+import functools
 import itertools
 import json
 import tempfile
@@ -450,14 +452,26 @@ def _set_walk(graph, i, hops, horizon):
     return sorted(seen, key=lambda j: (-ts.item(j), j))
 
 
+@functools.lru_cache(maxsize=1)
+def _incident_lists(graph, n):
+    """Each node id's incident event indexes among the graph's first n
+    events, ascending: a plain loop over its src and dst columns, which
+    lists a self-loop once."""
+    lists: dict[int, list[int]] = {}
+    for i, (s, d) in enumerate(zip(graph.src[:n].tolist(), graph.dst[:n].tolist())):
+        lists.setdefault(s, []).append(i)
+        if d != s:
+            lists.setdefault(d, []).append(i)
+    return lists
+
+
 def _recent_incident(graph, node_id, exclude, horizon):
     """Up to `horizon` most recent events on node_id before event index
-    `exclude`, in index order, read from the graph's CSR incidence."""
-    offsets, events, _ = graph._incidence()
-    row = int(graph._rows(node_id))
-    lo = offsets[row]
-    end = lo + int(np.searchsorted(events[lo : offsets[row + 1]], exclude))
-    return events[max(lo, end - horizon) : end].tolist()
+    `exclude`, in index order, from per-node lists that read no index of
+    the graph's."""
+    events = _incident_lists(graph, len(graph)).get(node_id, [])
+    end = bisect.bisect_left(events, exclude)
+    return events[max(0, end - horizon) : end]
 
 
 @st.composite
@@ -679,9 +693,9 @@ def test_fresh_pairs_skip_the_replay(case, block, horizon):
     with (mock.patch.object(provlens.model, "_BLOCK", block),
           mock.patch.object(provlens.graph, "_BLOCK", block)):
         stream = _Stream(model, graph, len(graph))
-        n = stream.n
-        pos, first = stream.search(stream.ends, np.arange(n))
-        ref_nb, ref_sizes = stream.neighborhoods(np.arange(n), pos, first, hops, horizon)
+        n, inc = stream.n, stream.inc
+        pos, first = inc.search(inc.ends, np.arange(n))
+        ref_nb, ref_sizes = inc.neighborhoods(np.arange(n), pos, first, hops, horizon)
     for i in fresh:
         memory = ReplayMemory(model.config.memory_dim)
         e = graph.events[i]
@@ -693,7 +707,7 @@ def test_fresh_pairs_skip_the_replay(case, block, horizon):
     assert np.array_equal(sizes, ref_sizes) and ref_sizes.dtype == np.intp
     assert not sizes[fresh].any()
 
-    prev_ev = np.where(pos > first, stream.inc_ev[pos - 1], n)
+    prev_ev = np.where(pos > first, inc.inc_ev[pos - 1], n)
     level = provlens.model._levels(prev_ev)
     assert np.array_equal(level, _full_levels(prev_ev)) and level.dtype == np.intp
     assert np.flatnonzero(level == 0).tolist() == fresh

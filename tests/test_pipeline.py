@@ -23,6 +23,7 @@ from provlens.pipeline import (
     MEMORY_BUDGET_ENV,
     PipelineConfig,
     ResourceError,
+    _memory_budget,
     derived_seed,
     ensure_memory,
     estimate_need,
@@ -311,6 +312,17 @@ def test_negative_memory_budget_is_rejected(model, dataset, stats, attack_alert,
         monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
         with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
             run_pipeline(model, dataset, attack_alert, stats, quick_config())
+
+
+def test_memory_budget_env_of_any_length_is_read(monkeypatch):
+    """An environment budget of ASCII digits is read however many digits
+    it has; one past the int64 range exceeds every estimate."""
+    for value, budget in (("0" * 5000 + "7", 7), (str(2**63), 2**63)):
+        monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
+        assert _memory_budget(PipelineConfig()) == budget
+    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1" * 5000)
+    assert _memory_budget(PipelineConfig()) > np.iinfo(np.int64).max
+    assert ensure_memory(_memory_budget(PipelineConfig()), 2**63 - 1) == ("proceed", [])
 
 
 def test_vatg_seed_sets_the_pipeline_noise(model, dataset, stats, attack_alert,

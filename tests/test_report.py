@@ -1,6 +1,7 @@
 """Reporting: importance bands, JSON schema, Markdown, DOT output."""
 
 import json
+import re
 
 import pytest
 
@@ -186,6 +187,7 @@ def test_graph_description_styles_by_band():
     ((-900_000_000_000, 0), "-900000000000-0"),
     ((-1_800_000_000_000, -900_000_000_000), "-1800000000000--900000000000"),
     ((0, 900_000_000_000), "0-900000000000"),
+    ((-2**63, 2**63 - 1), "-9223372036854775808-9223372036854775807"),
 ])
 def test_window_round_trips_with_negative_bounds(window, text):
     """The window string is written as before, and read back whichever
@@ -198,12 +200,18 @@ def test_window_round_trips_with_negative_bounds(window, text):
 
 
 @pytest.mark.parametrize("text", ["", "1", "1-", "-1", "a-b", "1--", "--1-2",
-                                  "1-2-3", " 1-2", "1.5-2"])
+                                  "1-2-3", " 1-2", "1.5-2",
+                                  "9223372036854775808-0", "0--9223372036854775809",
+                                  "1" * 5000 + "-2", "1-" + "1" * 5000])
 def test_malformed_window_is_named(text):
+    """A bound outside the int64 range is malformed too, however many
+    digits it has, and the window is quoted cut to 40 characters."""
     doc = emit_json(_report(), NODE_MAP)
     doc["window"] = text
-    with pytest.raises(ValueError, match=f"malformed window {text!r}"):
+    with pytest.raises(ValueError,
+                       match="malformed window " + re.escape(repr(text[:40]))) as err:
         parse_report_json(doc)
+    assert len(str(err.value)) < 120
 
 
 def test_graph_description_escapes_labels():
