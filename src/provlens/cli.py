@@ -29,6 +29,7 @@ from .detect import (
     score_all_windows,
     span_subgraph,
 )
+from .fileformat import read_json
 from .gnnexplainer import GnnExplainerConfig
 from .graph import Relation
 from .graphmask import CanonicalEdge, GraphMaskConfig
@@ -60,7 +61,7 @@ _CONFIG_SECTIONS = ("model", "detector", "pipeline", "graphmask", "gnn", "vatg")
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, "config file", ValueError)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     for key in doc:
@@ -195,7 +196,7 @@ def _cmd_ablate(args) -> int:
     dataset = load_dataset(args.dataset)
     model = TgnModel.load(args.model)
     det_cfg = _section(cfg, "detector", DetectorConfig)
-    report = parse_report_json(json.loads(Path(args.report).read_text()))
+    report = parse_report_json(read_json(args.report, "report file", ValueError))
 
     _, stats, alerts = _detect(model, dataset, det_cfg)
     t0, t1 = report.window
@@ -219,15 +220,15 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     graph = None
     node_map: dict = {}
     if args.dataset:
         graph = load_dataset(args.dataset).graph
         node_map = graph.nodes
-    windows = [parse_report_json(json.loads(Path(path).read_text()))
+    windows = [parse_report_json(read_json(path, "report file", ValueError))
                for path in args.json]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_summary(out_dir, [ExplanationReport(windows)], node_map, graph)
     print(f"re-rendered {len(args.json)} report(s) into {out_dir}")
     return EXIT_OK

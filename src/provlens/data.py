@@ -65,6 +65,7 @@ from .fileformat import (
     _read_decimal,
     decode_column,
     encode_column,
+    read_json,
     require_keys,
 )
 from .graph import (
@@ -740,10 +741,7 @@ def load_dataset(path) -> LabeledDataset:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"corrupt dataset file {p}: {exc}") from exc
+    doc = read_json(p, "dataset file", DatasetFormatError)
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"dataset file {p} must hold a JSON object")
     version = doc.get("version")

@@ -7,15 +7,18 @@ order, with no shape or dtype field, because the file's version and its
 other fields fix both. A column decodes without building a Python object
 per item. Each reader checks that every object holds exactly the keys its
 writer writes, and raises its own error type naming the file and the
-field. The text readers share one decimal reader (:func:`_read_decimal`)
-and quote a bad token cut to its first ``_EXCERPT`` characters
-(:func:`_excerpt`).
+field. Every JSON input (dataset, checkpoint, config and report files)
+is read by :func:`read_json`. The text readers share one decimal reader
+(:func:`_read_decimal`) and quote a bad token cut to its first
+``_EXCERPT`` characters (:func:`_excerpt`).
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +29,18 @@ _DECIMAL = re.compile(r"([+-]?)0*([0-9]+)")
 _I64_DIGITS = len(str(np.iinfo(np.int64).max))
 #: characters of a bad token quoted in an error
 _EXCERPT = 40
+
+
+def read_json(path, what: str, error: type[ValueError]):
+    """The JSON value in the file at ``path``; ``error`` naming ``what``
+    and the file when its text is not UTF-8 or not JSON. That includes an
+    integer literal past Python's 4,300-digit limit, which ``json.loads``
+    refuses with a ValueError that names neither. A file that cannot be
+    read raises its OSError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise error(f"corrupt {what} {path}: {exc}") from exc
 
 
 def encode_column(values, dtype: str) -> str:

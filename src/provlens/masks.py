@@ -31,8 +31,8 @@ class DivergenceError(RuntimeError):
     """Training or an explainer produced a non-finite loss."""
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
 
 
 def ordered_sum(values):
@@ -120,23 +120,30 @@ def descend_mask(evaluator, config, data_term):
     trace.
 
     Each evaluation is one step: one :meth:`MaskEvaluator.loss_and_gradient`
-    pass, then both penalties and the chain rule into theta with 1 - m
-    computed once and the entropy negated after its sum, which is exact,
-    so the masks and objectives are bitwise those of the loss plus
+    pass, then both penalties and the chain rule into theta. m and 1 - m
+    are the two rows of one (2, n) buffer, so one ``log`` call and one
+    product give m*log(m) and (1 - m)*log(1 - m). The entropy is negated
+    after its sum and a slope of 1.0 is not multiplied, both exact, so
+    the masks and objectives are bitwise those of the loss plus
     :func:`binary_entropy`. It keeps log((1 - m) / m) rather than the
     identity -theta: the two part where m rounds to 0 or 1, which is
     where a descent diverges.
     """
     sw, ew = config.sparsity_weight, config.entropy_weight
+    both = np.empty((2, evaluator.n))
+    m, om = both
 
     def step(theta):
-        m = sigmoid(theta)
-        om = 1.0 - m
+        sigmoid(theta, out=m)
+        np.subtract(1.0, m, out=om)
         loss, dl_dm = evaluator.loss_and_gradient(m)
         value, slope = data_term(loss)
+        plogp = both * np.log(both)
         j = (value + sw * np.add.reduce(m)
-             + ew * -np.add.reduce(m * np.log(m) + om * np.log(om)))
-        dj_dm = slope * dl_dm + sw + ew * np.log(om / m)
+             + ew * -np.add.reduce(plogp[0] + plogp[1]))
+        if slope != 1.0:
+            dl_dm = slope * dl_dm
+        dj_dm = dl_dm + sw + ew * np.log(om / m)
         return j, dj_dm * m * om
 
     theta, best_j, trace = descend(step, np.zeros(evaluator.n),

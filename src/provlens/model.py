@@ -113,7 +113,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileformat import decode_column, encode_column, require_keys
+from .fileformat import decode_column, encode_column, read_json, require_keys
 from .graph import (
     NS_PER_S,
     Event,
@@ -326,10 +326,7 @@ class TgnModel:
         p = Path(path)
         if not p.exists():
             raise FileNotFoundError(f"checkpoint not found: {p}")
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"corrupt checkpoint {p}: {exc}") from exc
+        doc = read_json(p, "checkpoint", CheckpointError)
         version = doc.get("version") if isinstance(doc, dict) else None
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -394,14 +391,17 @@ class MaskEvaluator:
     Builds the mask-independent terms once: the edge messages, the
     pre-activation a0 of the input with a zero aggregate, and the
     (embed_dim, n_edges) matrix B that maps the mask into the
-    pre-activation. A one-row pass is then ``z = tanh(a0 + B m)``; the
-    batched pass :meth:`losses_and_gradients` takes S masks as the rows
-    of an (S, n_edges) matrix M and runs ``Z = tanh(a0 + M B^T)`` as one
-    head pass. GraphMask and GNNExplainer descend on one mask at a time
-    and make hundreds of passes per event, so they keep the one-row pass,
-    which costs less than a batch of one; VA-TG evaluates all of its
-    Monte Carlo samples at once. The evaluator reads the head's weights
-    as they were when it was built and does not check the mask;
+    pre-activation, with the transposes of B and of the output weights
+    Wo kept as views. A one-row pass is then ``z = tanh(a0 + B m)``
+    followed by :func:`_head`'s softmax in its 1-D form (see
+    :meth:`_pass`); the batched pass :meth:`losses_and_gradients` takes S
+    masks as the rows of an (S, n_edges) matrix M and runs
+    ``Z = tanh(a0 + M B^T)`` as one :func:`_head` pass. GraphMask and
+    GNNExplainer descend on one mask at a time and make hundreds of
+    passes per event, so they keep the one-row pass, which costs fewer
+    numpy calls than a batch of one; VA-TG evaluates all of its Monte
+    Carlo samples at once. The evaluator reads the head's weights as they
+    were when it was built and does not check the mask;
     :meth:`TgnModel.masked_forward` does.
     """
 
@@ -425,12 +425,20 @@ class MaskEvaluator:
         self.n = len(msgs)
         self.a0 = model.We @ x0[0] + model.be
         self.B = _AGG_SCALE * (model.We[:, -emb:] @ msgs.T)
+        self.BT = self.B.T
         self.Wo = model.Wo
+        self.WoT = model.Wo.T
         self.bo = model.bo
         self.y = RELATION_INDEX[ctx.target.relation]
 
     def _pass(self, mask: np.ndarray):
-        z, probs = _head(self.a0 + self.B @ mask, self.Wo, self.bo)
+        """:func:`_head` of one row in its 1-D form: the same operations
+        on the same operands, with the max taken over the logits as
+        Python floats (a max is exact), so bitwise ``_head``'s row."""
+        z = np.tanh(self.a0 + self.B @ mask)
+        logits = z @ self.WoT + self.bo
+        expl = np.exp(logits - max(logits.tolist()))
+        probs = expl / np.add.reduce(expl, 0)
         return probs, float(-np.log(max(probs[self.y], 1e-300))), z
 
     def forward(self, mask: np.ndarray) -> tuple[np.ndarray, float]:
@@ -443,16 +451,16 @@ class MaskEvaluator:
         from one pass."""
         probs, loss, z = self._pass(mask)
         probs[self.y] -= 1.0  # a fresh array: the logits' gradient
-        return loss, self.B.T @ ((1.0 - z * z) * (self.Wo.T @ probs))
+        return loss, self.BT @ ((1.0 - z * z) * (self.WoT @ probs))
 
     def losses_and_gradients(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses ``(S,)`` and mask gradients ``(S, n_edges)`` of the S
         masks in the rows of ``masks``, from one batched pass: row s is
         :meth:`loss_and_gradient` of ``masks[s]`` up to float rounding."""
-        Z, P = _head(self.a0 + masks @ self.B.T, self.Wo, self.bo)
-        rows = np.arange(len(masks))
-        losses = -np.log(np.maximum(P[rows, self.y], 1e-300))
-        P[rows, self.y] -= 1.0
+        Z, P = _head(self.a0 + masks @ self.BT, self.Wo, self.bo)
+        p_y = P[:, self.y]
+        losses = -np.log(np.maximum(p_y, 1e-300))
+        p_y -= 1.0  # a view: the logits' gradient in place
         return losses, ((1.0 - Z * Z) * (P @ self.Wo)) @ self.B
 
 
@@ -617,10 +625,11 @@ def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray):
     The softmax runs on the transposed logits, so each row's max and sum
     broadcast without keepdims and a single row divides by a scalar, and
     it calls the ufunc reductions directly rather than through the
-    ``max``/``sum`` methods' Python wrappers (the same reductions):
-    GraphMask and GNNExplainer make hundreds of one-row passes per
-    event, while VA-TG makes one batched pass over its Monte Carlo
-    samples per evaluation."""
+    ``max``/``sum`` methods' Python wrappers (the same reductions).
+    Training, stream scoring and VA-TG's batched pass over its Monte
+    Carlo samples call it; the hundreds of one-row passes GraphMask and
+    GNNExplainer make per event run :meth:`MaskEvaluator._pass`, its 1-D
+    form with fewer numpy calls and the same bits."""
     Z = np.tanh(A)
     logits = (Z @ Wo.T + bo).T
     expl = np.exp(logits - np.maximum.reduce(logits, 0))

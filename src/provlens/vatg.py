@@ -9,8 +9,9 @@ and (mu, log_var) are optimized on a Monte Carlo estimate of the masked
 cross-entropy plus a closed-form KL penalty toward the unit Gaussian
 prior and a sparsity penalty on the largest mask means, by the same
 :func:`masks.descend` loop that GraphMask and GNNExplainer run. Each
-evaluation draws an (S, n) noise matrix and scores its S sampled masks
-in one batched :class:`MaskEvaluator` pass. One objective,
+evaluation takes an (S, n) noise matrix, one slice of the
+(epochs, S, n) noise drawn once per event, and scores its S sampled
+masks in one batched :class:`MaskEvaluator` pass. One objective,
 :func:`_objective`, serves :func:`vatg_explain_event`, :func:`vatg_loss`
 and :func:`vatg_gradients`; it takes mu and log_var as arrays, computes
 exp(log_var) and sigmoid(mu) once per evaluation and takes the Monte
@@ -100,7 +101,8 @@ def _objective(
     epsilons: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo objective at fixed noise draws and its closed-form
-    gradient w.r.t. [mu; log_var] as a (2, n) array.
+    gradient w.r.t. [mu; log_var] as a (2, n) array, whose two rows the
+    Monte Carlo means are written into.
 
     The ``(S, n)`` noise gives S sampled masks, the rows of one matrix,
     and one batched evaluator pass gives their losses and mask gradients.
@@ -115,15 +117,16 @@ def _objective(
     masks = sigmoid(mu + epsilons * sd)
     losses, dl_dm = evaluator.losses_and_gradients(masks)
     dl_dx = dl_dm * (masks * (1.0 - masks))
-    grad = np.stack([np.add.reduce(dl_dx, 0) / S,
-                     np.add.reduce(dl_dx * epsilons * 0.5 * sd, 0) / S])
+    grad = np.empty((2, n))
     d_mu, d_lv = grad
+    np.divide(np.add.reduce(dl_dx, 0), S, out=d_mu)
+    np.divide(np.add.reduce(dl_dx * epsilons * 0.5 * sd, 0), S, out=d_lv)
 
     d_mu += config.lambda_kl * mu
     d_lv += config.lambda_kl * 0.5 * (var - 1.0)
 
     means = sigmoid(mu)
-    top = np.argsort(-means, kind="stable")[:config.sparsity_top_k]
+    top = (-means).argsort(kind="stable")[:config.sparsity_top_k]
     top_means = means[top]
     omega_grad = np.zeros(n)
     omega_grad[top] = top_means * (1.0 - top_means)
@@ -187,21 +190,24 @@ def vatg_explain_event(
     """Optimize the variational mask parameters for one event.
 
     :func:`masks.descend` runs over the stacked ``(2, n)`` array
-    ``[mu; log_var]`` for ``epochs`` evaluations. Fresh noise is drawn
-    from the seeded stream at every evaluation; the best-loss iterate is
-    returned (the objective is noisy, so the last iterate is not
-    necessarily the best). None on empty neighborhood.
+    ``[mu; log_var]`` for ``epochs`` evaluations. The noise of all of
+    them is drawn once from the seeded stream as one
+    ``(epochs, mc_samples, n)`` array, which holds the same numbers as
+    one ``(mc_samples, n)`` draw per evaluation; evaluation k reads
+    slice k. The best-loss iterate is returned (the objective is noisy,
+    so the last iterate is not necessarily the best). None on empty
+    neighborhood.
     """
     n = len(ctx.neighborhood_events)
     if n == 0:
         return None
 
     evaluator = MaskEvaluator(model, ctx)
-    rng = np.random.default_rng(config.seed)
+    noise = iter(np.random.default_rng(config.seed).standard_normal(
+        (config.epochs, config.mc_samples, n)))
 
     def objective(x):
-        eps = rng.standard_normal((config.mc_samples, n))
-        return _objective(evaluator, x[0], x[1], config, eps)
+        return _objective(evaluator, x[0], x[1], config, next(noise))
 
     start = np.stack([np.zeros(n), np.full(n, _INIT_LOG_VAR)])
     best, _, trace = descend(objective, start, config.learning_rate, config.epochs)

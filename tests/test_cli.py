@@ -539,6 +539,59 @@ def test_ablate_schema_failure_is_argument_error(cli_dir, tmp_path):
     assert not (tmp_path / "a.csv").exists()
 
 
+#: an integer literal past Python's 4,300-digit int-conversion limit
+_HUGE_INT = "1" * 5000
+
+
+def _with_huge_int(doc, *keys) -> str:
+    """``doc`` as JSON text with the value at ``keys`` replaced by the
+    bare literal _HUGE_INT (``json.dumps`` cannot write it)."""
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = "HUGE-INT"
+    return json.dumps(doc).replace('"HUGE-INT"', _HUGE_INT)
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset", "checkpoint",
+                                  "ablate report", "report"])
+def test_json_input_with_an_oversized_integer_is_named(cli_dir, explain_dir,
+                                                       tmp_path, capsys, kind):
+    """json.loads refuses an integer literal of more than 4,300 digits
+    with a ValueError that names no file; every JSON input names its
+    file and exits 2."""
+    report = sorted(explain_dir.glob("explanations_*.json"))[0]
+    ds, model = cli_dir / "ds.json", cli_dir / "model.json"
+    bad = tmp_path / f"huge-{kind.replace(' ', '-')}.json"
+    if kind == "config":
+        bad.write_text(_with_huge_int({"model": {"seed": 0}}, "model", "seed"))
+    elif kind == "dataset":
+        bad.write_text(_with_huge_int(json.loads(ds.read_text()),
+                                      "attack_interval", 0))
+    elif kind == "checkpoint":
+        bad.write_text(_with_huge_int(json.loads(model.read_text()),
+                                      "config", "seed"))
+    else:
+        bad.write_text(_with_huge_int(json.loads(report.read_text()),
+                                      "num_events"))
+    out = tmp_path / "out"
+    args = {
+        "config": ["train", "--dataset", str(ds), "--out", str(out),
+                   "--config", str(bad)],
+        "dataset": ["train", "--dataset", str(bad), "--out", str(out)],
+        "checkpoint": ["detect", "--dataset", str(ds), "--model", str(bad),
+                       "--out", str(out)],
+        "ablate report": ["ablate", "--dataset", str(ds), "--model", str(model),
+                          "--report", str(bad), "--out", str(out)],
+        "report": ["report", "--out-dir", str(out), str(report), str(bad)],
+    }[kind]
+    assert main(args) == EXIT_ARGUMENT
+    err = capsys.readouterr().err
+    assert str(bad) in err and "4300" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_negative_gnn_penalty_is_argument_error(cli_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"gnn": {"sparsity_weight": -0.001}}')

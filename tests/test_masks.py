@@ -2,9 +2,11 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from provlens.detect import DetectorConfig
 from provlens.gnnexplainer import (
@@ -24,10 +26,10 @@ from provlens.masks import (
 )
 from provlens.model import MaskEvaluator, ModelConfig
 from provlens.pipeline import PipelineConfig
-from provlens.vatg import VatgConfig
+from provlens.vatg import VatgConfig, vatg_explain_event
 
 from conftest import random_contexts
-from test_model import _tiny_model
+from test_model import _tiny_cases, _tiny_model
 
 
 @pytest.mark.parametrize("cls, field", [
@@ -207,8 +209,10 @@ def test_descend_raises_on_non_finite_objective(bad):
 
 # ----------------------------------------------------------------------
 # bitwise oracles: the mask objective as it was written before
-# descend_mask fused its step (one loss_and_gradient pass, then
-# binary_entropy), with the head pass as model._head then wrote it
+# descend_mask fused its step and cut its numpy calls (one
+# loss_and_gradient pass through the head with the transposes taken per
+# call, the penalties from binary_entropy, the slope always multiplied),
+# with the head pass as model._head then wrote it
 # ----------------------------------------------------------------------
 
 def _reference_sigmoid(x):
@@ -236,9 +240,6 @@ def _reference_descend_mask(evaluator, config, data_term):
         dlogits[evaluator.y] -= 1.0
         return loss, evaluator.B.T @ ((1.0 - z * z) * (evaluator.Wo.T @ dlogits))
 
-    def entropy(m):
-        return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
-
     def objective(theta):
         m = _reference_sigmoid(theta)
         loss, dl_dm = loss_and_gradient(m)
@@ -246,7 +247,7 @@ def _reference_descend_mask(evaluator, config, data_term):
         j = (
             value
             + config.sparsity_weight * m.sum()
-            + config.entropy_weight * entropy(m).sum()
+            + config.entropy_weight * binary_entropy(m).sum()
         )
         dj_dm = (
             slope * dl_dm
@@ -260,23 +261,28 @@ def _reference_descend_mask(evaluator, config, data_term):
     return _reference_sigmoid(theta), best_j, trace
 
 
+def _graphmask_term(evaluator):
+    """GraphMask's data term on the reference pass."""
+    _, loss_orig, _ = _reference_pass(evaluator, np.ones(evaluator.n))
+    return lambda loss: (abs(loss - loss_orig), np.sign(loss - loss_orig))
+
+
+def _gnn_term(loss):
+    return loss, 1.0
+
+
 def _reference_graphmask(model, ctx, config):
     """(values, objective, initial_objective)."""
     evaluator = MaskEvaluator(model, ctx)
-    _, loss_orig, _ = _reference_pass(evaluator, np.ones(evaluator.n))
-
-    def data_term(loss):
-        return abs(loss - loss_orig), np.sign(loss - loss_orig)
-
-    values, best_j, trace = _reference_descend_mask(evaluator, config, data_term)
+    values, best_j, trace = _reference_descend_mask(evaluator, config,
+                                                    _graphmask_term(evaluator))
     return values, best_j, trace[0]
 
 
 def _reference_gnn(model, ctx, config):
     """(mask, top-edge rows, fidelity)."""
     evaluator = MaskEvaluator(model, ctx)
-    mask, _, _ = _reference_descend_mask(evaluator, config,
-                                         lambda loss: (loss, 1.0))
+    mask, _, _ = _reference_descend_mask(evaluator, config, _gnn_term)
     top, rows = top_edges(ctx, mask, config.top_k)
     n, y = evaluator.n, evaluator.y
     p_original = float(_reference_pass(evaluator, np.ones(n))[0][y])
@@ -289,30 +295,72 @@ def _reference_gnn(model, ctx, config):
 
 
 def oracle_contexts(contexts, seed):
-    """Two contexts with one edge, two with two, three with ten or more."""
+    """Seed-7 contexts: two with one edge, two with two, two with nine and
+    three with ten to twenty."""
     rng = np.random.default_rng(seed)
     return (random_contexts(contexts, rng, 2, max_edges=1)
             + random_contexts(contexts, rng, 2, min_edges=2, max_edges=2)
-            + random_contexts(contexts, rng, 3, min_edges=10))
+            + random_contexts(contexts, rng, 2, min_edges=9, max_edges=9)
+            + random_contexts(contexts, rng, 3, min_edges=10, max_edges=20))
 
 
-@pytest.mark.parametrize("config", [
-    GraphMaskConfig(),
-    GnnExplainerConfig(sparsity_weight=0.0),
-    GnnExplainerConfig(entropy_weight=0.0),
-], ids=["graphmask", "sparsity_weight=0", "entropy_weight=0"])
-def test_descend_mask_traces_are_bitwise_the_reference(model, contexts, config):
-    """Every evaluation's objective, not only the best one."""
+def _assert_descents_equal(evaluator, config, data_term):
+    """descend_mask and the reference give the same mask, objective and
+    trace, or diverge at the same evaluation."""
+    try:
+        expected = _reference_descend_mask(evaluator, config, data_term)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            descend_mask(evaluator, config, data_term)
+        assert str(got.value) == str(exc)
+        return
+    got = descend_mask(evaluator, config, data_term)
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1:] == expected[1:]
+
+
+@pytest.mark.parametrize("config, term", [
+    (GraphMaskConfig(), "graphmask"),
+    (GnnExplainerConfig(), "gnnexplainer"),
+    (GnnExplainerConfig(sparsity_weight=0.0), "graphmask"),
+    (GnnExplainerConfig(entropy_weight=0.0), "graphmask"),
+], ids=["graphmask", "gnnexplainer", "sparsity_weight=0", "entropy_weight=0"])
+def test_descend_mask_traces_are_bitwise_the_reference(model, contexts, config,
+                                                       term):
+    """Every evaluation's objective, not only the best one, under
+    GraphMask's data term (a slope of -1 or 1) and GNNExplainer's (a
+    slope of 1.0, which the step does not multiply)."""
     for ctx in oracle_contexts(contexts, 20):
         evaluator = MaskEvaluator(model, ctx)
-        _, loss_orig, _ = _reference_pass(evaluator, np.ones(evaluator.n))
+        data_term = _graphmask_term(evaluator) if term == "graphmask" else _gnn_term
+        _assert_descents_equal(evaluator, config, data_term)
 
-        def data_term(loss):
-            return abs(loss - loss_orig), np.sign(loss - loss_orig)
 
-        got = descend_mask(evaluator, config, data_term)
-        expected = _reference_descend_mask(evaluator, config, data_term)
-        assert np.array_equal(got[0], expected[0])
+@settings(max_examples=40, deadline=None)
+@given(_tiny_cases(), st.sampled_from([0.01, 1.0, 100.0]))
+def test_small_contexts_are_bitwise_the_reference(case, learning_rate):
+    """Untrained models on small random graphs: GraphMask's and
+    GNNExplainer's descents and outputs; at learning rate 100 a descent
+    may diverge, and then at the same evaluation."""
+    model, ctx, _ = case
+    assume(ctx.neighborhood_events)
+    evaluator = MaskEvaluator(model, ctx)
+    gm_config = GraphMaskConfig(epochs=30, learning_rate=learning_rate)
+    gnn_config = GnnExplainerConfig(epochs=30, learning_rate=learning_rate)
+    _assert_descents_equal(evaluator, gm_config, _graphmask_term(evaluator))
+    _assert_descents_equal(evaluator, gnn_config, _gnn_term)
+    for explain, reference, config, mask_of in (
+        (graphmask_explain_event, _reference_graphmask, gm_config,
+         lambda out: (out.values, out.objective, out.initial_objective)),
+        (gnn_explain_event, _reference_gnn, gnn_config,
+         lambda out: (out.mask, out.top_edges, out.fidelity)),
+    ):
+        try:
+            expected = reference(model, ctx, config)
+        except DivergenceError:
+            continue    # the descents above compared the messages
+        got = mask_of(explain(model, ctx, config))
+        assert got[0].tobytes() == expected[0].tobytes()
         assert got[1:] == expected[1:]
 
 
@@ -366,6 +414,33 @@ def test_divergence_comes_at_the_reference_evaluation(model, contexts):
                 assert np.array_equal(mask_of(explain(model, ctx, config)),
                                       expected[0])
         assert diverged > 0
+
+
+def test_evaluator_passes_per_event(model, contexts, monkeypatch):
+    """A count of the work per event that does not depend on the host,
+    at the default configs: GraphMask one forward (the unmasked loss)
+    and epochs + 1 = 201 one-row steps; GNNExplainer 251 steps and a
+    forward per fidelity probability (the kept-edges one only when the
+    top edges are not all of the edges); VA-TG one batched pass per
+    epoch, 150."""
+    calls = Counter()
+    for name in ("forward", "loss_and_gradient", "losses_and_gradients"):
+        def counted(self, *args, _method=getattr(MaskEvaluator, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(MaskEvaluator, name, counted)
+
+    for ctx in oracle_contexts(contexts, 24):
+        calls.clear()
+        graphmask_explain_event(model, ctx)
+        assert calls == {"forward": 1, "loss_and_gradient": 201}
+        calls.clear()
+        out = gnn_explain_event(model, ctx)
+        kept = len(out.top_edges) < len(ctx.neighborhood_events)
+        assert calls == {"loss_and_gradient": 251, "forward": 2 + kept}
+        calls.clear()
+        vatg_explain_event(model, ctx)
+        assert calls == {"losses_and_gradients": 150}
 
 
 def test_ordered_sum_adds_left_to_right():

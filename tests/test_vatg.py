@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from provlens.masks import DivergenceError, descend
+from provlens.masks import DivergenceError, descend, top_edges
 from provlens.model import MaskEvaluator
 from provlens.vatg import (
     VariationalMaskParams,
@@ -20,7 +21,7 @@ from provlens.vatg import (
 
 from conftest import random_contexts
 from test_masks import _reference_head, oracle_contexts
-from test_model import _tiny_model
+from test_model import _tiny_cases, _tiny_model
 
 
 def _sigmoid(x):
@@ -253,7 +254,8 @@ def _reference_batched_objective(evaluator, params, config, epsilons):
 
 
 def _reference_explain(model, ctx, config):
-    """(best [mu; log_var], importance, trace) of vatg_explain_event."""
+    """(best [mu; log_var], importance, trace) of vatg_explain_event, its
+    noise drawn at every evaluation."""
     n = len(ctx.neighborhood_events)
     evaluator = MaskEvaluator(model, ctx)
     rng = np.random.default_rng(config.seed)
@@ -268,16 +270,54 @@ def _reference_explain(model, ctx, config):
     return best, _sigmoid(best[0]), trace
 
 
+def _assert_explain_equal(model, ctx, config):
+    """vatg_explain_event and the reference give the same parameters,
+    importances, trace and top edges, or diverge at the same evaluation."""
+    try:
+        best, importance, trace = _reference_explain(model, ctx, config)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as got:
+            vatg_explain_event(model, ctx, config)
+        assert str(got.value) == str(exc)
+        return
+    out = vatg_explain_event(model, ctx, config)
+    assert out.params.mu.tobytes() == best[0].tobytes()
+    assert out.params.log_var.tobytes() == best[1].tobytes()
+    assert out.importance.tobytes() == importance.tobytes()
+    assert out.trace == trace
+    assert out.top_edges == top_edges(ctx, importance, 3)[1]
+
+
 @pytest.mark.parametrize("config", [VatgConfig(), VatgConfig(mc_samples=1)],
                          ids=["default", "mc_samples=1"])
 def test_explain_is_bitwise_the_reference(model, contexts, config):
     for ctx in oracle_contexts(contexts, 31):
-        out = vatg_explain_event(model, ctx, config)
-        best, importance, trace = _reference_explain(model, ctx, config)
-        assert np.array_equal(out.params.mu, best[0])
-        assert np.array_equal(out.params.log_var, best[1])
-        assert np.array_equal(out.importance, importance)
-        assert out.trace == trace
+        _assert_explain_equal(model, ctx, config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tiny_cases(), st.sampled_from([0.01, 1.0, 100.0]), st.integers(1, 3),
+       st.integers(0, 2))
+def test_small_contexts_are_bitwise_the_reference(case, learning_rate, samples,
+                                                  seed):
+    """Untrained models on small random graphs, at several learning
+    rates, sample counts and seeds."""
+    model, ctx, _ = case
+    assume(ctx.neighborhood_events)
+    _assert_explain_equal(model, ctx, VatgConfig(
+        epochs=20, mc_samples=samples, learning_rate=learning_rate, seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(1, 6), st.integers(1, 4),
+       st.integers(1, 5))
+def test_one_noise_draw_is_one_draw_per_evaluation(seed, epochs, samples, n):
+    """vatg_explain_event draws (epochs, S, n) at once; the generator
+    yields the same numbers as one (S, n) draw per evaluation."""
+    whole = np.random.default_rng(seed).standard_normal((epochs, samples, n))
+    rng = np.random.default_rng(seed)
+    for block in whole:
+        assert block.tobytes() == rng.standard_normal((samples, n)).tobytes()
 
 
 @pytest.mark.parametrize("samples", [1, 3, 8])
