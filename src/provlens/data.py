@@ -41,7 +41,9 @@ version 2.
 
 The log parser and the scenario generator build one record shape, the
 plain tuple ``(ts_ns, order, src_key, dst_key, relation)``, where a key
-is ``(kind, label)``. ``order`` breaks timestamp ties: a log line's
+is ``(kind code, label)``, the code an int into ``NODE_KINDS`` computed
+once per parsed token or generator step, so numbering the nodes hashes
+ints and strings only. ``order`` breaks timestamp ties: a log line's
 number, or the generator's ``(class, position...)`` key, whose class 2
 is the attack chain. Both sort their records once, by (ts_ns, order),
 then number the nodes and fill the graph's columns in bulk (see
@@ -105,6 +107,8 @@ _EVENT_COLUMNS = {"src": ("<i8", None), "dst": ("<i8", None),
                   "label": ("u1", _TRUTH_LABELS)}
 #: an enum member's value, read without the Enum's property (or its hash)
 _VALUE = operator.attrgetter("_value_")
+#: the kind codes of the generator's process and config-file keys
+_PROCESS, _FILE = _KIND_CODES["PROCESS"], _KIND_CODES["FILE"]
 #: a record's sort key, (ts_ns, order); records are
 #: (ts_ns, order, src_key, dst_key, relation)
 _TIME_ORDER = operator.itemgetter(0, 1)
@@ -175,20 +179,23 @@ def parse_log(lines) -> LabeledDataset:
 
 def _keyed_graph(records) -> TemporalGraph:
     """Graph of (ts_ns, order, src_key, dst_key, relation) records in
-    order, where a key is (kind, label); node ids are dense integers in
-    first-appearance order of the keys (a record's src before its dst),
-    and the columns are filled in bulk."""
+    order, where a key is (kind, label) and every kind is a code into
+    ``NODE_KINDS`` (as the parser and the generator give it) or every
+    kind a ``NodeKind``; node ids are dense integers in first-appearance
+    order of the keys (a record's src before its dst), and the columns
+    are filled in bulk."""
     columns = list(zip(*records))
     if not columns:
         return TemporalGraph()
     ts, _, src_keys, dst_keys, rels = columns
-    ids: dict[tuple[NodeKind, str], int] = {}
+    ids: dict[tuple[int | NodeKind, str], int] = {}
     ends = np.array([ids.setdefault(key, len(ids)) for key in
                      itertools.chain.from_iterable(zip(src_keys, dst_keys))], np.int64)
+    kinds, labels = zip(*ids)
+    if isinstance(kinds[0], NodeKind):
+        kinds = [_KIND_CODES[_VALUE(kind)] for kind in kinds]
     return TemporalGraph.from_columns(
-        range(len(ids)),
-        [_KIND_CODES[_VALUE(kind)] for kind, _ in ids],
-        [label for _, label in ids],
+        range(len(ids)), kinds, labels,
         ends[0::2], ends[1::2],
         np.fromiter(map(_RELATION_CODES.__getitem__, map(_VALUE, rels)), np.int8,
                     len(rels)),
@@ -226,10 +233,11 @@ def _parse_timestamp(token: str, lineno: int) -> int:
     return ts
 
 
-def _parse_kind(token: str, lineno: int, fieldname: str) -> NodeKind:
+def _parse_kind(token: str, lineno: int, fieldname: str) -> int:
+    """The token's kind code into ``NODE_KINDS``."""
     try:
-        return NodeKind(token)
-    except ValueError:
+        return _KIND_CODES[token]
+    except KeyError:
         valid = ", ".join(k.value for k in NodeKind)
         raise ParseError(
             f"line {lineno}: field {fieldname} has unknown kind {_excerpt(token)} "
@@ -576,19 +584,20 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
 # generation
 # ---------------------------------------------------------------------------
 
-def _event(t_s: float, order: tuple, src_key: tuple[NodeKind, str],
-           dst_key: tuple[NodeKind, str], relation: Relation) -> tuple:
-    """The record of an event at t_s seconds into the capture."""
+def _event(t_s: float, order: tuple, src_key: tuple[int, str],
+           dst_key: tuple[int, str], relation: Relation) -> tuple:
+    """The record of an event at t_s seconds into the capture; a key is
+    (kind code, label)."""
     return (int(t_s * NS_PER_S), order, src_key, dst_key, relation)
 
 
-def _conf_open(actor: tuple[NodeKind, str], conf: str, first_s: float,
+def _conf_open(actor: tuple[int, str], conf: str, first_s: float,
                order: tuple) -> tuple:
     """The actor opens its config file 2 s before its first action, but
     not before the capture starts: a daemon reads its config before
     serving, so its first-ever event is in line with other fresh
     processes."""
-    return _event(max(first_s - 2.0, 0.0), order, actor, (NodeKind.FILE, conf),
+    return _event(max(first_s - 2.0, 0.0), order, actor, (_FILE, conf),
                   Relation.OPEN)
 
 
@@ -609,8 +618,9 @@ def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
         records.extend(_emit_session_stream(sess, (1, idx), spec.duration_s))
     for idx, step in enumerate(spec.attack_chain):
         records.append(_event(step.offset_s, (_ATTACK, idx),
-                              (step.src_kind, step.src_label),
-                              (step.dst_kind, step.dst_label), step.relation))
+                              (_KIND_CODES[_VALUE(step.src_kind)], step.src_label),
+                              (_KIND_CODES[_VALUE(step.dst_kind)], step.dst_label),
+                              step.relation))
     records.sort(key=_TIME_ORDER)
 
     graph = _keyed_graph(records)
@@ -625,29 +635,29 @@ def _session_events(sess: SessionSpec, session_no: int, start_s: float,
                     order_key: tuple) -> list[tuple]:
     """One session instance: optional parent EXECUTE plus the actor steps;
     coin steps follow the bits of session_no (see SessionStep)."""
-    actor = (NodeKind.PROCESS, f"{sess.name}.{session_no}")
+    actor = (_PROCESS, f"{sess.name}.{session_no}")
     batch: list[tuple] = []
     t = start_s
     if sess.parent:
         batch.append(_event(t, (*order_key, session_no, 0),
-                            (NodeKind.PROCESS, sess.parent), actor,
-                            Relation.EXECUTE))
+                            (_PROCESS, sess.parent), actor, Relation.EXECUTE))
         t += sess.start_gap_s
     coin_idx = 0
-    dst: tuple[NodeKind, str] | None = None
+    dst: tuple[int, str] | None = None
     for step_idx, step in enumerate(sess.steps):
+        kind = _KIND_CODES[_VALUE(step.dst_kind)]
         relation = step.relation
         if step.coin is not None:
             if (session_no >> coin_idx) & 1:
                 relation = step.coin
             coin_idx += 1
         if step.dst == "fresh":
-            dst = (step.dst_kind, f"{sess.name}.{session_no}.obj{step_idx}")
+            dst = (kind, f"{sess.name}.{session_no}.obj{step_idx}")
         elif step.dst == "same":
             if dst is None:
                 raise ValueError(f"session {sess.name!r}: 'same' needs a prior step")
         else:
-            dst = (step.dst_kind, step.dst)
+            dst = (kind, step.dst)
         if step_idx > 0:
             t += step.gap_s
         batch.append(_event(t, (*order_key, session_no, len(batch)), actor, dst,
@@ -661,7 +671,7 @@ def _emit_session_stream(sess: SessionSpec, order_key: tuple,
     first session that ends past the capture."""
     out: list[tuple] = []
     if sess.parent and sess.conf:
-        out.append(_conf_open((NodeKind.PROCESS, sess.parent), sess.conf,
+        out.append(_conf_open((_PROCESS, sess.parent), sess.conf,
                               sess.offset_s, (*order_key, 0, -1)))
     for session_no in itertools.count():
         batch = _session_events(sess, session_no,
@@ -678,7 +688,8 @@ def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
     positions spawn scripted child sessions. The stream ends at the
     first position past the capture; a spawned session that ends past
     it is dropped on its own."""
-    proc = (NodeKind.PROCESS, cycle.label)
+    proc = (_PROCESS, cycle.label)
+    kinds = [_KIND_CODES[_VALUE(step.dst_kind)] for step in cycle.steps]
     out: list[tuple] = []
     if cycle.conf:
         out.append(_conf_open(proc, cycle.conf, cycle.offset_s, (*order_key, -1)))
@@ -702,7 +713,7 @@ def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
             else:
                 dst = step.dst
             out.append(_event(t, (*order_key, lap, step_idx), proc,
-                              (step.dst_kind, dst), step.relation))
+                              (kinds[step_idx], dst), step.relation))
 
 
 # ---------------------------------------------------------------------------

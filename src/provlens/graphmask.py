@@ -70,7 +70,8 @@ def graphmask_explain_event(
     _, loss_orig = evaluator.forward(np.ones(n))
 
     def data_term(loss: float) -> tuple[float, float]:
-        return abs(loss - loss_orig), np.sign(loss - loss_orig)
+        d = loss - loss_orig
+        return abs(d), (d > 0) - (d < 0)
 
     values, best_j, trace = descend_mask(evaluator, config, data_term)
     return EdgeMask(values=values, objective=best_j, initial_objective=trace[0])

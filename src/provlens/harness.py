@@ -135,8 +135,11 @@ def measure_runtime(
     Requires at least 5 contexts so the median means something. Time and
     memory come from separate passes over the contexts, because
     tracemalloc slows the code it traces: the calls are timed with
-    tracing off, and peak memory is tracemalloc's high-water mark over a
-    second, untimed pass.
+    tracing off (unless the caller traces), and ``peak_bytes`` is
+    tracemalloc's high-water mark over a second, untimed pass, above the
+    traced size at its start. A caller that already traces keeps its
+    session, with its peak reset by the pass; a session this function
+    starts, it stops.
     """
     if len(contexts) < 5:
         raise ValueError("need at least 5 contexts to measure runtime")
@@ -146,14 +149,19 @@ def measure_runtime(
         t0 = time.perf_counter()
         explain_fn(ctx)
         durations.append(time.perf_counter() - t0)
-    tracemalloc.start()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
         for ctx in contexts:
             explain_fn(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
-    return RuntimeRow(method, statistics.median(durations), peak)
+        if started:
+            tracemalloc.stop()
+    return RuntimeRow(method, statistics.median(durations), peak - base)
 
 
 def ablation_csv(rows: list[AblationResult]) -> str:

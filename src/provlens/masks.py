@@ -120,18 +120,22 @@ def descend_mask(evaluator, config, data_term):
     trace.
 
     Each evaluation is one step: one :meth:`MaskEvaluator.loss_and_gradient`
-    pass, then both penalties and the chain rule into theta. m and 1 - m
-    are the two rows of one (2, n) buffer, so one ``log`` call and one
-    product give m*log(m) and (1 - m)*log(1 - m). The entropy is negated
-    after its sum and a slope of 1.0 is not multiplied, both exact, so
-    the masks and objectives are bitwise those of the loss plus
-    :func:`binary_entropy`. It keeps log((1 - m) / m) rather than the
-    identity -theta: the two part where m rounds to 0 or 1, which is
-    where a descent diverges.
+    pass, then both penalties and the chain rule into theta. m, 1 - m and
+    the per-edge entropy terms m*log(m) + (1 - m)*log(1 - m) are the
+    three rows of one (3, n) buffer: one ``log`` call and one product
+    give both entropy products, and one ``np.add.reduce`` over rows 0 and
+    2 gives sum(m) and the entropy sum, each row's own pairwise sum since
+    each row is contiguous. The objective is assembled from those sums as
+    Python floats. The entropy is negated after its sum and a slope of
+    1.0 is not multiplied, both exact, so the masks and objectives are
+    bitwise those of the loss plus :func:`binary_entropy`. It keeps
+    log((1 - m) / m) rather than the identity -theta: the two part where
+    m rounds to 0 or 1, which is where a descent diverges.
     """
     sw, ew = config.sparsity_weight, config.entropy_weight
-    both = np.empty((2, evaluator.n))
-    m, om = both
+    buf = np.empty((3, evaluator.n))
+    both, m_and_h = buf[:2], buf[::2]
+    m, om, h = buf
 
     def step(theta):
         sigmoid(theta, out=m)
@@ -139,8 +143,9 @@ def descend_mask(evaluator, config, data_term):
         loss, dl_dm = evaluator.loss_and_gradient(m)
         value, slope = data_term(loss)
         plogp = both * np.log(both)
-        j = (value + sw * np.add.reduce(m)
-             + ew * -np.add.reduce(plogp[0] + plogp[1]))
+        np.add(plogp[0], plogp[1], out=h)
+        sum_m, sum_h = np.add.reduce(m_and_h, 1).tolist()
+        j = value + sw * sum_m + ew * -sum_h
         if slope != 1.0:
             dl_dm = slope * dl_dm
         dj_dm = dl_dm + sw + ew * np.log(om / m)

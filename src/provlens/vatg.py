@@ -9,15 +9,17 @@ and (mu, log_var) are optimized on a Monte Carlo estimate of the masked
 cross-entropy plus a closed-form KL penalty toward the unit Gaussian
 prior and a sparsity penalty on the largest mask means, by the same
 :func:`masks.descend` loop that GraphMask and GNNExplainer run. Each
-evaluation takes an (S, n) noise matrix, one slice of the
-(epochs, S, n) noise drawn once per event, and scores its S sampled
-masks in one batched :class:`MaskEvaluator` pass. One objective,
-:func:`_objective`, serves :func:`vatg_explain_event`, :func:`vatg_loss`
-and :func:`vatg_gradients`; it takes mu and log_var as arrays, computes
-exp(log_var) and sigmoid(mu) once per evaluation and takes the Monte
-Carlo means with ``np.add.reduce``, the reduction ``np.mean`` makes. The
-mask means sigmoid(mu) serve as edge importances; the loss trace is kept
-as an optimization diagnostic.
+evaluation takes an (S, n) noise matrix, drawn from the seeded stream
+with those of the next evaluations in blocks of :data:`_NOISE_BLOCK`,
+and scores its S sampled masks in one batched :class:`MaskEvaluator`
+pass. One objective, :func:`_objective`, serves
+:func:`vatg_explain_event`, :func:`vatg_loss` and
+:func:`vatg_gradients`; it takes mu and log_var as arrays, computes
+exp(log_var) once per evaluation, the sampled masks and sigmoid(mu) in
+one ``sigmoid`` call, and both Monte Carlo means with one
+``np.add.reduce``, the reduction ``np.mean`` makes. The mask means
+sigmoid(mu) serve as edge importances; the loss trace is kept as an
+optimization diagnostic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .masks import check_fields, descend, edge_groups, ordered_sum, sigmoid, top
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
+#: evaluations per noise draw of :func:`vatg_explain_event`; a draw holds
+#: _NOISE_BLOCK * mc_samples * n floats, whatever the epoch count
+_NOISE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -101,31 +106,42 @@ def _objective(
     epsilons: np.ndarray,
 ) -> tuple[float, np.ndarray]:
     """Monte Carlo objective at fixed noise draws and its closed-form
-    gradient w.r.t. [mu; log_var] as a (2, n) array, whose two rows the
-    Monte Carlo means are written into.
+    gradient w.r.t. [mu; log_var] as a (2, n) array.
 
-    The ``(S, n)`` noise gives S sampled masks, the rows of one matrix,
-    and one batched evaluator pass gives their losses and mask gradients.
-    The Monte Carlo means over the sample axis are ``np.add.reduce(.., 0)
-    / S``, which is what ``np.mean`` computes. ``exp(log_var)`` serves
-    the KL term and its gradient, and ``sigmoid(mu)`` the sparsity
-    penalty (the sum of the ``sparsity_top_k`` largest mask means) and
-    its subgradient; each is computed once."""
+    The ``(S, n)`` noise gives S sampled masks. They and the mask means
+    ``sigmoid(mu)`` are the rows of one ``(S + 1, n)`` buffer, squashed
+    by one ``sigmoid`` call; one batched evaluator pass over the first S
+    rows gives their losses and mask gradients. The two Monte Carlo
+    terms, the gradient in mu and in log_var of each sample, are the two
+    planes of one ``(2, S, n)`` buffer, whose means over the sample axis
+    are one ``np.add.reduce(.., 1)`` divided by S in place: row by row
+    what ``np.mean`` computes. ``exp(log_var)`` serves the KL term and
+    its gradient, and the mask means the sparsity penalty (the sum of the
+    ``sparsity_top_k`` largest) and its subgradient; each is computed
+    once."""
     S, n = epsilons.shape
     sd = np.exp(0.5 * log_var)
     var = np.exp(log_var)
-    masks = sigmoid(mu + epsilons * sd)
+    x = np.empty((S + 1, n))
+    masks, means = x[:S], x[S]
+    np.multiply(epsilons, sd, out=masks)
+    masks += mu
+    means[...] = mu
+    sigmoid(x, out=x)
     losses, dl_dm = evaluator.losses_and_gradients(masks)
-    dl_dx = dl_dm * (masks * (1.0 - masks))
-    grad = np.empty((2, n))
+    terms = np.empty((2, S, n))
+    dl_dx, lv_terms = terms
+    np.multiply(dl_dm, masks * (1.0 - masks), out=dl_dx)
+    np.multiply(dl_dx, epsilons, out=lv_terms)
+    lv_terms *= 0.5
+    lv_terms *= sd
+    grad = np.add.reduce(terms, 1)
+    grad /= S
     d_mu, d_lv = grad
-    np.divide(np.add.reduce(dl_dx, 0), S, out=d_mu)
-    np.divide(np.add.reduce(dl_dx * epsilons * 0.5 * sd, 0), S, out=d_lv)
 
     d_mu += config.lambda_kl * mu
     d_lv += config.lambda_kl * 0.5 * (var - 1.0)
 
-    means = sigmoid(mu)
     top = (-means).argsort(kind="stable")[:config.sparsity_top_k]
     top_means = means[top]
     omega_grad = np.zeros(n)
@@ -182,6 +198,16 @@ def vatg_gradients(
     return d_mu, d_lv
 
 
+def _noise(rng: np.random.Generator, evaluations: int, samples: int, n: int):
+    """The ``(samples, n)`` noise of each of ``evaluations`` evaluations,
+    drawn from ``rng`` :data:`_NOISE_BLOCK` evaluations at a time: the
+    same numbers as one draw per evaluation, held in memory that does
+    not grow with ``evaluations``."""
+    for start in range(0, evaluations, _NOISE_BLOCK):
+        yield from rng.standard_normal(
+            (min(_NOISE_BLOCK, evaluations - start), samples, n))
+
+
 def vatg_explain_event(
     model: TgnModel,
     ctx: EventContext,
@@ -190,21 +216,21 @@ def vatg_explain_event(
     """Optimize the variational mask parameters for one event.
 
     :func:`masks.descend` runs over the stacked ``(2, n)`` array
-    ``[mu; log_var]`` for ``epochs`` evaluations. The noise of all of
-    them is drawn once from the seeded stream as one
-    ``(epochs, mc_samples, n)`` array, which holds the same numbers as
-    one ``(mc_samples, n)`` draw per evaluation; evaluation k reads
-    slice k. The best-loss iterate is returned (the objective is noisy,
-    so the last iterate is not necessarily the best). None on empty
-    neighborhood.
+    ``[mu; log_var]`` for ``epochs`` evaluations. Their noise comes from
+    the seeded stream in ``(block, mc_samples, n)`` draws of
+    :data:`_NOISE_BLOCK` evaluations (:func:`_noise`), which hold the
+    same numbers as one ``(mc_samples, n)`` draw per evaluation, so an
+    event's memory does not grow with ``epochs``. The best-loss iterate
+    is returned (the objective is noisy, so the last iterate is not
+    necessarily the best). None on empty neighborhood.
     """
     n = len(ctx.neighborhood_events)
     if n == 0:
         return None
 
     evaluator = MaskEvaluator(model, ctx)
-    noise = iter(np.random.default_rng(config.seed).standard_normal(
-        (config.epochs, config.mc_samples, n)))
+    noise = _noise(np.random.default_rng(config.seed), config.epochs,
+                   config.mc_samples, n)
 
     def objective(x):
         return _objective(evaluator, x[0], x[1], config, next(noise))

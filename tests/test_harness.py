@@ -176,6 +176,37 @@ def test_measure_runtime(contexts):
     assert row.peak_bytes >= 0
 
 
+def _allocating_explain(nbytes):
+    def explain(ctx):
+        bytearray(nbytes)
+    return explain
+
+
+def test_measure_runtime_stops_only_the_session_it_started(contexts):
+    sample = random_contexts(contexts, np.random.default_rng(1), 5)
+    assert not tracemalloc.is_tracing()
+    row = measure_runtime("fake", _allocating_explain(1_000_000), sample)
+    assert not tracemalloc.is_tracing()
+    assert 1_000_000 <= row.peak_bytes < 1_500_000
+
+
+def test_measure_runtime_under_an_outer_session(contexts):
+    """A caller that traces keeps its session, and neither what it freed
+    before the call (its old peak) nor what it still holds counts."""
+    sample = random_contexts(contexts, np.random.default_rng(1), 5)
+    tracemalloc.start()
+    try:
+        bytearray(50_000_000)       # the caller's freed peak
+        held = bytearray(5_000_000)  # the caller's live memory
+        row = measure_runtime("fake", _allocating_explain(1_000_000), sample)
+        assert tracemalloc.is_tracing()
+        assert 1_000_000 <= row.peak_bytes < 1_500_000
+        current, _ = tracemalloc.get_traced_memory()
+        assert current >= len(held)
+    finally:
+        tracemalloc.stop()
+
+
 def test_measure_runtime_needs_five_contexts(contexts):
     with pytest.raises(ValueError):
         measure_runtime("fake", lambda c: None, contexts[:4])

@@ -29,7 +29,7 @@ from provlens.pipeline import PipelineConfig
 from provlens.vatg import VatgConfig, vatg_explain_event
 
 from conftest import random_contexts
-from test_model import _tiny_cases, _tiny_model
+from test_model import _sized_cases, _tiny_cases, _tiny_model
 
 
 @pytest.mark.parametrize("cls, field", [
@@ -362,6 +362,21 @@ def test_small_contexts_are_bitwise_the_reference(case, learning_rate):
         got = mask_of(explain(model, ctx, config))
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1:] == expected[1:]
+
+
+#: mask widths around numpy's pairwise sum, which changes method at 8
+#: elements, up to the widest neighborhood (2 * horizon)
+ORACLE_EDGES = [1, 7, 8, 9, 20]
+
+
+@pytest.mark.parametrize("edges", ORACLE_EDGES)
+@settings(max_examples=8, deadline=None)
+@given(st.data(), st.sampled_from([0.01, 1.0, 100.0]))
+def test_sized_contexts_are_bitwise_the_reference(edges, data, learning_rate):
+    """The small-context oracle above on contexts of exactly ``edges``
+    edges."""
+    test_small_contexts_are_bitwise_the_reference.hypothesis.inner_test(
+        data.draw(_sized_cases(edges)), learning_rate)
 
 
 def test_graphmask_is_bitwise_the_reference(model, contexts):

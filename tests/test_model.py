@@ -289,6 +289,30 @@ def _tiny_cases(draw):
     return model, ctx, np.array(mask, dtype=float)
 
 
+@st.composite
+def _sized_cases(draw, edges):
+    """An untrained model and the context of a last event A -> B whose
+    neighborhood has exactly ``edges`` edges (at most 2 * horizon = 20):
+    earlier events of A and of B, each with a leaf node of its own."""
+    at_a = draw(st.integers(max(0, edges - 10), min(edges, 10)))
+    nodes = [(0, NodeKind.PROCESS, "a"), (1, NodeKind.FILE, "b")]
+    events, t = [], 1
+    for i in range(edges):
+        leaf = len(nodes)
+        nodes.append((leaf, draw(st.sampled_from(list(NodeKind))), f"n{leaf}"))
+        end = 0 if i < at_a else 1
+        pair = (end, leaf) if draw(st.booleans()) else (leaf, end)
+        t += draw(st.integers(0, 3))
+        events.append((*pair, draw(st.sampled_from(list(Relation))), t))
+    events.append((0, 1, draw(st.sampled_from(list(Relation))), t + 1))
+    model, ctxs = _tiny_model(build_graph((nodes, events)),
+                              seed=draw(st.integers(0, 3)))
+    ctx = ctxs[-1]
+    assert len(ctx.neighborhood_events) == edges
+    mask = draw(st.lists(st.floats(0.01, 0.99), min_size=edges, max_size=edges))
+    return model, ctx, np.array(mask, dtype=float)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_tiny_cases())
 def test_all_ones_identity_property(case):

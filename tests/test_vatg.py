@@ -1,6 +1,7 @@
 """Variational explainer: sampling, KL term, gradients, aggregation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from provlens.masks import DivergenceError, descend, top_edges
 from provlens.model import MaskEvaluator
 from provlens.vatg import (
+    _NOISE_BLOCK,
+    _noise,
     VariationalMaskParams,
     VatgConfig,
     kl_term,
@@ -20,8 +23,8 @@ from provlens.vatg import (
 )
 
 from conftest import random_contexts
-from test_masks import _reference_head, oracle_contexts
-from test_model import _tiny_cases, _tiny_model
+from test_masks import ORACLE_EDGES, _reference_head, oracle_contexts
+from test_model import _sized_cases, _tiny_cases, _tiny_model
 
 
 def _sigmoid(x):
@@ -308,6 +311,19 @@ def test_small_contexts_are_bitwise_the_reference(case, learning_rate, samples,
         epochs=20, mc_samples=samples, learning_rate=learning_rate, seed=seed))
 
 
+@pytest.mark.parametrize("edges", ORACLE_EDGES)
+@settings(max_examples=8, deadline=None)
+@given(st.data(), st.sampled_from([0.01, 1.0, 100.0]), st.sampled_from([1, 2, 8, 33]),
+       st.integers(0, 2))
+def test_sized_contexts_are_bitwise_the_reference(edges, data, learning_rate,
+                                                  samples, seed):
+    """The small-context oracle above on contexts of exactly ``edges``
+    edges, with sample counts on both sides of numpy's 8-element
+    pairwise block."""
+    test_small_contexts_are_bitwise_the_reference.hypothesis.inner_test(
+        data.draw(_sized_cases(edges)), learning_rate, samples, seed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**63 - 1), st.integers(1, 6), st.integers(1, 4),
        st.integers(1, 5))
@@ -318,6 +334,36 @@ def test_one_noise_draw_is_one_draw_per_evaluation(seed, epochs, samples, n):
     rng = np.random.default_rng(seed)
     for block in whole:
         assert block.tobytes() == rng.standard_normal((samples, n)).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 3), st.sampled_from([-1, 0, 1]),
+       st.integers(1, 3), st.integers(1, 4))
+def test_noise_blocks_are_the_one_draw(seed, blocks, offset, samples, n):
+    """The noise vatg_explain_event draws _NOISE_BLOCK evaluations at a
+    time is bitwise one (epochs, S, n) draw, at epoch counts just below,
+    at and just above a block boundary."""
+    epochs = blocks * _NOISE_BLOCK + offset
+    assume(epochs >= 1)
+    whole = np.random.default_rng(seed).standard_normal((epochs, samples, n))
+    got = list(_noise(np.random.default_rng(seed), epochs, samples, n))
+    assert len(got) == epochs
+    assert np.array(got).tobytes() == whole.tobytes()
+
+
+def test_noise_memory_does_not_grow_with_epochs(model, contexts):
+    """At 2,000 epochs of 64 samples on a wide context, one draw of all
+    the noise would hold 2000 * 64 * n floats (about 20 MB at 20 edges);
+    the traced peak of an event stays under 2 MiB."""
+    ctx = random_contexts(contexts, np.random.default_rng(34), 1, min_edges=15)[0]
+    config = VatgConfig(epochs=2000, mc_samples=64)
+    tracemalloc.start()
+    try:
+        vatg_explain_event(model, ctx, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("samples", [1, 3, 8])
