@@ -29,7 +29,7 @@ from .detect import (
     score_all_windows,
     span_subgraph,
 )
-from .fileformat import read_json
+from .fileformat import _excerpt, read_json
 from .gnnexplainer import GnnExplainerConfig
 from .graph import Relation
 from .graphmask import CanonicalEdge, GraphMaskConfig
@@ -54,21 +54,39 @@ EXIT_RESOURCE = 3
 _ARGUMENT_ERRORS = (ValueError, TypeError, KeyError, OSError, DivergenceError)
 
 
+#: the explainers' sections, top-level in a config file although each
+#: is a field of PipelineConfig
+_EXPLAINER_SECTIONS = ("graphmask", "gnn", "vatg")
 #: the top-level sections a config file may hold
-_CONFIG_SECTIONS = ("model", "detector", "pipeline", "graphmask", "gnn", "vatg")
+_CONFIG_SECTIONS = ("model", "detector", "pipeline") + _EXPLAINER_SECTIONS
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file's sections, each a JSON object of the fields of
+    its config; ValueError naming the file and the section otherwise,
+    whichever sections the command reads."""
     if path is None:
         return {}
     doc = read_json(path, "config file", ValueError)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    for key in doc:
+    for key, value in doc.items():
         if key not in _CONFIG_SECTIONS:
             raise ValueError(
                 f"config file {path}: unknown section {key!r}; the sections "
                 f"are {', '.join(_CONFIG_SECTIONS)}"
+            )
+        if not isinstance(value, dict):
+            raise ValueError(
+                f"config file {path}: section {key!r} must be a JSON object "
+                f"of its fields, got {_excerpt(json.dumps(value))}"
+            )
+    for key in _EXPLAINER_SECTIONS:
+        if key in doc.get("pipeline", {}):
+            raise ValueError(
+                f"config file {path}: section 'pipeline' holds {key!r}; the "
+                f"explainer sections {', '.join(_EXPLAINER_SECTIONS)} are "
+                f"top-level"
             )
     return doc
 
@@ -78,12 +96,11 @@ def _section(cfg: dict, name: str, cls):
 
 
 def _pipeline_config(cfg: dict) -> PipelineConfig:
-    fields = dict(cfg.get("pipeline", {}))
     return PipelineConfig(
         graphmask=_section(cfg, "graphmask", GraphMaskConfig),
         gnn=_section(cfg, "gnn", GnnExplainerConfig),
         vatg=_section(cfg, "vatg", VatgConfig),
-        **fields,
+        **cfg.get("pipeline", {}),
     )
 
 

@@ -13,6 +13,14 @@ GraphMask and GNNExplainer descend on mask logits with
 :class:`~provlens.model.MaskEvaluator` one-row pass followed by both
 penalties with each shared subexpression once, bitwise equal to the
 plain sum of the loss and the penalties.
+
+Every numpy call in an explainer's evaluation takes array operands:
+numpy converts a Python number operand to an array on every call, about
+0.2 us at these sizes, so each constant of a loop (1.0, 0.5, 1e-300, the
+penalty weights, the learning rate) is a read-only 0-d float64 array
+(:func:`constant`) made once per process or once per descent. A 0-d
+array broadcasts as the Python number did and holds the same value, so
+every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -31,8 +39,21 @@ class DivergenceError(RuntimeError):
     """Training or an explainer produced a non-finite loss."""
 
 
+def constant(value) -> np.ndarray:
+    """``value`` as a read-only 0-d float64 array: a numpy operand that
+    costs no conversion per call. ``float`` first, because a config's
+    float field may hold an integer past int64, of which ``np.array``
+    would make an object array."""
+    c = np.array(float(value))
+    c.flags.writeable = False
+    return c
+
+
+ONE = constant(1.0)
+
+
 def sigmoid(x, out=None):
-    return np.divide(1.0, 1.0 + np.exp(-x), out=out)
+    return np.divide(ONE, ONE + np.exp(-x), out=out)
 
 
 def ordered_sum(values):
@@ -123,36 +144,47 @@ def descend_mask(evaluator, config, data_term):
     pass, then both penalties and the chain rule into theta. m, 1 - m and
     the per-edge entropy terms m*log(m) + (1 - m)*log(1 - m) are the
     three rows of one (3, n) buffer: one ``log`` call and one product
-    give both entropy products, and one ``np.add.reduce`` over rows 0 and
-    2 gives sum(m) and the entropy sum, each row's own pairwise sum since
-    each row is contiguous. The objective is assembled from those sums as
-    Python floats. The entropy is negated after its sum and a slope of
-    1.0 is not multiplied, both exact, so the masks and objectives are
-    bitwise those of the loss plus :func:`binary_entropy`. It keeps
-    log((1 - m) / m) rather than the identity -theta: the two part where
-    m rounds to 0 or 1, which is where a descent diverges.
+    into a (2, n) buffer give both entropy products, and one
+    ``np.add.reduce`` over rows 0 and 2 gives sum(m) and the entropy
+    sum, each row's own pairwise sum since each row is contiguous. The
+    objective is assembled from those sums as Python floats. The
+    entropy is negated after its sum and a slope of 1.0 is not
+    multiplied, both exact, so the masks and objectives are bitwise those
+    of the loss plus :func:`binary_entropy`. It keeps log((1 - m) / m)
+    rather than the identity -theta: the two part where m rounds to 0 or
+    1, which is where a descent diverges.
+
+    The buffers, the weights as 0-d arrays (:func:`constant`), the
+    evaluator's bound ``loss_and_gradient`` and the numpy functions are
+    bound once per descent, as locals of the step.
     """
-    sw, ew = config.sparsity_weight, config.entropy_weight
-    buf = np.empty((3, evaluator.n))
+    n = evaluator.n
+    sw, ew = float(config.sparsity_weight), float(config.entropy_weight)
+    sw_c, ew_c, one = constant(sw), constant(ew), ONE
+    buf, plogp = np.empty((3, n)), np.empty((2, n))
     both, m_and_h = buf[:2], buf[::2]
     m, om, h = buf
+    plogp_m, plogp_om = plogp
+    loss_and_gradient = evaluator.loss_and_gradient
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    log, add_reduce = np.log, np.add.reduce
 
     def step(theta):
         sigmoid(theta, out=m)
-        np.subtract(1.0, m, out=om)
-        loss, dl_dm = evaluator.loss_and_gradient(m)
+        subtract(one, m, out=om)
+        loss, dl_dm = loss_and_gradient(m)
         value, slope = data_term(loss)
-        plogp = both * np.log(both)
-        np.add(plogp[0], plogp[1], out=h)
-        sum_m, sum_h = np.add.reduce(m_and_h, 1).tolist()
+        multiply(both, log(both), out=plogp)
+        add(plogp_m, plogp_om, out=h)
+        sum_m, sum_h = add_reduce(m_and_h, 1).tolist()
         j = value + sw * sum_m + ew * -sum_h
         if slope != 1.0:
             dl_dm = slope * dl_dm
-        dj_dm = dl_dm + sw + ew * np.log(om / m)
+        dj_dm = add(dl_dm, sw_c) + multiply(ew_c, log(divide(om, m)))
         return j, dj_dm * m * om
 
-    theta, best_j, trace = descend(step, np.zeros(evaluator.n),
-                                   config.learning_rate, config.epochs + 1)
+    theta, best_j, trace = descend(step, np.zeros(n), config.learning_rate,
+                                   config.epochs + 1)
     return sigmoid(theta), best_j, trace
 
 
@@ -169,7 +201,9 @@ def descend(objective, x, learning_rate: float, evaluations: int):
     The loop runs with numpy's divide, overflow and invalid-value
     warnings off: a diverging descent produces them on its way to the
     non-finite value, and :class:`DivergenceError` is its one report.
+    The learning rate enters the step as a 0-d array (:func:`constant`).
     """
+    rate = constant(learning_rate)
     best_x, best_value, trace = x, math.inf, []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(evaluations):
@@ -182,5 +216,5 @@ def descend(objective, x, learning_rate: float, evaluations: int):
             trace.append(value)
             if value < best_value:
                 best_x, best_value = x, value
-            x = x - learning_rate * gradient
+            x = x - rate * gradient
     return best_x, best_value, trace

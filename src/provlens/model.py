@@ -127,7 +127,7 @@ from .graph import (
     # provlens.model.extract_context, until it reads the stream's own counts
     extract_context,
 )
-from .masks import DivergenceError, check_fields, sigmoid
+from .masks import ONE, DivergenceError, check_fields, constant, sigmoid
 
 CHECKPOINT_VERSION = 3
 
@@ -385,6 +385,10 @@ def _decode_parameter(text, shape: tuple[int, ...], name: str, p: Path) -> np.nd
     return value
 
 
+#: the floor of a probability before its log in the explainers' loss
+_TINY = constant(1e-300)
+
+
 class MaskEvaluator:
     """Masked forward pass and mask gradient of one context.
 
@@ -403,8 +407,14 @@ class MaskEvaluator:
     Carlo samples at once. Every product is ``np.dot``, which calls the
     BLAS routine that ``@`` calls on the same operands without the
     matmul ufunc's dispatch, a fraction of a microsecond less per call
-    at these shapes. The evaluator reads the head's weights as they
-    were when it was built and does not check the mask;
+    at these shapes. The constants of the array calls, 1.0 and 1e-300,
+    are 0-d arrays (:func:`masks.constant`), which numpy takes without
+    the conversion a Python float costs on every call; the one-row
+    loss clamps and logs the Python float of the true relation's
+    probability (a log of the same float64, so the same bits), and its
+    logits' gradient subtracts 1.0 from one element, both scalar work
+    cheaper than an array call. The evaluator reads the head's weights
+    as they were when it was built and does not check the mask;
     :meth:`TgnModel.masked_forward` does.
     """
 
@@ -442,7 +452,7 @@ class MaskEvaluator:
         logits = np.dot(z, self.WoT) + self.bo
         expl = np.exp(logits - max(logits.tolist()))
         probs = expl / np.add.reduce(expl, 0)
-        return probs, float(-np.log(max(probs[self.y], 1e-300))), z
+        return probs, -float(np.log(max(probs.item(self.y), 1e-300))), z
 
     def forward(self, mask: np.ndarray) -> tuple[np.ndarray, float]:
         """Prediction and cross-entropy loss under the mask."""
@@ -454,7 +464,7 @@ class MaskEvaluator:
         from one pass."""
         probs, loss, z = self._pass(mask)
         probs[self.y] -= 1.0  # a fresh array: the logits' gradient
-        return loss, np.dot(self.BT, (1.0 - z * z) * np.dot(self.WoT, probs))
+        return loss, np.dot(self.BT, (ONE - z * z) * np.dot(self.WoT, probs))
 
     def losses_and_gradients(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Losses ``(S,)`` and mask gradients ``(S, n_edges)`` of the S
@@ -462,9 +472,9 @@ class MaskEvaluator:
         :meth:`loss_and_gradient` of ``masks[s]`` up to float rounding."""
         Z, P = _head(self.a0 + np.dot(masks, self.BT), self.Wo, self.bo)
         p_y = P[:, self.y]
-        losses = -np.log(np.maximum(p_y, 1e-300))
-        p_y -= 1.0  # a view: the logits' gradient in place
-        return losses, np.dot((1.0 - Z * Z) * np.dot(P, self.Wo), self.B)
+        losses = -np.log(np.maximum(p_y, _TINY))
+        p_y -= ONE  # a view: the logits' gradient in place
+        return losses, np.dot((ONE - Z * Z) * np.dot(P, self.Wo), self.B)
 
 
 def _checked_mask(ctx: EventContext, mask) -> np.ndarray:

@@ -7,6 +7,7 @@ Importance bands over [0, 1]: critical above 0.7, moderate in
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -74,10 +75,29 @@ def load_schema() -> dict:
     return json.loads(path.read_text())
 
 
-def validate_document(doc: dict) -> None:
+@functools.cache
+def _validator():
+    """The shipped schema's validator, the schema checked against its
+    meta-schema once per process (``jsonschema.validate`` checks it on
+    every call, about ten times the cost of validating a window
+    document)."""
     import jsonschema
 
-    jsonschema.validate(doc, load_schema())
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_document(doc: dict) -> None:
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    raises for ``doc`` against the shipped schema, its best match among
+    the errors, or return; the schema is checked once per process."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _fmt_window(window: tuple[int, int]) -> str:

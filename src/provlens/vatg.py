@@ -14,12 +14,13 @@ with those of the next evaluations in blocks of :data:`_NOISE_BLOCK`,
 and scores its S sampled masks in one batched :class:`MaskEvaluator`
 pass. One objective, :func:`_objective`, serves
 :func:`vatg_explain_event`, :func:`vatg_loss` and
-:func:`vatg_gradients`; it takes mu and log_var as arrays, computes
-exp(log_var) once per evaluation, the sampled masks and sigmoid(mu) in
-one ``sigmoid`` call, and both Monte Carlo means with one
-``np.add.reduce``, the reduction ``np.mean`` makes. The mask means
-sigmoid(mu) serve as edge importances; the loss trace is kept as an
-optimization diagnostic.
+:func:`vatg_gradients`; it is built once per descent, with its
+constants as 0-d arrays and its buffers, and it takes mu and log_var as
+arrays, computes exp(log_var) once per evaluation, the sampled masks
+and sigmoid(mu) in one ``sigmoid`` call, and both Monte Carlo means
+with one ``np.add.reduce``, the reduction ``np.mean`` makes. The mask
+means sigmoid(mu) serve as edge importances; the loss trace is kept as
+an optimization diagnostic.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import EventContext, Relation
-from .masks import check_fields, descend, edge_groups, ordered_sum, sigmoid, top_edges
+from .masks import (ONE, check_fields, constant, descend, edge_groups, ordered_sum,
+                    sigmoid, top_edges)
 from .model import MaskEvaluator, TgnModel
 
 _INIT_LOG_VAR = -2.0
+_HALF = constant(0.5)
 #: evaluations per noise draw of :func:`vatg_explain_event`; a draw holds
 #: _NOISE_BLOCK * mc_samples * n floats, whatever the epoch count
 _NOISE_BLOCK = 32
@@ -95,63 +98,75 @@ def kl_term(params: VariationalMaskParams) -> float:
 
 def _kl(mu: np.ndarray, log_var: np.ndarray, var: np.ndarray) -> float:
     """:func:`kl_term` given var = exp(log_var)."""
-    return float(0.5 * np.add.reduce(mu * mu + var - 1.0 - log_var))
+    return 0.5 * float(np.add.reduce(mu * mu + var - ONE - log_var))
 
 
-def _objective(
-    evaluator: MaskEvaluator,
-    mu: np.ndarray,
-    log_var: np.ndarray,
-    config: VatgConfig,
-    epsilons: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Monte Carlo objective at fixed noise draws and its closed-form
-    gradient w.r.t. [mu; log_var] as a (2, n) array.
+def _objective(evaluator: MaskEvaluator, config: VatgConfig, samples: int):
+    """The Monte Carlo objective of ``samples`` noise rows per evaluation,
+    as a function ``objective(mu, log_var, epsilons)`` of the parameters
+    and an ``(samples, n)`` noise draw that returns the objective and its
+    closed-form gradient w.r.t. [mu; log_var] as a (2, n) array.
 
-    The ``(S, n)`` noise gives S sampled masks. They and the mask means
-    ``sigmoid(mu)`` are the rows of one ``(S + 1, n)`` buffer, squashed
-    by one ``sigmoid`` call; one batched evaluator pass over the first S
-    rows gives their losses and mask gradients. The two Monte Carlo
-    terms, the gradient in mu and in log_var of each sample, are the two
-    planes of one ``(2, S, n)`` buffer, whose means over the sample axis
-    are one ``np.add.reduce(.., 1)`` divided by S in place: row by row
-    what ``np.mean`` computes. ``exp(log_var)`` serves the KL term and
-    its gradient, and the mask means the sparsity penalty (the sum of the
+    The S sampled masks and the mask means ``sigmoid(mu)`` are the rows
+    of one ``(S + 1, n)`` buffer, squashed by one ``sigmoid`` call; one
+    batched evaluator pass over the first S rows gives their losses and
+    mask gradients. The two Monte Carlo terms, the gradient in mu and in
+    log_var of each sample, are the two planes of one ``(2, S, n)``
+    buffer, whose means over the sample axis are one
+    ``np.add.reduce(.., 1)`` divided by S in place: row by row what
+    ``np.mean`` computes. ``exp(log_var)`` serves the KL term and its
+    gradient, and the mask means the sparsity penalty (the sum of the
     ``sparsity_top_k`` largest) and its subgradient; each is computed
-    once."""
-    S, n = epsilons.shape
-    sd = np.exp(0.5 * log_var)
-    var = np.exp(log_var)
-    x = np.empty((S + 1, n))
-    masks, means = x[:S], x[S]
-    np.multiply(epsilons, sd, out=masks)
-    masks += mu
-    means[...] = mu
-    sigmoid(x, out=x)
-    losses, dl_dm = evaluator.losses_and_gradients(masks)
-    terms = np.empty((2, S, n))
+    once.
+
+    Both buffers, the constants S, 0.5, 1.0, lambda_kl, lambda_kl * 0.5
+    and lambda_sp as 0-d arrays (:func:`masks.constant`), the evaluator's
+    bound batched pass and the numpy functions are bound once, here; an
+    evaluation makes the same float operations on the same values in
+    the same order as with Python-number operands."""
+    n, k = evaluator.n, config.sparsity_top_k
+    kl, sp = float(config.lambda_kl), float(config.lambda_sp)
+    kl_c, kl_half_c, sp_c = constant(kl), constant(kl * 0.5), constant(sp)
+    s_c = constant(samples)
+    one, half = ONE, _HALF
+    x, terms = np.empty((samples + 1, n)), np.empty((2, samples, n))
+    masks, means = x[:samples], x[samples]
     dl_dx, lv_terms = terms
-    np.multiply(dl_dm, masks * (1.0 - masks), out=dl_dx)
-    np.multiply(dl_dx, epsilons, out=lv_terms)
-    lv_terms *= 0.5
-    lv_terms *= sd
-    grad = np.add.reduce(terms, 1)
-    grad /= S
-    d_mu, d_lv = grad
+    losses_and_gradients = evaluator.losses_and_gradients
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    exp, copyto, zeros, add_reduce = np.exp, np.copyto, np.zeros, np.add.reduce
 
-    d_mu += config.lambda_kl * mu
-    d_lv += config.lambda_kl * 0.5 * (var - 1.0)
+    def objective(mu, log_var, epsilons):
+        sd = exp(multiply(half, log_var))
+        var = exp(log_var)
+        multiply(epsilons, sd, out=masks)
+        add(masks, mu, out=masks)
+        copyto(means, mu)
+        sigmoid(x, out=x)
+        losses, dl_dm = losses_and_gradients(masks)
+        multiply(dl_dm, masks * subtract(one, masks), out=dl_dx)
+        multiply(dl_dx, epsilons, out=lv_terms)
+        multiply(lv_terms, half, out=lv_terms)
+        multiply(lv_terms, sd, out=lv_terms)
+        grad = add_reduce(terms, 1)
+        divide(grad, s_c, out=grad)
+        d_mu, d_lv = grad
 
-    top = (-means).argsort(kind="stable")[:config.sparsity_top_k]
-    top_means = means[top]
-    omega_grad = np.zeros(n)
-    omega_grad[top] = top_means * (1.0 - top_means)
-    d_mu += config.lambda_sp * omega_grad
+        add(d_mu, multiply(kl_c, mu), out=d_mu)
+        add(d_lv, multiply(kl_half_c, subtract(var, one)), out=d_lv)
 
-    loss = (float(np.add.reduce(losses) / S)
-            + config.lambda_kl * _kl(mu, log_var, var)
-            + config.lambda_sp * float(np.add.reduce(top_means)))
-    return loss, grad
+        top = (-means).argsort(kind="stable")[:k]
+        top_means = means[top]
+        omega_grad = zeros(n)
+        omega_grad[top] = top_means * subtract(one, top_means)
+        add(d_mu, multiply(sp_c, omega_grad), out=d_mu)
+
+        loss = (float(add_reduce(losses)) / samples
+                + kl * _kl(mu, log_var, var)
+                + sp * float(add_reduce(top_means)))
+        return loss, grad
+
+    return objective
 
 
 def _checked_objective(model, ctx, params, config, epsilons):
@@ -170,8 +185,8 @@ def _checked_objective(model, ctx, params, config, epsilons):
         raise ValueError(
             f"epsilons shape {epsilons.shape} is not (S, {n}) with S >= 1"
         )
-    return _objective(MaskEvaluator(model, ctx), params.mu, params.log_var,
-                      config, epsilons)
+    objective = _objective(MaskEvaluator(model, ctx), config, len(epsilons))
+    return objective(params.mu, params.log_var, epsilons)
 
 
 def vatg_loss(
@@ -228,12 +243,13 @@ def vatg_explain_event(
     if n == 0:
         return None
 
-    evaluator = MaskEvaluator(model, ctx)
+    step = _objective(MaskEvaluator(model, ctx), config, config.mc_samples)
     noise = _noise(np.random.default_rng(config.seed), config.epochs,
                    config.mc_samples, n)
 
     def objective(x):
-        return _objective(evaluator, x[0], x[1], config, next(noise))
+        mu, log_var = x
+        return step(mu, log_var, next(noise))
 
     start = np.stack([np.zeros(n), np.full(n, _INIT_LOG_VAR)])
     best, _, trace = descend(objective, start, config.learning_rate, config.epochs)

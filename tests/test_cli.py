@@ -261,6 +261,80 @@ def test_unknown_config_section_is_argument_error(cli_dir, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+_SECTION_READERS = [
+    ("model", ["train", "--out", "{out}"]),
+    ("detector", ["detect", "--model", "{model}", "--out", "{out}"]),
+    ("detector", ["ablate", "--model", "{model}", "--report", "{report}",
+                  "--out", "{out}"]),
+    ("pipeline", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+    ("graphmask", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+    ("gnn", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+    ("vatg", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+]
+
+
+def _run_with_config(cli_dir, explain_dir, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    paths = {"model": cli_dir / "model.json", "out": tmp_path / "out",
+             "report": next(explain_dir.glob("explanations_*.json"))}
+    rc = main([arg.format(**paths) for arg in command]
+              + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
+    return rc, cfg
+
+
+@pytest.mark.parametrize("value", [5, None, [1], "x"])
+@pytest.mark.parametrize("section, command", _SECTION_READERS,
+                         ids=[f"{s}-{c[0]}" for s, c in _SECTION_READERS])
+def test_section_that_is_no_object_names_file_and_section(
+        cli_dir, explain_dir, tmp_path, capsys, section, command, value):
+    """A section must be a JSON object; before, a number, null or list
+    exited 2 with Python's "argument after ** must be a mapping" and no
+    file name."""
+    rc, cfg = _run_with_config(cli_dir, explain_dir, tmp_path, command,
+                               {section: value})
+    err = capsys.readouterr().err
+    assert rc == EXIT_ARGUMENT
+    assert str(cfg) in err and f"section {section!r}" in err
+    assert "mapping" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section", ["graphmask", "gnn", "vatg"])
+def test_explainer_section_inside_pipeline_is_named(cli_dir, explain_dir,
+                                                    tmp_path, capsys, section):
+    """The explainer sections are top-level; nested in "pipeline", one
+    used to exit with "got multiple values for keyword argument"."""
+    rc, cfg = _run_with_config(
+        cli_dir, explain_dir, tmp_path,
+        ["explain", "--model", "{model}", "--out-dir", "{out}"],
+        {"pipeline": {section: {"epochs": 5}}})
+    err = capsys.readouterr().err
+    assert rc == EXIT_ARGUMENT
+    assert str(cfg) in err and "section 'pipeline'" in err
+    assert repr(section) in err and "top-level" in err
+    assert "multiple values" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_section_through_python_m(cli_dir, tmp_path):
+    """The same message, and no traceback, from ``python -m provlens``."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": 5}')
+    src = str(Path(provlens.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "provlens", "train", "--dataset",
+         str(cli_dir / "ds.json"), "--out", str(tmp_path / "out"),
+         "--config", str(cfg)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120)
+    assert proc.returncode == EXIT_ARGUMENT
+    assert str(cfg) in proc.stderr and "section 'model'" in proc.stderr
+    assert "Traceback" not in proc.stderr and not proc.stdout
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("config_text", [
     '{"graphmask": {"epochs": 2.5}}',
     '{"graphmask": {"epochs": true}}',

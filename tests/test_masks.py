@@ -379,6 +379,34 @@ def test_sized_contexts_are_bitwise_the_reference(edges, data, learning_rate):
         data.draw(_sized_cases(edges)), learning_rate)
 
 
+#: integer-valued config numbers, which the float type rule accepts:
+#: small ones, and 10**30, past int64, of which np.array and np.full make
+#: an object array; the loops' constants must carry each as the Python
+#: number did
+INTEGER_VALUES = st.sampled_from([1, 2, 3, 10**30])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tiny_cases(), INTEGER_VALUES, st.one_of(st.just(0), INTEGER_VALUES),
+       st.one_of(st.just(0), INTEGER_VALUES))
+def test_integer_config_values_are_bitwise_the_reference(case, learning_rate,
+                                                         sparsity, entropy):
+    """Integer learning rates and penalty weights, zero where a config
+    allows it (GNNExplainer's weights), give the reference descent's
+    masks, objectives and traces, or its DivergenceError at the same
+    evaluation."""
+    model, ctx, _ = case
+    assume(ctx.neighborhood_events)
+    evaluator = MaskEvaluator(model, ctx)
+    weights = dict(learning_rate=learning_rate, sparsity_weight=sparsity,
+                   entropy_weight=entropy)
+    _assert_descents_equal(evaluator, GnnExplainerConfig(epochs=10, **weights),
+                           _gnn_term)
+    if sparsity and entropy:
+        _assert_descents_equal(evaluator, GraphMaskConfig(epochs=10, **weights),
+                               _graphmask_term(evaluator))
+
+
 def test_graphmask_is_bitwise_the_reference(model, contexts):
     config = GraphMaskConfig()
     for ctx in oracle_contexts(contexts, 21):

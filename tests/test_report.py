@@ -144,6 +144,61 @@ def test_validate_rejects_malformed():
         validate_document(doc)
 
 
+def test_schema_is_checked_once_per_process(monkeypatch):
+    """jsonschema.validate checks the schema against its meta-schema on
+    every call; validate_document checks it once, however many documents
+    it validates."""
+    import jsonschema
+
+    import provlens.report as report_module
+
+    cls = jsonschema.validators.validator_for(load_schema())
+    checked = []
+    check_schema = cls.check_schema
+
+    def counted(schema, *args, **kwargs):
+        checked.append(schema)
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counted)
+    report_module._validator.cache_clear()
+    for _ in range(5):
+        doc = emit_json(_report(), NODE_MAP)
+        parse_report_json(doc)
+        validate_document(doc)
+    assert checked == [load_schema()]
+
+
+def _invalid_documents():
+    doc = emit_json(_report(), NODE_MAP)
+    no_threshold = {k: v for k, v in doc.items() if k != "threshold"}
+    return [
+        no_threshold,
+        {**doc, "threshold": "high"},
+        {**doc, "num_events": -1, "window": 5},
+        {**doc, "nodes": [{**doc["nodes"][0], "score": "x"}]},
+        {**doc, "graphmask": {"aggregate": [{"src": 1}]}},
+        {**doc, "entities": ["sh"]},
+        {**doc, "extra": 1},
+        [],
+    ]
+
+
+@pytest.mark.parametrize("index", range(len(_invalid_documents())))
+def test_invalid_document_error_is_jsonschema_validates(index):
+    """The same error, message and path, as jsonschema.validate raises."""
+    import jsonschema
+
+    doc = _invalid_documents()[index]
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(doc, load_schema())
+    with pytest.raises(jsonschema.ValidationError) as got:
+        validate_document(doc)
+    assert str(got.value) == str(expected.value)
+    assert got.value.message == expected.value.message
+    assert list(got.value.absolute_path) == list(expected.value.absolute_path)
+
+
 def test_markdown_contains_bands_and_rationale():
     text = emit_markdown(_report(), NODE_MAP)
     assert "## Window 0-900000000000" in text

@@ -23,7 +23,7 @@ from provlens.vatg import (
 )
 
 from conftest import random_contexts
-from test_masks import ORACLE_EDGES, _reference_head, oracle_contexts
+from test_masks import INTEGER_VALUES, ORACLE_EDGES, _reference_head, oracle_contexts
 from test_model import _sized_cases, _tiny_cases, _tiny_model
 
 
@@ -322,6 +322,33 @@ def test_sized_contexts_are_bitwise_the_reference(edges, data, learning_rate,
     pairwise block."""
     test_small_contexts_are_bitwise_the_reference.hypothesis.inner_test(
         data.draw(_sized_cases(edges)), learning_rate, samples, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tiny_cases(), INTEGER_VALUES, INTEGER_VALUES, INTEGER_VALUES,
+       st.integers(1, 3), st.integers(0, 2))
+def test_integer_config_values_are_bitwise_the_reference(case, learning_rate,
+                                                         lambda_kl, lambda_sp,
+                                                         samples, seed):
+    """Integer learning rates, lambda_kl and lambda_sp (the config needs
+    all three positive) give the reference objective at random
+    parameters and the reference descent, or its DivergenceError at the
+    same evaluation."""
+    model, ctx, _ = case
+    assume(ctx.neighborhood_events)
+    config = VatgConfig(epochs=10, mc_samples=samples, seed=seed,
+                        learning_rate=learning_rate, lambda_kl=lambda_kl,
+                        lambda_sp=lambda_sp)
+    n = len(ctx.neighborhood_events)
+    rng = np.random.default_rng(seed)
+    params = _random_params(rng, n)
+    eps = rng.standard_normal((samples, n))
+    loss, (d_mu, d_lv) = _reference_batched_objective(
+        MaskEvaluator(model, ctx), params, config, eps)
+    assert repr(vatg_loss(model, ctx, params, config, eps)) == repr(loss)
+    got_mu, got_lv = vatg_gradients(model, ctx, params, config, eps)
+    assert got_mu.tobytes() == d_mu.tobytes() and got_lv.tobytes() == d_lv.tobytes()
+    _assert_explain_equal(model, ctx, config)
 
 
 @settings(max_examples=60, deadline=None)
