@@ -55,11 +55,7 @@ from .harness import (
     measure_runtime,
 )
 from .model import ModelConfig, TgnModel, score_stream, train
-from .pipeline import (
-    PipelineConfig,
-    ResourceError,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, run_pipeline
 from .report import (
     ExplanationReport,
     ImportanceBand,

@@ -2,16 +2,17 @@
 
 Subcommands mirror the pipeline stages: generate, train, detect,
 explain, ablate, report. A JSON config file can override any model,
-detector, pipeline, or explainer field. Exit codes: 0 success,
-2 argument/input error, 3 resource error.
+detector, pipeline, or explainer field; a section or field that its
+config does not have is an input error. Exit codes: 0 success,
+2 argument/input error, 3 out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data import (
@@ -35,7 +36,7 @@ from .graph import Relation
 from .graphmask import CanonicalEdge, GraphMaskConfig
 from .harness import ablate_edge, ablation_csv, baseline_row
 from .model import DivergenceError, ModelConfig, TgnModel, score_stream, train
-from .pipeline import PipelineConfig, ResourceError, _memory_budget, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .report import (
     ExplanationReport,
     emit_graph_description,
@@ -57,49 +58,63 @@ _ARGUMENT_ERRORS = (ValueError, TypeError, KeyError, OSError, DivergenceError)
 #: the explainers' sections, top-level in a config file although each
 #: is a field of PipelineConfig
 _EXPLAINER_SECTIONS = ("graphmask", "gnn", "vatg")
-#: the top-level sections a config file may hold
-_CONFIG_SECTIONS = ("model", "detector", "pipeline") + _EXPLAINER_SECTIONS
+#: the top-level sections a config file may hold, each with its config
+_SECTION_CONFIGS = {
+    "model": ModelConfig,
+    "detector": DetectorConfig,
+    "pipeline": PipelineConfig,
+    "graphmask": GraphMaskConfig,
+    "gnn": GnnExplainerConfig,
+    "vatg": VatgConfig,
+}
 
 
 def _load_config(path: str | None) -> dict:
-    """The config file's sections, each a JSON object of the fields of
-    its config; ValueError naming the file and the section otherwise,
-    whichever sections the command reads."""
+    """The config file's sections, each a JSON object of fields of its
+    config; ValueError naming the file, the section and any unknown
+    field otherwise, whichever sections the command reads."""
     if path is None:
         return {}
     doc = read_json(path, "config file", ValueError)
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     for key, value in doc.items():
-        if key not in _CONFIG_SECTIONS:
+        if key not in _SECTION_CONFIGS:
             raise ValueError(
                 f"config file {path}: unknown section {key!r}; the sections "
-                f"are {', '.join(_CONFIG_SECTIONS)}"
+                f"are {', '.join(_SECTION_CONFIGS)}"
             )
         if not isinstance(value, dict):
             raise ValueError(
                 f"config file {path}: section {key!r} must be a JSON object "
                 f"of its fields, got {_excerpt(json.dumps(value))}"
             )
-    for key in _EXPLAINER_SECTIONS:
-        if key in doc.get("pipeline", {}):
+        # init fields only: a derived field such as window_ns is unknown
+        fields = [f.name for f in dataclasses.fields(_SECTION_CONFIGS[key])
+                  if f.init and f.name not in _EXPLAINER_SECTIONS]
+        for name in value:
+            if name in fields:
+                continue
+            if key == "pipeline" and name in _EXPLAINER_SECTIONS:
+                raise ValueError(
+                    f"config file {path}: section 'pipeline' holds {name!r}; "
+                    f"the explainer sections {', '.join(_EXPLAINER_SECTIONS)} "
+                    f"are top-level"
+                )
             raise ValueError(
-                f"config file {path}: section 'pipeline' holds {key!r}; the "
-                f"explainer sections {', '.join(_EXPLAINER_SECTIONS)} are "
-                f"top-level"
+                f"config file {path}: section {key!r} has unknown field "
+                f"{_excerpt(name)}; its fields are {', '.join(fields)}"
             )
     return doc
 
 
-def _section(cfg: dict, name: str, cls):
-    return cls(**cfg.get(name, {}))
+def _section(cfg: dict, name: str):
+    return _SECTION_CONFIGS[name](**cfg.get(name, {}))
 
 
 def _pipeline_config(cfg: dict) -> PipelineConfig:
     return PipelineConfig(
-        graphmask=_section(cfg, "graphmask", GraphMaskConfig),
-        gnn=_section(cfg, "gnn", GnnExplainerConfig),
-        vatg=_section(cfg, "vatg", VatgConfig),
+        **{name: _section(cfg, name) for name in _EXPLAINER_SECTIONS},
         **cfg.get("pipeline", {}),
     )
 
@@ -155,7 +170,7 @@ def _cmd_generate(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(args.dataset)
-    model = train(dataset, _section(cfg, "model", ModelConfig))
+    model = train(dataset, _section(cfg, "model"))
     model.save(args.out)
     print(
         f"trained head; benign mu={model.stats.mu:.4f} "
@@ -168,7 +183,7 @@ def _cmd_detect(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(args.dataset)
     model = TgnModel.load(args.model)
-    det_cfg = _section(cfg, "detector", DetectorConfig)
+    det_cfg = _section(cfg, "detector")
     _, _, alerts = _detect(model, dataset, det_cfg)
     save_alerts(alerts, args.out)
     raised = sum(1 for a in alerts if a.raised)
@@ -180,10 +195,8 @@ def _cmd_explain(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(args.dataset)
     model = TgnModel.load(args.model)
-    det_cfg = _section(cfg, "detector", DetectorConfig)
+    det_cfg = _section(cfg, "detector")
     pipe_cfg = _pipeline_config(cfg)
-    # a bad PROVLENS_MEMORY_BUDGET fails here, before any output
-    pipe_cfg = replace(pipe_cfg, memory_budget=_memory_budget(pipe_cfg))
     contexts, stats, alerts = _detect(model, dataset, det_cfg)
     raised = [a for a in alerts if a.raised]
 
@@ -212,7 +225,7 @@ def _cmd_ablate(args) -> int:
     cfg = _load_config(args.config)
     dataset = load_dataset(args.dataset)
     model = TgnModel.load(args.model)
-    det_cfg = _section(cfg, "detector", DetectorConfig)
+    det_cfg = _section(cfg, "detector")
     report = parse_report_json(read_json(args.report, "report file", ValueError))
 
     _, stats, alerts = _detect(model, dataset, det_cfg)
@@ -314,8 +327,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ResourceError, MemoryError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"resource error: out of memory{detail}", file=sys.stderr)
         return EXIT_RESOURCE
     except _ARGUMENT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,14 +78,14 @@ def require_keys(value, keys: set[str], what: str, error: type[ValueError]) -> d
     return value
 
 
-def _read_decimal(text: str, signed: bool = True) -> int | None:
+def _read_decimal(text: str) -> int | None:
     """The integer that ``text`` writes in ASCII decimal digits, after an
-    optional sign when ``signed``; None for any other text. Past 19 digits
-    the value reads as 2^64 with its sign, outside the int64 range as the
-    value itself is, so ``int`` (which refuses past 4,300 digits) never
-    reads more than 19."""
+    optional sign; None for any other text. Past 19 digits the value reads
+    as 2^64 with its sign, outside the int64 range as the value itself is,
+    so ``int`` (which refuses past 4,300 digits) never reads more than
+    19."""
     match = _DECIMAL.fullmatch(text)
-    if match is None or (match[1] and not signed):
+    if match is None:
         return None
     digits = match[2]
     value = int(digits) if len(digits) <= _I64_DIGITS else 1 << 64

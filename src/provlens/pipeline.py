@@ -10,14 +10,15 @@ the top-M nodes get both per-event explainers over their flagged
 contexts, once per event even when an event touches two of those nodes.
 Strictly post-hoc: the model holds parameters only.
 
-Window-level work can run in parallel; VA-TG's randomness is derived
-per event from (VA-TG seed, window, event) so scheduling cannot change
-results.
+Windows can run on a thread pool (``parallel_windows``); VA-TG's
+randomness is derived per event from (VA-TG seed, window, event), so
+scheduling cannot change results. Memory is bounded by construction:
+a window builds only its verdict's flagged contexts, node states are
+read-only trace rows, and VA-TG draws its noise in fixed-size blocks.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .detect import Alert, WindowStats
-from .fileformat import _excerpt, _read_decimal
 from .graph import Event, EventContext
 from .gnnexplainer import GnnExplainerConfig, gnn_explain_event
 from .graphmask import GraphMaskConfig, graphmask_aggregate, graphmask_explain_event
@@ -34,19 +34,11 @@ from .model import TgnModel, score_stream
 from .report import ExplanationReport, WindowReport
 from .vatg import VatgConfig, vatg_aggregate_node, vatg_explain_event
 
-MEMORY_BUDGET_ENV = "PROVLENS_MEMORY_BUDGET"
-DEFAULT_MEMORY_BUDGET = 1 << 30  # 1 GiB
-
-
-class ResourceError(RuntimeError):
-    """Estimated need exceeds the memory budget even after degradation."""
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     top_k_events: int = 25
     top_m_nodes: int = 20
-    memory_budget: int | None = None     # bytes; None -> env var or default
     parallel_windows: int = 1
     graphmask: GraphMaskConfig = GraphMaskConfig()
     gnn: GnnExplainerConfig = GnnExplainerConfig()
@@ -58,8 +50,6 @@ class PipelineConfig:
             raise ValueError(
                 "top_k_events, top_m_nodes and parallel_windows must be >= 1"
             )
-        if self.memory_budget is not None and self.memory_budget < 0:
-            raise ValueError(f"memory_budget must be >= 0, got {self.memory_budget}")
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
@@ -72,42 +62,6 @@ def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
         key=lambda i: (-losses[i], events[i].timestamp, i),
     )
     return order[:k]
-
-
-def _memory_budget(config: PipelineConfig) -> int:
-    """The config's memory budget in bytes, else PROVLENS_MEMORY_BUDGET's
-    (ASCII decimal digits only, however many: a value past int64 exceeds
-    every estimate), else the default."""
-    if config.memory_budget is not None:
-        return config.memory_budget
-    raw = os.environ.get(MEMORY_BUDGET_ENV, str(DEFAULT_MEMORY_BUDGET))
-    budget = _read_decimal(raw, signed=False)
-    if budget is None:
-        raise ValueError(f"{MEMORY_BUDGET_ENV} must be a whole number of bytes "
-                         f">= 0 in ASCII digits, got {_excerpt(raw)}")
-    return budget
-
-
-def ensure_memory(budget: int, estimated_need: int) -> tuple[str, list[str]]:
-    """Proceed/degrade decision. Degradation disables window parallelism;
-    it never changes numeric results."""
-    if estimated_need <= budget:
-        return "proceed", []
-    if estimated_need // 2 <= budget:
-        return "degrade", [
-            f"memory budget {budget} below estimated need {estimated_need}; "
-            "disabling parallel windows"
-        ]
-    raise ResourceError(
-        f"estimated need {estimated_need} exceeds budget {budget} even after "
-        "degradation; reduce the window duration or top-K"
-    )
-
-
-def estimate_need(alert: Alert, horizon: int, memory_dim: int) -> int:
-    per_edge = 2 * memory_dim * 8 + 64
-    total_events = sum(w.event_count for w in alert.windows)
-    return total_events * (2 * horizon * per_edge + 512)
 
 
 def derived_seed(base: int, window_index: int, event_index: int) -> int:
@@ -135,10 +89,6 @@ def run_pipeline(
     if not alert.windows:
         raise ValueError("alert has zero windows; nothing to explain")
 
-    need = estimate_need(alert, model.config.horizon, model.config.memory_dim)
-    decision, warnings = ensure_memory(_memory_budget(config), need)
-    parallel = config.parallel_windows if decision == "proceed" else 1
-
     if contexts is None:
         contexts = score_stream(model, dataset)
     entities = sorted(alert.entities)
@@ -150,13 +100,13 @@ def run_pipeline(
                                entities)
 
     jobs = list(enumerate(alert.windows))
-    if parallel > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
+    if config.parallel_windows > 1 and len(jobs) > 1:
+        with ThreadPoolExecutor(max_workers=config.parallel_windows) as pool:
             windows = list(pool.map(process, jobs))
     else:
         windows = [process(j) for j in jobs]
 
-    return ExplanationReport(windows=windows, warnings=warnings)
+    return ExplanationReport(windows=windows)
 
 
 def _edge_rows(top_edges) -> list[dict]:

@@ -67,6 +67,7 @@ class WindowReport:
 @dataclass
 class ExplanationReport:
     windows: list[WindowReport]
+    # written after the windows in summary.md; nothing in provlens writes any
     warnings: list[str] = field(default_factory=list)
 
 

@@ -411,10 +411,6 @@ def test_config_value_that_does_nothing_useful_is_argument_error(
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"top_k_events": 2.5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"memory_budget": 2.5}}'),
-    (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"memory_budget": 1e9}}'),
-    (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"vatg": {"learning_rate": true}}'),
 ])
 def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
@@ -430,6 +426,51 @@ def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
     assert rc == EXIT_ARGUMENT
     assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, field, command", [
+    ("model", "bogus", ["train", "--out", "{out}"]),
+    ("model", "bogus", ["detect", "--model", "{model}", "--out", "{out}"]),
+    ("vatg", "bogus", ["detect", "--model", "{model}", "--out", "{out}"]),
+    ("detector", "window_ns", ["detect", "--model", "{model}", "--out", "{out}"]),
+    ("detector", "bogus", ["ablate", "--model", "{model}", "--report",
+                           "{report}", "--out", "{out}"]),
+    ("pipeline", "memory_budget",
+     ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+    ("gnn", "bogus", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
+], ids=["model-train", "model-detect", "vatg-detect", "window_ns-detect",
+        "detector-ablate", "memory_budget-explain", "gnn-explain"])
+def test_unknown_config_field_names_file_section_and_field(
+        cli_dir, explain_dir, tmp_path, capsys, section, field, command):
+    """A field its config does not have (a derived field such as
+    ``window_ns`` included) exits 2 naming the file, the section and the
+    field, before any output, whichever sections the command reads;
+    before, train printed Python's "unexpected keyword argument" and
+    detect ignored the field."""
+    rc, cfg = _run_with_config(cli_dir, explain_dir, tmp_path, command,
+                               {section: {field: 5}})
+    err = capsys.readouterr().err
+    assert rc == EXIT_ARGUMENT
+    assert str(cfg) in err and f"section {section!r}" in err
+    assert f"unknown field {field!r}" in err
+    assert "keyword" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_is_exit_3(cli_dir, tmp_path, capsys, monkeypatch):
+    """A MemoryError anywhere in a command exits 3 with one line on
+    stderr and no traceback."""
+    def exhausted(path):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr("provlens.cli.load_dataset", exhausted)
+    rc = main(["train", "--dataset", str(cli_dir / "ds.json"),
+               "--out", str(tmp_path / "m.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_RESOURCE
+    assert err.count("\n") == 1 and err.startswith("resource error: ")
+    assert "8.00 GiB" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_non_finite_checkpoint_is_argument_error(cli_dir, tmp_path):
@@ -525,37 +566,6 @@ def test_ablate_top_is_not_negative(cli_dir, explain_dir, tmp_path):
         "removed_edge,graphmask_score,delta_anomaly_pct,alert_still_raised",
         "NONE,0.000000,0.00,true",
     ]
-
-
-def test_memory_budget_is_resource_error(cli_dir, tmp_path, monkeypatch):
-    from provlens.pipeline import MEMORY_BUDGET_ENV
-
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1")
-    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
-               "--model", str(cli_dir / "model.json"),
-               "--out-dir", str(tmp_path / "x")])
-    assert rc == EXIT_RESOURCE
-
-
-@pytest.mark.parametrize("value", ["abc", "1e9", "\uff11\uff12", "-5",
-                                   "1" * 5000 + "x", "-" + "1" * 5000])
-def test_bad_memory_budget_env_fails_before_any_output(cli_dir, tmp_path,
-                                                       capsys, monkeypatch,
-                                                       value):
-    """A budget that is not ASCII decimal digits (full-width digits
-    included) or is negative is bad input: exit 2, the variable named,
-    and no output directory made. A budget too small for the alert is a
-    resource error (exit 3) instead."""
-    from provlens.pipeline import MEMORY_BUDGET_ENV
-
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
-    out = tmp_path / "x"
-    rc = main(["explain", "--dataset", str(cli_dir / "ds.json"),
-               "--model", str(cli_dir / "model.json"),
-               "--out-dir", str(out)])
-    assert rc == EXIT_ARGUMENT
-    assert MEMORY_BUDGET_ENV in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_non_object_dataset_is_argument_error(tmp_path):

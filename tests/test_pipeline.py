@@ -1,4 +1,4 @@
-"""Pipeline orchestration: selection, memory budget, determinism."""
+"""Pipeline orchestration: selection, determinism."""
 
 import dataclasses
 import json
@@ -20,13 +20,8 @@ from provlens.graph import Event, Relation
 from provlens.graphmask import GraphMaskConfig
 from provlens.model import _Stream, score_stream
 from provlens.pipeline import (
-    MEMORY_BUDGET_ENV,
     PipelineConfig,
-    ResourceError,
-    _memory_budget,
     derived_seed,
-    ensure_memory,
-    estimate_need,
     run_pipeline,
     select_high_loss,
 )
@@ -70,15 +65,6 @@ def test_select_high_loss_orders_and_breaks_ties():
         select_high_loss(events, losses[:2], 3)
 
 
-def test_ensure_memory_decisions():
-    assert ensure_memory(100, 80) == ("proceed", [])
-    decision, warnings = ensure_memory(100, 150)
-    assert decision == "degrade"
-    assert warnings and "disabling parallel windows" in warnings[0]
-    with pytest.raises(ResourceError):
-        ensure_memory(100, 500)
-
-
 def test_derived_seed_is_pure_and_distinct():
     assert derived_seed(0, 1, 2) == derived_seed(0, 1, 2)
     seeds = {derived_seed(b, w, e)
@@ -110,6 +96,27 @@ def test_run_pipeline_report_shape(model, dataset, stats, attack_alert,
         assert len(w.nodes) <= 3
     # the emitted documents validate against the shipped schema
     report_bytes(report, dataset)
+
+
+def test_a_verdicts_event_count_sets_no_limit(model, dataset, stats,
+                                              attack_alert, contexts):
+    """A window's event count is reported, not charged against a memory
+    estimate: with every verdict claiming 10**8 events, the alert is
+    explained as before, and only the reports' num_events differ."""
+    claimed = dataclasses.replace(attack_alert, windows=[
+        dataclasses.replace(v, event_count=10**8) for v in attack_alert.windows
+    ])
+
+    def documents(alert):
+        report = run_pipeline(model, dataset, alert, stats, quick_config(),
+                              contexts=contexts)
+        docs = [emit_json(w, dataset.graph.nodes) for w in report.windows]
+        counts = [doc.pop("num_events") for doc in docs]
+        return json.dumps(docs, sort_keys=True), counts
+
+    original, counts = documents(attack_alert)
+    assert counts == [v.event_count for v in attack_alert.windows]
+    assert documents(claimed) == (original, [10**8] * len(counts))
 
 
 def model_state(model):
@@ -221,31 +228,10 @@ def test_run_pipeline_contexts_optional(model, dataset, stats, attack_alert,
     assert report_bytes(with_ctx, dataset) == report_bytes(without, dataset)
 
 
-def test_degraded_run_warns_but_matches(model, dataset, stats, attack_alert,
-                                        contexts):
-    need = estimate_need(attack_alert, model.config.horizon,
-                         model.config.memory_dim)
-    normal = run_pipeline(model, dataset, attack_alert, stats,
-                          quick_config(parallel_windows=2), contexts=contexts)
-    degraded = run_pipeline(
-        model, dataset, attack_alert, stats,
-        quick_config(parallel_windows=2, memory_budget=need // 2),
-        contexts=contexts,
-    )
-    assert degraded.warnings and "memory budget" in degraded.warnings[0]
-    assert not normal.warnings
-    a = json.dumps([emit_json(w, dataset.graph.nodes) for w in normal.windows],
-                   sort_keys=True)
-    b = json.dumps([emit_json(w, dataset.graph.nodes) for w in degraded.windows],
-                   sort_keys=True)
-    assert a == b
-
-
 def test_window_parallelism_is_byte_identical(model, dataset, stats, verdicts,
                                               contexts):
-    """An alert over every window of the stream, explained serially, on
-    2 and 4 window workers, and degraded (which falls back to serial):
-    the reports are byte-identical."""
+    """An alert over every window of the stream, explained serially and
+    on 2 and 4 window workers: the reports are byte-identical."""
     alert = Alert(
         windows=list(verdicts), t_start=verdicts[0].window[0],
         t_end=verdicts[-1].window[1],
@@ -265,24 +251,6 @@ def test_window_parallelism_is_byte_identical(model, dataset, stats, verdicts,
     assert serial[1] == []
     assert run(parallel_windows=2) == serial
     assert run(parallel_windows=4) == serial
-    need = estimate_need(alert, model.config.horizon, model.config.memory_dim)
-    degraded, warnings = run(parallel_windows=4, memory_budget=need // 2)
-    assert degraded == serial[0] and "memory budget" in warnings[0]
-
-
-def test_pipeline_over_budget_raises(model, dataset, stats, attack_alert):
-    with pytest.raises(ResourceError):
-        run_pipeline(model, dataset, attack_alert, stats,
-                     quick_config(memory_budget=1))
-
-
-def test_memory_budget_env_fallback(model, dataset, stats, attack_alert,
-                                    monkeypatch):
-    from provlens.pipeline import MEMORY_BUDGET_ENV
-
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1")
-    with pytest.raises(ResourceError):
-        run_pipeline(model, dataset, attack_alert, stats, quick_config())
 
 
 def test_config_validation():
@@ -296,33 +264,6 @@ def test_config_validation():
 def test_config_rejects_fewer_than_one_parallel_window(workers):
     with pytest.raises(ValueError, match="parallel_windows"):
         PipelineConfig(parallel_windows=workers)
-
-
-def test_negative_memory_budget_is_rejected(model, dataset, stats, attack_alert,
-                                            monkeypatch):
-    """A negative budget is bad input, from the config or the environment,
-    and so is an environment value that is not ASCII decimal digits; a
-    budget of 0 is a valid one that nothing fits in."""
-    with pytest.raises(ValueError, match="memory_budget"):
-        PipelineConfig(memory_budget=-5)
-    with pytest.raises(ResourceError):
-        run_pipeline(model, dataset, attack_alert, stats,
-                     quick_config(memory_budget=0))
-    for value in ("-5", "abc", "1e9", "\uff11\uff12", " 12", ""):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
-        with pytest.raises(ValueError, match=MEMORY_BUDGET_ENV):
-            run_pipeline(model, dataset, attack_alert, stats, quick_config())
-
-
-def test_memory_budget_env_of_any_length_is_read(monkeypatch):
-    """An environment budget of ASCII digits is read however many digits
-    it has; one past the int64 range exceeds every estimate."""
-    for value, budget in (("0" * 5000 + "7", 7), (str(2**63), 2**63)):
-        monkeypatch.setenv(MEMORY_BUDGET_ENV, value)
-        assert _memory_budget(PipelineConfig()) == budget
-    monkeypatch.setenv(MEMORY_BUDGET_ENV, "1" * 5000)
-    assert _memory_budget(PipelineConfig()) > np.iinfo(np.int64).max
-    assert ensure_memory(_memory_budget(PipelineConfig()), 2**63 - 1) == ("proceed", [])
 
 
 def test_vatg_seed_sets_the_pipeline_noise(model, dataset, stats, attack_alert,
