@@ -411,6 +411,10 @@ def test_config_value_that_does_nothing_useful_is_argument_error(
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"top_k_events": 2.5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"parallel_windows": 2.5}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
+     '{"pipeline": {"parallel_windows": 1e9}}'),
+    (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"vatg": {"learning_rate": true}}'),
 ])
 def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
@@ -428,24 +432,31 @@ def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section, field, command", [
-    ("model", "bogus", ["train", "--out", "{out}"]),
-    ("model", "bogus", ["detect", "--model", "{model}", "--out", "{out}"]),
-    ("vatg", "bogus", ["detect", "--model", "{model}", "--out", "{out}"]),
-    ("detector", "window_ns", ["detect", "--model", "{model}", "--out", "{out}"]),
-    ("detector", "bogus", ["ablate", "--model", "{model}", "--report",
-                           "{report}", "--out", "{out}"]),
-    ("pipeline", "memory_budget",
-     ["explain", "--model", "{model}", "--out-dir", "{out}"]),
-    ("gnn", "bogus", ["explain", "--model", "{model}", "--out-dir", "{out}"]),
-], ids=["model-train", "model-detect", "vatg-detect", "window_ns-detect",
-        "detector-ablate", "memory_budget-explain", "gnn-explain"])
+#: every command that reads a config file
+_CONFIG_COMMANDS = {
+    "train": ["train", "--out", "{out}"],
+    "detect": ["detect", "--model", "{model}", "--out", "{out}"],
+    "explain": ["explain", "--model", "{model}", "--out-dir", "{out}"],
+    "ablate": ["ablate", "--model", "{model}", "--report", "{report}",
+               "--out", "{out}"],
+}
+_UNKNOWN_FIELDS = [
+    (section, "bogus", name)
+    for section in ("model", "detector", "pipeline", "graphmask", "gnn", "vatg")
+    for name in _CONFIG_COMMANDS
+] + [("detector", "window_ns", "detect"), ("pipeline", "memory_budget", "explain")]
+
+
+@pytest.mark.parametrize(
+    "section, field, command",
+    [(s, f, _CONFIG_COMMANDS[c]) for s, f, c in _UNKNOWN_FIELDS],
+    ids=[f"{s if f == 'bogus' else f}-{c}" for s, f, c in _UNKNOWN_FIELDS])
 def test_unknown_config_field_names_file_section_and_field(
         cli_dir, explain_dir, tmp_path, capsys, section, field, command):
     """A field its config does not have (a derived field such as
     ``window_ns`` included) exits 2 naming the file, the section and the
-    field, before any output, whichever sections the command reads;
-    before, train printed Python's "unexpected keyword argument" and
+    field, before any output; every command checks every section, read
+    or not. Before, train printed Python's "unexpected keyword argument" and
     detect ignored the field."""
     rc, cfg = _run_with_config(cli_dir, explain_dir, tmp_path, command,
                                {section: {field: 5}})
