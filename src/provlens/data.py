@@ -39,16 +39,16 @@ first bad record; its nodes may come in any order. That is slower than
 a version-2 load; :func:`save_dataset` writes any loaded dataset as
 version 2.
 
-The log parser and the scenario generator build one record shape, the
-plain tuple ``(ts_ns, order, src_key, dst_key, relation)``, where a key
-is ``(kind code, label)``, the code an int into ``NODE_KINDS`` computed
-once per parsed token or generator step, so numbering the nodes hashes
-ints and strings only. ``order`` breaks timestamp ties: a log line's
-number, or the generator's ``(class, position...)`` key, whose class 2
-is the attack chain. Both sort their records once, by (ts_ns, order),
-then number the nodes and fill the graph's columns in bulk (see
-:mod:`provlens.graph`); :func:`save_dataset` and :func:`render_log`
-write from the columns.
+The log parser builds one record per line, the plain tuple
+``(ts_ns, lineno, src_key, dst_key, relation)``, where a key is
+``(kind code, label)``, the code an int into ``NODE_KINDS`` computed
+once per parsed token, so numbering the nodes hashes ints and strings
+only. It sorts its records once, by (ts_ns, lineno), then numbers the
+nodes and fills the graph's columns in bulk (see :mod:`provlens.graph`).
+The scenario generator makes no per-event record: it builds each
+template's events as numpy columns and orders them with one
+``np.lexsort`` (see :func:`generate_scenario`). :func:`save_dataset`
+and :func:`render_log` write from the columns.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ from .graph import (
     _I64,
     NODE_KINDS,
     NS_PER_S,
+    RELATION_INDEX,
     RELATIONS,
     Event,
     NodeDescriptor,
@@ -109,12 +110,17 @@ _EVENT_COLUMNS = {"src": ("<i8", None), "dst": ("<i8", None),
 _VALUE = operator.attrgetter("_value_")
 #: the kind codes of the generator's process and config-file keys
 _PROCESS, _FILE = _KIND_CODES["PROCESS"], _KIND_CODES["FILE"]
-#: a record's sort key, (ts_ns, order); records are
-#: (ts_ns, order, src_key, dst_key, relation)
+#: a parsed record's sort key, (ts_ns, lineno); records are
+#: (ts_ns, lineno, src_key, dst_key, relation)
 _TIME_ORDER = operator.itemgetter(0, 1)
 #: the generator's order class of the attack chain; duty cycles are 0 and
 #: session streams 1
 _ATTACK = 2
+#: the generator's tie keys are (class, position...) of at most this many
+#: entries, each >= -1; a shorter key is padded with _PAD, so it sorts
+#: before every longer key it begins, as a shorter tuple does
+_ORDER_WIDTH = 5
+_PAD = -2
 
 
 class ParseError(ValueError):
@@ -180,7 +186,7 @@ def parse_log(lines) -> LabeledDataset:
 def _keyed_graph(records) -> TemporalGraph:
     """Graph of (ts_ns, order, src_key, dst_key, relation) records in
     order, where a key is (kind, label) and every kind is a code into
-    ``NODE_KINDS`` (as the parser and the generator give it) or every
+    ``NODE_KINDS`` (as the parser gives it) or every
     kind a ``NodeKind``; node ids are dense integers in first-appearance
     order of the keys (a record's src before its dst), and the columns
     are filled in bulk."""
@@ -260,6 +266,13 @@ def _parse_relation(token: str, lineno: int) -> Relation:
 # scenario specification
 # ---------------------------------------------------------------------------
 
+def _require_finite(owner: str, **values: float) -> None:
+    """Refuse a non-finite time, which no event can carry."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{owner}: {name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SessionStep:
     """One scripted action by a session's actor process.
@@ -307,7 +320,8 @@ class SessionSpec:
 
     def __post_init__(self):
         # session starts must advance, or the stream never passes the
-        # capture's end; a session must emit at least one event
+        # capture's end; a session must emit at least one event, at
+        # finite times
         if not (math.isfinite(self.period_s) and self.period_s > 0):
             raise ValueError(
                 f"session {self.name!r}: period_s must be finite and > 0, "
@@ -315,6 +329,15 @@ class SessionSpec:
             )
         if not self.steps and not self.parent:
             raise ValueError(f"session {self.name!r} has neither steps nor a parent")
+        _require_finite(f"session {self.name!r}", offset_s=self.offset_s,
+                        start_gap_s=self.start_gap_s,
+                        **{f"steps[{i}].gap_s": step.gap_s
+                           for i, step in enumerate(self.steps)})
+        if self.steps and self.steps[0].dst == "same":
+            raise ValueError(
+                f"session {self.name!r}: its first step's partner is 'same', "
+                f"but no earlier step has a partner"
+            )
 
 
 @dataclass(frozen=True)
@@ -362,6 +385,7 @@ class DutyCycle:
                 f"duty cycle {self.label!r}: the gaps of its {len(self.steps)} "
                 f"step(s) sum to {self.period_s}, not a finite period > 0"
             )
+        _require_finite(f"duty cycle {self.label!r}", offset_s=self.offset_s)
 
     @property
     def period_s(self) -> float:
@@ -584,136 +608,244 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
 # generation
 # ---------------------------------------------------------------------------
 
-def _event(t_s: float, order: tuple, src_key: tuple[int, str],
-           dst_key: tuple[int, str], relation: Relation) -> tuple:
-    """The record of an event at t_s seconds into the capture; a key is
-    (kind code, label)."""
-    return (int(t_s * NS_PER_S), order, src_key, dst_key, relation)
+class _Columns:
+    """The generator's events as columns, gathered one block at a time.
+
+    A block is one template's events at one position of its script:
+    timestamps (int64 ns), the tie key's class and positions, the src
+    and dst node keys and the relation codes, each an array or a scalar
+    that stands for every event of the block. A node key indexes
+    ``kinds`` and ``labels``; ``nodes`` maps each (kind code, label)
+    pair named so far to its key, so a pair that two templates name is
+    one key, and the slot a pair named again was given stays unused."""
+
+    def __init__(self):
+        self.nodes: dict[tuple[int, str], int] = {}
+        self.kinds: list[int] = []
+        self.labels: list[str] = []
+        self.blocks: list[tuple] = []
+
+    def keys(self, kind: int, labels: list[str]) -> np.ndarray:
+        """The key of each (kind, label) pair, looked up in C."""
+        start = len(self.labels)
+        self.kinds += itertools.repeat(kind, len(labels))
+        self.labels += labels
+        return np.fromiter(map(self.nodes.setdefault,
+                               zip(itertools.repeat(kind), labels),
+                               range(start, len(self.labels))), np.int64, len(labels))
+
+    def key(self, kind: int, label: str) -> int:
+        self.kinds.append(kind)
+        self.labels.append(label)
+        return self.nodes.setdefault((kind, label), len(self.labels) - 1)
+
+    def add(self, ts: np.ndarray, order: tuple, src, dst, relation) -> None:
+        """Events at ``ts`` with tie key ``order``, (class, position...)
+        of at most ``_ORDER_WIDTH`` entries."""
+        n = len(ts)
+        padded = (*order, *(_PAD,) * (_ORDER_WIDTH - len(order)))
+        self.blocks.append((ts, *(c if isinstance(c, np.ndarray) else np.full(n, c)
+                                  for c in (*padded, src, dst, relation))))
+
+    def dataset(self) -> LabeledDataset:
+        """The events in (timestamp, tie key) order; node ids count the
+        keys in order of first appearance (an event's src before its
+        dst)."""
+        ts, *order, src, dst, rel = map(np.concatenate, zip(*self.blocks))
+        if not len(ts):
+            return LabeledDataset(TemporalGraph(), [], (0, 0))
+        sort = np.lexsort((*reversed(order), ts))
+        ts, cls, src, dst = ts[sort], order[0][sort], src[sort], dst[sort]
+        ends = np.stack([src, dst], axis=1).ravel()
+        first = np.full(len(self.labels), len(ends))
+        np.minimum.at(first, ends, np.arange(len(ends)))
+        named = np.flatnonzero(first < len(ends))
+        keys = named[np.argsort(first[named])]
+        node = np.empty(len(self.labels), np.int64)
+        node[keys] = np.arange(len(keys))
+        graph = TemporalGraph.from_columns(
+            range(len(keys)), np.array(self.kinds, np.int8)[keys],
+            list(map(self.labels.__getitem__, keys.tolist())),
+            node[src], node[dst], rel[sort], ts)
+        truth = [TruthLabel.BENIGN] * len(ts)
+        attack = np.flatnonzero(cls == _ATTACK)
+        for i in attack.tolist():
+            truth[i] = TruthLabel.MALICIOUS
+        interval = ((ts[attack[0]].item(), ts[attack[-1]].item()) if len(attack)
+                    else (0, 0))
+        return LabeledDataset(graph=graph, labels=truth, attack_interval=interval)
 
 
-def _conf_open(actor: tuple[int, str], conf: str, first_s: float,
-               order: tuple) -> tuple:
+def _ns(t_s) -> np.ndarray:
+    """Seconds into the capture as int64 nanoseconds, truncated as
+    ``int(t_s * NS_PER_S)`` truncates."""
+    ns = np.multiply(t_s, NS_PER_S)
+    if not (np.abs(ns) < 2.0**63).all():
+        raise OverflowError("an event time is past the int64 nanosecond range")
+    return ns.astype(np.int64)
+
+
+def _conf_open(columns: _Columns, order: tuple, actor: int, conf: str,
+               first_s: float) -> None:
     """The actor opens its config file 2 s before its first action, but
     not before the capture starts: a daemon reads its config before
     serving, so its first-ever event is in line with other fresh
     processes."""
-    return _event(max(first_s - 2.0, 0.0), order, actor, (_FILE, conf),
-                  Relation.OPEN)
+    columns.add(_ns([max(first_s - 2.0, 0.0)]), order, actor,
+                columns.key(_FILE, conf), RELATION_INDEX[Relation.OPEN])
 
 
 def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
     """Deterministic pure function of the spec. Ties in time break by
     class (duty cycles, then sessions, then the attack), then by
-    position in the spec; the attack's events are the malicious ones."""
+    position in the spec; the attack's events are the malicious ones.
+
+    Each template's events are made as numpy columns, one block per
+    position of its script, over all its laps or sessions at once:
+    times are the same float additions a one-event-at-a-time loop
+    makes, and a label string is made once per node. One
+    ``np.lexsort`` of the timestamps and the padded tie keys puts the
+    events in order, and node ids follow first appearance."""
     for step in spec.attack_chain:
         if step.offset_s > spec.duration_s:
             raise ValueError(
                 f"attack offset {step.offset_s}s exceeds duration {spec.duration_s}s"
             )
 
-    records: list[tuple] = []
+    # an int64 timestamp is past the capture when it is at least this:
+    # int < float compares exactly, and x >= d iff x >= ceil(d) for an
+    # integer x
+    limit = math.ceil(spec.duration_s * NS_PER_S)
+    columns = _Columns()
     for idx, cycle in enumerate(spec.cycles):
-        records.extend(_emit_duty_cycle(cycle, (0, idx), spec.duration_s))
+        _duty_cycle(columns, cycle, idx, spec.duration_s, limit)
     for idx, sess in enumerate(spec.sessions):
-        records.extend(_emit_session_stream(sess, (1, idx), spec.duration_s))
-    for idx, step in enumerate(spec.attack_chain):
-        records.append(_event(step.offset_s, (_ATTACK, idx),
-                              (_KIND_CODES[_VALUE(step.src_kind)], step.src_label),
-                              (_KIND_CODES[_VALUE(step.dst_kind)], step.dst_label),
-                              step.relation))
-    records.sort(key=_TIME_ORDER)
-
-    graph = _keyed_graph(records)
-    labels = [TruthLabel.MALICIOUS if r[1][0] == _ATTACK else TruthLabel.BENIGN
-              for r in records]
-    attack_ts = [r[0] for r in records if r[1][0] == _ATTACK]
-    interval = (min(attack_ts), max(attack_ts)) if attack_ts else (0, 0)
-    return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
+        _session_stream(columns, sess, idx, spec.duration_s, limit)
+    chain = spec.attack_chain
+    src = [columns.key(_KIND_CODES[_VALUE(step.src_kind)], step.src_label)
+           for step in chain]
+    dst = [columns.key(_KIND_CODES[_VALUE(step.dst_kind)], step.dst_label)
+           for step in chain]
+    columns.add(_ns([step.offset_s for step in chain]), (_ATTACK, np.arange(len(chain))),
+                np.array(src, np.int64), np.array(dst, np.int64),
+                np.array([RELATION_INDEX[step.relation] for step in chain], np.int64))
+    return columns.dataset()
 
 
-def _session_events(sess: SessionSpec, session_no: int, start_s: float,
-                    order_key: tuple) -> list[tuple]:
-    """One session instance: optional parent EXECUTE plus the actor steps;
-    coin steps follow the bits of session_no (see SessionStep)."""
-    actor = (_PROCESS, f"{sess.name}.{session_no}")
-    batch: list[tuple] = []
-    t = start_s
+def _session_times(sess: SessionSpec, starts: np.ndarray) -> np.ndarray:
+    """(events per session, sessions) times in seconds of the sessions
+    starting at ``starts``: the parent's EXECUTE, if any, then the steps."""
+    rows, t = [], starts
     if sess.parent:
-        batch.append(_event(t, (*order_key, session_no, 0),
-                            (_PROCESS, sess.parent), actor, Relation.EXECUTE))
-        t += sess.start_gap_s
+        rows.append(t)
+        t = t + sess.start_gap_s
+    for step_idx, step in enumerate(sess.steps):
+        if step_idx > 0:
+            t = t + step.gap_s
+        rows.append(t)
+    return np.array(rows)
+
+
+def _sessions(columns: _Columns, sess: SessionSpec, numbers: np.ndarray,
+              ts: np.ndarray, order: tuple) -> None:
+    """The sessions numbered ``numbers`` with timestamps ``ts`` (see
+    :func:`_session_times`): event j of session n has tie key
+    ``(*order, n, j)``; coin steps follow the bits of n (see
+    SessionStep)."""
+    names = [f"{sess.name}.{n}" for n in numbers.tolist()]
+    actors = columns.keys(_PROCESS, names)
+    rows = iter(ts)
+    position = itertools.count()
+    if sess.parent:
+        columns.add(next(rows), (*order, numbers, next(position)),
+                    columns.key(_PROCESS, sess.parent), actors,
+                    RELATION_INDEX[Relation.EXECUTE])
     coin_idx = 0
-    dst: tuple[int, str] | None = None
     for step_idx, step in enumerate(sess.steps):
         kind = _KIND_CODES[_VALUE(step.dst_kind)]
-        relation = step.relation
+        relation = RELATION_INDEX[step.relation]
         if step.coin is not None:
-            if (session_no >> coin_idx) & 1:
-                relation = step.coin
+            relation = np.where((numbers >> coin_idx) & 1, RELATION_INDEX[step.coin],
+                                relation)
             coin_idx += 1
         if step.dst == "fresh":
-            dst = (kind, f"{sess.name}.{session_no}.obj{step_idx}")
-        elif step.dst == "same":
-            if dst is None:
-                raise ValueError(f"session {sess.name!r}: 'same' needs a prior step")
-        else:
-            dst = (kind, step.dst)
-        if step_idx > 0:
-            t += step.gap_s
-        batch.append(_event(t, (*order_key, session_no, len(batch)), actor, dst,
-                            relation))
-    return batch
+            dst = columns.keys(kind, [f"{name}.obj{step_idx}" for name in names])
+        elif step.dst != "same":
+            dst = columns.key(kind, step.dst)
+        columns.add(next(rows), (*order, numbers, next(position)), actors, dst,
+                    relation)
 
 
-def _emit_session_stream(sess: SessionSpec, order_key: tuple,
-                         duration_s: float) -> list[tuple]:
+def _session_stream(columns: _Columns, sess: SessionSpec, idx: int,
+                    duration_s: float, limit: int) -> None:
     """The parent's config read, then one session per period until the
     first session that ends past the capture."""
-    out: list[tuple] = []
+    order = (1, idx)
     if sess.parent and sess.conf:
-        out.append(_conf_open((_PROCESS, sess.parent), sess.conf,
-                              sess.offset_s, (*order_key, 0, -1)))
-    for session_no in itertools.count():
-        batch = _session_events(sess, session_no,
-                                sess.offset_s + session_no * sess.period_s,
-                                order_key)
-        if batch[-1][0] >= duration_s * NS_PER_S:
-            return out
-        out.extend(batch)
+        _conf_open(columns, (*order, 0, -1), columns.key(_PROCESS, sess.parent),
+                   sess.conf, sess.offset_s)
+    # a session ends no earlier for starting later (float addition is
+    # monotone), so the stream stops at its first late session; the first
+    # to start past the capture is late unless its steps go back in time,
+    # so count on from there until one is
+    count = _count_until(sess.offset_s, sess.period_s, duration_s) + 1
+    while True:
+        ts = _ns(_session_times(sess, sess.offset_s + np.arange(count) * sess.period_s))
+        late = ts[-1] >= limit
+        if late.any():
+            break
+        count *= 2
+    kept = int(late.argmax())
+    _sessions(columns, sess, np.arange(kept), ts[:, :kept], order)
 
 
-def _emit_duty_cycle(cycle: DutyCycle, order_key: tuple,
-                     duration_s: float) -> list[tuple]:
+def _count_until(start_s: float, period_s: float, end_s: float) -> int:
+    """The least n >= 0 with start_s + n * period_s >= end_s."""
+    n = max(0, math.ceil((end_s - start_s) / period_s))
+    while start_s + n * period_s < end_s:
+        n += 1
+    return n
+
+
+def _duty_cycle(columns: _Columns, cycle: DutyCycle, idx: int, duration_s: float,
+                limit: int) -> None:
     """A long-lived process repeating a fixed duty cycle; EXECUTE
     positions spawn scripted child sessions. The stream ends at the
     first position past the capture; a spawned session that ends past
     it is dropped on its own."""
-    proc = (_PROCESS, cycle.label)
-    kinds = [_KIND_CODES[_VALUE(step.dst_kind)] for step in cycle.steps]
-    out: list[tuple] = []
+    order = (0, idx)
+    proc = columns.key(_PROCESS, cycle.label)
     if cycle.conf:
-        out.append(_conf_open(proc, cycle.conf, cycle.offset_s, (*order_key, -1)))
-    for lap in itertools.count():
-        t = cycle.offset_s + lap * cycle.period_s
-        for step_idx, step in enumerate(cycle.steps):
-            if step_idx > 0:
-                t += step.gap_s
-            if t >= duration_s:
-                return out
-            if step.spawn is not None:
-                child = _session_events(step.spawn, lap, t, (*order_key, lap))
-                if child[-1][0] < duration_s * NS_PER_S:
-                    out.extend(child)
-                continue
-            if step.dst == "fresh":
-                dst = f"{cycle.label}/lap{lap}.s{step_idx}"
-            elif step.dst == "conn":
-                # a small pool of peer sockets; one peer per lap
-                dst = f"{cycle.label}:conn{lap % 6}"
-            else:
-                dst = step.dst
-            out.append(_event(t, (*order_key, lap, step_idx), proc,
-                              (kinds[step_idx], dst), step.relation))
+        _conf_open(columns, (*order, -1), proc, cycle.conf, cycle.offset_s)
+    # the last lap starts past the capture, so some position is late
+    laps = np.arange(_count_until(cycle.offset_s, cycle.period_s, duration_s) + 1)
+    times = [cycle.offset_s + laps * cycle.period_s]
+    for step in cycle.steps[1:]:
+        times.append(times[-1] + step.gap_s)
+    # positions run lap by lap; the stream ends at the first late one
+    width = len(times)
+    cut = int((np.stack(times, axis=1) >= duration_s).argmax())
+    for step_idx, step in enumerate(cycle.steps):
+        n = (cut - step_idx + width - 1) // width  # laps before the cut
+        at = times[step_idx][:n]
+        if step.spawn is not None:
+            ts = _ns(_session_times(step.spawn, at))
+            numbers = np.flatnonzero(ts[-1] < limit)
+            _sessions(columns, step.spawn, numbers, ts[:, numbers],
+                      (*order, numbers))
+            continue
+        kind = _KIND_CODES[_VALUE(step.dst_kind)]
+        if step.dst == "fresh":
+            dst = columns.keys(kind, [f"{cycle.label}/lap{lap}.s{step_idx}"
+                                      for lap in range(n)])
+        elif step.dst == "conn":
+            # a small pool of peer sockets; one peer per lap
+            pool = [columns.key(kind, f"{cycle.label}:conn{j}") for j in range(6)]
+            dst = np.array(pool)[laps[:n] % 6]
+        else:
+            dst = columns.key(kind, step.dst)
+        columns.add(_ns(at), (*order, laps[:n], step_idx), proc, dst,
+                    RELATION_INDEX[step.relation])
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,9 @@ which is cheaper than a batch of one.
 All three explainers run :func:`masks.descend` on one evaluator per
 event; :meth:`TgnModel.masked_forward`, :meth:`TgnModel.mask_gradient`
 and :meth:`TgnModel.score_event` are thin wrappers over it. Training,
-stream scoring and the evaluator share one head pass, :func:`_head`.
+stream scoring and the evaluator share one head pass, :func:`_head`,
+which works in place on the fresh pre-activation each caller passes;
+the fit's epochs run it, and their gradients, in buffers allocated once.
 A non-finite training loss raises the explainers' ``DivergenceError``.
 """
 
@@ -561,6 +563,10 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     first), so the gradients are written in place and one Adam update
     runs over all parameters; every elementwise step is the one a
     per-parameter update makes, so the fit is bitwise the same. The
+    epochs also write the pre-activation, the probabilities (see
+    :func:`_head`), the logits' gradient and the hidden layer's into
+    buffers allocated once, and read and lower each row's true-class
+    probability through one flat index into the probabilities. The
     model gets copies, not views, of the fitted parameters.
     """
     n = len(X)
@@ -568,7 +574,6 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     X, y = X[first], y[first]
     k = len(first)
     weight = counts / n
-    rows = np.arange(k)
 
     shapes = [model.We.shape, model.be.shape, model.Wo.shape, model.bo.shape]
     theta = np.concatenate([model.We.ravel(), model.be, model.Wo.ravel(), model.bo])
@@ -576,20 +581,27 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     step, scale = np.empty_like(theta), np.empty_like(theta)
     We, be, Wo, bo = _views(theta, shapes)
     dWe, dbe, dWo, dbo = _views(grad, shapes)
-    dlogits = np.empty((k, N_RELATIONS))
+    A, dA = np.empty((k, len(be))), np.empty((k, len(be)))
+    P, dlogits = np.empty((k, N_RELATIONS)), np.empty((k, N_RELATIONS))
+    # each row's true-class probability, as one index into P's buffer
+    truth, P_flat = np.arange(k) * N_RELATIONS + y, P.reshape(-1)
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     for epoch in range(1, config.epochs + 1):
-        Z, P = _head(X @ We.T + be, Wo, bo)
-        loss = -weight @ np.log(np.maximum(P[rows, y], 1e-300))
+        np.matmul(X, We.T, out=A)
+        A += be
+        Z, _ = _head(A, Wo, bo, P)
+        p_y = P_flat[truth]
+        loss = -weight @ np.log(np.maximum(p_y, 1e-300))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
 
-        P[rows, y] -= 1.0  # P - Y
+        p_y -= 1.0
+        P_flat[truth] = p_y  # P - Y
         np.multiply(P, weight[:, None], out=dlogits)
         np.matmul(dlogits.T, Z, out=dWo)
         np.add.reduce(dlogits, axis=0, out=dbo)
-        dA = dlogits @ Wo
+        np.matmul(dlogits, Wo, out=dA)
         Z *= Z
         dA *= np.subtract(1.0, Z, out=Z)
         np.matmul(dA.T, X, out=dWe)
@@ -631,24 +643,33 @@ def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return first, counts
 
 
-def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray):
+def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray, P: np.ndarray | None = None):
     """Hidden layer Z = tanh(A) and softmax prediction P of the head from
     its pre-activation A, for one row or a batch of rows.
 
-    The softmax runs on the transposed logits, so each row's max and sum
-    broadcast without keepdims and a single row divides by a scalar, and
-    it calls the ufunc reductions directly rather than through the
-    ``max``/``sum`` methods' Python wrappers (the same reductions). The
-    logits' product is ``np.dot``, the BLAS call that ``@`` makes, with
-    less dispatch. Training, stream scoring and VA-TG's batched pass
-    over its Monte Carlo samples call it; the hundreds of one-row passes
-    GraphMask and GNNExplainer make per event run
-    :meth:`MaskEvaluator._pass`, its 1-D form with fewer numpy calls and
-    the same bits."""
-    Z = np.tanh(A)
-    logits = (np.dot(Z, Wo.T) + bo).T
-    expl = np.exp(logits - np.maximum.reduce(logits, 0))
-    return Z, (expl / np.add.reduce(expl, 0)).T
+    Works in place: Z is written over A, which each caller passes fresh
+    (or, in the fit, as its own buffer), and the logits and then the
+    probabilities are written into ``P`` when given, else into a new
+    array. The softmax runs on the transposed logits, so each row's max
+    and sum broadcast without keepdims and a single row divides by a
+    scalar, and it calls the ufunc reductions directly rather than
+    through the ``max``/``sum`` methods' Python wrappers (the same
+    reductions). The logits' product is ``np.dot``, the BLAS call that
+    ``@`` makes, with less dispatch. Each step is the elementwise
+    operation a fresh-array pass makes, on the same memory layout, so
+    the bits do not depend on the buffers. Training, stream scoring and
+    VA-TG's batched pass over its Monte Carlo samples call it; the
+    hundreds of one-row passes GraphMask and GNNExplainer make per
+    event run :meth:`MaskEvaluator._pass`, its 1-D form with fewer numpy
+    calls and the same bits."""
+    Z = np.tanh(A, out=A)
+    P = np.dot(Z, Wo.T, out=P)
+    P += bo
+    logits = P.T
+    np.subtract(logits, np.maximum.reduce(logits, 0), out=logits)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, 0)
+    return Z, P
 
 
 def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from provlens.graph import (
 )
 
 from conftest import save_v1_dataset
+from record_generator import reference_scenario
 
 
 def test_generation_is_deterministic():
@@ -554,3 +555,148 @@ def test_late_spawned_session_is_dropped_on_its_own():
         ("c.0", Relation.READ, "c.0.obj0", 5.0),
         ("p", Relation.READ, "f", 14.0),
     ]
+
+
+# ----------------------------------------------------------------------
+# the columnar generator against the per-event record generator
+# ----------------------------------------------------------------------
+
+#: labels shared by every template's fixed partners, actors and attack
+#: steps: "a.0" is also session a's first actor and "a.0.obj0" its first
+#: fresh partner, "p" is also a process, so pairs collide across templates
+_SHARED_LABELS = ("a", "p", "x", "a.0", "a.0.obj0", "p:conn1")
+#: times on a coarse grid (ties across templates), off it (rounding)
+#: and going back (a session may end before it starts)
+_GAPS = (-1.5, 0.0, 0.1, 0.5, 1.0, 2.0, 2.7, 3.0)
+_OFFSETS = (-3.0, 0.0, 0.3, 1.0, 2.5, 4.0)
+_kinds = st.sampled_from(list(NodeKind))
+_relations = st.sampled_from(list(Relation))
+
+
+@st.composite
+def _session_specs(draw, spawned=False):
+    parent = draw(st.sampled_from([None, "p", "d"]))
+    steps = []
+    for i in range(draw(st.integers(0 if parent else 1, 3))):
+        partner = st.sampled_from(["fresh", *_SHARED_LABELS] + (["same"] if i else []))
+        steps.append(SessionStep(draw(_relations), draw(_kinds), draw(partner),
+                                 gap_s=draw(st.sampled_from(_GAPS)),
+                                 coin=draw(st.none() | _relations)))
+    extra = {} if spawned else {
+        "offset_s": draw(st.sampled_from(_OFFSETS)),
+        "conf": draw(st.sampled_from([None, "p", "c.conf"])),
+    }
+    return SessionSpec(draw(st.sampled_from(["a", "b", "p"])), tuple(steps),
+                       parent=parent, start_gap_s=draw(st.sampled_from(_GAPS)),
+                       period_s=draw(st.sampled_from([0.5, 1.0, 2.5, 3.0, 7.3])),
+                       **extra)
+
+
+@st.composite
+def _duty_cycles(draw):
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        spawn = draw(st.none() | _session_specs(spawned=True))
+        steps.append(CycleStep(draw(_relations), draw(_kinds),
+                               draw(st.sampled_from(["fresh", "conn", *_SHARED_LABELS])),
+                               gap_s=draw(st.sampled_from(_GAPS)), spawn=spawn))
+    period_s = sum(step.gap_s for step in steps)
+    if period_s <= 0:
+        steps[0] = dataclasses.replace(steps[0], gap_s=steps[0].gap_s - period_s + 1.0)
+    return DutyCycle(draw(st.sampled_from(["p", "a.0", "q"])), tuple(steps),
+                     offset_s=draw(st.sampled_from(_OFFSETS)),
+                     conf=draw(st.sampled_from([None, "c.conf", "x"])))
+
+
+@st.composite
+def _scenario_specs(draw):
+    duration_s = draw(st.sampled_from([0.0, 5.0, 12.0, 30.5]))
+    offsets = sorted(draw(st.sets(st.sampled_from([0.0, 1.0, 2.5, 3.0, 5.0]),
+                                  max_size=3)))
+    attack = tuple(AttackStep(draw(st.sampled_from(_SHARED_LABELS)), draw(_kinds),
+                              draw(st.sampled_from(_SHARED_LABELS)), draw(_kinds),
+                              draw(_relations), offset)
+                   for offset in offsets if offset <= duration_s)
+    return ScenarioSpec(duration_s,
+                        tuple(draw(st.lists(_duty_cycles(), max_size=2))),
+                        tuple(draw(st.lists(_session_specs(), max_size=3))),
+                        attack)
+
+
+#: one spec with each case at once: a late spawn dropped and a session
+#: ending past the capture, opens clamped at 0, coin steps, every kind of
+#: partner, "a.0" a node of three templates, "x" a file and a socket, and
+#: ties across the three classes at 3 s
+_EVERY_CASE = ScenarioSpec(
+    duration_s=12.0,
+    cycles=(DutyCycle("p", (
+        CycleStep(Relation.READ, NodeKind.FILE, "x", gap_s=1.0),
+        CycleStep(Relation.SEND, NodeKind.SOCKET, "conn", gap_s=1.0),
+        CycleStep(Relation.EXECUTE, NodeKind.PROCESS, "fresh", gap_s=1.0,
+                  spawn=SessionSpec("a", (SessionStep(
+                      Relation.OPEN, NodeKind.FILE, "fresh", coin=Relation.CLOSE),),
+                      parent="p", start_gap_s=2.0)),
+        CycleStep(Relation.WRITE, NodeKind.FILE, "fresh", gap_s=1.0),
+    ), offset_s=1.0, conf="c.conf"),),
+    sessions=(SessionSpec("s", (
+        SessionStep(Relation.READ, NodeKind.PROCESS, "a.0"),
+        SessionStep(Relation.WRITE, NodeKind.SOCKET, "x", gap_s=0.5,
+                    coin=Relation.SEND),
+        SessionStep(Relation.CLOSE, NodeKind.FILE, "same", gap_s=1.5,
+                    coin=Relation.OPEN),
+    ), parent="d", conf="d.conf", period_s=2.5, offset_s=0.5),),
+    attack_chain=(AttackStep("a.0", NodeKind.PROCESS, "x", NodeKind.FILE,
+                             Relation.READ, 3.0),),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario_specs())
+@example(_EVERY_CASE)
+def test_columnar_generator_equals_record_generator(spec):
+    """Every column, the node labels' order and the truth labels equal
+    those of the per-event record generator (tests/record_generator.py)."""
+    assert generate_scenario(spec) == reference_scenario(spec)
+
+
+def test_every_case_spec_has_every_case():
+    """The explicit example above covers what its comment says."""
+    ds = generate_scenario(_EVERY_CASE)
+    g, ref = ds.graph, reference_scenario(_EVERY_CASE)
+    assert ds == ref
+    nodes = [(g.nodes[i].kind, g.nodes[i].label) for i in range(len(g.nodes))]
+    assert nodes.count((NodeKind.PROCESS, "a.0")) == 1
+    assert {kind for kind, label in nodes if label == "x"} == {NodeKind.FILE,
+                                                                 NodeKind.SOCKET}
+    labels = {label for _, label in nodes}
+    assert {"a.1", "s.3"} <= labels and not {"a.2", "s.4"} & labels
+    opens = [e.timestamp for e in g.events if g.nodes[e.dst].label.endswith(".conf")]
+    assert opens == [0, 0] and ds.labels.count(TruthLabel.MALICIOUS) == 1
+    at_3 = [g.nodes[e.src].label for e in g.events if e.timestamp == 3 * NS_PER_S]
+    assert at_3 == ["p", "d", "a.0"]
+
+
+def test_first_step_with_no_earlier_partner_is_refused():
+    """'same' names the previous step's partner; a first step has none,
+    so the spec is refused when built, naming the session."""
+    with pytest.raises(ValueError, match="session 'w'.*'same'"):
+        SessionSpec("w", (SessionStep(Relation.READ, NodeKind.FILE, "same"),))
+    # a parent's EXECUTE is not a partner
+    with pytest.raises(ValueError, match="session 'w'"):
+        SessionSpec("w", (SessionStep(Relation.READ, NodeKind.FILE, "same"),),
+                    parent="p")
+
+
+@pytest.mark.parametrize("make", [
+    lambda bad: SessionSpec("s", steps=(_READ,), offset_s=bad),
+    lambda bad: SessionSpec("s", steps=(_READ,), parent="p", start_gap_s=bad),
+    lambda bad: SessionSpec("s", steps=(_READ, dataclasses.replace(_READ, gap_s=bad))),
+    lambda bad: _cycle(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=1.0),
+                       offset_s=bad),
+], ids=["session-offset", "session-start-gap", "session-step-gap", "cycle-offset"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_times_are_refused(make, bad):
+    """No event can carry a non-finite time, so the spec is refused when
+    built."""
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)

@@ -127,8 +127,9 @@ def test_loaded_graph_equals_appended_graph(tmp_path_factory, stream):
 @settings(max_examples=60, deadline=None)
 @given(_streams)
 def test_keyed_graph_equals_appended_graph(stream):
-    """The generator's and the parser's bulk numbering of (kind, label)
-    keys against numbering them one event at a time."""
+    """The parser's (and the reference record generator's) bulk
+    numbering of (kind, label) keys against numbering them one event at
+    a time."""
     nodes, events = _records(stream)
     key = {nid: (kind, label) for nid, kind, label in nodes}
     records = [(e.timestamp, i, key[e.src], key[e.dst], e.relation)
