@@ -8,11 +8,11 @@ the window aggregates, and the gradient-descent loop that GraphMask,
 GNNExplainer and VA-TG all run, with its one divergence rule: a
 non-finite objective raises :class:`DivergenceError`.
 
-GraphMask and GNNExplainer descend on mask logits with
+GraphMask and GNNExplainer descend on negated mask logits with
 :func:`descend_mask`: one step per evaluation, the context's
 :class:`~provlens.model.MaskEvaluator` one-row pass followed by both
-penalties with each shared subexpression once, bitwise equal to the
-plain sum of the loss and the penalties.
+penalties with each shared subexpression once and one ``log`` call,
+bitwise equal to the plain sum of the loss and the penalties.
 
 Every numpy call in an explainer's evaluation takes array operands:
 numpy converts a Python number operand to an array on every call, about
@@ -130,6 +130,14 @@ def edge_groups(pairs) -> list[tuple[tuple[int, int, Relation], float, list[floa
     return groups
 
 
+def _squash(phi, out=None):
+    """The mask 1 / (1 + exp(phi)) of the negated logits phi = -theta:
+    sigmoid(theta) with no negation, since exp(phi) is exp(-theta)."""
+    e = np.exp(phi, out=out)
+    np.add(ONE, e, out=e)
+    return np.divide(ONE, e, out=e)
+
+
 def descend_mask(evaluator, config, data_term):
     """:func:`descend` on mask logits theta from 0 (m = 0.5) over
     ``config.epochs + 1`` evaluations, for GraphMask and GNNExplainer.
@@ -140,19 +148,27 @@ def descend_mask(evaluator, config, data_term):
     slope in the loss. Returns the best mask seen, its objective and the
     trace.
 
+    The descent runs on the negated logits phi = -theta, at rate
+    -learning_rate, so m = 1 / (1 + exp(phi)) (:func:`_squash`) needs no
+    negation. That is exact: round-to-nearest is symmetric in sign, so
+    phi - (-rate * g) is bitwise -(theta - rate * g), up to the sign of
+    a zero, and exp gives 1 for either zero.
+
     Each evaluation is one step: one :meth:`MaskEvaluator.loss_and_gradient`
-    pass, then both penalties and the chain rule into theta. m, 1 - m and
-    the per-edge entropy terms m*log(m) + (1 - m)*log(1 - m) are the
-    three rows of one (3, n) buffer: one ``log`` call and one product
-    into a (2, n) buffer give both entropy products, and one
-    ``np.add.reduce`` over rows 0 and 2 gives sum(m) and the entropy
-    sum, each row's own pairwise sum since each row is contiguous. The
-    objective is assembled from those sums as Python floats. The
-    entropy is negated after its sum and a slope of 1.0 is not
-    multiplied, both exact, so the masks and objectives are bitwise those
-    of the loss plus :func:`binary_entropy`. It keeps log((1 - m) / m)
-    rather than the identity -theta: the two part where m rounds to 0 or
-    1, which is where a descent diverges.
+    pass, then both penalties and the chain rule into theta. m, 1 - m,
+    (1 - m) / m and the per-edge entropy terms m*log(m)
+    + (1 - m)*log(1 - m) are the four rows of one (4, n) buffer: one
+    ``log`` call over the first three rows gives both entropy logs and
+    the entropy gradient's log((1 - m) / m), one product into a (2, n)
+    buffer gives both entropy products, and one ``np.add.reduce`` over
+    rows 0 and 3 gives sum(m) and the entropy sum, each row's own
+    pairwise sum since each row is contiguous. The objective is
+    assembled from those sums as Python floats. The entropy is negated
+    after its sum and a slope of 1.0 is not multiplied, both exact, so
+    the masks and objectives are bitwise those of the loss plus
+    :func:`binary_entropy`. It keeps log((1 - m) / m) rather than the
+    identity phi: the two part where m rounds to 0 or 1, which is where
+    a descent diverges.
 
     The buffers, the weights as 0-d arrays (:func:`constant`), the
     evaluator's bound ``loss_and_gradient`` and the numpy functions are
@@ -161,31 +177,34 @@ def descend_mask(evaluator, config, data_term):
     n = evaluator.n
     sw, ew = float(config.sparsity_weight), float(config.entropy_weight)
     sw_c, ew_c, one = constant(sw), constant(ew), ONE
-    buf, plogp = np.empty((3, n)), np.empty((2, n))
-    both, m_and_h = buf[:2], buf[::2]
-    m, om, h = buf
+    buf, logs, plogp = np.empty((4, n)), np.empty((3, n)), np.empty((2, n))
+    both, terms, m_and_h = buf[:2], buf[:3], buf[::3]
+    m, om, ratio, h = buf
+    log_both, log_ratio = logs[:2], logs[2]
     plogp_m, plogp_om = plogp
     loss_and_gradient = evaluator.loss_and_gradient
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     log, add_reduce = np.log, np.add.reduce
 
-    def step(theta):
-        sigmoid(theta, out=m)
+    def step(phi):
+        _squash(phi, out=m)
         subtract(one, m, out=om)
+        divide(om, m, out=ratio)
         loss, dl_dm = loss_and_gradient(m)
         value, slope = data_term(loss)
-        multiply(both, log(both), out=plogp)
+        log(terms, out=logs)
+        multiply(both, log_both, out=plogp)
         add(plogp_m, plogp_om, out=h)
         sum_m, sum_h = add_reduce(m_and_h, 1).tolist()
         j = value + sw * sum_m + ew * -sum_h
         if slope != 1.0:
             dl_dm = slope * dl_dm
-        dj_dm = add(dl_dm, sw_c) + multiply(ew_c, log(divide(om, m)))
+        dj_dm = add(dl_dm, sw_c) + multiply(ew_c, log_ratio)
         return j, dj_dm * m * om
 
-    theta, best_j, trace = descend(step, np.zeros(n), config.learning_rate,
-                                   config.epochs + 1)
-    return sigmoid(theta), best_j, trace
+    phi, best_j, trace = descend(step, np.zeros(n), -float(config.learning_rate),
+                                 config.epochs + 1)
+    return _squash(phi), best_j, trace
 
 
 def descend(objective, x, learning_rate: float, evaluations: int):

@@ -411,7 +411,11 @@ class MaskEvaluator:
     matmul ufunc's dispatch, a fraction of a microsecond less per call
     at these shapes. The constants of the array calls, 1.0 and 1e-300,
     are 0-d arrays (:func:`masks.constant`), which numpy takes without
-    the conversion a Python float costs on every call; the one-row
+    the conversion a Python float costs on every call. The one-row
+    softmax's max and sum go into two 0-d float64 buffers made with the
+    evaluator, so no Python float or numpy scalar reaches its ufuncs;
+    the buffers are the evaluator's state, so an evaluator serves one
+    pass at a time (each explainer call builds its own). The one-row
     loss clamps and logs the Python float of the true relation's
     probability (a log of the same float64, so the same bits), and its
     logits' gradient subtracts 1.0 from one element, both scalar work
@@ -445,15 +449,20 @@ class MaskEvaluator:
         self.WoT = model.Wo.T
         self.bo = model.bo
         self.y = RELATION_INDEX[ctx.target.relation]
+        # the one-row softmax's max and sum (see _pass)
+        self._top, self._total = np.empty(()), np.empty(())
 
     def _pass(self, mask: np.ndarray):
         """:func:`_head` of one row in its 1-D form: the same operations
         on the same operands, with the max taken over the logits as
-        Python floats (a max is exact), so bitwise ``_head``'s row."""
+        Python floats (a max is exact) and stored, like the sum, in the
+        evaluator's 0-d buffer, so bitwise ``_head``'s row."""
+        top, total = self._top, self._total
         z = np.tanh(self.a0 + np.dot(self.B, mask))
         logits = np.dot(z, self.WoT) + self.bo
-        expl = np.exp(logits - max(logits.tolist()))
-        probs = expl / np.add.reduce(expl, 0)
+        top[()] = max(logits.tolist())
+        expl = np.exp(logits - top)
+        probs = expl / np.add.reduce(expl, 0, out=total)
         return probs, -float(np.log(max(probs.item(self.y), 1e-300))), z
 
     def forward(self, mask: np.ndarray) -> tuple[np.ndarray, float]:

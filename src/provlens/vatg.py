@@ -81,19 +81,26 @@ class VatgExplanation:
     top_edges: list[tuple[int, int, Relation, float]]
 
 
+def _arrays(params: VariationalMaskParams) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, log_var) as float arrays: a caller may hold them as lists."""
+    return np.asarray(params.mu, dtype=float), np.asarray(params.log_var, dtype=float)
+
+
 def sample_mask(params: VariationalMaskParams, epsilon: np.ndarray) -> np.ndarray:
     """m = sigmoid(mu + eps * exp(0.5 * log_var)); eps = 0 gives sigmoid(mu)."""
+    mu, log_var = _arrays(params)
     epsilon = np.asarray(epsilon, dtype=float)
-    if epsilon.shape != params.mu.shape:
+    if epsilon.shape != mu.shape:
         raise ValueError(
-            f"epsilon shape {epsilon.shape} != params shape {params.mu.shape}"
+            f"epsilon shape {epsilon.shape} != params shape {mu.shape}"
         )
-    return sigmoid(params.mu + epsilon * np.exp(0.5 * params.log_var))
+    return sigmoid(mu + epsilon * np.exp(0.5 * log_var))
 
 
 def kl_term(params: VariationalMaskParams) -> float:
     """Closed-form KL(N(mu, sigma^2) || N(0, 1)), summed over edges."""
-    return _kl(params.mu, params.log_var, np.exp(params.log_var))
+    mu, log_var = _arrays(params)
+    return _kl(mu, log_var, np.exp(log_var))
 
 
 def _kl(mu: np.ndarray, log_var: np.ndarray, var: np.ndarray) -> float:
@@ -105,36 +112,48 @@ def _objective(evaluator: MaskEvaluator, config: VatgConfig, samples: int):
     """The Monte Carlo objective of ``samples`` noise rows per evaluation,
     as a function ``objective(mu, log_var, epsilons)`` of the parameters
     and an ``(samples, n)`` noise draw that returns the objective and its
-    closed-form gradient w.r.t. [mu; log_var] as a (2, n) array.
+    closed-form gradient w.r.t. [mu; log_var] as a (2, n) array. That
+    array is the objective's own buffer, written again by the next
+    evaluation: :func:`masks.descend` reads it once per step.
 
     The S sampled masks and the mask means ``sigmoid(mu)`` are the rows
-    of one ``(S + 1, n)`` buffer, squashed by one ``sigmoid`` call; one
-    batched evaluator pass over the first S rows gives their losses and
-    mask gradients. The two Monte Carlo terms, the gradient in mu and in
+    of one ``(S + 1, n)`` buffer, squashed by one ``sigmoid`` call, and
+    their slopes ``x * (1 - x)`` the rows of a second, from one subtract
+    and one product over all S + 1 rows; one batched evaluator pass over
+    the first S rows gives their losses and mask gradients. The two Monte Carlo terms, the gradient in mu and in
     log_var of each sample, are the two planes of one ``(2, S, n)``
     buffer, whose means over the sample axis are one
-    ``np.add.reduce(.., 1)`` divided by S in place: row by row what
-    ``np.mean`` computes. ``exp(log_var)`` serves the KL term and its
-    gradient, and the mask means the sparsity penalty (the sum of the
-    ``sparsity_top_k`` largest) and its subgradient; each is computed
-    once.
+    ``np.add.reduce(.., 1)`` into the gradient buffer, divided by S in
+    place: row by row what ``np.mean`` computes. ``exp(log_var)`` serves
+    the KL term and its gradient, and the mask means the sparsity
+    penalty (the sum of the ``sparsity_top_k`` largest, in their stable
+    descending order) and its subgradient; each is computed once. The
+    subgradient is the means' slope row ``means * (1 - means)``, with
+    the entries past the stable top k set to zero only when n >
+    ``sparsity_top_k``: the same values as a zero vector with the top k
+    entries filled, without the fresh vector and the indexed store per
+    evaluation.
 
-    Both buffers, the constants S, 0.5, 1.0, lambda_kl, lambda_kl * 0.5
-    and lambda_sp as 0-d arrays (:func:`masks.constant`), the evaluator's
-    bound batched pass and the numpy functions are bound once, here; an
-    evaluation makes the same float operations on the same values in
-    the same order as with Python-number operands."""
+    The four buffers and the views of their rows, the constants S,
+    0.5, 1.0, lambda_kl, lambda_kl * 0.5 and lambda_sp as 0-d arrays
+    (:func:`masks.constant`), the evaluator's bound batched pass and the
+    numpy functions are bound once, here; an evaluation makes the same
+    float operations on the same values in the same order as with
+    Python-number operands and fresh arrays."""
     n, k = evaluator.n, config.sparsity_top_k
     kl, sp = float(config.lambda_kl), float(config.lambda_sp)
     kl_c, kl_half_c, sp_c = constant(kl), constant(kl * 0.5), constant(sp)
     s_c = constant(samples)
     one, half = ONE, _HALF
     x, terms = np.empty((samples + 1, n)), np.empty((2, samples, n))
+    grad, slopes = np.empty((2, n)), np.empty((samples + 1, n))
     masks, means = x[:samples], x[samples]
+    mask_slopes, omega_grad = slopes[:samples], slopes[samples]
     dl_dx, lv_terms = terms
+    d_mu, d_lv = grad
     losses_and_gradients = evaluator.losses_and_gradients
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    exp, copyto, zeros, add_reduce = np.exp, np.copyto, np.zeros, np.add.reduce
+    exp, copyto, add_reduce = np.exp, np.copyto, np.add.reduce
 
     def objective(mu, log_var, epsilons):
         sd = exp(multiply(half, log_var))
@@ -143,22 +162,23 @@ def _objective(evaluator: MaskEvaluator, config: VatgConfig, samples: int):
         add(masks, mu, out=masks)
         copyto(means, mu)
         sigmoid(x, out=x)
+        subtract(one, x, out=slopes)
+        multiply(x, slopes, out=slopes)
         losses, dl_dm = losses_and_gradients(masks)
-        multiply(dl_dm, masks * subtract(one, masks), out=dl_dx)
+        multiply(dl_dm, mask_slopes, out=dl_dx)
         multiply(dl_dx, epsilons, out=lv_terms)
         multiply(lv_terms, half, out=lv_terms)
         multiply(lv_terms, sd, out=lv_terms)
-        grad = add_reduce(terms, 1)
+        add_reduce(terms, 1, out=grad)
         divide(grad, s_c, out=grad)
-        d_mu, d_lv = grad
 
         add(d_mu, multiply(kl_c, mu), out=d_mu)
         add(d_lv, multiply(kl_half_c, subtract(var, one)), out=d_lv)
 
-        top = (-means).argsort(kind="stable")[:k]
-        top_means = means[top]
-        omega_grad = zeros(n)
-        omega_grad[top] = top_means * subtract(one, top_means)
+        order = (-means).argsort(kind="stable")
+        top_means = means[order[:k]]
+        if n > k:
+            omega_grad[order[k:]] = 0.0
         add(d_mu, multiply(sp_c, omega_grad), out=d_mu)
 
         loss = (float(add_reduce(losses)) / samples
@@ -172,21 +192,23 @@ def _objective(evaluator: MaskEvaluator, config: VatgConfig, samples: int):
 def _checked_objective(model, ctx, params, config, epsilons):
     """:func:`_objective` after the checks :func:`vatg_loss` and
     :func:`vatg_gradients` share: a non-empty neighborhood of n edges,
-    (mu, log_var) of shape (n,), and noise of shape (S, n) with S >= 1."""
+    (mu, log_var) of shape (n,) as float arrays, and noise of shape
+    (S, n) with S >= 1."""
     n = len(ctx.neighborhood_events)
     if n == 0:
         raise ValueError("empty neighborhood")
-    for name in ("mu", "log_var"):
-        shape = np.shape(getattr(params, name))
-        if shape != (n,):
-            raise ValueError(f"params.{name} shape {shape} != neighborhood size ({n},)")
+    mu, log_var = _arrays(params)
+    for name, value in (("mu", mu), ("log_var", log_var)):
+        if value.shape != (n,):
+            raise ValueError(
+                f"params.{name} shape {value.shape} != neighborhood size ({n},)")
     epsilons = np.asarray(epsilons, dtype=float)
     if epsilons.ndim != 2 or epsilons.shape[0] < 1 or epsilons.shape[1] != n:
         raise ValueError(
             f"epsilons shape {epsilons.shape} is not (S, {n}) with S >= 1"
         )
     objective = _objective(MaskEvaluator(model, ctx), config, len(epsilons))
-    return objective(params.mu, params.log_var, epsilons)
+    return objective(mu, log_var, epsilons)
 
 
 def vatg_loss(
@@ -248,8 +270,7 @@ def vatg_explain_event(
                    config.mc_samples, n)
 
     def objective(x):
-        mu, log_var = x
-        return step(mu, log_var, next(noise))
+        return step(x[0], x[1], next(noise))
 
     start = np.stack([np.zeros(n), np.full(n, _INIT_LOG_VAR)])
     best, _, trace = descend(objective, start, config.learning_rate, config.epochs)

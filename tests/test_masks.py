@@ -365,8 +365,9 @@ def test_small_contexts_are_bitwise_the_reference(case, learning_rate):
 
 
 #: mask widths around numpy's pairwise sum, which changes method at 8
-#: elements, up to the widest neighborhood (2 * horizon)
-ORACLE_EDGES = [1, 7, 8, 9, 20]
+#: elements, on both sides of VA-TG's default sparsity_top_k (5), up to
+#: the widest neighborhood (2 * horizon)
+ORACLE_EDGES = [1, 5, 6, 7, 8, 9, 20]
 
 
 @pytest.mark.parametrize("edges", ORACLE_EDGES)

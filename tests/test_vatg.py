@@ -448,6 +448,25 @@ def test_params_of_wrong_length_are_rejected(tiny_graph):
                     fn(model, ctx, params, VatgConfig(), eps)
 
 
+def test_params_as_lists_give_the_arrays_results(model, contexts):
+    """mu and log_var held as lists give the float arrays' loss,
+    gradients, KL term and sampled mask, bit for bit; they once reached
+    the KL term's products as lists and raised TypeError."""
+    ctx = _context_with(contexts, 3)
+    rng = np.random.default_rng(7)
+    arrays = _random_params(rng, 3)
+    lists = VariationalMaskParams(mu=arrays.mu.tolist(), log_var=arrays.log_var.tolist())
+    eps = rng.standard_normal((4, 3))
+    config = VatgConfig(mc_samples=4)
+    assert (repr(vatg_loss(model, ctx, lists, config, eps))
+            == repr(vatg_loss(model, ctx, arrays, config, eps)))
+    for got, expected in zip(vatg_gradients(model, ctx, lists, config, eps),
+                             vatg_gradients(model, ctx, arrays, config, eps)):
+        assert got.tobytes() == expected.tobytes()
+    assert repr(kl_term(lists)) == repr(kl_term(arrays))
+    assert sample_mask(lists, eps[0]).tobytes() == sample_mask(arrays, eps[0]).tobytes()
+
+
 def test_noise_of_wrong_shape_is_rejected(tiny_graph):
     """No samples, a noise row of the wrong width, a 1-D draw and a
     trailing axis are all rejected rather than divided by zero or
