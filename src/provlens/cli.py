@@ -89,9 +89,8 @@ def _load_config(path: str | None) -> dict:
                 f"config file {path}: section {key!r} must be a JSON object "
                 f"of its fields, got {_excerpt(json.dumps(value))}"
             )
-        # init fields only: a derived field such as window_ns is unknown
         fields = [f.name for f in dataclasses.fields(_SECTION_CONFIGS[key])
-                  if f.init and f.name not in _EXPLAINER_SECTIONS]
+                  if f.name not in _EXPLAINER_SECTIONS]
         for name in value:
             if name in fields:
                 continue
@@ -121,10 +120,10 @@ def _pipeline_config(cfg: dict) -> PipelineConfig:
 
 def _write_summary(out_dir: Path, results: list[ExplanationReport], node_map,
                    graph) -> None:
-    """Write ``summary.md`` over every window of the results, each
-    result's warnings after its windows, and, given the graph,
-    ``window_<n>.gv`` for the n-th window. A window's graph is drawn over
-    the report's entities, or its explained node ids when it has none."""
+    """Write ``summary.md`` over every window of the results and, given
+    the graph, ``window_<n>.gv`` for the n-th window. A window's graph is
+    drawn over the report's entities, or its explained node ids when it
+    has none."""
     md_parts: list[str] = []
     n = 0
     for result in results:
@@ -138,7 +137,6 @@ def _write_summary(out_dir: Path, results: list[ExplanationReport], node_map,
                     emit_graph_description(wr, sub, node_map)
                 )
             n += 1
-        md_parts.extend(w + "\n" for w in result.warnings)
     if not results:
         md_parts.append("No raised alerts; nothing to explain.\n")
     (out_dir / "summary.md").write_text("\n".join(md_parts))

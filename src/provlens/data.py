@@ -185,21 +185,18 @@ def parse_log(lines) -> LabeledDataset:
 
 def _keyed_graph(records) -> TemporalGraph:
     """Graph of (ts_ns, order, src_key, dst_key, relation) records in
-    order, where a key is (kind, label) and every kind is a code into
-    ``NODE_KINDS`` (as the parser gives it) or every
-    kind a ``NodeKind``; node ids are dense integers in first-appearance
+    order, where a key is (kind, label) and a kind is a code into
+    ``NODE_KINDS``; node ids are dense integers in first-appearance
     order of the keys (a record's src before its dst), and the columns
     are filled in bulk."""
     columns = list(zip(*records))
     if not columns:
         return TemporalGraph()
     ts, _, src_keys, dst_keys, rels = columns
-    ids: dict[tuple[int | NodeKind, str], int] = {}
+    ids: dict[tuple[int, str], int] = {}
     ends = np.array([ids.setdefault(key, len(ids)) for key in
                      itertools.chain.from_iterable(zip(src_keys, dst_keys))], np.int64)
     kinds, labels = zip(*ids)
-    if isinstance(kinds[0], NodeKind):
-        kinds = [_KIND_CODES[_VALUE(kind)] for kind in kinds]
     return TemporalGraph.from_columns(
         range(len(ids)), kinds, labels,
         ends[0::2], ends[1::2],

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,19 +84,20 @@ class DetectorConfig:
     min_suspicious_nodes: int = 1
     window_loss_budget: float | None = None       # OR-predicate; None disables
     alert_threshold_factor: float = 2.0           # alert iff queue >= factor*threshold
-    #: window_minutes in whole nanoseconds, derived at construction
-    window_ns: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self)
         # a window under 1 ns would truncate to 0 and never advance
-        window_ns = self.window_minutes * 60 * NS_PER_S
-        if not 1 <= window_ns < math.inf:
+        if not 1 <= self.window_minutes * 60 * NS_PER_S < math.inf:
             raise ValueError(
                 f"window_minutes={self.window_minutes!r} must give a window "
                 f"of at least 1 ns and of finite length in ns"
             )
-        object.__setattr__(self, "window_ns", int(window_ns))
+
+    @property
+    def window_ns(self) -> int:
+        """window_minutes in whole nanoseconds."""
+        return int(self.window_minutes * 60 * NS_PER_S)
 
 
 def compute_threshold(benign_losses) -> WindowStats:

@@ -82,7 +82,7 @@ _TYPE_RULES = {
 
 
 def check_fields(config) -> None:
-    """ValueError naming the first init field of the dataclass ``config``
+    """ValueError naming the first field of the dataclass ``config``
     whose value breaks the type rule of its annotation: an ``int`` field
     takes an integer (numpy integers included), a ``float`` field a
     finite real number (integers included), neither a bool, and
@@ -92,7 +92,7 @@ def check_fields(config) -> None:
     """
     for f in dataclasses.fields(config):
         base = f.type.removesuffix(" | None")
-        if not f.init or base not in _TYPE_RULES:
+        if base not in _TYPE_RULES:
             continue
         value = getattr(config, f.name)
         if value is None and base != f.type:

@@ -362,9 +362,8 @@ def _head_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def _checked_record(kind, value, what: str, p: Path):
     """The dataclass ``kind`` built from the JSON object ``value``, which
-    must hold exactly its init fields; its own checks become
-    CheckpointErrors."""
-    require_keys(value, {f.name for f in fields(kind) if f.init}, f"{what} in {p}",
+    must hold exactly its fields; its own checks become CheckpointErrors."""
+    require_keys(value, {f.name for f in fields(kind)}, f"{what} in {p}",
                  CheckpointError)
     try:
         return kind(**value)

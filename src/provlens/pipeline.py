@@ -10,18 +10,19 @@ the top-M nodes get both per-event explainers over their flagged
 contexts, once per event even when an event touches two of those nodes.
 Strictly post-hoc: the model holds parameters only.
 
-Windows can run on a thread pool (``parallel_windows``); VA-TG's
-randomness is derived per event from (VA-TG seed, window, event), so
-scheduling cannot change results. Memory is bounded by construction:
-a window builds only its verdict's flagged contexts, node states are
-read-only trace rows, and VA-TG draws its noise in fixed-size blocks.
+An alert's windows are explained one after another, in window order.
+VA-TG's noise is derived per event from (VA-TG seed, window, event), so
+the order in which events are explained cannot change a report. Memory
+is bounded by construction: a window builds only its verdict's flagged
+contexts, node states are read-only trace rows, and VA-TG draws its
+noise in fixed-size blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,17 +40,16 @@ from .vatg import VatgConfig, vatg_aggregate_node, vatg_explain_event
 class PipelineConfig:
     top_k_events: int = 25
     top_m_nodes: int = 20
-    parallel_windows: int = 1
+    # read only by perfbench/run.py's environment record; ROADMAP item 4 deletes it
+    parallel_windows: ClassVar[int] = 1
     graphmask: GraphMaskConfig = GraphMaskConfig()
     gnn: GnnExplainerConfig = GnnExplainerConfig()
     vatg: VatgConfig = VatgConfig()
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.top_k_events, self.top_m_nodes, self.parallel_windows) < 1:
-            raise ValueError(
-                "top_k_events, top_m_nodes and parallel_windows must be >= 1"
-            )
+        if min(self.top_k_events, self.top_m_nodes) < 1:
+            raise ValueError("top_k_events and top_m_nodes must be >= 1")
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
@@ -65,6 +65,8 @@ def select_high_loss(events: list[Event], losses, k: int) -> list[int]:
 
 
 def derived_seed(base: int, window_index: int, event_index: int) -> int:
+    """VA-TG's seed for one event of one window: its noise is per event,
+    so the order in which events are explained cannot change a report."""
     ss = np.random.SeedSequence(entropy=(base, window_index, event_index))
     return int(ss.generate_state(1)[0])
 
@@ -92,21 +94,12 @@ def run_pipeline(
     if contexts is None:
         contexts = score_stream(model, dataset)
     entities = sorted(alert.entities)
-
-    def process(args) -> WindowReport:
-        w_idx, verdict = args
-        flagged = [contexts[i] for i in verdict.high_loss_events]
-        return _explain_window(model, w_idx, verdict, flagged, stats, config,
-                               entities)
-
-    jobs = list(enumerate(alert.windows))
-    if config.parallel_windows > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_windows) as pool:
-            windows = list(pool.map(process, jobs))
-    else:
-        windows = [process(j) for j in jobs]
-
-    return ExplanationReport(windows=windows)
+    return ExplanationReport(windows=[
+        _explain_window(model, w_idx, verdict,
+                        [contexts[i] for i in verdict.high_loss_events],
+                        stats, config, entities)
+        for w_idx, verdict in enumerate(alert.windows)
+    ])
 
 
 def _edge_rows(top_edges) -> list[dict]:

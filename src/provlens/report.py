@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from typing import ClassVar
 
 from .detect import AttackSubgraph
 from .fileformat import _excerpt, _read_decimal
@@ -67,8 +68,8 @@ class WindowReport:
 @dataclass
 class ExplanationReport:
     windows: list[WindowReport]
-    # written after the windows in summary.md; nothing in provlens writes any
-    warnings: list[str] = field(default_factory=list)
+    # read only by perfbench/spans.py's pipeline note; ROADMAP item 4 deletes it
+    warnings: ClassVar[tuple[str, ...]] = ()
 
 
 def load_schema() -> dict:
@@ -148,13 +149,16 @@ def emit_json(report: WindowReport, node_map: dict[int, NodeDescriptor]) -> dict
 
 def parse_report_json(doc: dict) -> WindowReport:
     """Inverse of emit_json (labels section is derived, not round-tripped).
-    A document that fails the schema raises ValueError."""
+    A document that fails the schema (a node id outside int64 included)
+    raises ValueError naming the field."""
     import jsonschema
 
     try:
         validate_document(doc)
     except jsonschema.ValidationError as exc:
-        raise ValueError(f"report does not match the schema: {exc.message}") from exc
+        raise ValueError(
+            f"report does not match the schema at {exc.json_path}: {exc.message}"
+        ) from exc
     return WindowReport(
         window=_parse_window(doc["window"]),
         num_events=doc["num_events"],

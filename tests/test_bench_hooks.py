@@ -11,10 +11,14 @@ import os
 from pathlib import Path
 
 import provlens.model
+import provlens.pipeline
 from provlens.data import LabeledDataset
+from provlens.gnnexplainer import GnnExplainerConfig
 from provlens.graph import TruthLabel
+from provlens.graphmask import GraphMaskConfig
 from provlens.model import ModelConfig, TgnModel
 from provlens.pipeline import PipelineConfig
+from provlens.vatg import VatgConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,7 +66,32 @@ def test_tracer_installs_counts_and_uninstalls(tiny_graph):
     assert len(tracer.named("graph.extract_context")) == 0
 
 
+def test_tracer_notes_a_pipeline_run(model, dataset, stats, attack_alert,
+                                     contexts):
+    """spans.py's note on a traced run_pipeline reads the report's
+    ``warnings`` constant."""
+    spans = _load("spans")
+    config = PipelineConfig(top_k_events=2, top_m_nodes=1,
+                            graphmask=GraphMaskConfig(epochs=5),
+                            gnn=GnnExplainerConfig(epochs=5),
+                            vatg=VatgConfig(epochs=3, mc_samples=2))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = provlens.pipeline.run_pipeline(model, dataset, attack_alert,
+                                                stats, config, contexts=contexts)
+    finally:
+        tracer.uninstall()
+
+    (span,) = tracer.named("pipeline.run_pipeline")
+    assert span[5] == {
+        "windows": len(result.windows),
+        "skipped": sum(len(w.skipped) for w in result.windows),
+        "degraded": False,
+    }
+
+
 def test_run_environment_reads_pipeline_config():
     env = _load("run").environment()
-    assert env["parallel_windows"] == PipelineConfig().parallel_windows
+    assert env["parallel_windows"] == 1
     assert env["nproc"] == os.cpu_count()

@@ -375,7 +375,7 @@ def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
      '{"detector": {"window_minutes": 1e300}}'),
     (["train", "--out", "{out}"], '{"model": {"epochs": -3}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"parallel_windows": 0}}'),
+     '{"pipeline": {"top_m_nodes": 0}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"memory_budget": -5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
@@ -411,9 +411,9 @@ def test_config_value_that_does_nothing_useful_is_argument_error(
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"top_k_events": 2.5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"parallel_windows": 2.5}}'),
+     '{"pipeline": {"top_m_nodes": 2.5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"parallel_windows": 1e9}}'),
+     '{"pipeline": {"top_m_nodes": 1e9}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"vatg": {"learning_rate": true}}'),
 ])
@@ -444,7 +444,8 @@ _UNKNOWN_FIELDS = [
     (section, "bogus", name)
     for section in ("model", "detector", "pipeline", "graphmask", "gnn", "vatg")
     for name in _CONFIG_COMMANDS
-] + [("detector", "window_ns", "detect"), ("pipeline", "memory_budget", "explain")]
+] + [("detector", "window_ns", "detect"), ("pipeline", "memory_budget", "explain"),
+     ("pipeline", "parallel_windows", "explain")]
 
 
 @pytest.mark.parametrize(
@@ -622,6 +623,33 @@ def test_report_schema_failure_is_argument_error(tmp_path):
     bad.write_text('{"window": "1-2"}')
     rc = main(["report", "--out-dir", str(tmp_path / "out"), str(bad)])
     assert rc == EXIT_ARGUMENT
+
+
+@pytest.mark.parametrize("path, name", [
+    (("entities", 0), "entities[0]"),
+    (("nodes", 0, "node_id"), "nodes[0].node_id"),
+    (("graphmask", "aggregate", 0, "src"), "graphmask.aggregate[0].src"),
+    (("nodes", 0, "gnn", 0, "top_edges", 0, "dst"), "nodes[0].gnn[0].top_edges[0].dst"),
+])
+def test_report_node_id_outside_int64_is_argument_error(
+        cli_dir, explain_dir, tmp_path, capsys, path, name):
+    """A report holding a node id past int64 exits 2 with one line naming
+    the field; before, ``report --dataset`` crashed with an OverflowError
+    traceback on such an entity and rendered the other ids."""
+    src = min(explain_dir.glob("explanations_*.json"))
+    doc = json.loads(src.read_text())
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = 2**70
+    bad = tmp_path / "r.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["report", "--out-dir", str(tmp_path / "out"),
+               "--dataset", str(cli_dir / "ds.json"), str(bad)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_ARGUMENT
+    assert err.count("\n") == 1 and str(2**70) in err
+    assert f"schema at $.{name}: " in err
 
 
 def test_ablate_schema_failure_is_argument_error(cli_dir, tmp_path):

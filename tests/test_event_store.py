@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from provlens.data import (
+    _KIND_CODES,
     DatasetFormatError,
     LabeledDataset,
     _keyed_graph,
@@ -22,6 +23,7 @@ from provlens.data import (
     save_dataset,
 )
 from provlens.graph import (
+    NODE_KINDS,
     Event,
     NodeDescriptor,
     NodeKind,
@@ -131,7 +133,7 @@ def test_keyed_graph_equals_appended_graph(stream):
     numbering of (kind, label) keys against numbering them one event at
     a time."""
     nodes, events = _records(stream)
-    key = {nid: (kind, label) for nid, kind, label in nodes}
+    key = {nid: (_KIND_CODES[kind.value], label) for nid, kind, label in nodes}
     records = [(e.timestamp, i, key[e.src], key[e.dst], e.relation)
                for i, e in enumerate(events)]
     ref, ids = TemporalGraph(), {}
@@ -139,7 +141,7 @@ def test_keyed_graph_equals_appended_graph(stream):
         for k in (src_key, dst_key):
             if k not in ids:
                 ids[k] = len(ids)
-                ref.add_node(NodeDescriptor(ids[k], *k))
+                ref.add_node(NodeDescriptor(ids[k], NODE_KINDS[k[0]], k[1]))
         ref.append_event(Event(ids[src_key], ids[dst_key], rel, ts))
     _assert_same(_keyed_graph(records), ref)
 

@@ -84,11 +84,11 @@ _CONFIGS = [ModelConfig, DetectorConfig, PipelineConfig, GraphMaskConfig,
 
 
 def _fields(pick):
-    """(class, field) for every init field of the configs whose
-    annotation string passes ``pick``."""
+    """(class, field) for every field of the configs whose annotation
+    string passes ``pick``."""
     return [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
             for cls in _CONFIGS for f in dataclasses.fields(cls)
-            if f.init and pick(f.type)]
+            if pick(f.type)]
 
 
 _INT_FIELDS = _fields(lambda t: t.removesuffix(" | None") == "int")
@@ -101,6 +101,14 @@ def test_config_annotations_are_strings(cls):
     """The type rule reads annotations as strings; a module without
     ``from __future__ import annotations`` would leave its fields unchecked."""
     assert all(isinstance(f.type, str) for f in dataclasses.fields(cls))
+
+
+@pytest.mark.parametrize("cls", _CONFIGS)
+def test_config_fields_are_all_init_fields(cls):
+    """Every field is a constructor argument, so the type rule, the config
+    file reader and the checkpoint reader check every field; a derived
+    value such as ``DetectorConfig.window_ns`` is a property."""
+    assert all(f.init for f in dataclasses.fields(cls))
 
 
 @pytest.mark.parametrize("cls, field", _INT_FIELDS)

@@ -47,8 +47,7 @@ def quick_config(**kw):
 
 def report_bytes(report, dataset):
     docs = [emit_json(w, dataset.graph.nodes) for w in report.windows]
-    return json.dumps({"windows": docs, "warnings": report.warnings},
-                      sort_keys=True).encode()
+    return json.dumps(docs, sort_keys=True).encode()
 
 
 def test_select_high_loss_orders_and_breaks_ties():
@@ -228,31 +227,6 @@ def test_run_pipeline_contexts_optional(model, dataset, stats, attack_alert,
     assert report_bytes(with_ctx, dataset) == report_bytes(without, dataset)
 
 
-def test_window_parallelism_is_byte_identical(model, dataset, stats, verdicts,
-                                              contexts):
-    """An alert over every window of the stream, explained serially and
-    on 2 and 4 window workers: the reports are byte-identical."""
-    alert = Alert(
-        windows=list(verdicts), t_start=verdicts[0].window[0],
-        t_end=verdicts[-1].window[1],
-        queue_score=sum(v.flagged_loss for v in verdicts),
-        entities=set().union(*(v.suspicious_nodes for v in verdicts)), raised=True,
-    )
-    assert len(alert.windows) >= 4
-    assert sum(bool(v.high_loss_events) for v in verdicts) >= 2
-
-    def run(**kw):
-        report = run_pipeline(model, dataset, alert, stats, quick_config(**kw),
-                              contexts=contexts)
-        docs = [emit_json(w, dataset.graph.nodes) for w in report.windows]
-        return json.dumps(docs, sort_keys=True).encode(), report.warnings
-
-    serial = run()
-    assert serial[1] == []
-    assert run(parallel_windows=2) == serial
-    assert run(parallel_windows=4) == serial
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         PipelineConfig(top_k_events=0)
@@ -260,10 +234,11 @@ def test_config_validation():
         PipelineConfig(top_m_nodes=0)
 
 
-@pytest.mark.parametrize("workers", [0, -2])
-def test_config_rejects_fewer_than_one_parallel_window(workers):
-    with pytest.raises(ValueError, match="parallel_windows"):
-        PipelineConfig(parallel_windows=workers)
+def test_config_has_no_window_pool_knob():
+    """Windows are explained serially; the constant is not a field."""
+    assert PipelineConfig.parallel_windows == 1
+    with pytest.raises(TypeError, match="parallel_windows"):
+        PipelineConfig(parallel_windows=2)
 
 
 def test_vatg_seed_sets_the_pipeline_noise(model, dataset, stats, attack_alert,

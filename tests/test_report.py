@@ -8,6 +8,7 @@ import pytest
 from provlens.detect import AttackSubgraph
 from provlens.graph import Event, NodeDescriptor, NodeKind, Relation
 from provlens.report import (
+    ExplanationReport,
     ImportanceBand,
     WindowReport,
     band_of,
@@ -90,6 +91,13 @@ def _report():
             }
         ],
     )
+
+
+def test_explanation_report_holds_only_windows():
+    """``warnings`` is a class constant, not a field: nothing wrote it."""
+    assert ExplanationReport.warnings == ()
+    with pytest.raises(TypeError, match="warnings"):
+        ExplanationReport(windows=[], warnings=["x"])
 
 
 def test_schema_loads():
