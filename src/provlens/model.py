@@ -99,7 +99,11 @@ and :meth:`TgnModel.score_event` are thin wrappers over it. Training,
 stream scoring and the evaluator share one head pass, :func:`_head`,
 which works in place on the fresh pre-activation each caller passes;
 the fit's epochs run it, and their gradients, in buffers allocated once.
-A non-finite training loss raises the explainers' ``DivergenceError``.
+:func:`train` builds no matrix of the prefix's features: it keeps only
+the fit part's distinct (input, label) rows with each fit row's index
+into them, and the held-out rows, and it drops the replay before the fit
+(see :func:`train`). A non-finite training loss raises the explainers'
+``DivergenceError``.
 """
 
 from __future__ import annotations
@@ -518,9 +522,19 @@ def train(dataset, config: ModelConfig) -> TgnModel:
     fits the head, the held-out tail provides the benign loss statistics
     (mu, sigma) the detector thresholds on. The fit runs on the distinct
     (input, label) rows of the first part, each weighted by how often it
-    occurs (see :func:`_fit_head`); the statistics and
+    occurs (see :func:`_fit_weighted`); the statistics and
     ``final_train_loss`` are taken over every row. Deterministic given
     the seed.
+
+    No prefix-sized feature matrix is built. The prefix is featurized in
+    blocks of ``_BLOCK`` events, and of each block only the fit part's
+    pair index (:func:`_pair_index`, whose keys hold each distinct row's
+    bytes) and the held-out rows, copied into one array, are kept. The
+    replay is dropped once featurization ends; the held-out losses are
+    computed and their rows dropped; only then are the fit rows gathered
+    back from the distinct rows, for ``final_train_loss``. Every product
+    sees the operands, row count and memory layout it saw when the whole
+    prefix matrix was built, so the model is bitwise the same.
     """
     if len(dataset.graph) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -532,39 +546,57 @@ def train(dataset, config: ModelConfig) -> TgnModel:
         n_prefix = dataset.graph.count_before(bound)
     if n_prefix == 0:
         raise ValueError("no benign training prefix before the attack interval")
+    n_fit = max(1, int(round(n_prefix * 0.8)))
 
     model = TgnModel(config)
     stream = _Stream(model, dataset.graph, n_prefix)
-    X, y = np.empty((n_prefix, model.input_dim)), stream.rel
-    for start, stop, rows in stream.feature_blocks(model):
-        X[start:stop] = rows
+    y, pairs, index = stream.rel, {}, []
+    held = np.empty((n_prefix - n_fit, model.input_dim))
+    for start, stop, X in stream.feature_blocks(model):
+        cut = min(max(n_fit - start, 0), stop - start)
+        index += _pair_index(X[:cut], y[start : start + cut], pairs)
+        if cut < stop - start:
+            held[start + cut - n_fit : stop - n_fit] = X[cut:]
+    del stream, X
+    index = np.array(index, dtype=np.intp)
+    # the distinct rows, in order of first occurrence, are the keys' bytes
+    X = np.frombuffer(b"".join(row for row, _ in pairs)).reshape(len(pairs), -1)
+    labels = np.array([label for _, label in pairs], dtype=np.intp)
+    del pairs
+    _fit_weighted(model, X, labels, np.bincount(index) / n_fit, config)
 
-    n_fit = max(1, int(round(n_prefix * 0.8)))
-    X_fit, y_fit = X[:n_fit], y[:n_fit]
-
-    _fit_head(model, X_fit, y_fit, config)
-
-    # held-out benign statistics (population std), per the detector contract
-    X_val, y_val = X[n_fit:], y[n_fit:]
-    if len(X_val) == 0:
-        X_val, y_val = X_fit, y_fit
-    val_losses = _batch_losses(model, X_val, y_val)
+    # held-out benign statistics (population std), per the detector
+    # contract; without held-out rows they are the fit rows'
+    val_losses = _batch_losses(model, held, y[n_fit:]) if len(held) else None
+    del held
+    fit_losses = _batch_losses(model, X[index], y[:n_fit])
+    if val_losses is None:
+        val_losses = fit_losses
     model.stats = TrainStats(
         mu=float(val_losses.mean()),
         sigma=float(val_losses.std()),
-        final_train_loss=float(_batch_losses(model, X_fit, y_fit).mean()),
+        final_train_loss=float(fit_losses.mean()),
     )
     return model
 
 
 def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig):
-    """Full-batch Adam on the two-layer head, over the distinct rows.
+    """Fit the head on the rows of ``X`` with labels ``y``: the mean
+    cross-entropy over the n rows is, row for row, a sum over the k
+    distinct (input, label) rows (:func:`_distinct_rows`) weighted by
+    count / n, so :func:`_fit_weighted` runs on those k rows. The result
+    equals the fit over every row up to float rounding of the reordered
+    sums, and is bitwise the fit :func:`train` makes of the same rows
+    without holding them."""
+    first, counts = _distinct_rows(X, y)
+    _fit_weighted(model, X[first], y[first], counts / len(X), config)
 
-    The mean cross-entropy over the n rows of ``X`` is, row for row, a
-    sum over the k distinct (input, label) rows weighted by count / n.
-    Each epoch computes that loss and its gradient on the k rows (the
-    per-row ``P - Y`` scaled by count / n), so the result equals the
-    fit over every row up to float rounding of the reordered sums.
+
+def _fit_weighted(model: TgnModel, X: np.ndarray, y: np.ndarray, weight: np.ndarray,
+                  config: ModelConfig):
+    """Full-batch Adam on the two-layer head, over the k rows of ``X``
+    with labels ``y``, each row's loss and gradient (the per-row
+    ``P - Y``) scaled by its ``weight``.
 
     The parameters, their gradients and Adam's two moments are each one
     flat buffer (``We``, ``be``, ``Wo`` and ``bo`` are views into the
@@ -577,12 +609,7 @@ def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig
     probability through one flat index into the probabilities. The
     model gets copies, not views, of the fitted parameters.
     """
-    n = len(X)
-    first, counts = _distinct_rows(X, y)
-    X, y = X[first], y[first]
-    k = len(first)
-    weight = counts / n
-
+    k = len(X)
     shapes = [model.We.shape, model.be.shape, model.Wo.shape, model.bo.shape]
     theta = np.concatenate([model.We.ravel(), model.be, model.Wo.ravel(), model.bo])
     grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
@@ -637,18 +664,23 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
             for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
-def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first occurrence of each distinct (row, label) pair,
-    in order of first occurrence, and how many rows each pair has.
+def _pair_index(X: np.ndarray, y: np.ndarray, pairs: dict) -> list[int]:
+    """Each row's index among the distinct (row bytes, label) pairs that
+    ``pairs`` maps to their indexes, numbered in order of first
+    occurrence; a pair not yet in ``pairs`` is added to it.
 
     Rows are equal when their bytes are, so rows equal in ``X`` with
     different labels stay apart."""
-    groups: dict[tuple[bytes, int], list[int]] = {}
-    for i, key in enumerate(zip(map(np.ndarray.tobytes, X), y.tolist())):
-        groups.setdefault(key, []).append(i)
-    first = np.array([g[0] for g in groups.values()], dtype=int)
-    counts = np.array([len(g) for g in groups.values()], dtype=float)
-    return first, counts
+    return [pairs.setdefault(key, len(pairs))
+            for key in zip(map(np.ndarray.tobytes, X), y.tolist())]
+
+
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first occurrence of each distinct (row, label) pair
+    (see :func:`_pair_index`), in order of first occurrence, and how many
+    rows each pair has."""
+    index = np.array(_pair_index(X, y, {}), dtype=np.intp)
+    return np.unique(index, return_index=True)[1], np.bincount(index).astype(float)
 
 
 def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray, P: np.ndarray | None = None):
@@ -681,7 +713,9 @@ def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray, P: np.ndarray | None = 
 
 
 def _batch_losses(model: TgnModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    _, P = _head(X @ model.We.T + model.be, model.Wo, model.bo)
+    A = X @ model.We.T
+    A += model.be
+    _, P = _head(A, model.Wo, model.bo)
     return -np.log(np.maximum(P[np.arange(len(X)), y], 1e-300))
 
 
@@ -703,7 +737,10 @@ def _drive(model: TgnModel, rel, dt) -> np.ndarray:
     mem = model.config.memory_dim
     W_rel = model.Wu[:, 2 * mem : 2 * mem + N_RELATIONS]
     W_time = model.Wu[:, 2 * mem + N_RELATIONS :]
-    return _time_enc(dt, model.config.time_dim) @ W_time.T + W_rel.T[rel] + model.bu
+    drive = _time_enc(dt, model.config.time_dim) @ W_time.T
+    drive += W_rel.T[rel]
+    drive += model.bu
+    return drive
 
 
 def _gated_step(model: TgnModel, H: np.ndarray, drive: np.ndarray) -> np.ndarray:

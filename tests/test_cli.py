@@ -376,21 +376,22 @@ def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
     (["train", "--out", "{out}"], '{"model": {"epochs": -3}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"top_m_nodes": 0}}'),
+    (["train", "--out", "{out}"], '{"model": {"memory_dim": 0}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"memory_budget": -5}}'),
-    (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"seed": 3}}'),
+     '{"vatg": {"mc_samples": 0}}'),
     (["train", "--out", "{out}"], '{"model": {"horizon": 2.5}}'),
     (["train", "--out", "{out}"], '{"model": {"seed": -1}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
      '{"pipeline": {"top_k_events": 2.5}}'),
     (["explain", "--model", "{model}", "--out-dir", "{out}"],
-     '{"pipeline": {"memory_budget": 2.5}}'),
+     '{"pipeline": {"top_k_events": 0}}'),
     (["detect", "--model", "{model}", "--out", "{out}"],
      '{"detector": {"min_suspicious_nodes": 1.5}}'),
 ])
 def test_config_value_that_does_nothing_useful_is_argument_error(
-        cli_dir, tmp_path, command, config_text):
+        cli_dir, tmp_path, capsys, command, config_text):
+    """A known field with a value its range or type rule rejects exits 2
+    on that rule, before any output."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config_text)
     paths = {"model": cli_dir / "model.json", "out": tmp_path / "out"}
@@ -398,6 +399,8 @@ def test_config_value_that_does_nothing_useful_is_argument_error(
               + ["--dataset", str(cli_dir / "ds.json"), "--config", str(cfg)])
     assert rc == EXIT_ARGUMENT
     assert not (tmp_path / "out").exists()
+    captured = capsys.readouterr()
+    assert not captured.out and "unknown field" not in captured.err
 
 
 @pytest.mark.parametrize("command, config_text", [

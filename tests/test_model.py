@@ -7,6 +7,7 @@ import functools
 import itertools
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -45,9 +46,11 @@ from provlens.model import (
     _time_enc,
     score_stream,
     train,
+    training_prefix_end,
 )
 
 from conftest import NS, build_graph, random_contexts
+from train_reference import reference_train
 
 
 def _replayed_contexts(model, graph):
@@ -914,6 +917,112 @@ def test_fit_ignores_row_order_and_repetition(seed, n_distinct, n_rows, repeat, 
     _assert_same_head(_fitted(X[perm], y[perm]), fitted)
     _assert_same_head(_fitted(np.repeat(X, repeat, axis=0), np.repeat(y, repeat)),
                       fitted)
+
+
+# ---------------------------------------------------------------------------
+# training without the prefix matrix, against the whole-prefix reference
+# (tests/train_reference.py)
+# ---------------------------------------------------------------------------
+
+def _fit_size(n_prefix):
+    return max(1, int(round(n_prefix * 0.8)))
+
+
+@st.composite
+def _prefix_cases(draw):
+    """A small model, a featurization block size, and a dataset whose
+    benign prefix has a fit part of a chosen size: one or two prefix
+    events (no held-out rows), a few events, or a fit part ending just
+    before, on or just after a block boundary. Events join a few reused
+    nodes or, with a drawn probability, two fresh ones: a fresh pair's
+    input row is the same whatever its relation, so inputs repeat heavily
+    and equal inputs carry different labels. Timestamps tie; events may
+    follow the prefix, cut off by the attack interval."""
+    block = draw(st.sampled_from([4, provlens.model._BLOCK]))
+    n_fit = draw(st.sampled_from([1, 2, block - 1, block, block + 1])
+                 | st.integers(1, 12))
+    n_prefix = draw(st.sampled_from(
+        [n for n in range(n_fit, 2 * n_fit + 3) if _fit_size(n) == n_fit]))
+    n_after = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_reused, p_fresh = draw(st.integers(2, 8)), draw(st.sampled_from([0.0, 0.5, 0.95]))
+    src, dst, next_id = [], [], n_reused
+    for _ in range(n_prefix + n_after):
+        if rng.random() < p_fresh:
+            pair, next_id = (next_id, next_id + 1), next_id + 2
+        else:
+            pair = rng.integers(0, n_reused, 2).tolist()
+        src.append(pair[0])
+        dst.append(pair[1])
+    gaps = rng.choice([0, 0, 1, 3600], n_prefix + n_after) * NS
+    if n_after:
+        gaps[n_prefix] += NS
+    ts = NS + np.cumsum(gaps)
+    graph = TemporalGraph.from_columns(
+        range(next_id), [0] * next_id, [f"n{i}" for i in range(next_id)],
+        src, dst, rng.integers(0, N_RELATIONS, len(src)), ts)
+    interval = (int(ts[n_prefix]), int(ts[-1])) if n_after else (0, 0)
+    dataset = LabeledDataset(graph, [TruthLabel.BENIGN] * len(graph), interval)
+    config = ModelConfig(memory_dim=4, time_dim=2, embed_dim=4, epochs=5,
+                         seed=draw(st.integers(0, 3)), hops=draw(st.sampled_from([1, 2])))
+    return config, block, dataset, n_prefix
+
+
+def _assert_bitwise_same_model(got, want):
+    for name in ("We", "be", "Wo", "bo"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert ([float.hex(v) for v in dataclasses.astuple(got.stats)]
+            == [float.hex(v) for v in dataclasses.astuple(want.stats)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_prefix_cases())
+def test_train_is_bitwise_the_whole_prefix_reference(case):
+    """Every head parameter and every training statistic of ``train``
+    are bit for bit those of the trainer that holds the whole prefix
+    feature matrix."""
+    config, block, dataset, n_prefix = case
+    bound = training_prefix_end(dataset)
+    assert (dataset.graph.count_before(bound) if bound else len(dataset.graph)) == n_prefix
+    with mock.patch.object(provlens.model, "_BLOCK", block):
+        _assert_bitwise_same_model(train(dataset, config),
+                                   reference_train(dataset, config))
+
+
+def test_checkpoint_is_the_whole_prefix_references(model, dataset, tmp_path):
+    """The seed-7 checkpoint's bytes are those of the reference's."""
+    reference_train(dataset, ModelConfig()).save(tmp_path / "reference.json")
+    model.save(tmp_path / "train.json")
+    assert (tmp_path / "train.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    """tracemalloc's high-water mark over one call, above the traced size
+    at its start; a caller that already traces keeps its session."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - base
+
+
+def test_train_peaks_below_the_whole_prefix_reference(dataset):
+    """On the seed-7 stream, training's traced peak is lower than the
+    whole-prefix reference's by at least a quarter of the prefix feature
+    matrix it no longer builds."""
+    config = ModelConfig()
+    n_prefix = dataset.graph.count_before(training_prefix_end(dataset))
+    matrix_bytes = n_prefix * TgnModel(config).input_dim * 8
+    dataset.graph._incidences()  # the graph's cached index, outside both traces
+    reference = _traced_peak(reference_train, dataset, config)
+    assert _traced_peak(train, dataset, config) <= reference - matrix_bytes / 4
 
 
 def test_training_uses_only_pre_attack_events(dataset, model):
