@@ -39,16 +39,16 @@ first bad record; its nodes may come in any order. That is slower than
 a version-2 load; :func:`save_dataset` writes any loaded dataset as
 version 2.
 
-The log parser builds one record per line, the plain tuple
-``(ts_ns, lineno, src_key, dst_key, relation)``, where a key is
-``(kind code, label)``, the code an int into ``NODE_KINDS`` computed
-once per parsed token, so numbering the nodes hashes ints and strings
-only. It sorts its records once, by (ts_ns, lineno), then numbers the
-nodes and fills the graph's columns in bulk (see :mod:`provlens.graph`).
-The scenario generator makes no per-event record: it builds each
-template's events as numpy columns and orders them with one
-``np.lexsort`` (see :func:`generate_scenario`). :func:`save_dataset`
-and :func:`render_log` write from the columns.
+The log parser and the scenario generator build their graphs through
+one :class:`_Columns`, so both number nodes by one rule. Neither makes
+a per-event record. The generator adds each template's events as numpy
+columns (see :func:`generate_scenario`). The parser gives each endpoint
+of a line the key of its (kind code, label) pair and adds the whole log
+as one block whose tie key is (0, line number). One ``np.lexsort`` puts
+the events in (timestamp, tie key) order, node ids count the keys in
+order of first appearance, and the graph's columns are filled in bulk
+(see :mod:`provlens.graph`). :func:`save_dataset` and
+:func:`render_log` write from the columns.
 """
 
 from __future__ import annotations
@@ -110,9 +110,6 @@ _EVENT_COLUMNS = {"src": ("<i8", None), "dst": ("<i8", None),
 _VALUE = operator.attrgetter("_value_")
 #: the kind codes of the generator's process and config-file keys
 _PROCESS, _FILE = _KIND_CODES["PROCESS"], _KIND_CODES["FILE"]
-#: a parsed record's sort key, (ts_ns, lineno); records are
-#: (ts_ns, lineno, src_key, dst_key, relation)
-_TIME_ORDER = operator.itemgetter(0, 1)
 #: the generator's order class of the attack chain; duty cycles are 0 and
 #: session streams 1
 _ATTACK = 2
@@ -161,7 +158,8 @@ def parse_log(lines) -> LabeledDataset:
     (kind, label). Truth labels default to UNKNOWN. Events are sorted by
     timestamp (stable).
     """
-    records = []
+    columns = _Columns()
+    src, dst, rel, ts, linenos = [], [], [], [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -171,44 +169,30 @@ def parse_log(lines) -> LabeledDataset:
             raise ParseError(
                 f"line {lineno}: expected 6 fields {_FIELDS}, got {len(parts)}"
             )
-        src_kind = _parse_kind(parts[0], lineno, "src_kind")
-        rel = _parse_relation(parts[2], lineno)
-        dst_kind = _parse_kind(parts[3], lineno, "dst_kind")
-        ts = _parse_timestamp(parts[5], lineno)
-        records.append((ts, lineno, (src_kind, parts[1]), (dst_kind, parts[4]), rel))
+        src.append(columns.key(_parse_kind(parts[0], lineno, "src_kind"), parts[1]))
+        rel.append(_parse_relation(parts[2], lineno))
+        dst.append(columns.key(_parse_kind(parts[3], lineno, "dst_kind"), parts[4]))
+        ts.append(_parse_timestamp(parts[5], lineno))
+        linenos.append(lineno)
 
-    records.sort(key=_TIME_ORDER)
-    graph = _keyed_graph(records)
+    columns.add(np.array(ts, np.int64), (0, np.array(linenos, np.int64)),
+                np.array(src, np.int64), np.array(dst, np.int64), np.array(rel, np.int64))
+    graph = columns.dataset().graph
     labels = [TruthLabel.UNKNOWN] * len(graph)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=(0, 0))
 
 
-def _keyed_graph(records) -> TemporalGraph:
-    """Graph of (ts_ns, order, src_key, dst_key, relation) records in
-    order, where a key is (kind, label) and a kind is a code into
-    ``NODE_KINDS``; node ids are dense integers in first-appearance
-    order of the keys (a record's src before its dst), and the columns
-    are filled in bulk."""
-    columns = list(zip(*records))
-    if not columns:
-        return TemporalGraph()
-    ts, _, src_keys, dst_keys, rels = columns
-    ids: dict[tuple[int, str], int] = {}
-    ends = np.array([ids.setdefault(key, len(ids)) for key in
-                     itertools.chain.from_iterable(zip(src_keys, dst_keys))], np.int64)
-    kinds, labels = zip(*ids)
-    return TemporalGraph.from_columns(
-        range(len(ids)), kinds, labels,
-        ends[0::2], ends[1::2],
-        np.fromiter(map(_RELATION_CODES.__getitem__, map(_VALUE, rels)), np.int8,
-                    len(rels)),
-        ts,
-    )
-
-
 def render_log(ds: LabeledDataset) -> str:
-    """Inverse of parse_log for the event stream (labels are not carried)."""
+    """Inverse of parse_log for the event stream (labels are not carried).
+
+    A node label is one field of a log line, so it must be one
+    whitespace-free token; any other raises ``ValueError`` naming the
+    node, before any text is made."""
     g = ds.graph
+    for nid, label in zip(g.node_ids.tolist(), g.node_labels):
+        if label.split() != [label]:
+            raise ValueError(f"node {nid} has label {label!r}, which holds whitespace; "
+                             f"a log line could not carry it")
     names = dict(zip(g.node_ids.tolist(),
                      (f"{_KIND_VALUES[k]} {label}"
                       for k, label in zip(g.node_kinds.tolist(), g.node_labels))))
@@ -248,10 +232,11 @@ def _parse_kind(token: str, lineno: int, fieldname: str) -> int:
         ) from None
 
 
-def _parse_relation(token: str, lineno: int) -> Relation:
+def _parse_relation(token: str, lineno: int) -> int:
+    """The token's relation code into ``RELATIONS``."""
     try:
-        return Relation(token)
-    except ValueError:
+        return _RELATION_CODES[token]
+    except KeyError:
         valid = ", ".join(r.value for r in Relation)
         raise ParseError(
             f"line {lineno}: unknown relation {_excerpt(token)} "
@@ -606,15 +591,17 @@ def default_scenario(seed: int = 7) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 class _Columns:
-    """The generator's events as columns, gathered one block at a time.
+    """The generator's and the parser's events as columns, gathered one
+    block at a time.
 
-    A block is one template's events at one position of its script:
-    timestamps (int64 ns), the tie key's class and positions, the src
-    and dst node keys and the relation codes, each an array or a scalar
-    that stands for every event of the block. A node key indexes
-    ``kinds`` and ``labels``; ``nodes`` maps each (kind code, label)
-    pair named so far to its key, so a pair that two templates name is
-    one key, and the slot a pair named again was given stays unused."""
+    A block is one template's events at one position of its script, or
+    every line of a parsed log: timestamps (int64 ns), the tie key's
+    class and positions, the src and dst node keys and the relation
+    codes, each an array or a scalar that stands for every event of the
+    block. A node key indexes ``kinds`` and ``labels``; ``nodes`` maps
+    each (kind code, label) pair named so far to its key, so a pair that
+    two templates name is one key, and the slot a pair named again was
+    given stays unused."""
 
     def __init__(self):
         self.nodes: dict[tuple[int, str], int] = {}

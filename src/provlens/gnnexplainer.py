@@ -8,7 +8,7 @@ comprehensiveness and sufficiency quantify it with hard 0/1 masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,18 +21,14 @@ from .model import MaskEvaluator, TgnModel
 class GnnExplainerConfig:
     # 250 epochs keeps the per-event cost above GraphMask's paper-stated
     # 200-epoch schedule, preserving the published runtime ordering
-    epochs: int = 250
-    learning_rate: float = 0.01
-    top_k: int = 3
-    sparsity_weight: float = 1e-3
-    entropy_weight: float = 1e-3
+    epochs: int = field(default=250, metadata={"min": 1})
+    learning_rate: float = field(default=0.01, metadata={"above": 0})
+    top_k: int = field(default=3, metadata={"min": 1})
+    sparsity_weight: float = field(default=1e-3, metadata={"min": 0})
+    entropy_weight: float = field(default=1e-3, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.epochs, self.top_k) < 1 or self.learning_rate <= 0:
-            raise ValueError("GNNExplainer config values must be positive")
-        if min(self.sparsity_weight, self.entropy_weight) < 0:
-            raise ValueError("GNNExplainer penalty weights must be non-negative")
 
 
 @dataclass

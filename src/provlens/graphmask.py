@@ -8,7 +8,7 @@ averaged per canonical edge into a window aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,16 +19,13 @@ from .model import MaskEvaluator, TgnModel
 
 @dataclass(frozen=True)
 class GraphMaskConfig:
-    epochs: int = 200
-    learning_rate: float = 0.01
-    sparsity_weight: float = 1e-3
-    entropy_weight: float = 1e-3
+    epochs: int = field(default=200, metadata={"min": 1})
+    learning_rate: float = field(default=0.01, metadata={"above": 0})
+    sparsity_weight: float = field(default=1e-3, metadata={"above": 0})
+    entropy_weight: float = field(default=1e-3, metadata={"above": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.epochs, self.learning_rate,
-               self.sparsity_weight, self.entropy_weight) <= 0:
-            raise ValueError("all GraphMask hyperparameters must be positive")
 
 
 @dataclass

@@ -2,11 +2,15 @@
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
 left-to-right float sum of every reported figure (:func:`ordered_sum`),
-the one type rule of every config dataclass (:func:`check_fields`), the
-ranking of a context's edges by importance, the per-edge grouping of
-the window aggregates, and the gradient-descent loop that GraphMask,
-GNNExplainer and VA-TG all run, with its one divergence rule: a
-non-finite objective raises :class:`DivergenceError`.
+the one type-and-range rule of every config dataclass
+(:func:`check_fields`: each field's type from its annotation and its
+bound from its declaration; only ``ModelConfig.time_dim``'s parity and
+``DetectorConfig.window_minutes``' nanosecond range, which are not
+bounds, are checked in their ``__post_init__``), the ranking of a
+context's edges by importance, the per-edge grouping of the window
+aggregates, and the gradient-descent loop that GraphMask, GNNExplainer
+and VA-TG all run, with its one divergence rule: a non-finite objective
+raises :class:`DivergenceError`.
 
 GraphMask and GNNExplainer descend on negated mask logits with
 :func:`descend_mask`: one step per evaluation, the context's
@@ -28,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import operator
 import sys
 
 import numpy as np
@@ -79,16 +84,27 @@ _TYPE_RULES = {
     "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
               and abs(v) <= sys.float_info.max),
 }
+#: the bounds a field's metadata may declare: key -> (sign, comparison)
+_BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
 
 
 def check_fields(config) -> None:
     """ValueError naming the first field of the dataclass ``config``
-    whose value breaks the type rule of its annotation: an ``int`` field
-    takes an integer (numpy integers included), a ``float`` field a
-    finite real number (integers included), neither a bool, and
-    ``... | None`` also takes None. Other annotations, such as nested
-    configs, are not checked. Annotations are read as the strings that
-    ``from __future__ import annotations`` leaves.
+    whose value breaks the type rule of its annotation or the bound its
+    declaration carries.
+
+    The type rule: an ``int`` field takes an integer (numpy integers
+    included), a ``float`` field a finite real number (integers
+    included), neither a bool, and ``... | None`` also takes None. Other
+    annotations, such as nested configs, are not checked. Annotations are
+    read as the strings that ``from __future__ import annotations`` leaves.
+
+    The bound, checked right after a field's type: a field declared
+    ``field(default=..., metadata={"min": b})`` takes values ``>= b``,
+    and one with ``{"above": b}`` values ``> b``; None passes. This is
+    every range rule of every config; the two rules that are not bounds,
+    ``ModelConfig.time_dim``'s parity and ``DetectorConfig.window_minutes``'
+    nanosecond range, are checked in their ``__post_init__``.
     """
     for f in dataclasses.fields(config):
         base = f.type.removesuffix(" | None")
@@ -100,6 +116,10 @@ def check_fields(config) -> None:
         what, fits = _TYPE_RULES[base]
         if isinstance(value, bool) or not fits(value):
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        for key, (sign, holds) in _BOUNDS.items():
+            if key in f.metadata and not holds(value, f.metadata[key]):
+                raise ValueError(f"{f.name} must be {sign} {f.metadata[key]}, "
+                                 f"got {value!r}")
 
 
 def top_edges(

@@ -114,7 +114,7 @@ import json
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,31 +155,19 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ModelConfig:
-    memory_dim: int = 32
-    time_dim: int = 8
-    embed_dim: int = 32
-    learning_rate: float = 0.01
-    epochs: int = 300
-    seed: int = 0
-    hops: int = 1
-    horizon: int = 10
+    memory_dim: int = field(default=32, metadata={"min": 1})
+    time_dim: int = field(default=8, metadata={"min": 1})
+    embed_dim: int = field(default=32, metadata={"min": 1})
+    learning_rate: float = field(default=0.01, metadata={"above": 0})
+    epochs: int = field(default=300, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
+    hops: int = field(default=1, metadata={"min": 1})
+    horizon: int = field(default=10, metadata={"min": 1})
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.memory_dim, self.time_dim, self.embed_dim) <= 0:
-            raise ValueError("all dimensions must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.time_dim % 2:
             raise ValueError("time_dim must be even (sin/cos pairs)")
-        if self.hops < 1:
-            raise ValueError("hops must be >= 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ noise in fixed-size blocks.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -38,8 +38,8 @@ from .vatg import VatgConfig, vatg_aggregate_node, vatg_explain_event
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    top_k_events: int = 25
-    top_m_nodes: int = 20
+    top_k_events: int = field(default=25, metadata={"min": 1})
+    top_m_nodes: int = field(default=20, metadata={"min": 1})
     # read only by perfbench/run.py's environment record; ROADMAP item 4 deletes it
     parallel_windows: ClassVar[int] = 1
     graphmask: GraphMaskConfig = GraphMaskConfig()
@@ -48,8 +48,6 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.top_k_events, self.top_m_nodes) < 1:
-            raise ValueError("top_k_events and top_m_nodes must be >= 1")
 
 
 def select_high_loss(events: list[Event], losses, k: int) -> list[int]:

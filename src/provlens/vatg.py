@@ -25,7 +25,7 @@ an optimization diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,24 +43,16 @@ _NOISE_BLOCK = 32
 
 @dataclass(frozen=True)
 class VatgConfig:
-    lambda_kl: float = 1e-3
-    lambda_sp: float = 1e-3
-    mc_samples: int = 8
-    epochs: int = 150
-    learning_rate: float = 0.01
-    sparsity_top_k: int = 5
-    seed: int = 0
+    lambda_kl: float = field(default=1e-3, metadata={"above": 0})
+    lambda_sp: float = field(default=1e-3, metadata={"above": 0})
+    mc_samples: int = field(default=8, metadata={"min": 1})
+    epochs: int = field(default=150, metadata={"min": 1})
+    learning_rate: float = field(default=0.01, metadata={"above": 0})
+    sparsity_top_k: int = field(default=5, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.lambda_kl <= 0 or self.lambda_sp <= 0:
-            raise ValueError("penalty weights must be positive")
-        if self.mc_samples < 1 or self.epochs < 1 or self.sparsity_top_k < 1:
-            raise ValueError("mc_samples, epochs, sparsity_top_k must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 @dataclass

@@ -5,8 +5,8 @@ This is the generator as it was written before generation went
 columnar: one plain tuple ``(ts_ns, order, src_key, dst_key, relation)``
 per event, where a key is ``(kind code, label)`` and ``order`` is the
 ``(class, position...)`` tie key, all records sorted once and numbered
-through ``provlens.data._keyed_graph``. Slow, but each event is written
-out in full, so the columnar generator is checked against it.
+one event at a time (:func:`numbered_graph`). Slow, but each event is
+written out in full, so the columnar generator is checked against it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from __future__ import annotations
 import itertools
 import operator
 
-from provlens.data import _KIND_CODES, LabeledDataset, _keyed_graph
-from provlens.graph import NS_PER_S, Relation, TruthLabel
+from provlens.data import _KIND_CODES, LabeledDataset
+from provlens.graph import (NODE_KINDS, NS_PER_S, Event, NodeDescriptor, Relation,
+                            TemporalGraph, TruthLabel)
 
 _PROCESS, _FILE = _KIND_CODES["PROCESS"], _KIND_CODES["FILE"]
 _TIME_ORDER = operator.itemgetter(0, 1)
@@ -44,12 +45,27 @@ def reference_scenario(spec) -> LabeledDataset:
                               step.relation))
     records.sort(key=_TIME_ORDER)
 
-    graph = _keyed_graph(records)
+    graph = numbered_graph(records)
     labels = [TruthLabel.MALICIOUS if r[1][0] == _ATTACK else TruthLabel.BENIGN
               for r in records]
     attack_ts = [r[0] for r in records if r[1][0] == _ATTACK]
     interval = (min(attack_ts), max(attack_ts)) if attack_ts else (0, 0)
     return LabeledDataset(graph=graph, labels=labels, attack_interval=interval)
+
+
+def numbered_graph(records) -> TemporalGraph:
+    """The graph of (ts_ns, order, src_key, dst_key, relation) records in
+    order, one ``add_node`` per new key and one ``append_event`` per
+    record: node ids count the keys in order of first appearance (a
+    record's src before its dst)."""
+    graph, ids = TemporalGraph(), {}
+    for ts, _, src_key, dst_key, rel in records:
+        for key in (src_key, dst_key):
+            if key not in ids:
+                ids[key] = len(ids)
+                graph.add_node(NodeDescriptor(ids[key], NODE_KINDS[key[0]], key[1]))
+        graph.append_event(Event(ids[src_key], ids[dst_key], rel, ts))
+    return graph
 
 
 def _event(t_s: float, order: tuple, src_key, dst_key, relation) -> tuple:

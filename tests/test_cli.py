@@ -17,9 +17,15 @@ from hypothesis import example, given, settings, strategies as st
 import provlens
 from provlens.cli import EXIT_ARGUMENT, EXIT_OK, EXIT_RESOURCE, main
 from provlens.data import load_dataset, parse_log, save_dataset
+from provlens.gnnexplainer import GnnExplainerConfig
+from provlens.graphmask import GraphMaskConfig
+from provlens.model import ModelConfig
+from provlens.pipeline import PipelineConfig
 from provlens.report import parse_report_json, validate_document
+from provlens.vatg import VatgConfig
 
 from conftest import v1_document
+from test_masks import _BOUNDED, _edges
 
 QUICK_CONFIG = {
     "pipeline": {"top_k_events": 5, "top_m_nodes": 3},
@@ -433,6 +439,27 @@ def test_ill_typed_config_field_is_named(cli_dir, tmp_path, capsys, command,
     assert rc == EXIT_ARGUMENT
     assert f"{field} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_SECTIONS = {ModelConfig: "model", PipelineConfig: "pipeline",
+             GraphMaskConfig: "graphmask", GnnExplainerConfig: "gnn",
+             VatgConfig: "vatg"}
+
+
+@pytest.mark.parametrize("cls, field, sign, bound", _BOUNDED)
+def test_out_of_range_config_value_names_its_field(
+        cli_dir, explain_dir, tmp_path, capsys, cls, field, sign, bound):
+    """Every value outside a field's declared range exits 2 naming the
+    field and its bound, before any output."""
+    section = _SECTIONS[cls]
+    command = dict(_SECTION_READERS)[section]
+    for value in _edges(cls, field, sign, bound)[1]:
+        rc, _ = _run_with_config(cli_dir, explain_dir, tmp_path, command,
+                                 {section: {field: value}})
+        assert rc == EXIT_ARGUMENT
+        captured = capsys.readouterr()
+        assert f"{field} must be {sign} {bound}, got {value!r}" in captured.err
+        assert not captured.out and not (tmp_path / "out").exists()
 
 
 #: every command that reads a config file

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -120,6 +121,52 @@ def test_log_round_trip_on_generated_graphs(records):
         graph.append_event(Event(node_id(src), node_id(dst), rel, t))
     ds = LabeledDataset(graph, [TruthLabel.UNKNOWN] * len(graph), (0, 0))
     assert parse_log(render_log(ds).splitlines()) == ds
+
+
+#: labels that hold whitespace: a log line would split or break them
+_spaced_label = st.tuples(
+    st.text("ab", max_size=2),
+    st.sampled_from([" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0",
+                     "\u2028", "\u3000"]),
+    st.text("ab", max_size=2),
+).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(NodeKind)), _token | _spaced_label),
+                min_size=1, max_size=5, unique_by=lambda n: n[1]),
+       st.data())
+def test_render_log_refuses_labels_with_whitespace(nodes, data):
+    """A label with whitespace would make a line parse_log splits wrongly
+    or two lines; render_log names the first such node and its label."""
+    ids = data.draw(st.lists(st.integers(-5, 5), min_size=len(nodes),
+                             max_size=len(nodes), unique=True))
+    graph = TemporalGraph()
+    for nid, (kind, label) in zip(ids, nodes):
+        graph.add_node(NodeDescriptor(nid, kind, label))
+    for t, nid in enumerate(ids):
+        graph.append_event(Event(nid, ids[0], Relation.READ, t))
+    ds = LabeledDataset(graph, [TruthLabel.UNKNOWN] * len(graph), (0, 0))
+    spaced = sorted((nid, label) for nid, (_, label) in zip(ids, nodes)
+                    if label.split() != [label])
+    if not spaced:
+        text = render_log(ds)
+        assert render_log(parse_log(text.splitlines())) == text
+        return
+    nid, label = spaced[0]
+    with pytest.raises(ValueError, match=f"^node {nid} has label {re.escape(repr(label))},"):
+        render_log(ds)
+
+
+def test_render_log_refuses_a_session_name_with_a_space():
+    spec = default_scenario()
+    spec = dataclasses.replace(spec, sessions=(
+        *spec.sessions,
+        SessionSpec(name="my pool", steps=(SessionStep(Relation.OPEN, NodeKind.FILE,
+                                                       "fresh"),)),
+    ))
+    with pytest.raises(ValueError, match="label 'my pool.0', which holds whitespace"):
+        render_log(generate_scenario(spec))
 
 
 def test_parse_log_sorts_and_dedups_nodes():

@@ -18,8 +18,8 @@ from provlens.data import (
     _KIND_CODES,
     DatasetFormatError,
     LabeledDataset,
-    _keyed_graph,
     load_dataset,
+    parse_log,
     save_dataset,
 )
 from provlens.graph import (
@@ -38,6 +38,7 @@ from provlens.harness import remove_edge
 from provlens.model import ModelConfig, TgnModel, score_stream
 
 from conftest import build_graph, save_v1_dataset, v1_document
+from record_generator import numbered_graph
 
 QUARTER = 250_000_000
 
@@ -128,22 +129,16 @@ def test_loaded_graph_equals_appended_graph(tmp_path_factory, stream):
 
 @settings(max_examples=60, deadline=None)
 @given(_streams)
-def test_keyed_graph_equals_appended_graph(stream):
-    """The parser's (and the reference record generator's) bulk
-    numbering of (kind, label) keys against numbering them one event at
-    a time."""
+def test_parsed_graph_equals_appended_graph(stream):
+    """The parser's bulk numbering of (kind, label) keys against
+    numbering them one event at a time."""
     nodes, events = _records(stream)
     key = {nid: (_KIND_CODES[kind.value], label) for nid, kind, label in nodes}
     records = [(e.timestamp, i, key[e.src], key[e.dst], e.relation)
                for i, e in enumerate(events)]
-    ref, ids = TemporalGraph(), {}
-    for ts, _, src_key, dst_key, rel in records:
-        for k in (src_key, dst_key):
-            if k not in ids:
-                ids[k] = len(ids)
-                ref.add_node(NodeDescriptor(ids[k], NODE_KINDS[k[0]], k[1]))
-        ref.append_event(Event(ids[src_key], ids[dst_key], rel, ts))
-    _assert_same(_keyed_graph(records), ref)
+    lines = [f"{NODE_KINDS[s[0]].value} {s[1]} {rel.value} "
+             f"{NODE_KINDS[d[0]].value} {d[1]} {ts}" for ts, _, s, d, rel in records]
+    _assert_same(parse_log(lines).graph, numbered_graph(records))
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -24,7 +26,7 @@ from provlens.masks import (
     sigmoid,
     top_edges,
 )
-from provlens.model import MaskEvaluator, ModelConfig
+from provlens.model import MaskEvaluator, ModelConfig, TrainStats
 from provlens.pipeline import PipelineConfig
 from provlens.vatg import VatgConfig, vatg_explain_event
 
@@ -160,6 +162,96 @@ def test_mask_penalty_weights_reject_negative(cls, field):
 @pytest.mark.parametrize("field", ["sparsity_weight", "entropy_weight"])
 def test_gnnexplainer_penalty_weights_allow_zero(field):
     assert getattr(GnnExplainerConfig(**{field: 0.0}), field) == 0.0
+
+
+#: every config field's range: (class, field, sign, bound). Every other
+#: field of these classes takes any value of its type.
+_RANGES = [
+    *((ModelConfig, name, ">=", 1) for name in
+      ("memory_dim", "time_dim", "embed_dim", "epochs", "hops", "horizon")),
+    (ModelConfig, "seed", ">=", 0),
+    (ModelConfig, "learning_rate", ">", 0),
+    (PipelineConfig, "top_k_events", ">=", 1),
+    (PipelineConfig, "top_m_nodes", ">=", 1),
+    (GraphMaskConfig, "epochs", ">=", 1),
+    *((GraphMaskConfig, name, ">", 0) for name in
+      ("learning_rate", "sparsity_weight", "entropy_weight")),
+    (GnnExplainerConfig, "epochs", ">=", 1),
+    (GnnExplainerConfig, "top_k", ">=", 1),
+    (GnnExplainerConfig, "learning_rate", ">", 0),
+    (GnnExplainerConfig, "sparsity_weight", ">=", 0),
+    (GnnExplainerConfig, "entropy_weight", ">=", 0),
+    *((VatgConfig, name, ">=", 1) for name in ("mc_samples", "epochs", "sparsity_top_k")),
+    (VatgConfig, "seed", ">=", 0),
+    *((VatgConfig, name, ">", 0) for name in ("learning_rate", "lambda_kl", "lambda_sp")),
+]
+_BOUNDED = [pytest.param(*rng, id=f"{rng[0].__name__}.{rng[1]}") for rng in _RANGES]
+_UNBOUNDED = [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (*_CONFIGS, TrainStats) for f in dataclasses.fields(cls)
+    if f.type.removesuffix(" | None") in ("int", "float")
+    and (cls, f.name) not in {rng[:2] for rng in _RANGES}
+    # not a bound: a window of at least 1 ns and of finite length in ns
+    and (cls, f.name) != (DetectorConfig, "window_minutes")
+]
+
+
+def _edges(cls, field, sign, bound):
+    """(accepted, refused) values at the edge of the field's range."""
+    if cls.__dataclass_fields__[field].type == "int":
+        # time_dim must also be even, so its least value is 2
+        least = bound + 1 if (cls, field) == (ModelConfig, "time_dim") else bound
+        return [least], [bound - 1]
+    if sign == ">":
+        return [5e-324], [0.0]
+    return [-0.0, 0.0], [-5e-324]
+
+
+def test_range_table_names_the_unbounded_fields():
+    assert {(p.values[0], p.values[1]) for p in _UNBOUNDED} == {
+        (DetectorConfig, "min_suspicious_nodes"),
+        (DetectorConfig, "window_loss_budget"),
+        (DetectorConfig, "alert_threshold_factor"),
+        (TrainStats, "mu"), (TrainStats, "sigma"), (TrainStats, "final_train_loss"),
+    }
+
+
+@pytest.mark.parametrize("cls, field, sign, bound", _BOUNDED)
+def test_config_ranges_accept_and_refuse_their_edges(cls, field, sign, bound):
+    accepted, refused = _edges(cls, field, sign, bound)
+    for value in accepted:
+        assert getattr(cls(**{field: value}), field) == value
+    for value in refused:
+        with pytest.raises(ValueError):
+            cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", _UNBOUNDED)
+def test_unbounded_fields_take_any_value_of_their_type(cls, field):
+    value = -1 if cls.__dataclass_fields__[field].type == "int" else -sys.float_info.max
+    assert getattr(cls(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("cls, field, sign, bound", _BOUNDED)
+def test_out_of_range_value_names_field_and_bound(cls, field, sign, bound):
+    for value in _edges(cls, field, sign, bound)[1]:
+        message = f"{field} must be {sign} {bound}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{field: value})
+
+
+def test_bounds_are_declared_on_exactly_the_range_table():
+    """check_fields reads a bound from the field's declaration, and the
+    table above is every declared bound."""
+    signs = {"min": ">=", "above": ">"}
+    declared = [(cls, f.name, signs[key], f.metadata[key])
+                for cls in (*_CONFIGS, TrainStats) for f in dataclasses.fields(cls)
+                for key in signs if key in f.metadata]
+    assert sorted(declared, key=_by_name) == sorted(_RANGES, key=_by_name)
+
+
+def _by_name(rng):
+    return rng[0].__name__, rng[1]
 
 
 def test_sigmoid_and_entropy_anchors():
