@@ -600,8 +600,9 @@ class _Columns:
     codes, each an array or a scalar that stands for every event of the
     block. A node key indexes ``kinds`` and ``labels``; ``nodes`` maps
     each (kind code, label) pair named so far to its key, so a pair that
-    two templates name is one key, and the slot a pair named again was
-    given stays unused."""
+    two templates name is one key. ``keys`` gives every pair it is
+    handed a slot, and the slot of a pair named again stays unused;
+    ``key`` adds a slot only for a new pair."""
 
     def __init__(self):
         self.nodes: dict[tuple[int, str], int] = {}
@@ -619,9 +620,12 @@ class _Columns:
                                range(start, len(self.labels))), np.int64, len(labels))
 
     def key(self, kind: int, label: str) -> int:
-        self.kinds.append(kind)
-        self.labels.append(label)
-        return self.nodes.setdefault((kind, label), len(self.labels) - 1)
+        """The pair's key; a slot is added only for a pair not named yet."""
+        key = self.nodes.setdefault((kind, label), len(self.labels))
+        if key == len(self.labels):
+            self.kinds.append(kind)
+            self.labels.append(label)
+        return key
 
     def add(self, ts: np.ndarray, order: tuple, src, dst, relation) -> None:
         """Events at ``ts`` with tie key ``order``, (class, position...)

@@ -21,6 +21,7 @@ from provlens.data import (
     ScenarioSpec,
     SessionSpec,
     SessionStep,
+    _Columns,
     default_scenario,
     generate_scenario,
     load_dataset,
@@ -177,6 +178,15 @@ def test_parse_log_sorts_and_dedups_nodes():
     ds = parse_log(lines)
     assert [e.relation for e in ds.graph.events] == [Relation.OPEN, Relation.READ]
     assert len(ds.graph.nodes) == 2
+
+
+def test_column_key_adds_one_slot_per_pair():
+    """The parser keys every endpoint; a pair named again reuses its slot,
+    so a parsed log holds one label per node, not one per line."""
+    columns = _Columns()
+    pairs = [(0, "sh"), (1, "sh"), (0, "sh"), (1, "/x"), (1, "sh")]
+    assert [columns.key(kind, label) for kind, label in pairs] == [0, 1, 0, 2, 1]
+    assert (columns.kinds, columns.labels) == ([0, 1, 1], ["sh", "sh", "/x"])
 
 
 @pytest.mark.parametrize(
