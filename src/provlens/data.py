@@ -10,6 +10,16 @@ per period), plus an injected multi-stage attack chain. The spec's
 seed is read by nothing yet, so the timeline is a function of the
 scripts alone.
 
+Every spec class checks its fields with the configs' one rule,
+:func:`~provlens.masks.check_fields`, first thing when built: each time,
+gap, offset and duration is a finite number (not a bool), the seed an
+integer, and ``SessionSpec.period_s`` is declared ``> 0``. Only the
+rules that are not field bounds are written out: a duty cycle's period
+(a property, the sum of its gaps) must be finite and > 0, a session
+needs steps or a parent and may not open on a ``same`` partner, a
+spawned session may not set the fields a spawn never reads, and attack
+offsets must strictly increase.
+
 Log line format::
 
     <src_kind> <src_label> <relation> <dst_kind> <dst_label> <timestamp_ns>
@@ -57,7 +67,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +93,7 @@ from .graph import (
     TemporalGraph,
     TruthLabel,
 )
+from .masks import check_fields, ordered_sum
 
 DATASET_VERSION = 2
 
@@ -248,13 +259,6 @@ def _parse_relation(token: str, lineno: int) -> int:
 # scenario specification
 # ---------------------------------------------------------------------------
 
-def _require_finite(owner: str, **values: float) -> None:
-    """Refuse a non-finite time, which no event can carry."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{owner}: {name} must be finite, got {value}")
-
-
 @dataclass(frozen=True)
 class SessionStep:
     """One scripted action by a session's actor process.
@@ -278,6 +282,9 @@ class SessionStep:
                         # start_gap_s after the parent's EXECUTE
     coin: Relation | None = None
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class SessionSpec:
@@ -296,25 +303,17 @@ class SessionSpec:
     steps: tuple[SessionStep, ...]
     parent: str | None = None
     start_gap_s: float = 1.0   # delay between EXECUTE and the first step
-    period_s: float = 60.0     # one session per period
+    # one session per period; starts must advance, or the stream never
+    # passes the capture's end
+    period_s: float = field(default=60.0, metadata={"above": 0})
     offset_s: float = 0.0      # first session start
     conf: str | None = None    # parent's config file label
 
     def __post_init__(self):
-        # session starts must advance, or the stream never passes the
-        # capture's end; a session must emit at least one event, at
-        # finite times
-        if not (math.isfinite(self.period_s) and self.period_s > 0):
-            raise ValueError(
-                f"session {self.name!r}: period_s must be finite and > 0, "
-                f"got {self.period_s}"
-            )
+        check_fields(self)
+        # a session must emit at least one event
         if not self.steps and not self.parent:
             raise ValueError(f"session {self.name!r} has neither steps nor a parent")
-        _require_finite(f"session {self.name!r}", offset_s=self.offset_s,
-                        start_gap_s=self.start_gap_s,
-                        **{f"steps[{i}].gap_s": step.gap_s
-                           for i, step in enumerate(self.steps)})
         if self.steps and self.steps[0].dst == "same":
             raise ValueError(
                 f"session {self.name!r}: its first step's partner is 'same', "
@@ -338,6 +337,7 @@ class CycleStep:
     spawn: SessionSpec | None = None  # EXECUTE positions spawn this session
 
     def __post_init__(self):
+        check_fields(self)
         if self.spawn is None:
             return
         for name, unset in (("offset_s", 0.0), ("conf", None)):
@@ -361,18 +361,18 @@ class DutyCycle:
     conf: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         # laps must advance, or the cycle never passes the capture's end
         if not (math.isfinite(self.period_s) and self.period_s > 0):
             raise ValueError(
                 f"duty cycle {self.label!r}: the gaps of its {len(self.steps)} "
                 f"step(s) sum to {self.period_s}, not a finite period > 0"
             )
-        _require_finite(f"duty cycle {self.label!r}", offset_s=self.offset_s)
 
     @property
     def period_s(self) -> float:
-        """One lap: the sum of the steps' gaps."""
-        return sum(step.gap_s for step in self.steps)
+        """One lap: the sum of the steps' gaps, added left to right."""
+        return ordered_sum(step.gap_s for step in self.steps)
 
 
 @dataclass(frozen=True)
@@ -383,6 +383,9 @@ class AttackStep:
     dst_kind: NodeKind
     relation: Relation
     offset_s: float  # offset into the scenario timeline
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -398,9 +401,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not math.isfinite(self.duration_s):
-            # a stream ends at the first event past the capture
-            raise ValueError(f"duration_s must be finite, got {self.duration_s}")
+        check_fields(self)
         offsets = [s.offset_s for s in self.attack_chain]
         if any(b <= a for a, b in zip(offsets, offsets[1:])):
             raise ValueError("attack step offsets must be strictly increasing")

@@ -2,11 +2,11 @@
 
 The logistic squashing of mask logits, the binary-entropy penalty, the
 left-to-right float sum of every reported figure (:func:`ordered_sum`),
-the one type-and-range rule of every config dataclass
+the one type-and-range rule of every config dataclass and scenario spec
 (:func:`check_fields`: each field's type from its annotation and its
-bound from its declaration; only ``ModelConfig.time_dim``'s parity and
-``DetectorConfig.window_minutes``' nanosecond range, which are not
-bounds, are checked in their ``__post_init__``), the ranking of a
+bound from its declaration; only the rules that are not bounds, such as
+``ModelConfig.time_dim``'s parity, are checked in their
+``__post_init__``), the ranking of a
 context's edges by importance, the per-edge grouping of the window
 aggregates, and the gradient-descent loop that GraphMask, GNNExplainer
 and VA-TG all run, with its one divergence rule: a non-finite objective
@@ -65,8 +65,9 @@ def ordered_sum(values):
     """Sum of ``values`` added one at a time from the left, starting at 0.
 
     Python 3.12 made ``sum()`` of floats compensated and 3.11's is not;
-    every float sum that reaches a report, an alert or a CSV goes through
-    this one, so their bytes do not depend on the Python version."""
+    every float sum that reaches a report, an alert, a CSV or a generated
+    event time goes through this one, so their bytes do not depend on the
+    Python version."""
     total = 0
     for v in values:
         total += v
@@ -89,9 +90,10 @@ _BOUNDS = {"min": (">=", operator.ge), "above": (">", operator.gt)}
 
 
 def check_fields(config) -> None:
-    """ValueError naming the first field of the dataclass ``config``
-    whose value breaks the type rule of its annotation or the bound its
-    declaration carries.
+    """ValueError naming the first field of the dataclass ``config`` (a
+    config, or a scenario spec of :mod:`provlens.data`) whose value
+    breaks the type rule of its annotation or the bound its declaration
+    carries.
 
     The type rule: an ``int`` field takes an integer (numpy integers
     included), a ``float`` field a finite real number (integers
@@ -102,9 +104,11 @@ def check_fields(config) -> None:
     The bound, checked right after a field's type: a field declared
     ``field(default=..., metadata={"min": b})`` takes values ``>= b``,
     and one with ``{"above": b}`` values ``> b``; None passes. This is
-    every range rule of every config; the two rules that are not bounds,
-    ``ModelConfig.time_dim``'s parity and ``DetectorConfig.window_minutes``'
-    nanosecond range, are checked in their ``__post_init__``.
+    every range rule of every config and spec; the rules that are not
+    bounds, ``ModelConfig.time_dim``'s parity,
+    ``DetectorConfig.window_minutes``' nanosecond range and the scenario
+    specs' rules on their steps, periods and attack order, are checked in
+    their ``__post_init__``.
     """
     for f in dataclasses.fields(config):
         base = f.type.removesuffix(" | None")

@@ -568,18 +568,6 @@ def train(dataset, config: ModelConfig) -> TgnModel:
     return model
 
 
-def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig):
-    """Fit the head on the rows of ``X`` with labels ``y``: the mean
-    cross-entropy over the n rows is, row for row, a sum over the k
-    distinct (input, label) rows (:func:`_distinct_rows`) weighted by
-    count / n, so :func:`_fit_weighted` runs on those k rows. The result
-    equals the fit over every row up to float rounding of the reordered
-    sums, and is bitwise the fit :func:`train` makes of the same rows
-    without holding them."""
-    first, counts = _distinct_rows(X, y)
-    _fit_weighted(model, X[first], y[first], counts / len(X), config)
-
-
 def _fit_weighted(model: TgnModel, X: np.ndarray, y: np.ndarray, weight: np.ndarray,
                   config: ModelConfig):
     """Full-batch Adam on the two-layer head, over the k rows of ``X``
@@ -661,14 +649,6 @@ def _pair_index(X: np.ndarray, y: np.ndarray, pairs: dict) -> list[int]:
     different labels stay apart."""
     return [pairs.setdefault(key, len(pairs))
             for key in zip(map(np.ndarray.tobytes, X), y.tolist())]
-
-
-def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first occurrence of each distinct (row, label) pair
-    (see :func:`_pair_index`), in order of first occurrence, and how many
-    rows each pair has."""
-    index = np.array(_pair_index(X, y, {}), dtype=np.intp)
-    return np.unique(index, return_index=True)[1], np.bincount(index).astype(float)
 
 
 def _head(A: np.ndarray, Wo: np.ndarray, bo: np.ndarray, P: np.ndarray | None = None):

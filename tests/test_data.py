@@ -595,6 +595,21 @@ def test_duty_cycle_lap_is_cut_at_its_first_late_step():
     ]
 
 
+def test_duty_cycle_period_adds_its_gaps_left_to_right():
+    """Gaps 0.1, 0.2, 0.3 make a period of (0.1 + 0.2) + 0.3, one ulp
+    above the correctly rounded 0.6 that a compensated sum gives (as
+    ``sum()`` does from Python 3.12). In a capture of exactly that period
+    the second lap starts at the capture's end, so only the first lap's
+    three positions are kept; a period of 0.6 would keep a fourth."""
+    period_s = 0.1 + 0.2 + 0.3
+    assert period_s == 0.6000000000000001 != math.fsum([0.1, 0.2, 0.3])
+    proc = _cycle(*(CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=gap)
+                    for gap in (0.1, 0.2, 0.3)))
+    assert proc.period_s == period_s
+    events = _scripted(period_s, cycles=(proc,))
+    assert [t for *_, t in events] == [0.0, 0.2, 0.5]
+
+
 def test_late_spawned_session_is_dropped_on_its_own():
     """The second lap's child would read at 17 s, past the 16 s capture:
     its whole session goes, and the lap's later position stays."""
@@ -755,5 +770,5 @@ def test_first_step_with_no_earlier_partner_is_refused():
 def test_non_finite_times_are_refused(make, bad):
     """No event can carry a non-finite time, so the spec is refused when
     built."""
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite number"):
         make(bad)

@@ -1,4 +1,5 @@
-"""Helpers shared by the explainers and the config type rule."""
+"""Helpers shared by the explainers, and the one type-and-range rule of
+the configs and the scenario specs."""
 
 import dataclasses
 import math
@@ -10,6 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from provlens.data import (
+    AttackStep,
+    CycleStep,
+    DutyCycle,
+    ScenarioSpec,
+    SessionSpec,
+    SessionStep,
+)
 from provlens.detect import DetectorConfig
 from provlens.gnnexplainer import (
     FidelityMetrics,
@@ -26,6 +35,7 @@ from provlens.masks import (
     sigmoid,
     top_edges,
 )
+from provlens.graph import NodeKind, Relation
 from provlens.model import MaskEvaluator, ModelConfig, TrainStats
 from provlens.pipeline import PipelineConfig
 from provlens.vatg import VatgConfig, vatg_explain_event
@@ -34,62 +44,41 @@ from conftest import random_contexts
 from test_model import _sized_cases, _tiny_cases, _tiny_model
 
 
-@pytest.mark.parametrize("cls, field", [
-    (GraphMaskConfig, "learning_rate"),
-    (GraphMaskConfig, "sparsity_weight"),
-    (GraphMaskConfig, "entropy_weight"),
-    (GnnExplainerConfig, "learning_rate"),
-    (GnnExplainerConfig, "sparsity_weight"),
-    (GnnExplainerConfig, "entropy_weight"),
-    (VatgConfig, "learning_rate"),
-    (VatgConfig, "lambda_kl"),
-    (VatgConfig, "lambda_sp"),
-])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_configs_reject_non_finite(cls, field, value):
-    with pytest.raises(ValueError):
-        cls(**{field: value})
-
-
-_INTEGER_FIELDS = [
-    (GraphMaskConfig, "epochs"),
-    (GnnExplainerConfig, "epochs"),
-    (GnnExplainerConfig, "top_k"),
-    (VatgConfig, "mc_samples"),
-    (VatgConfig, "epochs"),
-    (VatgConfig, "sparsity_top_k"),
-    (VatgConfig, "seed"),
-]
-
-
-@pytest.mark.parametrize("cls, field", _INTEGER_FIELDS)
-@pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 3.0, 1e9, "3"])
-def test_integer_fields_reject_bools_and_non_integers(cls, field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        cls(**{field: value})
-
-
-@pytest.mark.parametrize("cls, field", _INTEGER_FIELDS)
-def test_integer_fields_accept_numpy_integers(cls, field):
-    config = cls(**{field: np.int32(3)})
-    assert getattr(config, field) == 3
-
-
-def test_vatg_seed_is_not_negative():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        VatgConfig(seed=-1)
-    assert VatgConfig(seed=0).seed == 0
-
-
 _CONFIGS = [ModelConfig, DetectorConfig, PipelineConfig, GraphMaskConfig,
             GnnExplainerConfig, VatgConfig]
+_STEP = SessionStep(Relation.READ, NodeKind.FILE, "fresh")
+_CYCLE_STEP = CycleStep(Relation.READ, NodeKind.FILE, "a", gap_s=1.0)
+#: a minimal valid instance of each scenario spec class, with the given
+#: field values
+_SPEC_BUILDERS = {
+    SessionStep: lambda **values: SessionStep(Relation.READ, NodeKind.FILE, "fresh",
+                                              **values),
+    SessionSpec: lambda **values: SessionSpec("s", (_STEP,), **values),
+    CycleStep: lambda **values: CycleStep(Relation.READ, NodeKind.FILE, "a",
+                                          **{"gap_s": 1.0, **values}),
+    DutyCycle: lambda **values: DutyCycle("p", (_CYCLE_STEP,), **values),
+    AttackStep: lambda **values: AttackStep(
+        "a", NodeKind.PROCESS, "b", NodeKind.FILE, Relation.READ,
+        **{"offset_s": 0.0, **values}),
+    ScenarioSpec: lambda **values: ScenarioSpec(
+        **{"duration_s": 1.0, "cycles": (), "sessions": (), "attack_chain": (),
+           **values}),
+}
+#: every class whose __post_init__ runs check_fields
+_CHECKED = [*_CONFIGS, *_SPEC_BUILDERS]
+
+
+def _build(cls, **values):
+    """An instance of ``cls`` with the given field values: a config takes
+    its defaults for the rest, a scenario spec its minimal builder's."""
+    return _SPEC_BUILDERS.get(cls, cls)(**values)
 
 
 def _fields(pick):
-    """(class, field) for every field of the configs whose annotation
-    string passes ``pick``."""
+    """(class, field) for every field of the checked classes whose
+    annotation string passes ``pick``."""
     return [pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-            for cls in _CONFIGS for f in dataclasses.fields(cls)
+            for cls in _CHECKED for f in dataclasses.fields(cls)
             if pick(f.type)]
 
 
@@ -98,14 +87,14 @@ _FLOAT_FIELDS = _fields(lambda t: t.removesuffix(" | None") == "float")
 _OPTIONAL_FIELDS = _fields(lambda t: t.endswith(" | None"))
 
 
-@pytest.mark.parametrize("cls", _CONFIGS)
+@pytest.mark.parametrize("cls", _CHECKED)
 def test_config_annotations_are_strings(cls):
     """The type rule reads annotations as strings; a module without
     ``from __future__ import annotations`` would leave its fields unchecked."""
     assert all(isinstance(f.type, str) for f in dataclasses.fields(cls))
 
 
-@pytest.mark.parametrize("cls", _CONFIGS)
+@pytest.mark.parametrize("cls", _CHECKED)
 def test_config_fields_are_all_init_fields(cls):
     """Every field is a constructor argument, so the type rule, the config
     file reader and the checkpoint reader check every field; a derived
@@ -114,57 +103,39 @@ def test_config_fields_are_all_init_fields(cls):
 
 
 @pytest.mark.parametrize("cls, field", _INT_FIELDS)
-@pytest.mark.parametrize("value", [True, np.True_, 2.5, "3"])
+@pytest.mark.parametrize("value", [True, False, np.True_, 2.5, 3.0, 1e9, math.nan,
+                                   math.inf, "3"])
 def test_declared_int_fields_reject_non_integers(cls, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
-        cls(**{field: value})
+        _build(cls, **{field: value})
 
 
 @pytest.mark.parametrize("cls, field", _INT_FIELDS)
 def test_declared_int_fields_accept_numpy_integers(cls, field):
     # 4 rather than 3: time_dim must be even
-    assert cls(**{field: np.int32(4)}) == cls(**{field: 4})
+    assert _build(cls, **{field: np.int32(4)}) == _build(cls, **{field: 4})
 
 
 @pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400,
-                                   True, "0.01"])
+                                   True, "1", "0.01"])
 def test_declared_float_fields_reject_non_finite_and_non_numbers(cls, field,
                                                                  value):
     with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
-        cls(**{field: value})
+        _build(cls, **{field: value})
 
 
 @pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
 def test_declared_float_fields_accept_ints(cls, field):
-    assert cls(**{field: 1}) == cls(**{field: 1.0})
+    assert _build(cls, **{field: 1}) == _build(cls, **{field: 1.0})
 
 
 @pytest.mark.parametrize("cls, field", _OPTIONAL_FIELDS)
 def test_optional_fields_accept_none(cls, field):
-    assert getattr(cls(**{field: None}), field) is None
+    assert getattr(_build(cls, **{field: None}), field) is None
 
 
-def test_model_seed_is_not_negative():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        ModelConfig(seed=-1)
-    assert ModelConfig(seed=0).seed == 0
-
-
-@pytest.mark.parametrize("cls", [GraphMaskConfig, GnnExplainerConfig])
-@pytest.mark.parametrize("field", ["sparsity_weight", "entropy_weight"])
-def test_mask_penalty_weights_reject_negative(cls, field):
-    """A negative penalty would reward mask mass or entropy."""
-    with pytest.raises(ValueError):
-        cls(**{field: -1e-3})
-
-
-@pytest.mark.parametrize("field", ["sparsity_weight", "entropy_weight"])
-def test_gnnexplainer_penalty_weights_allow_zero(field):
-    assert getattr(GnnExplainerConfig(**{field: 0.0}), field) == 0.0
-
-
-#: every config field's range: (class, field, sign, bound). Every other
+#: every checked field's range: (class, field, sign, bound). Every other
 #: field of these classes takes any value of its type.
 _RANGES = [
     *((ModelConfig, name, ">=", 1) for name in
@@ -184,11 +155,12 @@ _RANGES = [
     *((VatgConfig, name, ">=", 1) for name in ("mc_samples", "epochs", "sparsity_top_k")),
     (VatgConfig, "seed", ">=", 0),
     *((VatgConfig, name, ">", 0) for name in ("learning_rate", "lambda_kl", "lambda_sp")),
+    (SessionSpec, "period_s", ">", 0),
 ]
 _BOUNDED = [pytest.param(*rng, id=f"{rng[0].__name__}.{rng[1]}") for rng in _RANGES]
 _UNBOUNDED = [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
-    for cls in (*_CONFIGS, TrainStats) for f in dataclasses.fields(cls)
+    for cls in (*_CHECKED, TrainStats) for f in dataclasses.fields(cls)
     if f.type.removesuffix(" | None") in ("int", "float")
     and (cls, f.name) not in {rng[:2] for rng in _RANGES}
     # not a bound: a window of at least 1 ns and of finite length in ns
@@ -197,14 +169,15 @@ _UNBOUNDED = [
 
 
 def _edges(cls, field, sign, bound):
-    """(accepted, refused) values at the edge of the field's range."""
+    """(accepted, refused) values at the edge of the field's range, and
+    a float one well below it."""
     if cls.__dataclass_fields__[field].type == "int":
         # time_dim must also be even, so its least value is 2
         least = bound + 1 if (cls, field) == (ModelConfig, "time_dim") else bound
         return [least], [bound - 1]
     if sign == ">":
-        return [5e-324], [0.0]
-    return [-0.0, 0.0], [-5e-324]
+        return [5e-324], [0.0, -1e-3]
+    return [-0.0, 0.0], [-5e-324, -1e-3]
 
 
 def test_range_table_names_the_unbounded_fields():
@@ -213,6 +186,10 @@ def test_range_table_names_the_unbounded_fields():
         (DetectorConfig, "window_loss_budget"),
         (DetectorConfig, "alert_threshold_factor"),
         (TrainStats, "mu"), (TrainStats, "sigma"), (TrainStats, "final_train_loss"),
+        (SessionStep, "gap_s"), (SessionSpec, "start_gap_s"),
+        (SessionSpec, "offset_s"), (CycleStep, "gap_s"), (DutyCycle, "offset_s"),
+        (AttackStep, "offset_s"), (ScenarioSpec, "duration_s"),
+        (ScenarioSpec, "seed"),
     }
 
 
@@ -220,16 +197,16 @@ def test_range_table_names_the_unbounded_fields():
 def test_config_ranges_accept_and_refuse_their_edges(cls, field, sign, bound):
     accepted, refused = _edges(cls, field, sign, bound)
     for value in accepted:
-        assert getattr(cls(**{field: value}), field) == value
+        assert getattr(_build(cls, **{field: value}), field) == value
     for value in refused:
         with pytest.raises(ValueError):
-            cls(**{field: value})
+            _build(cls, **{field: value})
 
 
 @pytest.mark.parametrize("cls, field", _UNBOUNDED)
 def test_unbounded_fields_take_any_value_of_their_type(cls, field):
     value = -1 if cls.__dataclass_fields__[field].type == "int" else -sys.float_info.max
-    assert getattr(cls(**{field: value}), field) == value
+    assert getattr(_build(cls, **{field: value}), field) == value
 
 
 @pytest.mark.parametrize("cls, field, sign, bound", _BOUNDED)
@@ -237,7 +214,7 @@ def test_out_of_range_value_names_field_and_bound(cls, field, sign, bound):
     for value in _edges(cls, field, sign, bound)[1]:
         message = f"{field} must be {sign} {bound}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            cls(**{field: value})
+            _build(cls, **{field: value})
 
 
 def test_bounds_are_declared_on_exactly_the_range_table():
@@ -245,7 +222,7 @@ def test_bounds_are_declared_on_exactly_the_range_table():
     table above is every declared bound."""
     signs = {"min": ">=", "above": ">"}
     declared = [(cls, f.name, signs[key], f.metadata[key])
-                for cls in (*_CONFIGS, TrainStats) for f in dataclasses.fields(cls)
+                for cls in (*_CHECKED, TrainStats) for f in dataclasses.fields(cls)
                 for key in signs if key in f.metadata]
     assert sorted(declared, key=_by_name) == sorted(_RANGES, key=_by_name)
 

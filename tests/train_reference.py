@@ -1,5 +1,5 @@
 """The whole-prefix trainer, kept as the reference for
-``provlens.model.train``.
+``provlens.model.train``, and its in-memory head fit.
 
 This is ``train`` as it was written before training stopped building
 the prefix's feature matrix: every block of head inputs is copied into
@@ -14,13 +14,35 @@ from __future__ import annotations
 import numpy as np
 
 from provlens.model import (
+    ModelConfig,
     TgnModel,
     TrainStats,
-    _fit_head,
+    _fit_weighted,
     _head,
+    _pair_index,
     _Stream,
     training_prefix_end,
 )
+
+
+def _fit_head(model: TgnModel, X: np.ndarray, y: np.ndarray, config: ModelConfig):
+    """Fit the head on the rows of ``X`` with labels ``y``: the mean
+    cross-entropy over the n rows is, row for row, a sum over the k
+    distinct (input, label) rows (:func:`_distinct_rows`) weighted by
+    count / n, so ``_fit_weighted`` runs on those k rows. The result
+    equals the fit over every row up to float rounding of the reordered
+    sums, and is bitwise the fit ``train`` makes of the same rows
+    without holding them."""
+    first, counts = _distinct_rows(X, y)
+    _fit_weighted(model, X[first], y[first], counts / len(X), config)
+
+
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the first occurrence of each distinct (row, label) pair
+    (see ``provlens.model._pair_index``), in order of first occurrence,
+    and how many rows each pair has."""
+    index = np.array(_pair_index(X, y, {}), dtype=np.intp)
+    return np.unique(index, return_index=True)[1], np.bincount(index).astype(float)
 
 
 def reference_train(dataset, config) -> TgnModel:
