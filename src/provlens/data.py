@@ -42,12 +42,13 @@ field.
 
 Version 1, one JSON document with a dict per node and a list per event,
 is still read, since a dataset, unlike a checkpoint, cannot be rebuilt
-from what the program keeps: a parsed log may be gone. It is decoded one
-record at a time, in file order, through the graph's validated
-one-record write paths, so a malformed file raises the error of its
-first bad record; its nodes may come in any order. That is slower than
-a version-2 load; :func:`save_dataset` writes any loaded dataset as
-version 2.
+from what the program keeps: a parsed log may be gone. Its records are
+checked one at a time, in file order, so a malformed file raises the
+error of its first bad record; its nodes may come in any order, and a
+node listed twice must be listed alike. The nodes go into the graph in
+one ``TemporalGraph.from_columns`` call, and then each event through
+``TemporalGraph.append_event``. That is slower than a version-2 load;
+:func:`save_dataset` writes any loaded dataset as version 2.
 
 The log parser and the scenario generator build their graphs through
 one :class:`_Columns`, so both number nodes by one rule. Neither makes
@@ -694,12 +695,20 @@ def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
     times are the same float additions a one-event-at-a-time loop
     makes, and a label string is made once per node. One
     ``np.lexsort`` of the timestamps and the padded tie keys puts the
-    events in order, and node ids follow first appearance."""
+    events in order, and node ids follow first appearance.
+
+    An attack chain whose every step truncates to 0 ns raises
+    ``ValueError``: its attack interval would be (0, 0), the interval
+    that means no attack, and training would fit on the attack."""
     for step in spec.attack_chain:
         if step.offset_s > spec.duration_s:
             raise ValueError(
                 f"attack offset {step.offset_s}s exceeds duration {spec.duration_s}s"
             )
+    attack_ns = _ns([step.offset_s for step in spec.attack_chain])
+    if len(attack_ns) and not attack_ns.any():
+        raise ValueError("every attack step truncates to 0 ns, so the attack "
+                         "interval would be (0, 0), which means no attack")
 
     # an int64 timestamp is past the capture when it is at least this:
     # int < float compares exactly, and x >= d iff x >= ceil(d) for an
@@ -715,7 +724,7 @@ def generate_scenario(spec: ScenarioSpec) -> LabeledDataset:
            for step in chain]
     dst = [columns.key(_KIND_CODES[_VALUE(step.dst_kind)], step.dst_label)
            for step in chain]
-    columns.add(_ns([step.offset_s for step in chain]), (_ATTACK, np.arange(len(chain))),
+    columns.add(attack_ns, (_ATTACK, np.arange(len(chain))),
                 np.array(src, np.int64), np.array(dst, np.int64),
                 np.array([RELATION_INDEX[step.relation] for step in chain], np.int64))
     return columns.dataset()
@@ -988,13 +997,20 @@ def _all_of(fn, values, expected) -> bool:
 
 
 def _record_graph(doc: dict) -> TemporalGraph:
-    """The graph of a document decoded one record at a time, in file
-    order; raises at the first record that fails a check."""
-    graph = TemporalGraph()
+    """The graph of a document, its records checked one at a time in file
+    order, so the first bad record raises: the nodes, gathered by id, go
+    into one ``from_columns`` call, then each event into ``append_event``."""
+    nodes: dict[int, NodeDescriptor] = {}
     for n in doc["nodes"]:
-        graph.add_node(NodeDescriptor(_typed(n["id"], int),
-                                      NODE_KINDS[_KIND_CODES[n["kind"]]],
-                                      _typed(n["label"], str)))
+        node = NodeDescriptor(_typed(n["id"], int), NODE_KINDS[_KIND_CODES[n["kind"]]],
+                              _typed(n["label"], str))
+        np.int64(node.node_id)  # an id past int64 raises OverflowError
+        bound = nodes.setdefault(node.node_id, node)
+        if bound != node:
+            raise ValueError(f"node_id {node.node_id} already bound to {bound}")
+    graph = TemporalGraph.from_columns(
+        list(nodes), [_KIND_CODES[_VALUE(n.kind)] for n in nodes.values()],
+        [n.label for n in nodes.values()], [], [], [], [])
     for src, dst, rel, ts in doc["events"]:
         graph.append_event(Event(_typed(src, int), _typed(dst, int),
                                  RELATIONS[_RELATION_CODES[rel]], _typed(ts, int)))

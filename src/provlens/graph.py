@@ -7,21 +7,22 @@ extraction everything downstream (scoring, explanation) is built on.
 :class:`TemporalGraph` is a column store. Events are int64 ``src``,
 ``dst`` and ``ts`` columns and a relation-code column ``rel`` (indexes
 into :data:`RELATIONS`); nodes are id, kind-code (indexes into
-:data:`NODE_KINDS`) and label columns in ascending id order, however
-they were added. A node id's row is one searchsorted on the id column.
-The graph caches one incidence index over all of its events
+:data:`NODE_KINDS`) and label columns in ascending id order, whatever
+order they were given in. A node id's row is one searchsorted on the id
+column. A graph gets its nodes once, from
+:meth:`TemporalGraph.from_columns`, so node rows never move. The graph
+caches one incidence index over all of its events
 (:class:`_Incidences`): each event's endpoint rows, the (node, event)
 incidences node-major and in event order, and each event's rank in
-(-timestamp, index) order. It is built on the first read after a write,
-and :func:`extract_context`, :meth:`TemporalGraph.incident` and stream
-scoring all read it.
+(-timestamp, index) order. It is built on the first read after an
+append, and :func:`extract_context` and stream scoring read it.
 ``graph.events`` and ``graph.nodes`` are read-only views
 that build an :class:`Event` or a :class:`NodeDescriptor` when one is
 read, so no per-event object is kept; the hot readers (stream scoring,
-window scoring, ablation) read the columns. :meth:`TemporalGraph.add_node`
-and :meth:`TemporalGraph.append_event` are the validated one-record write
-paths; :meth:`TemporalGraph.from_columns` fills the columns in bulk and
-raises ``ValueError`` on any input they would reject.
+window scoring, ablation) read the columns.
+:meth:`TemporalGraph.from_columns` fills the columns in bulk and raises
+``ValueError`` on columns that break the graph's rules;
+:meth:`TemporalGraph.append_event` is the validated one-event append.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ RELATIONS = list(Relation)
 RELATION_INDEX = {r: i for i, r in enumerate(RELATIONS)}
 #: node kinds in declaration order; a graph's kind column indexes this
 NODE_KINDS = list(NodeKind)
-_KIND_INDEX = {k: i for i, k in enumerate(NODE_KINDS)}
 #: timestamps and node ids are int64 columns; timestamps count nanoseconds
 _I64 = np.iinfo(np.int64)
 NS_PER_S = 1_000_000_000
@@ -101,11 +101,12 @@ class TemporalGraph:
     """Append-only timestamped event sequence over typed entities, stored
     as columns (see the module docstring).
 
-    Single-writer during construction; immutable and safe for concurrent
-    reads afterwards. Timestamps must be non-decreasing; ties are broken
-    by insertion index. The column properties are read-only views of the
-    first ``len(graph)`` events (or of every node); nodes are in id
-    order, so adding a node below the largest id moves rows in place.
+    The nodes are fixed when :meth:`from_columns` builds the graph;
+    :meth:`append_event` adds events after the last. Reads are safe
+    together while no event is appended. Timestamps must be
+    non-decreasing; ties are broken by event index. The column
+    properties are read-only views of the first ``len(graph)`` events
+    (or of every node, in id order).
     """
 
     def __init__(self):
@@ -123,14 +124,15 @@ class TemporalGraph:
     @classmethod
     def from_columns(cls, node_ids, node_kinds, node_labels,
                      src, dst, rel, ts) -> "TemporalGraph":
-        """The graph that :meth:`add_node` of each node and then
-        :meth:`append_event` of each event, in order, would build; filled
-        in bulk.
+        """The graph of these nodes and then of these events, in order:
+        the one way a graph gets its nodes.
 
         Nodes may come in any order; the graph holds them in id order.
         ``node_kinds`` and ``rel`` are codes into :data:`NODE_KINDS` and
-        :data:`RELATIONS`. Columns that the one-record paths would reject
-        or that repeat a node id raise ``ValueError``."""
+        :data:`RELATIONS`. Columns that repeat a node id, hold an empty
+        label, name an endpoint that is not a node, or whose timestamps
+        decrease (what :meth:`append_event` would reject) raise
+        ``ValueError``."""
         ids, kinds = np.array(node_ids, np.int64), np.array(node_kinds, np.int8)
         labels = list(node_labels)
         src, dst = np.array(src, np.int64), np.array(dst, np.int64)
@@ -155,25 +157,6 @@ class TemporalGraph:
         if (ts[1:] < ts[:-1]).any():
             raise ValueError("event timestamps must be non-decreasing")
         return graph
-
-    def add_node(self, node: NodeDescriptor) -> None:
-        """Insert the node at its id's row (an ascending id appends); an id
-        that is not an int64 integer raises before any row moves."""
-        node_id, kind = np.int64(operator.index(node.node_id)), _KIND_INDEX[node.kind]
-        m = len(self._labels)
-        row = self._node_id[:m].searchsorted(node_id)
-        if row < m and self._node_id[row] == node_id:
-            existing = self.nodes[node.node_id]
-            if existing != node:
-                raise ValueError(f"node_id {node.node_id} already bound to {existing}")
-            return
-        self._node_id, self._node_kind = (
-            _grown(c, m + 1) for c in (self._node_id, self._node_kind))
-        for col, value in ((self._node_id, node_id), (self._node_kind, kind)):
-            col[row + 1 : m + 1] = col[row:m]
-            col[row] = value
-        self._labels.insert(row, node.label)
-        self._inc = None
 
     def append_event(self, e: Event) -> None:
         for end, node_id in (("src", e.src), ("dst", e.dst)):
@@ -228,12 +211,12 @@ class TemporalGraph:
 
     @property
     def node_ids(self) -> np.ndarray:
-        return _read_only(self._node_id[: len(self._labels)])
+        return _read_only(self._node_id)
 
     @property
     def node_kinds(self) -> np.ndarray:
         """Kind codes: indexes into :data:`NODE_KINDS`."""
-        return _read_only(self._node_kind[: len(self._labels)])
+        return _read_only(self._node_kind)
 
     @property
     def node_labels(self) -> tuple[str, ...]:
@@ -247,7 +230,7 @@ class TemporalGraph:
         """Row of each of ``node_ids`` in the node columns, -1 for an id
         that is not a node: one searchsorted on the id column, which
         ascends."""
-        ids = self._node_id[: len(self._labels)]
+        ids = self._node_id
         node_ids = np.int64(node_ids)  # one key stays a scalar: its compare is fast
         if not len(ids):
             return np.full(np.shape(node_ids), -1, np.intp)
@@ -264,22 +247,13 @@ class TemporalGraph:
 
     def _incidences(self) -> "_Incidences":
         """The incidence index over every event, built on the first read
-        after a write (two first reads at once may each build an equal
+        after an append (two first reads at once may each build an equal
         one; either serves)."""
         if self._inc is None:
             self._inc = _Incidences(self)
         return self._inc
 
     # -- queries ------------------------------------------------------------
-
-    def incident(self, node_id: int) -> list[int]:
-        """Sorted event indexes touching node_id, as a new list."""
-        row = self._node_row(node_id)
-        if row < 0:
-            raise KeyError(node_id)
-        inc = self._incidences()
-        end, first = inc.search(row, self._n)
-        return inc.inc_ev[first:end].tolist()
 
     def window_bounds(self, t0: int, t1: int) -> tuple[int, int]:
         """(lo, hi): the events with t0 <= timestamp < t1 (half-open) are
@@ -427,7 +401,7 @@ def extract_context(
     ascending event index. Only events at a lower index than the target
     are eligible: a later event at the target's timestamp is its future.
     Every call reads the graph's one incidence index, built on the first
-    read after a write; a whole stream's neighborhoods come from one call
+    read after an append; a whole stream's neighborhoods come from one call
     of the builder (:func:`provlens.model.score_stream`).
     """
     if not (0 <= event_index < len(graph)):

@@ -1,22 +1,22 @@
 """Pieces shared by the edge-mask explainers.
 
-The logistic squashing of mask logits, the binary-entropy penalty, the
-left-to-right float sum of every reported figure (:func:`ordered_sum`),
-the one type-and-range rule of every config dataclass and scenario spec
-(:func:`check_fields`: each field's type from its annotation and its
-bound from its declaration; only the rules that are not bounds, such as
+The logistic squashing of mask logits, the left-to-right float sum of
+every reported figure (:func:`ordered_sum`), the one type-and-range
+rule of every config dataclass and scenario spec (:func:`check_fields`:
+each field's type from its annotation and its bound from its
+declaration; only the rules that are not bounds, such as
 ``ModelConfig.time_dim``'s parity, are checked in their
-``__post_init__``), the ranking of a
-context's edges by importance, the per-edge grouping of the window
-aggregates, and the gradient-descent loop that GraphMask, GNNExplainer
-and VA-TG all run, with its one divergence rule: a non-finite objective
-raises :class:`DivergenceError`.
+``__post_init__``), the ranking of a context's edges by importance,
+the per-edge grouping of the window aggregates, and the gradient-descent
+loop that GraphMask, GNNExplainer and VA-TG all run, with its one
+divergence rule: a non-finite objective raises :class:`DivergenceError`.
 
 GraphMask and GNNExplainer descend on negated mask logits with
 :func:`descend_mask`: one step per evaluation, the context's
 :class:`~provlens.model.MaskEvaluator` one-row pass followed by both
-penalties with each shared subexpression once and one ``log`` call,
-bitwise equal to the plain sum of the loss and the penalties.
+penalties (the mask's sum and its binary entropy) with each shared
+subexpression once and one ``log`` call, bitwise equal to the plain sum
+of the loss and the penalties.
 
 Every numpy call in an explainer's evaluation takes array operands:
 numpy converts a Python number operand to an array on every call, about
@@ -72,10 +72,6 @@ def ordered_sum(values):
     for v in values:
         total += v
     return total
-
-
-def binary_entropy(m: np.ndarray) -> np.ndarray:
-    return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
 
 
 #: what each checked annotation takes; the float bound keeps out NaN,
@@ -189,10 +185,10 @@ def descend_mask(evaluator, config, data_term):
     pairwise sum since each row is contiguous. The objective is
     assembled from those sums as Python floats. The entropy is negated
     after its sum and a slope of 1.0 is not multiplied, both exact, so
-    the masks and objectives are bitwise those of the loss plus
-    :func:`binary_entropy`. It keeps log((1 - m) / m) rather than the
-    identity phi: the two part where m rounds to 0 or 1, which is where
-    a descent diverges.
+    the masks and objectives are bitwise those of the loss plus the
+    summed entropy -(m*log(m) + (1 - m)*log(1 - m)). It keeps
+    log((1 - m) / m) rather than the identity phi: the two part where m
+    rounds to 0 or 1, which is where a descent diverges.
 
     The buffers, the weights as 0-d arrays (:func:`constant`), the
     evaluator's bound ``loss_and_gradient`` and the numpy functions are

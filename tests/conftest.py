@@ -21,7 +21,7 @@ from provlens import (
     train,
 )
 from provlens.detect import WindowStats
-from provlens.graph import Event, NodeDescriptor, NodeKind, Relation, TruthLabel
+from provlens.graph import NODE_KINDS, Event, NodeKind, Relation, TruthLabel
 
 NS = 1_000_000_000
 
@@ -107,12 +107,32 @@ def build_graph(spec):
     of (node_id, kind, label) and events a list of
     (src, dst, relation, t_seconds)."""
     nodes, events = spec
-    g = TemporalGraph()
-    for nid, kind, label in nodes:
-        g.add_node(NodeDescriptor(nid, kind, label))
+    g = node_graph(nodes)
     for src, dst, rel, t in events:
         g.append_event(Event(src, dst, rel, int(t * NS)))
     return g
+
+
+def node_graph(nodes) -> TemporalGraph:
+    """The graph of (node_id, kind, label) nodes and no events, from
+    ``TemporalGraph.from_columns``; tests append the events one at a
+    time."""
+    nodes = list(nodes)
+    return TemporalGraph.from_columns(
+        [nid for nid, _, _ in nodes], [NODE_KINDS.index(kind) for _, kind, _ in nodes],
+        [label for _, _, label in nodes], [], [], [], [])
+
+
+def incident(graph: TemporalGraph, node_id) -> list[int]:
+    """Sorted indexes of the events touching ``node_id``, as a new list,
+    read from the graph's incidence index; ``KeyError`` for a key that is
+    no node id."""
+    row = graph._node_row(node_id)
+    if row < 0:
+        raise KeyError(node_id)
+    inc = graph._incidences()
+    end, first = inc.search(row, len(graph))
+    return inc.inc_ev[first:end].tolist()
 
 
 @pytest.fixture()

@@ -15,8 +15,7 @@ import itertools
 import operator
 
 from provlens.data import _KIND_CODES, LabeledDataset
-from provlens.graph import (NODE_KINDS, NS_PER_S, Event, NodeDescriptor, Relation,
-                            TemporalGraph, TruthLabel)
+from provlens.graph import NS_PER_S, Event, Relation, TemporalGraph, TruthLabel
 
 _PROCESS, _FILE = _KIND_CODES["PROCESS"], _KIND_CODES["FILE"]
 _TIME_ORDER = operator.itemgetter(0, 1)
@@ -55,15 +54,16 @@ def reference_scenario(spec) -> LabeledDataset:
 
 def numbered_graph(records) -> TemporalGraph:
     """The graph of (ts_ns, order, src_key, dst_key, relation) records in
-    order, one ``add_node`` per new key and one ``append_event`` per
-    record: node ids count the keys in order of first appearance (a
-    record's src before its dst)."""
-    graph, ids = TemporalGraph(), {}
+    order: node ids count the keys in order of first appearance (a
+    record's src before its dst), the nodes go in by one
+    ``from_columns`` call and then each record by one ``append_event``."""
+    ids = {}
+    for _, _, src_key, dst_key, _ in records:
+        ids.setdefault(src_key, len(ids))
+        ids.setdefault(dst_key, len(ids))
+    graph = TemporalGraph.from_columns(list(ids.values()), [kind for kind, _ in ids],
+                                       [label for _, label in ids], [], [], [], [])
     for ts, _, src_key, dst_key, rel in records:
-        for key in (src_key, dst_key):
-            if key not in ids:
-                ids[key] = len(ids)
-                graph.add_node(NodeDescriptor(ids[key], NODE_KINDS[key[0]], key[1]))
         graph.append_event(Event(ids[src_key], ids[dst_key], rel, ts))
     return graph
 

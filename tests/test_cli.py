@@ -367,15 +367,6 @@ def test_explainer_integer_field_is_argument_error(cli_dir, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_zero_horizon_config_is_argument_error(cli_dir, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"model": {"horizon": 0}}')
-    rc = main(["train", "--dataset", str(cli_dir / "ds.json"),
-               "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
-    assert rc == EXIT_ARGUMENT
-    assert not (tmp_path / "m.json").exists()
-
-
 @pytest.mark.parametrize("command, config_text", [
     (["detect", "--model", "{model}", "--out", "{out}"],
      '{"detector": {"window_minutes": 1e300}}'),

@@ -33,14 +33,12 @@ from provlens.graph import (
     NODE_KINDS,
     RELATIONS,
     Event,
-    NodeDescriptor,
     NodeKind,
     Relation,
-    TemporalGraph,
     TruthLabel,
 )
 
-from conftest import save_v1_dataset
+from conftest import node_graph, save_v1_dataset
 from record_generator import reference_scenario
 
 
@@ -107,19 +105,15 @@ _entity = st.tuples(st.sampled_from(list(NodeKind)), _token)
 def test_log_round_trip_on_generated_graphs(records):
     """Nodes numbered in first-appearance order, as parse_log numbers
     them; equal timestamps keep their order."""
-    graph = TemporalGraph()
     ids: dict = {}
-
-    def node_id(key):
-        if key not in ids:
-            ids[key] = len(ids)
-            graph.add_node(NodeDescriptor(ids[key], *key))
-        return ids[key]
-
+    for src, _, dst, _ in records:
+        ids.setdefault(src, len(ids))
+        ids.setdefault(dst, len(ids))
+    graph = node_graph((nid, *key) for key, nid in ids.items())
     t = 0
     for src, rel, dst, dt in records:
         t += dt
-        graph.append_event(Event(node_id(src), node_id(dst), rel, t))
+        graph.append_event(Event(ids[src], ids[dst], rel, t))
     ds = LabeledDataset(graph, [TruthLabel.UNKNOWN] * len(graph), (0, 0))
     assert parse_log(render_log(ds).splitlines()) == ds
 
@@ -142,9 +136,7 @@ def test_render_log_refuses_labels_with_whitespace(nodes, data):
     or two lines; render_log names the first such node and its label."""
     ids = data.draw(st.lists(st.integers(-5, 5), min_size=len(nodes),
                              max_size=len(nodes), unique=True))
-    graph = TemporalGraph()
-    for nid, (kind, label) in zip(ids, nodes):
-        graph.add_node(NodeDescriptor(nid, kind, label))
+    graph = node_graph((nid, kind, label) for nid, (kind, label) in zip(ids, nodes))
     for t, nid in enumerate(ids):
         graph.append_event(Event(nid, ids[0], Relation.READ, t))
     ds = LabeledDataset(graph, [TruthLabel.UNKNOWN] * len(graph), (0, 0))
@@ -518,10 +510,11 @@ def test_ties_break_by_class_then_position_in_the_spec():
     """At one instant: duty cycles, then session streams, then the
     attack; within a class, in the order the spec lists them."""
     lap = (CycleStep(Relation.READ, NodeKind.FILE, "f", gap_s=9.0),)
-    cycles = tuple(DutyCycle(name, lap) for name in ("z", "y"))
-    sessions = tuple(SessionSpec(name, steps=(_READ,)) for name in ("x", "w"))
+    cycles = tuple(DutyCycle(name, lap, offset_s=1.0) for name in ("z", "y"))
+    sessions = tuple(SessionSpec(name, steps=(_READ,), offset_s=1.0)
+                     for name in ("x", "w"))
     attack = (AttackStep("v", NodeKind.PROCESS, "f", NodeKind.FILE,
-                         Relation.READ, 0.0),)
+                         Relation.READ, 1.0),)
     g = generate_scenario(ScenarioSpec(5.0, cycles, sessions, attack)).graph
     assert [g.nodes[e.src].label for e in g.events] == ["z", "y", "x.0", "w.0", "v"]
 
@@ -727,8 +720,32 @@ _EVERY_CASE = ScenarioSpec(
 @example(_EVERY_CASE)
 def test_columnar_generator_equals_record_generator(spec):
     """Every column, the node labels' order and the truth labels equal
-    those of the per-event record generator (tests/record_generator.py)."""
-    assert generate_scenario(spec) == reference_scenario(spec)
+    those of the per-event record generator (tests/record_generator.py),
+    except where the reference's whole attack lies at 0 ns: its interval
+    (0, 0) would read as no attack, and the spec is refused."""
+    ref = reference_scenario(spec)
+    if TruthLabel.MALICIOUS in ref.labels and ref.attack_interval == (0, 0):
+        with pytest.raises(ValueError, match="truncates to 0 ns"):
+            generate_scenario(spec)
+        return
+    assert generate_scenario(spec) == ref
+
+
+@pytest.mark.parametrize("offsets", [(0.0,), (0.0, 1e-10), (-1e-10, 0.0)])
+def test_attack_at_0_ns_is_refused(offsets):
+    """An attack whose every event truncates to 0 ns would get the attack
+    interval (0, 0), which means no attack, and training would fit on
+    it; one event past 0 ns is enough for a real interval."""
+    def spec(offsets):
+        return ScenarioSpec(2.0, (), (), tuple(
+            AttackStep("a", NodeKind.PROCESS, "f", NodeKind.FILE, Relation.READ, t)
+            for t in offsets))
+
+    with pytest.raises(ValueError, match="^every attack step truncates to 0 ns"):
+        generate_scenario(spec(offsets))
+    ds = generate_scenario(spec((*offsets, 1.0)))
+    assert ds.attack_interval == (0, NS_PER_S)
+    assert ds.labels == [TruthLabel.MALICIOUS] * (len(offsets) + 1)
 
 
 def test_every_case_spec_has_every_case():

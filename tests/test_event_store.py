@@ -37,7 +37,7 @@ from provlens.graphmask import CanonicalEdge
 from provlens.harness import remove_edge
 from provlens.model import ModelConfig, TgnModel, score_stream
 
-from conftest import build_graph, save_v1_dataset, v1_document
+from conftest import build_graph, incident, node_graph, save_v1_dataset, v1_document
 from record_generator import numbered_graph
 
 QUARTER = 250_000_000
@@ -78,9 +78,7 @@ def _records(stream):
 
 
 def _appended(nodes, events) -> TemporalGraph:
-    g = TemporalGraph()
-    for nid, kind, label in nodes:
-        g.add_node(NodeDescriptor(nid, kind, label))
+    g = node_graph(nodes)
     for e in events:
         g.append_event(e)
     return g
@@ -106,7 +104,7 @@ def _assert_same(g: TemporalGraph, ref: TemporalGraph):
     assert list(g.nodes.values()) == list(ref.nodes.values())
     for nid in ref.nodes:
         expected = [i for i, e in enumerate(events) if nid in (e.src, e.dst)]
-        assert g.incident(nid) == ref.incident(nid) == expected
+        assert incident(g, nid) == incident(ref, nid) == expected
     for t0, t1 in (_windows(ref) if events else []):
         expected = [i for i, e in enumerate(events) if t0 <= e.timestamp < t1]
         assert (list(range(*g.window_bounds(t0, t1)))
@@ -303,11 +301,15 @@ def _record_error(doc) -> str | None:
             raise TypeError(f"expected {kind.__name__}, got {value!r}")
         return value
 
-    graph = TemporalGraph()
+    nodes = {}
     try:
         for n in doc["nodes"]:
-            graph.add_node(NodeDescriptor(typed(n["id"], int), _KINDS[n["kind"]],
-                                          typed(n["label"], str)))
+            node = NodeDescriptor(typed(n["id"], int), _KINDS[n["kind"]],
+                                  typed(n["label"], str))
+            bound = nodes.setdefault(node.node_id, node)
+            if bound != node:
+                raise ValueError(f"node_id {node.node_id} already bound to {bound}")
+        graph = node_graph((n.node_id, n.kind, n.label) for n in nodes.values())
         for src, dst, rel, ts in doc["events"]:
             graph.append_event(Event(typed(src, int), typed(dst, int),
                                      _RELATIONS[rel], typed(ts, int)))
@@ -500,14 +502,6 @@ def test_version_2_document_layout(tmp_path):
 
 # -- read views ------------------------------------------------------------
 
-def test_incident_returns_a_fresh_list(tiny_graph):
-    before = tiny_graph.incident(1)
-    got = tiny_graph.incident(1)
-    got.append(99)
-    got.sort(reverse=True)
-    assert tiny_graph.incident(1) == before == [2, 3, 4, 6]
-
-
 def test_views_are_read_only(tiny_graph):
     with pytest.raises(ValueError):
         tiny_graph.ts[0] = 0
@@ -538,8 +532,8 @@ def test_lookup_finds_every_id_through_int64_min_and_max():
     for nid in _SPARSE_IDS:
         assert nid in g.nodes and np.int64(nid) in g.nodes
         assert g.nodes[np.int64(nid)] == NodeDescriptor(nid, NodeKind.FILE, f"n{nid}")
-    assert g.incident(-2**63) == [0, 1] and g.incident(2**63 - 1) == [0]
-    assert g.incident(5) == [1] and g.incident(40) == g.incident(-7) == []
+    assert incident(g, -2**63) == [0, 1] and incident(g, 2**63 - 1) == [0]
+    assert incident(g, 5) == [1] and incident(g, 40) == incident(g, -7) == []
 
 
 @pytest.mark.parametrize("ids", [_SPARSE_IDS, [40, -7, 5]], ids=["int64-ends", "inner"])
@@ -557,7 +551,7 @@ def test_a_key_that_is_no_node_id_is_absent(ids, key):
     with pytest.raises(KeyError):
         g.nodes[key]
     with pytest.raises(KeyError):
-        g.incident(key)
+        incident(g, key)
     with pytest.raises(UnknownNodeError, match="src"):
         g.append_event(Event(key, 5, Relation.READ, 3))
     with pytest.raises(UnknownNodeError, match="dst"):
@@ -565,23 +559,30 @@ def test_a_key_that_is_no_node_id_is_absent(ids, key):
     assert len(g) == 2
 
 
-@pytest.mark.parametrize("node_id, error", [
-    (2**63, OverflowError), (-2**63 - 1, OverflowError), (2.0, TypeError),
+@pytest.mark.parametrize("node_id, message", [
+    (2**63, "OverflowError('Python int too large to convert to C long')"),
+    (-2**63 - 1, "OverflowError('Python int too large to convert to C long')"),
+    (2.0, "TypeError('expected int, got 2.0')"),
 ])
-def test_add_node_checks_the_id_before_it_moves_a_row(node_id, error):
-    g = _sparse_graph()
-    with pytest.raises(error):
-        g.add_node(NodeDescriptor(node_id, NodeKind.FILE, "x"))
-    _assert_same(g, _sparse_graph())
+def test_node_id_that_is_no_int64_integer_names_the_error(tmp_path, node_id, message):
+    """A version-1 node record whose id is no int64 integer fails at that
+    record, before a later bad record."""
+    doc = _tiny_doc()
+    doc["nodes"].append({"id": node_id, "kind": "FILE", "label": "x"})
+    doc["events"][0][0] = 9
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert str(err.value) == f"malformed dataset file {path}: {message}"
 
 
 def test_appends_after_a_read_are_seen(tiny_graph):
-    """A write drops the cached incidence index: after an append_event,
-    and after an add_node that moves every node row and an event on the
-    new node, extract_context, incident and score_stream's losses and
-    contexts read what a fresh graph of the same columns gives. Reads
-    with no write between them share one index, and a column read before
-    a write keeps its length."""
+    """An append drops the cached incidence index: after each
+    append_event, extract_context, the incidences and score_stream's
+    losses and contexts read what a fresh graph of the same columns
+    gives. Reads with no append between them share one index, and a
+    column read before an append keeps its length."""
     g, model = tiny_graph, TgnModel(ModelConfig(hops=2))
 
     def reads(graph):
@@ -590,7 +591,7 @@ def test_appends_after_a_read_are_seen(tiny_graph):
                                                     (0, 0)))
         assert scored._stream.inc is graph._incidences()
         return ([extract_context(graph, i, hops=2).neighborhood for i in range(n)],
-                [graph.incident(v) for v in graph.nodes], scored.losses.tolist(),
+                [incident(graph, v) for v in graph.nodes], scored.losses.tolist(),
                 [{v: at for v, (_, at) in c.node_states.items()} for c in scored])
 
     def fresh(graph):
@@ -599,17 +600,15 @@ def test_appends_after_a_read_are_seen(tiny_graph):
                                           graph.rel, graph.ts)
 
     ts = g.ts
-    assert g.incident(3) == [0, 1, 4]
+    assert incident(g, 3) == [0, 1, 4]
     reads(g)
     assert g._incidences() is g._incidences()
     g.append_event(Event(2, 3, Relation.READ, g.span()[1]))
-    assert g.incident(3) == [0, 1, 4, 7]
+    assert incident(g, 3) == [0, 1, 4, 7]
     assert len(ts) == 7 and len(g.ts) == 8
     assert reads(g) == reads(fresh(g))
-    g.add_node(NodeDescriptor(-1, NodeKind.SOCKET, "s"))
-    assert reads(g) == reads(fresh(g))
-    g.append_event(Event(-1, 3, Relation.SEND, g.span()[1]))
-    assert g.incident(-1) == [8] and g.incident(3) == [0, 1, 4, 7, 8]
+    g.append_event(Event(4, 3, Relation.SEND, g.span()[1]))
+    assert incident(g, 4)[-1] == 8 and incident(g, 3) == [0, 1, 4, 7, 8]
     assert reads(g) == reads(fresh(g))
 
 
@@ -619,7 +618,7 @@ def test_graph_is_freed_by_reference_counting(tmp_path):
     g = build_graph(([(0, NodeKind.PROCESS, "p"), (1, NodeKind.FILE, "f")],
                      [(0, 1, Relation.READ, 1.0), (1, 1, Relation.CLOSE, 2.0)]))
     events, nodes = g.events, g.nodes
-    assert g.incident(1) == [0, 1] and len(events) == 2 and 0 in nodes
+    assert incident(g, 1) == [0, 1] and len(events) == 2 and 0 in nodes
     path = tmp_path / "ds.json"
     save_dataset(LabeledDataset(g, [TruthLabel.BENIGN] * 2, (0, 0)), path)
     loaded = load_dataset(path).graph

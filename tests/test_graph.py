@@ -9,16 +9,14 @@ from provlens.detect import iter_windows
 from provlens.graph import (
     Event,
     EventContext,
-    NodeDescriptor,
     NodeKind,
     OrderingError,
     Relation,
-    TemporalGraph,
     UnknownNodeError,
     extract_context,
 )
 
-from conftest import NS, build_graph
+from conftest import NS, build_graph, node_graph
 
 
 def test_relation_alphabet_order():
@@ -50,14 +48,6 @@ def test_append_allows_equal_timestamps(tiny_graph):
     assert tiny_graph.events[-1].timestamp == last
 
 
-def test_add_node_rejects_rebinding():
-    g = TemporalGraph()
-    g.add_node(NodeDescriptor(1, NodeKind.FILE, "a"))
-    g.add_node(NodeDescriptor(1, NodeKind.FILE, "a"))  # idempotent
-    with pytest.raises(ValueError):
-        g.add_node(NodeDescriptor(1, NodeKind.FILE, "b"))
-
-
 def test_window_bounds_half_open(tiny_graph):
     # events at t=1..7 s; [2, 5) must include 2, 3, 4 and exclude 5
     idxs = range(*tiny_graph.window_bounds(2 * NS, 5 * NS))
@@ -85,9 +75,7 @@ def test_every_event_in_exactly_one_window(dataset):
 def _random_graph(n_nodes, edges):
     """Graph over n_nodes processes; edges are (src, dst, relation,
     timestamp increment) with increments of 0 making timestamp ties."""
-    g = TemporalGraph()
-    for nid in range(n_nodes):
-        g.add_node(NodeDescriptor(nid, NodeKind.PROCESS, f"p{nid}"))
+    g = node_graph((nid, NodeKind.PROCESS, f"p{nid}") for nid in range(n_nodes))
     t = 0
     for src, dst, rel, dt in edges:
         t += dt

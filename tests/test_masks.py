@@ -28,7 +28,6 @@ from provlens.gnnexplainer import (
 from provlens.graphmask import GraphMaskConfig, graphmask_explain_event
 from provlens.masks import (
     DivergenceError,
-    binary_entropy,
     descend,
     descend_mask,
     ordered_sum,
@@ -294,6 +293,11 @@ def test_descend_raises_on_non_finite_objective(bad):
 
 def _reference_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def binary_entropy(m: np.ndarray) -> np.ndarray:
+    """Each mask entry's entropy, the penalty the mask objective sums."""
+    return -(m * np.log(m) + (1.0 - m) * np.log(1.0 - m))
 
 
 def _reference_head(A, Wo, bo):

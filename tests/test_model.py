@@ -47,7 +47,7 @@ from provlens.model import (
     training_prefix_end,
 )
 
-from conftest import NS, build_graph, random_contexts
+from conftest import NS, build_graph, incident, random_contexts
 from train_reference import _distinct_rows, _fit_head, reference_train
 
 
@@ -519,7 +519,7 @@ def _stream_cases(draw, walks=((1, 1), (1, 10), (2, 3), (3, 2))):
     hops, horizon = draw(st.sampled_from(walks))
     config = ModelConfig(seed=draw(st.integers(0, 3)), hops=hops, horizon=horizon)
     graph = build_graph((nodes, events))
-    assert not graph.incident(isolated)
+    assert not incident(graph, isolated)
     return TgnModel(config), graph, draw(st.integers(1, len(events)))
 
 
